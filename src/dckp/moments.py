@@ -9,10 +9,12 @@ m'_ij = m_ij - phi_i phi_j.  Three modes:
   synthetic-structured  exact random singles with bimoments filled so that
                         m_{i+1,j} + m_{i,j+1} = u_i u_j on every antidiagonal
 
-phi vectors are stored per absolute t (no t-update law for phi exists; jacobi
-tables precompute them by quadrature, synthetic tables treat them as free
-data).  Singles at t+1 are recomputed by quadrature in jacobi-float mode and
-are undefined after a t-step in synthetic modes.
+Singles and phi vectors are both stored per absolute t (`single_by_t`,
+`phi_by_t`): a t-step keeps the entries above the new t, a shift in s drops
+index 0 of each.  No t-update law exists for either.  A jacobi table gets
+singles for t0..t0+tmax+1 and phi for t0..t0+tmax from one quadrature sweep,
+so evolve_t runs no quadrature.  Synthetic tables treat phi as free data;
+structured ones carry singles at the base t only, generic ones none.
 """
 
 import json
@@ -42,19 +44,24 @@ def weight(x, s, t):
 
 @dataclass
 class MomentTable:
-    """K x K bimoments at (s0, t0) plus singles and per-t phi vectors."""
+    """K x K bimoments at (s0, t0) plus per-t singles and phi vectors."""
     mode: str
     s0: int
     t0: int
     K: int
     precision_digits: object        # int for jacobi-float, None for exact modes
     bimoments: list
-    single: object                  # list or None
+    single_by_t: dict = field(default_factory=dict)
     phi_by_t: dict = field(default_factory=dict)
 
     @property
     def exact(self):
         return self.precision_digits is None
+
+    @property
+    def single(self):
+        """Singles at the table's own t, or None."""
+        return self.single_by_t.get(self.t0)
 
     def m(self, i, j):
         if not (0 <= i < self.K and 0 <= j < self.K):
@@ -83,11 +90,7 @@ class MomentTable:
     def has_single(self):
         return self.single is not None
 
-    def quad_config(self, level=None):
-        return quad.QuadratureConfig(level=level if level else 6, max_level=13,
-                                     target_digits=self.precision_digits - 10)
-
-    # ---- Evolutions (method forms; module-level ops wrap these) ----
+    # ---- Evolutions ----
 
     def shift_s(self):
         """Table at (s0+1, t0): every index advances by one, extent shrinks."""
@@ -95,14 +98,14 @@ class MomentTable:
         if K2 < 1:
             raise ExtentError("cannot shift s: table exhausted")
         bm = [[self.bimoments[i + 1][j + 1] for j in range(K2)] for i in range(K2)]
-        sg = self.single[1:] if self.single is not None else None
+        sg = {t: v[1:] for t, v in self.single_by_t.items()}
         ph = {t: v[1:] for t, v in self.phi_by_t.items()}
         return MomentTable(self.mode, self.s0 + 1, self.t0, K2,
                            self.precision_digits, bm, sg, ph)
 
-    def evolve_t(self, phi=None):
+    def evolve_t(self):
         """Table at (s0, t0+1): rank-one update by the phi vector at t0."""
-        vec = phi if phi is not None else self.phi_by_t.get(self.t0)
+        vec = self.phi_by_t.get(self.t0)
         if vec is None:
             raise ExtentError("cannot evolve t: phi vector missing at t=%d" % self.t0)
         if len(vec) < self.K:
@@ -115,12 +118,7 @@ class MomentTable:
             with mp.workdps(self.precision_digits + WORKING_MARGIN):
                 bm = [[self.bimoments[i][j] - vec[i] * vec[j] for j in range(K)]
                       for i in range(K)]
-        if self.mode == "jacobi-float":
-            dps = self.precision_digits + WORKING_MARGIN
-            sg = quad.single_vector(len(self.single), self.s0, self.t0 + 1,
-                                    self.quad_config(), dps)
-        else:
-            sg = None
+        sg = {t: v for t, v in self.single_by_t.items() if t > self.t0}
         ph = {t: v for t, v in self.phi_by_t.items() if t > self.t0}
         return MomentTable(self.mode, self.s0, self.t0 + 1, K,
                            self.precision_digits, bm, sg, ph)
@@ -136,8 +134,8 @@ class MomentTable:
             "precision_digits": self.precision_digits,
             "bimoments": [[fmt_scalar(v, self.precision_digits) for v in row]
                           for row in self.bimoments],
-            "single": ([fmt_scalar(v, self.precision_digits) for v in self.single]
-                       if self.single is not None else None),
+            "single": {str(t): [fmt_scalar(v, self.precision_digits) for v in vec]
+                       for t, vec in sorted(self.single_by_t.items())},
             "phi": {str(t): [fmt_scalar(v, self.precision_digits) for v in vec]
                     for t, vec in sorted(self.phi_by_t.items())},
         }
@@ -151,7 +149,7 @@ class MomentTable:
             return parse_scalar(s, exact, prec)
 
         bm = [[rd(v) for v in row] for row in d["bimoments"]]
-        sg = [rd(v) for v in d["single"]] if d.get("single") is not None else None
+        sg = {int(t): [rd(v) for v in vec] for t, vec in d.get("single", {}).items()}
         ph = {int(t): [rd(v) for v in vec] for t, vec in d.get("phi", {}).items()}
         return cls(d["mode"], d["s0"], d["t0"], d["K"], prec, bm, sg, ph)
 
@@ -167,24 +165,7 @@ def load_table(path):
         return MomentTable.from_dict(json.load(fh))
 
 
-# ---- Single-integral operations (jacobi-float) ----
-
-def single_moment(i, s, t, cfg, precision_digits=120):
-    """int_0^1 x^{s+i} ((1-x)/(1+x))^t dx."""
-    dps = precision_digits + WORKING_MARGIN
-    val, _ = quad.integrate_01(
-        lambda x, omx: x ** (s + i) * quad._wbar(x, omx, t), cfg, dps)
-    return val
-
-
-def phi_moment(i, s, t, cfg, precision_digits=120):
-    """sqrt2 int_0^1 x^{s+i}/(1+x) ((1-x)/(1+x))^t dx."""
-    dps = precision_digits + WORKING_MARGIN
-    with mp.workdps(dps):
-        val, _ = quad.integrate_01(
-            lambda x, omx: x ** (s + i) * quad._wbar(x, omx, t) / (1 + x), cfg, dps)
-        return mp.sqrt(2) * val
-
+# ---- Double integrals (jacobi-float) ----
 
 def bimoment(i, j, s, t, cfg, precision_digits=120, method="nested-de"):
     """Double integral m_{ij}^{s,t}; nested rule by default, ladder as fast path."""
@@ -215,14 +196,6 @@ def build_base_table(mode, s0, t0, K, cfg=None, policy=None, seed=0, tmax=3,
     raise ConfigError("unknown mode: %r" % (mode,))
 
 
-def shift_s(table):
-    return table.shift_s()
-
-
-def evolve_t(table, phi=None):
-    return table.evolve_t(phi)
-
-
 # ---- Synthetic generators (exact) ----
 
 _BOUND = 50
@@ -243,7 +216,7 @@ def synthetic_generic(seed, K, Tmax=3, s0=0, t0=0):
         for j in range(i, K):
             bm[i][j] = bm[j][i] = _rand_frac(rng)
     ph = {t: [_rand_frac(rng) for _ in range(K)] for t in range(t0, t0 + Tmax + 1)}
-    return MomentTable("synthetic-generic", s0, t0, K, None, bm, None, ph)
+    return MomentTable("synthetic-generic", s0, t0, K, None, bm, {}, ph)
 
 
 def synthetic_structured(seed, K, tmax=3, s0=0, t0=0):
@@ -278,34 +251,44 @@ def synthetic_structured(seed, K, tmax=3, s0=0, t0=0):
             if i < K and j < K:
                 bm[i][j] = v
     ph = {t: [_rand_frac(rng) for _ in range(K)] for t in range(t0, t0 + tmax + 1)}
-    return MomentTable("synthetic-structured", s0, t0, K, None, bm, u, ph)
+    return MomentTable("synthetic-structured", s0, t0, K, None, bm, {t0: u}, ph)
 
 
 # ---- Jacobi builder (quadrature) ----
 
 def build_jacobi(K, policy, s0=0, t0=0, tmax=3, cfg=None, method="ladder-de"):
-    """Float moment table of the true weight at (s0, t0), phi out to t0+tmax.
+    """Float moment table of the true weight at (s0, t0).  One sweep gives
+    singles out to t0+tmax+1 and phi out to t0+tmax, a second the bimoments,
+    with the ladder's mu from the first.
 
-    Self-check: the antidiagonal identity m_{i+1,j} + m_{i,j+1} = u_i u_j must
-    hold to rel_tol across the table; failure is a hard error.
+    Hard errors at rel_tol: the asymmetry |m_ij - m_ji|, a free estimate of
+    the quadrature error taken before symmetrising, and the antidiagonal
+    identity m_{i+1,j} + m_{i,j+1} = u_i u_j across the table.
     """
     dps = policy.working_dps
     if cfg is None:
         cfg = quad.config_for(policy)
+    tol = policy.rel_tol()
+    ts = range(t0, t0 + tmax + 2)
     with mp.workdps(dps):
-        bm = quad.bimoment_table(K, s0, t0, cfg, dps, method=method)
+        sg, ph = quad.weight_moments(s0 + K, 0, ts, ts[:-1], cfg, dps)
+        bm = quad.bimoment_table(K, s0, t0, cfg, dps, method=method, mu=sg[t0])
+        asym = max((relative_residual(bm[i][j] - bm[j][i], [bm[i][j], bm[j][i]])
+                    for i in range(K) for j in range(i)), default=0)
+        if asym >= tol:
+            raise ArithmeticError("bimoment asymmetry %s reaches rel_tol: "
+                                  "quadrature error too large" % mp.nstr(asym, 8))
         for i in range(K):
             for j in range(i):
                 v = (bm[i][j] + bm[j][i]) / 2
                 bm[i][j] = bm[j][i] = v
-        sg = quad.single_vector(K, s0, t0, cfg, dps)
-        ph = {t: quad.phi_vector(K, s0, t, cfg, dps)
-              for t in range(t0, t0 + tmax + 1)}
-        tol = policy.rel_tol()
+        sg = {t: v[s0:] for t, v in sg.items()}
+        ph = {t: v[s0:] for t, v in ph.items()}
+        u = sg[t0]
         for i in range(K - 1):
             for j in range(K - 1):
-                r = relative_residual(bm[i + 1][j] + bm[i][j + 1] - sg[i] * sg[j],
-                                      [sg[i] * sg[j]])
+                r = relative_residual(bm[i + 1][j] + bm[i][j + 1] - u[i] * u[j],
+                                      [u[i] * u[j]])
                 if r >= tol:
                     raise ArithmeticError(
                         "antidiagonal self-check failed at (%d,%d): %s" % (i, j, r))

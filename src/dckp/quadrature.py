@@ -1,21 +1,35 @@
 """Tanh-sinh quadrature on (0,1) and the moment integrals of the weight
 x^s (1-x)^t (1+x)^-t.
 
-Singles and phi-moments are one-dimensional double-exponential sums.  Bimoments
-m_{ij} = int int x^{s+i} y^{s+j} w(x)w(y)/(x+y) use one outer double-exponential
-sum with the inner x-integral evaluated exactly per node: I_0(y) in closed form
-(partial fractions for y <= 1/2, a positive-term Taylor series around y = 1
-otherwise) followed by the power ladder I_{c+1}(y) = mu_c - y I_c(y).  A naive
-nested rule is kept as a low-precision cross-check (method="nested-de").
+One level-doubling driver, `_sweep`, computes every moment of a table.  It
+walks the cached nodes level by level as fixed-point ints with P =
+ceil(dps log2 10) + 32 fraction bits; a kernel adds each node's terms into
+integer accumulators, so level L adds only its new odd nodes, and each value
+becomes an mpf once.  `weight_moments` gets singles and phi-values for many t
+in one sweep; `bimoments` gets any set of m_{ij} = int int x^{s+i} y^{s+j}
+w(x)w(y)/(x+y) from one outer sum with the inner x-integral exact per node:
+I_0(y) in closed form (partial fractions for y <= 1/2, a positive Taylor
+series around y = 1 otherwise; y-free constants made once per t), then the
+ladder I_{c+1}(y) = mu_c - y I_c(y).  The absolute 2^-P error per node is
+enough because every weight carries a factor x(1-x).
 
-All nodes are cached per (dps, level); level L uses step 2^-L and reuses every
-level L-1 node, so level-doubling convergence costs only the new odd nodes.
+Level L is accepted when every accumulator moved by at most 10^-target_digits,
+relative to max(1, |value|), from level L-1; reaching max_level short of that
+raises ArithmeticError naming the quantity, the level and the last delta.
+
+`integrate_01` stays as the generic mpf integrator behind `bimoment_nested`,
+the naive nested rule tests use as the ladder's reference, and the tests'
+closed-integrand cross-checks.  Nodes are cached per (dps, level) as
+fixed-point (x, 1-x, w) triples; level L reuses every level L-1 node.
 """
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import asinh, ceil, comb, log, log2, pi as pi_f
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, mpf_div, mpf_log, to_fixed
+from mpmath.libmp.libelefun import exp_fixed, ln2_fixed, pi_fixed
 
 from .numerics import ConfigError
 
@@ -42,42 +56,95 @@ def config_for(policy, level=None):
                             target_digits=policy.precision_digits - 10)
 
 
+def _bits(dps):
+    """Fixed-point fraction bits for a working precision of dps digits."""
+    return ceil(dps * log2(10)) + 32
+
+
 # ---- Node cache ----
 
-_node_cache = {}   # (dps, level) -> list of (x, 1-x, weight) for NEW nodes of that level
+_node_cache = {}   # (dps, level, is_base) -> [(X, 1-X, W)] NEW nodes of that level
 
 
 def _nodes(dps, level, base_level):
-    """Nodes added at `level` relative to level-1 (all nodes when level == base_level)."""
+    """Fixed-point nodes added at `level` relative to level-1 (all nodes when
+    level == base_level), each (x, 1-x, w) scaled by 2^P.
+
+    With u = k 2^-level, g = pi/2 sinh u and x = 1/(1+e^{-2g}), the weight is
+    pi/2 cosh u / cosh^2 g = pi cosh u x(1-x); node -k is node k mirrored.
+    """
     key = (dps, level, level == base_level)
     got = _node_cache.get(key)
     if got is not None:
         return got
-    with mp.workdps(dps):
-        h = mp.mpf(2) ** (-level)
-        umax = mp.asinh(mp.ln(10) * (dps + 6) / mp.pi)
-        kmax = int(mp.floor(umax / h)) + 1
-        if level == base_level:
-            ks = range(-kmax, kmax + 1)
-        else:
-            ks = [k for k in range(-kmax, kmax + 1) if k % 2 != 0]
-        out = []
-        half_pi = mp.pi / 2
-        for k in ks:
-            u = k * h
-            g = half_pi * mp.sinh(u)
-            eg = mp.exp(-2 * g)
-            x = 1 / (1 + eg)
-            omx = eg / (1 + eg)
-            w = mp.pi * mp.cosh(u) / (4 * mp.cosh(g) ** 2)
-            if w == 0:
-                continue
-            out.append((x, omx, w))
+    kmax = int(asinh(log(10) * (dps + 6) / pi_f) * 2 ** level) + 1
+    P = _bits(dps)
+    one = 1 << P
+    pi, ln2 = pi_fixed(P), ln2_fixed(P)
+    ks = range(0, kmax + 1) if level == base_level else range(1, kmax + 1, 2)
+    out = []
+    for k in ks:
+        e = exp_fixed(k << (P - level), P, ln2)            # e^u
+        ei = (one << P) // e                                # e^-u
+        eg = exp_fixed(-(pi * ((e - ei) >> 1) >> P), P, ln2)  # e^-2g
+        x = (one << P) // (one + eg)
+        omx = one - x
+        w = ((pi * ((e + ei) >> 1) >> P) * x >> P) * omx >> P
+        if w == 0:
+            continue
+        out.append((x, omx, w))
+        if k:
+            out.append((omx, x, w))
     _node_cache[key] = out
     return out
 
 
-# ---- Generic level-doubling integration ----
+@lru_cache(maxsize=8)
+def _mpf_nodes(dps, level, base_level):
+    """`_nodes` as mpf triples for the mpf integrator, which the nested
+    reference calls once per outer node; the moment sweeps never build it."""
+    e = -_bits(dps)
+    with mp.workdps(dps):
+        return tuple((mp.mpf((x, e)), mp.mpf((omx, e)), mp.mpf((w, e)))
+                     for x, omx, w in _nodes(dps, level, base_level))
+
+
+# ---- Fixed-point level-doubling driver ----
+
+def _sweep(what, kernel, size, cfg, dps):
+    """`size` integrals over (0,1) from one level-doubling sweep, as mpf.
+
+    kernel(nodes, acc) adds, for each fixed-point node (X, 1-X, W) of one
+    level, the products W * f_n(x) (scale 2^2P) into acc[n].  Raises
+    ArithmeticError when max_level is reached short of the target.
+    """
+    P = _bits(dps)
+    tol = 10 ** cfg.target_digits
+    acc = [0] * size
+    prev = None
+    level = cfg.level
+    while True:
+        kernel(_nodes(dps, level, cfg.level), acc)
+        one = 1 << (2 * P + level)
+        # the level L-1 total on the level L scale is 2 * prev
+        if prev is not None and all(abs(a - 2 * p) * tol <= max(one, abs(a))
+                                    for a, p in zip(acc, prev)):
+            break
+        if level >= cfg.max_level:
+            delta = ("%.3g" % max(abs(a - 2 * p) / max(one, abs(a))
+                                  for a, p in zip(acc, prev))
+                     if prev is not None else "none (one level only)")
+            raise ArithmeticError(
+                "quadrature of %s did not converge: level %d reached, "
+                "last delta %s, target 1e-%d"
+                % (what, level, delta, cfg.target_digits))
+        prev = list(acc)
+        level += 1
+    with mp.workdps(dps):
+        return [mp.mpf((a, -(2 * P + level))) for a in acc]
+
+
+# ---- Generic level-doubling integration (mpf reference) ----
 
 def integrate_01(f, cfg, dps):
     """int_0^1 f(x) dx; f(x, one_minus_x) -> mpf. Returns (value, level_used)."""
@@ -89,7 +156,7 @@ def integrate_01(f, cfg, dps):
         level = cfg.level
         while True:
             new = mp.mpf(0)
-            for x, omx, w in _nodes(dps, level, cfg.level):
+            for x, omx, w in _mpf_nodes(dps, level, cfg.level):
                 new += f(x, omx) * w
             total = (total / 2 if level > cfg.level else total) + h * new
             if prev is not None and abs(total - prev) <= tol * max(mp.mpf(1), abs(total)):
@@ -109,7 +176,7 @@ def de_calibration(dps, levels):
         for lv in levels:
             h = mp.mpf(2) ** (-lv)
             s = mp.mpf(0)
-            for x, omx, w in _nodes(dps, lv, lv):
+            for x, omx, w in _mpf_nodes(dps, lv, lv):
                 s += w / (1 + x)
             s *= h
             err = abs(s - truth)
@@ -126,208 +193,158 @@ def _wbar(x, omx, t):
     return (omx / (1 + x)) ** t
 
 
-# ---- Single and phi moments (one pass per vector) ----
+# ---- Single and phi moments (one sweep for every t) ----
+
+def weight_moments(count, s, single_ts, phi_ts, cfg, dps):
+    """Singles and phi-values, i < count, for several t from one sweep:
+    u_i^{s,t} = int x^{s+i} ((1-x)/(1+x))^t dx for t in single_ts and
+    phi_i^{s,t} = sqrt2 int x^{s+i}/(1+x) ((1-x)/(1+x))^t dx for t in phi_ts.
+    Returns two dicts t -> list of mpf.
+    """
+    specs = [(t, False) for t in single_ts] + [(t, True) for t in phi_ts]
+    thi = max(t for t, _ in specs)
+    P = _bits(dps)
+    one = 1 << P
+
+    def kernel(nodes, acc):
+        for x, omx, w in nodes:
+            den = one + x
+            r = (omx << P) // den
+            wt, pw = [w], [one]
+            for _ in range(thi):
+                wt.append(wt[-1] * r >> P)
+            for _ in range(s + count - 1):
+                pw.append(pw[-1] * x >> P)
+            pw, n = pw[s:], 0
+            for t, phi in specs:
+                v = (wt[t] << P) // den if phi else wt[t]
+                for q in pw:
+                    acc[n] += v * q
+                    n += 1
+
+    vals = _sweep("singles/phi at s=%d" % s, kernel, len(specs) * count,
+                  cfg, dps)
+    singles, phis = {}, {}
+    with mp.workdps(dps):
+        r2 = mp.sqrt(2)
+        for n, (t, phi) in enumerate(specs):
+            vec = vals[n * count:(n + 1) * count]
+            if phi:
+                phis[t] = [r2 * v for v in vec]
+            else:
+                singles[t] = vec
+    return singles, phis
+
 
 def single_vector(count, s, t, cfg, dps):
     """[u_i^{s,t}]_{i<count}, u_i = int x^{s+i} ((1-x)/(1+x))^t dx."""
-    with mp.workdps(dps):
-        tol = mp.mpf(10) ** (-cfg.target_digits)
-        acc = [mp.mpf(0)] * count
-        h = mp.mpf(2) ** (-cfg.level)
-        level = cfg.level
-        prev = None
-        while True:
-            new = [mp.mpf(0)] * count
-            for x, omx, w in _nodes(dps, level, cfg.level):
-                base = w * _wbar(x, omx, t) * x ** s
-                for i in range(count):
-                    new[i] += base
-                    base *= x
-            if level > cfg.level:
-                acc = [a / 2 + h * v for a, v in zip(acc, new)]
-            else:
-                acc = [h * v for v in new]
-            if prev is not None:
-                delta = max(abs(a - p) / max(mp.mpf(1), abs(a)) for a, p in zip(acc, prev))
-                if delta <= tol or level >= cfg.max_level:
-                    return acc
-            if level >= cfg.max_level:
-                return acc
-            prev = list(acc)
-            level += 1
-            h /= 2
-
-
-def phi_vector(count, s, t, cfg, dps):
-    """[phi_i^{s,t}]_{i<count}, phi_i = sqrt2 int x^{s+i}/(1+x) ((1-x)/(1+x))^t dx."""
-    with mp.workdps(dps):
-        tol = mp.mpf(10) ** (-cfg.target_digits)
-        acc = [mp.mpf(0)] * count
-        h = mp.mpf(2) ** (-cfg.level)
-        level = cfg.level
-        prev = None
-        while True:
-            new = [mp.mpf(0)] * count
-            for x, omx, w in _nodes(dps, level, cfg.level):
-                base = w * _wbar(x, omx, t) * x ** s / (1 + x)
-                for i in range(count):
-                    new[i] += base
-                    base *= x
-            if level > cfg.level:
-                acc = [a / 2 + h * v for a, v in zip(acc, new)]
-            else:
-                acc = [h * v for v in new]
-            if prev is not None:
-                delta = max(abs(a - p) / max(mp.mpf(1), abs(a)) for a, p in zip(acc, prev))
-                if delta <= tol or level >= cfg.max_level:
-                    break
-            if level >= cfg.max_level:
-                break
-            prev = list(acc)
-            level += 1
-            h /= 2
-        r = mp.sqrt(2)
-        return [r * a for a in acc]
+    return weight_moments(count, s, [t], [], cfg, dps)[0][t]
 
 
 # ---- Exact inner integral I_c(y) = int_0^1 x^c ((1-x)/(1+x))^t / (x+y) dx ----
 
-_J_cache = {}   # (t, dps) -> list of J_k (k index from 0 unused, 1..)
+_inner_cache = {}   # (t, dps) -> (J, D), fixed point at _bits(dps)
 
 
 def _J_table(t, dps):
-    """J_k = int_0^1 ((1-x)/(1+x))^t (1+x)^-k dx, exact up to one ln2."""
+    """y-free constants of I_0 at P bits: J_k = int ((1-x)/(1+x))^t (1+x)^-k
+    for the Taylor branch, and the partial-fraction branch's coefficients of
+    (1-y)^-n, D_n = -sum_j (-1)^j C(t,j) 2^(t-j) E_{t+1-n-j}, E_k = J_k at t=0.
+    """
     key = (t, dps)
-    got = _J_cache.get(key)
+    got = _inner_cache.get(key)
     if got is not None:
         return got
-    with mp.workdps(dps):
-        kmax = int((dps + 10) * mp.ln(10) / mp.ln(2)) + 12
-        # V[a][m] = int x^a (1+x)^-m dx, rows a = 0..t, m = 0..t+kmax
-        mtop = t + kmax + 1
-        V0 = [mp.mpf(0)] * (mtop + 1)
-        V0[0] = mp.mpf(1)
-        V0[1] = mp.ln(2)
-        for m in range(2, mtop + 1):
-            V0[m] = (1 - mp.mpf(2) ** (1 - m)) / (m - 1)
-        rows = [V0]
-        for a in range(1, t + 1):
-            prevrow = rows[-1]
-            row = [mp.mpf(0)] * (mtop + 1)
-            row[0] = mp.mpf(1) / (a + 1)
-            for m in range(1, mtop + 1):
-                row[m] = prevrow[m - 1] - prevrow[m]
-            rows.append(row)
-        J = [mp.mpf(0)] * (kmax + 1)
-        for k in range(1, kmax + 1):
-            acc = mp.mpf(0)
-            for a in range(t + 1):
-                term = rows[a][t + k] * comb(t, a)
-                acc += term if a % 2 == 0 else -term
-            J[k] = acc
-    _J_cache[key] = J
-    return J
+    P = _bits(dps)
+    one = 1 << P
+    kmax = int((dps + 10) * log2(10)) + 12
+    # V[a][m] = int x^a (1+x)^-m dx, rows a = 0..t, m = 0..t+kmax
+    mtop = t + kmax + 1
+    V0 = [one, ln2_fixed(P)]
+    V0 += [(one - (one >> (m - 1))) // (m - 1) for m in range(2, mtop + 1)]
+    rows = [V0]
+    for a in range(1, t + 1):
+        prevrow = rows[-1]
+        rows.append([one // (a + 1)]
+                    + [prevrow[m - 1] - prevrow[m] for m in range(1, mtop + 1)])
+    J = [0] + [sum((-1) ** a * comb(t, a) * rows[a][t + k] for a in range(t + 1))
+               for k in range(1, kmax + 1)]
+    D = [0] + [-sum((-1) ** j * comb(t, j) * 2 ** (t - j) * V0[t + 1 - n - j]
+                    for j in range(t - n + 1))
+               for n in range(1, t + 1)]
+    _inner_cache[key] = (J, D)
+    return J, D
 
 
-def _inner_I0(y, omy, t, dps, J):
-    """Closed-form I_0(y); omy = 1-y supplied for accuracy near y = 1."""
-    if y <= mp.mpf(1) / 2:
-        c = omy
-        A = ((1 + y) / c) ** t
-        total = A * mp.ln((1 + y) / y)
-        for k in range(1, t + 1):
-            B = mp.mpf(0)
-            for j in range(t - k + 1):
-                term = comb(t, j) * mp.mpf(2) ** (t - j) * c ** (j - (t - k) - 1)
-                B += -term if j % 2 == 0 else term
-            Ek = mp.ln(2) if k == 1 else (1 - mp.mpf(2) ** (1 - k)) / (k - 1)
-            total += B * Ek
-        return total
-    # series around y = 1: I_0 = sum_m (1-y)^m J_{m+1}, all terms positive
-    tol = mp.mpf(10) ** (-(dps + 2))
-    total = mp.mpf(0)
-    p = mp.mpf(1)
-    for m in range(len(J) - 1):
-        term = p * J[m + 1]
-        total += term
-        if term < tol * total:
-            break
-        p *= omy
-    return total
+def _inner_I0(y, omy, t, P, J, D):
+    """Closed-form I_0(y) in fixed point at P bits; omy = 1-y."""
+    one = 1 << P
+    if 2 * y <= one:
+        # ((1+y)/(1-y))^t ln((1+y)/y) + sum_n D_n (1-y)^-n
+        lg = to_fixed(mpf_log(mpf_div(from_man_exp(one + y, 0),
+                                      from_man_exp(y, 0), P + 16), P + 16), P)
+        a = ((one + y) << P) // omy
+        r = (one << P) // omy
+        h = 0
+        for n in range(t, 0, -1):
+            lg = lg * a >> P
+            h = (h + D[n]) * r >> P
+        return lg + h
+    # Taylor series around y = 1: I_0 = sum_m (1-y)^m J_{m+1}, all terms
+    # positive; m runs until (1-y)^m drops below 2^-P
+    m = min(int(P / (P - log2(omy))) + 1, len(J) - 2)
+    h = J[m + 1]
+    for k in range(m, 0, -1):
+        h = J[k] + (h * omy >> P)
+    return h
 
 
-def _inner_ladder(y, omy, t, cmax, dps, J, mu):
-    """[I_c(y)]_{c<=cmax} via I_{c+1} = mu_c - y I_c."""
-    out = [mp.mpf(0)] * (cmax + 1)
-    out[0] = _inner_I0(y, omy, t, dps, J)
-    for c in range(cmax):
-        out[c + 1] = mu[c] - y * out[c]
-    return out
+# ---- Bimoments ----
+
+def bimoments(pairs, s, t, cfg, dps, mu=None):
+    """[m_{ij}^{s,t} for (i, j) in pairs] from one sweep of the outer-DE /
+    exact-inner-ladder rule.  mu = [u_c^{0,t}]_{c < s + max i} (mpf) feeds the
+    ladder; it is integrated here when not given.
+    """
+    cmax = s + max(i for i, _ in pairs)
+    jmax = max(j for _, j in pairs)
+    if mu is None:
+        mu = single_vector(max(cmax, 1), 0, t, cfg, dps)
+    P = _bits(dps)
+    one = 1 << P
+    MU = [to_fixed(v._mpf_, P) for v in mu[:cmax]]
+    J, D = _J_table(t, dps)
+
+    def kernel(nodes, acc):
+        for y, omy, w in nodes:
+            iv = [_inner_I0(y, omy, t, P, J, D)]
+            for c in range(cmax):
+                iv.append(MU[c] - (y * iv[c] >> P))
+            r = (omy << P) // (one + y)
+            col = [w * pow(r, t) * pow(y, s) >> P * (t + s)]
+            for _ in range(jmax):
+                col.append(col[-1] * y >> P)
+            for n, (i, j) in enumerate(pairs):
+                acc[n] += iv[s + i] * col[j]
+
+    return _sweep("bimoments m^{%d,%d}" % (s, t), kernel, len(pairs), cfg, dps)
 
 
-# ---- Bimoment table ----
-
-def bimoment_table(K, s, t, cfg, dps, method="ladder-de"):
-    """K x K table of m_{ij}^{s,t}; method "ladder-de" (default) or "nested-de"."""
+def bimoment_table(K, s, t, cfg, dps, method="ladder-de", mu=None):
+    """K x K table of m_{ij}^{s,t}; method "ladder-de" (default) or "nested-de".
+    mu as for `bimoments` (ladder only)."""
     if method == "nested-de":
         return [[bimoment_nested(i, j, s, t, cfg, dps) for j in range(K)] for i in range(K)]
     if method != "ladder-de":
         raise ConfigError("unknown bimoment method: %r" % (method,))
-    cmax = s + K - 1
-    with mp.workdps(dps):
-        J = _J_table(t, dps)
-        mu = single_vector(max(cmax, 1), 0, t, cfg, dps)
-        tol = mp.mpf(10) ** (-cfg.target_digits)
-        acc = [[mp.mpf(0)] * K for _ in range(K)]
-        h = mp.mpf(2) ** (-cfg.level)
-        level = cfg.level
-        prev_probe = None
-        while True:
-            new = [[mp.mpf(0)] * K for _ in range(K)]
-            for y, omy, w in _nodes(dps, level, cfg.level):
-                ivec = _inner_ladder(y, omy, t, cmax, dps, J, mu)
-                o = w * _wbar(y, omy, t) * y ** s
-                col = [mp.mpf(0)] * K
-                for j in range(K):
-                    col[j] = o
-                    o *= y
-                for i in range(K):
-                    row = new[i]
-                    ic = ivec[s + i]
-                    for j in range(K):
-                        row[j] += ic * col[j]
-            if level > cfg.level:
-                for i in range(K):
-                    acc[i] = [a / 2 + h * v for a, v in zip(acc[i], new[i])]
-            else:
-                for i in range(K):
-                    acc[i] = [h * v for v in new[i]]
-            probe = (acc[0][0], acc[K - 1][K - 1])
-            if prev_probe is not None:
-                delta = max(abs(a - p) / max(mp.mpf(1), abs(a))
-                            for a, p in zip(probe, prev_probe))
-                if delta <= tol or level >= cfg.max_level:
-                    return acc
-            if level >= cfg.max_level:
-                return acc
-            prev_probe = probe
-            level += 1
-            h /= 2
+    flat = bimoments([(i, j) for i in range(K) for j in range(K)], s, t, cfg,
+                     dps, mu=mu)
+    return [flat[i * K:(i + 1) * K] for i in range(K)]
 
 
 def bimoment_entry(i, j, s, t, cfg, dps):
     """Single m_{ij}^{s,t} by the outer-DE / exact-inner-ladder path."""
-    cmax = s + i
-    with mp.workdps(dps):
-        J = _J_table(t, dps)
-        mu = single_vector(max(cmax, 1), 0, t, cfg, dps)
-
-        def f(y, omy):
-            ivec = _inner_ladder(y, omy, t, cmax, dps, J, mu)
-            return ivec[cmax] * _wbar(y, omy, t) * y ** (s + j)
-
-        val, _ = integrate_01(f, cfg, dps)
-        return val
+    return bimoments([(i, j)], s, t, cfg, dps)[0]
 
 
 def bimoment_nested(i, j, s, t, cfg, dps):

@@ -50,6 +50,15 @@ def test_verify_jacobi_default_precision(capsys):
     assert tail["summary"]["all_gating_pass"] is True
 
 
+def test_verify_jacobi_unconverged_quadrature_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.quadrature, "config_for",
+                        lambda policy, level=None: cli.quadrature.QuadratureConfig(
+                            level=3, max_level=3, target_digits=20))
+    assert cli.main(["verify", "--mode", "jacobi", "--precision", "30",
+                     "--guard", "10"]) == 1
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_verify_structured_small(capsys):
     code = cli.main(["verify", "--mode", "structured", "--seed", "2",
                      "--n", "2", "--s", "1", "--t", "1"])

@@ -8,8 +8,8 @@ import mpmath as mp
 import pytest
 
 from dckp.numerics import (ConfigError, ExtentError, TolerancePolicy,
-                           digits_of_agreement)
-from dckp import moments
+                           digits_of_agreement, relative_residual)
+from dckp import moments, quadrature
 
 POL = TolerancePolicy(precision_digits=60, guard_digits=20)
 
@@ -147,6 +147,84 @@ def test_jacobi_evolved_m00_closed_form(jacobi_ctx):
         L = mp.ln(2)
         d = digits_of_agreement(ev.m(0, 0), 2 * L - 2 * L ** 2)
     assert d >= POL.precision_digits - 5
+
+
+def test_jacobi_fused_vectors_match_closed_integrands():
+    # singles at t0+1..t0+tmax+1 and phi at t0..t0+tmax from the one sweep
+    # vs the generic mpf integrator on the closed integrands
+    pol = TolerancePolicy(precision_digits=35, guard_digits=10)
+    cfg = quadrature.config_for(pol)
+    dps = pol.working_dps
+    tab = moments.build_jacobi(4, pol, tmax=2, cfg=cfg)
+    wbar = quadrature._wbar
+    worst = mp.inf
+    with mp.workdps(dps):
+        for t in (1, 2, 3):
+            for i in range(4):
+                ref, _ = quadrature.integrate_01(
+                    lambda x, omx: x ** i * wbar(x, omx, t), cfg, dps)
+                worst = min(worst, digits_of_agreement(tab.single_by_t[t][i], ref))
+        for t in (0, 1, 2):
+            for i in range(4):
+                ref, _ = quadrature.integrate_01(
+                    lambda x, omx: x ** i * wbar(x, omx, t) / (1 + x), cfg, dps)
+                worst = min(worst, digits_of_agreement(tab.phi_by_t[t][i],
+                                                       mp.sqrt(2) * ref))
+    assert worst >= cfg.target_digits
+
+
+def test_jacobi_offset_base_matches_shift_and_evolve():
+    # a table built at (s0, t0) = (1, 1) equals shift_s().evolve_t() of the
+    # (0, 0) table: bimoments, singles and phi per t
+    pol = TolerancePolicy(precision_digits=35, guard_digits=10)
+    base = moments.build_jacobi(6, pol, tmax=2)
+    via = base.shift_s().evolve_t()
+    direct = moments.build_jacobi(5, pol, s0=1, t0=1, tmax=1)
+    assert (direct.s0, direct.t0, direct.K) == (via.s0, via.t0, via.K)
+    assert sorted(direct.single_by_t) == sorted(via.single_by_t) == [1, 2, 3]
+    assert sorted(direct.phi_by_t) == sorted(via.phi_by_t) == [1, 2]
+    pairs = [(direct.bimoments[i][j], via.bimoments[i][j])
+             for i in range(5) for j in range(5)]
+    for mine, theirs in ((direct.single_by_t, via.single_by_t),
+                         (direct.phi_by_t, via.phi_by_t)):
+        pairs += [(a, b) for t in mine for a, b in zip(mine[t], theirs[t])]
+    with mp.workdps(pol.working_dps):
+        worst = max(relative_residual(a - b, [a, b]) for a, b in pairs)
+    assert worst < pol.rel_tol()
+
+
+def test_jacobi_evolve_t_runs_no_quadrature(monkeypatch):
+    tab = moments.build_jacobi(4, POL, tmax=2)
+
+    def no_quadrature(*args):
+        raise AssertionError("evolve_t ran quadrature")
+
+    monkeypatch.setattr(quadrature, "_nodes", no_quadrature)
+    ev = tab.evolve_t().evolve_t()
+    assert ev.t0 == 2 and ev.has_single() and ev.has_phi()
+    assert ev.single == tab.single_by_t[2]
+
+
+def test_jacobi_asymmetry_is_a_hard_error(monkeypatch):
+    # |m_ij - m_ji| estimates the quadrature error; a skew that averaging
+    # would hide from the antidiagonal check must still be reported
+    real = quadrature.bimoment_table
+
+    def skewed(*args, **kwargs):
+        bm = real(*args, **kwargs)
+        bm[0][1] += mp.mpf("1e-30")
+        bm[1][0] -= mp.mpf("1e-30")
+        return bm
+
+    monkeypatch.setattr(quadrature, "bimoment_table", skewed)
+    with pytest.raises(ArithmeticError, match="asymmetry"):
+        moments.build_jacobi(4, POL, tmax=1)
+
+
+def test_jacobi_build_without_convergence_raises():
+    cfg = quadrature.QuadratureConfig(level=3, max_level=3, target_digits=40)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        moments.build_jacobi(3, POL, tmax=1, cfg=cfg)
 
 
 # ---- Builder dispatch ----

@@ -56,7 +56,7 @@ def test_single_vector_closed_forms():
 
 def test_phi_vector_closed_forms():
     with mp.workdps(DPS):
-        ph = quadrature.phi_vector(2, 0, 0, CFG, DPS)
+        ph = quadrature.weight_moments(2, 0, [], [0], CFG, DPS)[1][0]
     _agree(ph[0], lambda: mp.sqrt(2) * mp.ln(2))
     _agree(ph[1], lambda: mp.sqrt(2) * (1 - mp.ln(2)))
 
@@ -117,6 +117,21 @@ def test_bimoment_table_antidiagonal_identity():
     assert worst >= PREC - 10
 
 
+def test_sweep_without_convergence_raises():
+    # one level gives no level-doubling delta; a target beyond the working
+    # precision is never met: both name the quantity, level and last delta
+    one_level = quadrature.QuadratureConfig(level=3, max_level=3, target_digits=40)
+    with pytest.raises(ArithmeticError, match="singles.*level 3 reached.*none"):
+        quadrature.single_vector(3, 0, 0, one_level, DPS)
+    too_deep = quadrature.QuadratureConfig(level=6, max_level=7,
+                                           target_digits=DPS + 20)
+    # mu from a converged sweep, so the bimoment sweep is the one to fail
+    mu = quadrature.single_vector(3, 0, 1, CFG, DPS)
+    with pytest.raises(ArithmeticError,
+                       match=r"bimoments m\^\{0,1\}.*level 7 reached.*last delta \d"):
+        quadrature.bimoment_table(3, 0, 1, too_deep, DPS, mu=mu)
+
+
 def test_bimoment_table_unknown_method():
     with pytest.raises(ConfigError):
         quadrature.bimoment_table(2, 0, 0, CFG, DPS, method="simpson")
@@ -124,20 +139,28 @@ def test_bimoment_table_unknown_method():
 
 # ---- Exact inner-integral machinery ----
 
+def _fixed_to_mpf(v):
+    return mp.mpf((v, -quadrature._bits(DPS)))
+
+
 def test_J_table_closed_forms():
     # t = 0: J_k = int (1+x)^-k; J_1 = ln2, J_2 = 1/2
+    J, _ = quadrature._J_table(0, DPS)
     with mp.workdps(DPS):
-        J = quadrature._J_table(0, DPS)
-    _agree(J[1], lambda: mp.ln(2))
-    _agree(J[2], lambda: mp.mpf(1) / 2)
+        j1, j2 = _fixed_to_mpf(J[1]), _fixed_to_mpf(J[2])
+    _agree(j1, lambda: mp.ln(2))
+    _agree(j2, lambda: mp.mpf(1) / 2)
 
 
 def test_inner_I0_branches_agree():
     # partial-fraction branch (y <= 1/2) and Taylor branch (y > 1/2) must meet
+    P = quadrature._bits(DPS)
+    one = 1 << P
+    J, D = quadrature._J_table(2, DPS)
+    half = one // 2
+    above = half + one // 10 ** 10            # y = 0.5000000001
+    lo = quadrature._inner_I0(half, one - half, 2, P, J, D)
+    hi = quadrature._inner_I0(above, one - above, 2, P, J, D)
     with mp.workdps(DPS):
-        J = quadrature._J_table(2, DPS)
-        lo = quadrature._inner_I0(mp.mpf("0.5"), mp.mpf("0.5"), 2, DPS, J)
-        hi = quadrature._inner_I0(mp.mpf("0.5000000001"),
-                                  mp.mpf("0.4999999999"), 2, DPS, J)
-        d = digits_of_agreement(lo, hi)
+        d = digits_of_agreement(_fixed_to_mpf(lo), _fixed_to_mpf(hi))
     assert d >= 8
