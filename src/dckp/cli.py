@@ -8,8 +8,6 @@ configuration error.
 """
 
 import argparse
-import csv
-import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +17,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .numerics import (ConfigError, DegeneracyError, ExtentError,
-                       TolerancePolicy, WORKING_MARGIN, digits_of_agreement,
+                       TolerancePolicy, csv_text, digits_of_agreement,
                        fmt_scalar, parse_scalar, selfcheck_ln2)
 from . import moments, quadrature, detkit, polyfam, identities, lax, lattice
 
@@ -30,8 +28,7 @@ EXIT_USAGE = 2
 MODE_ALIASES = {"jacobi": "jacobi-float", "generic": "synthetic-generic",
                 "structured": "synthetic-structured"}
 
-# guard defaults to min(40, precision // 3) so scaled-down precisions keep a
-# meaningful tolerance without explicit tuning
+# guard None takes TolerancePolicy's default
 DEFAULTS = {"mode": "jacobi-float", "precision": 120, "guard": None,
             "n": 4, "s": 2, "t": 2, "seed": 0, "quad_level": None,
             "out": None, "format": "json", "jobs": 1, "identities": None}
@@ -115,11 +112,7 @@ def resolve_config(args):
         raise ConfigError("unknown mode: %r" % (merged["mode"],))
     if merged["precision"] < 3:
         raise ConfigError("precision must be at least 3 digits")
-    if merged["guard"] is None:
-        merged["guard"] = min(40, merged["precision"] // 3)
-    if merged["guard"] >= merged["precision"]:
-        raise ConfigError("guard digits (%d) must be smaller than precision "
-                          "digits (%d)" % (merged["guard"], merged["precision"]))
+    guard = TolerancePolicy(merged["precision"], merged["guard"]).guard_digits
     for key in ("n", "s", "t"):
         if merged[key] < 0:
             raise ConfigError("--%s must be nonnegative" % key)
@@ -142,7 +135,7 @@ def resolve_config(args):
                 "gate; use synthetic-structured or jacobi-float" % list(ids))
     else:
         ids = None
-    return RunConfig(args.command, mode, merged["precision"], merged["guard"],
+    return RunConfig(args.command, mode, merged["precision"], guard,
                      merged["n"], merged["s"], merged["t"], merged["seed"],
                      merged["quad_level"], merged["out"], merged["format"],
                      merged["jobs"], ids)
@@ -150,14 +143,11 @@ def resolve_config(args):
 
 # ---- Shared plumbing ----
 
-def _build_table(mode, K, seed, tmax, precision, guard, level):
-    if mode == "jacobi-float":
-        policy = TolerancePolicy(precision_digits=precision, guard_digits=guard)
-        qcfg = quadrature.config_for(policy, level=level)
-        return moments.build_jacobi(K, policy, tmax=tmax, cfg=qcfg)
-    if mode == "synthetic-generic":
-        return moments.synthetic_generic(seed, K, Tmax=tmax)
-    return moments.synthetic_structured(seed, K, tmax=tmax)
+def _build_table(cfg, K, tmax):
+    policy = cfg.policy()
+    return moments.build_base_table(
+        cfg.mode, 0, 0, K, policy=policy, seed=cfg.seed, tmax=tmax,
+        cfg=quadrature.config_for(policy, level=cfg.quad_level))
 
 
 def _emit(text, out):
@@ -179,11 +169,9 @@ def cmd_selfcheck(cfg):
     dps = policy.working_dps
     need = cfg.precision - 20
     lines = []
-    ok_all = True
 
     ok, d = selfcheck_ln2(policy)
     lines.append(("ln2-stability", d, cfg.precision - 2, ok))
-    ok_all &= ok
 
     qcfg = quadrature.config_for(policy, level=cfg.quad_level)
     with mp.workdps(dps):
@@ -191,7 +179,6 @@ def cmd_selfcheck(cfg):
         d = digits_of_agreement(m00, 2 * mp.ln(2))
     ok = d >= need
     lines.append(("m00-vs-2ln2", d, need, ok))
-    ok_all &= ok
 
     with mp.workdps(dps):
         K = 6
@@ -207,7 +194,6 @@ def cmd_selfcheck(cfg):
                 worst = min(worst, d)
     ok = worst >= need
     lines.append(("antidiagonal-grid", worst, need, ok))
-    ok_all &= ok
 
     import random
     rng = random.Random("selfcheck:0")
@@ -219,7 +205,6 @@ def cmd_selfcheck(cfg):
     frac_ok &= parse_scalar(fmt_scalar(Fraction(0)), True) == 0
     lines.append(("rational-round-trip", mp.inf if frac_ok else 0.0,
                   "exact", frac_ok))
-    ok_all &= frac_ok
 
     with mp.workdps(dps):
         x = mp.pi / 7
@@ -227,13 +212,12 @@ def cmd_selfcheck(cfg):
         d = digits_of_agreement(x, y)
     ok = d >= cfg.precision - 2
     lines.append(("float-round-trip", d, cfg.precision - 2, ok))
-    ok_all &= ok
 
     for name, d, need_d, ok in lines:
         dtxt = "exact" if d == mp.inf else "%.1f" % d
         print("%-20s digits=%s need=%s %s"
               % (name, dtxt, need_d, "ok" if ok else "FAIL"))
-    return EXIT_OK if ok_all else EXIT_VERIFY
+    return EXIT_OK if all(ok for *_, ok in lines) else EXIT_VERIFY
 
 
 # ---- lattice ----
@@ -245,14 +229,7 @@ def cmd_lattice(cfg):
     if cfg.format == "json":
         text = json.dumps(lat.to_json_dict(), indent=1) + "\n"
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["family", "n", "s", "t", "value", "provenance"])
-        for (f, n, s, t) in lat.sites():
-            w.writerow([f, n, s, t,
-                        fmt_scalar(lat.values[(f, n, s, t)], lat.precision_digits),
-                        lat.provenance[(f, n, s, t)]])
-        text = buf.getvalue()
+        text = lat.csv_text()
     _emit(text, cfg.out)
     _diag("lattice: %d sites (%s mode)" % (len(lat.values), cfg.mode))
     return EXIT_OK
@@ -261,11 +238,10 @@ def cmd_lattice(cfg):
 # ---- verify ----
 
 def _verify_chunk(payload):
-    (mode, K, seed, tmax, precision, guard, level, ids, nmax, smax, tsites) = payload
-    table = _build_table(mode, K, seed, tmax, precision, guard, level)
-    ctx = detkit.DetContext(table)
-    policy = TolerancePolicy(precision_digits=precision, guard_digits=guard)
-    return identities.run_suite(ctx, nmax, smax, tsites, policy=policy, ids=ids)
+    # the built table arrives pickled, mpf and Fraction entries exactly
+    table, policy, ids, nmax, smax, tmax = payload
+    return identities.run_suite(detkit.DetContext(table), nmax, smax, tmax,
+                                policy=policy, ids=ids)
 
 
 def cmd_verify(cfg):
@@ -273,20 +249,17 @@ def cmd_verify(cfg):
     ids = list(cfg.identities) if cfg.identities else list(identities.CATALOG_IDS)
     jobs = min(cfg.jobs, len(ids))
     policy = cfg.policy()
-    table = _build_table(cfg.mode, K, cfg.seed, cfg.Tmax, cfg.precision,
-                         cfg.guard, cfg.quad_level)
+    table = _build_table(cfg, K, cfg.Tmax)
     ctx = detkit.DetContext(table)
     if jobs <= 1:
         recs = identities.run_suite(ctx, cfg.Nmax, cfg.Smax, cfg.Tmax,
                                     policy=policy, ids=ids)
     else:
-        common = (cfg.mode, K, cfg.seed, cfg.Tmax, cfg.precision, cfg.guard,
-                  cfg.quad_level)
         chunks = [tuple(ids[i::jobs]) for i in range(jobs)]
         recs = []
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             for part in ex.map(_verify_chunk,
-                               [common + (ch, cfg.Nmax, cfg.Smax, cfg.Tmax)
+                               [(table, policy, ch, cfg.Nmax, cfg.Smax, cfg.Tmax)
                                 for ch in chunks]):
                 recs.extend(part)
         recs.sort(key=lambda r: (r.identity_id, r.n, r.s, r.t))
@@ -307,16 +280,13 @@ def cmd_verify(cfg):
         out_lines.append(json.dumps(summ_line))
         text = "\n".join(out_lines) + "\n"
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["id", "n", "s", "t", "residual_abs", "residual_rel",
-                    "pass", "mode", "skipped"])
-        for r in recs:
-            d = r.to_json_dict(cfg.precision)
-            w.writerow([d["id"], d["n"], d["s"], d["t"],
-                        d.get("residual_abs", ""), d.get("residual_rel", ""),
-                        d["pass"], d["mode"], d.get("skipped", "")])
-        text = buf.getvalue()
+        dicts = [r.to_json_dict(cfg.precision) for r in recs]
+        text = csv_text(["id", "n", "s", "t", "residual_abs", "residual_rel",
+                         "pass", "mode", "skipped"],
+                        [[d["id"], d["n"], d["s"], d["t"],
+                          d.get("residual_abs", ""), d.get("residual_rel", ""),
+                          d["pass"], d["mode"], d.get("skipped", "")]
+                         for d in dicts])
         _diag(json.dumps(summ_line))
     _emit(text, cfg.out)
     verdict = "PASS" if summ_line["summary"]["all_gating_pass"] else "FAIL"
@@ -330,9 +300,7 @@ def cmd_verify(cfg):
 
 def cmd_polys(cfg):
     K = cfg.Nmax + cfg.Smax + 3
-    table = _build_table(cfg.mode, K, cfg.seed, cfg.Tmax, cfg.precision,
-                         cfg.guard, cfg.quad_level)
-    ctx = detkit.DetContext(table)
+    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax))
     rows = []
     for fam in ("P", "Q", "R"):
         for n in range(0 if fam != "R" else 1, cfg.Nmax + 1):
@@ -350,13 +318,9 @@ def cmd_polys(cfg):
     if cfg.format == "json":
         text = "\n".join(json.dumps(r) for r in rows) + "\n"
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["family", "n", "s", "t", "k", "coeff"])
-        for r in rows:
-            for k, c in enumerate(r.get("coeffs", [])):
-                w.writerow([r["family"], r["n"], r["s"], r["t"], k, c])
-        text = buf.getvalue()
+        text = csv_text(["family", "n", "s", "t", "k", "coeff"],
+                        [[r["family"], r["n"], r["s"], r["t"], k, c]
+                         for r in rows for k, c in enumerate(r.get("coeffs", []))])
     _emit(text, cfg.out)
     _diag("polys: %d polynomials (%s mode)" % (len(rows), cfg.mode))
     return EXIT_OK
@@ -371,9 +335,7 @@ def cmd_lax(cfg):
     if Kop < 5:
         raise ConfigError("lax needs --n >= 4 (operator truncation K = n+1 >= 5)")
     K = Kop + cfg.Smax + 4
-    table = _build_table(cfg.mode, K, cfg.seed, cfg.Tmax + 1, cfg.precision,
-                         cfg.guard, cfg.quad_level)
-    ctx = detkit.DetContext(table)
+    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax + 1))
     policy = cfg.policy()
     doc = {"meta": {"mode": cfg.mode, "K": Kop,
                     "ranges": {"Smax": cfg.Smax, "Tmax": cfg.Tmax},
@@ -401,8 +363,7 @@ def cmd_lax(cfg):
                                                     policy=policy)
     _emit(json.dumps(doc, indent=1) + "\n", cfg.out)
     chosen = {eq: e["chosen"] for eq, e in doc["six_equations"]["equations"].items()}
-    bad = [eq for eq, ch in chosen.items() if ch is None
-           and cfg.mode == "jacobi-float"]
+    bad = [eq for eq, ch in chosen.items() if ch is None and not ctx.exact]
     _diag("lax: six-equation chosen variants %s" % chosen)
     return EXIT_VERIFY if bad else EXIT_OK
 

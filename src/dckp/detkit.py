@@ -1,6 +1,6 @@
 """Determinant kernel and the bordered-determinant families built on a moment
 table: fraction-free Bareiss for exact entries, fully pivoted LU for floats,
-and memoized accessors for the eight families
+and one memoized evaluator for every family
 
   tau_n      = det(m_{ij})                     n x n
   xi_n       = det(m_{i,j+1})
@@ -10,22 +10,71 @@ and memoized accessors for the eight families
   sigma_row_n= det[m_{i+1,j} cols 0..n-1 | phi_{i+1}]
   sigtilde_n = det[m cols 0..n-1 | u_i]
   tautilde_n = det(m rows 0..n-2,n, cols 0..n-1)
+  Praw_n     = det[m cols 0..n-1 | x^i]         (n+1) x (n+1), rows 0..n,
+  Qraw_n     = det[m cols 1..n   | x^i]         as the coefficient vector
+  Rraw_n     = det[phi_i | m cols 0..n-2 | x^i] of x^0..x^n (cofactors)
 
-Edge conventions: tau_0 = xi_0 = tauhat_0 = 1; tau_{-1} = xi_{-1} = 0;
-sigma_{-1} = psi_{-1} = 0; sigtilde_{-1} = 1; tautilde_{n<=0} = 0.  Shifts in s
-reindex into the same table; shifts in t use the rank-one evolved tables.
+Each is a minor of one frame, rows 0..n of the moment matrix (Sylvester's
+identity, the basis of Bareiss elimination): FAMILY_SPECS gives the row and
+column offsets, the border vector and its position, the frame row left out
+and the edges.  Rows keep the listed column order, which fixes the float
+pivoting.
+
+Edge conventions: tau_0 = xi_0 = tauhat_0 = 1 and sigtilde_{-1} = 1 (empty
+determinants); Praw_{-1} = Qraw_{-1} = [] (the zero polynomial); tau_{-1} =
+xi_{-1} = 0; sigma_{-1} = psi_{-1} = 0; tautilde_{n<=0} = 0; Rraw needs
+n >= 1.  Shifts in s reindex into the same table; shifts in t use the
+rank-one evolved tables.
 
 Recurrence coefficients are ratios of these determinants; a vanishing exact
 denominator raises DegeneracyError.
 """
 
 from contextlib import nullcontext
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 import mpmath as mp
 
 from .numerics import WORKING_MARGIN, DegeneracyError, ExtentError
+
+# ---- Family table ----
+
+@dataclass(frozen=True)
+class Family:
+    """A family as a minor of the frame rows 0..n of m (see the module doc)."""
+    method: str                 # the DetContext method evaluating it
+    col: int = 0                # column offset into m
+    row: int = 0                # row offset of the frame
+    border: str = None          # "phi" or "u": a bordering column
+    first: bool = False         # border column first, else last
+    skip: int = None            # scalar family: frame row n - skip left out
+    lead: tuple = None          # polynomial family: (family, order shift) of
+                                # its x^n cofactor, up to the border's sign
+    start: int = 0              # lowest n from the frame (tau_0 = det() = 1);
+    error: str = None           # below it 0, or ExtentError(error)
+
+
+FAMILY_SPECS = {
+    "tau": Family("tau", skip=0),
+    "xi": Family("xi", col=1, skip=0),
+    "tau_hat": Family("tauhat", col=2, skip=0),
+    "sigma": Family("sigma", border="phi"),
+    "psi": Family("psi", col=1, border="phi"),
+    "sigma_row": Family("sigma_row", row=1, border="phi"),
+    "sigma_tilde": Family("sigtilde", border="u", start=-1),
+    "tau_tilde": Family("tautilde", skip=1, start=1),
+    "P": Family("Praw", lead=("tau", 0), start=-1,
+                error="polynomial order below -1"),
+    "Q": Family("Qraw", col=1, lead=("xi", 0), start=-1,
+                error="polynomial order below -1"),
+    "R": Family("Rraw", border="phi", first=True, lead=("sigma", -1), start=1,
+                error="third-family polynomial needs order >= 1"),
+}
+
+FAMILIES = tuple(f for f, spec in FAMILY_SPECS.items() if spec.lead is None)
+
 
 # ---- Determinants ----
 
@@ -109,6 +158,15 @@ def det_float(rows, dps):
 
 # ---- Context over a stack of t-evolved tables ----
 
+def _family_method(family, doc=None):
+    """A DetContext method delegating to the memoized family evaluator."""
+    def method(self, n, s, t):
+        return self._family(family, n, s, t)
+    method.__name__ = FAMILY_SPECS[family].method
+    method.__doc__ = doc
+    return method
+
+
 class DetContext:
     """Family evaluators at absolute (n, s, t) over one base moment table.
 
@@ -172,130 +230,58 @@ class DetContext:
             return det_exact(rows)
         return det_float(rows, self.dps)
 
-    def _memo(self, key, build):
+    # -- determinant families: one memoized evaluator over FAMILY_SPECS --
+
+    def _family(self, family, n, s, t):
+        spec = FAMILY_SPECS[family]
+        if n < spec.start:
+            if spec.error:
+                raise ExtentError(spec.error)
+            return self.zero()
+        key = (family, n, s, t)
         v = self.memo.get(key)
         if v is None:
-            v = self._det(build())
-            self.memo[key] = v
+            v = self.memo[key] = self._frame_value(spec, n, s, t)
         return v
 
-    # -- determinant families --
+    def _frame_value(self, spec, n, s, t):
+        vec = {"phi": self.ph, "u": self.u}.get(spec.border)
+        poly = spec.lead is not None
+        # square minors: n rows if a row is left out, else n+1; a border is a column
+        width = n + (spec.skip is None and not poly) - (vec is not None)
 
-    def tau(self, n, s, t):
-        if n < 0:
-            return self.zero()
-        if n == 0:
-            return self.one()
-        return self._memo(("tau", n, s, t),
-                          lambda: [[self.m(i, j, s, t) for j in range(n)]
-                                   for i in range(n)])
+        def line(i):
+            i += spec.row
+            head = [vec(i, s, t)] if vec and spec.first else []
+            cells = head + [self.m(i, j + spec.col, s, t) for j in range(width)]
+            return cells + [vec(i, s, t)] if vec and not spec.first else cells
 
-    def xi(self, n, s, t):
-        if n < 0:
-            return self.zero()
-        if n == 0:
-            return self.one()
-        return self._memo(("xi", n, s, t),
-                          lambda: [[self.m(i, j + 1, s, t) for j in range(n)]
-                                   for i in range(n)])
+        frame = range(n + 1)
+        if not poly:
+            drop = None if spec.skip is None else n - spec.skip
+            return self._det([line(i) for i in frame if i != drop])
+        # coeff of x^k = (-1)^{k+n} * minor over frame rows != k; an mpf
+        # negation rounds to the ambient precision, so it runs at self.dps
+        minors = [self._det([line(i) for i in frame if i != k]) for k in frame]
+        with self.wp():
+            return [v if (k + n) % 2 == 0 else -v for k, v in enumerate(minors)]
 
-    def tauhat(self, n, s, t):
-        if n < 0:
-            return self.zero()
-        if n == 0:
-            return self.one()
-        return self._memo(("tauhat", n, s, t),
-                          lambda: [[self.m(i, j + 2, s, t) for j in range(n)]
-                                   for i in range(n)])
-
-    def sigma(self, n, s, t):
-        if n < 0:
-            return self.zero()
-        return self._memo(("sigma", n, s, t),
-                          lambda: [[self.m(i, j, s, t) for j in range(n)]
-                                   + [self.ph(i, s, t)] for i in range(n + 1)])
-
-    def psi(self, n, s, t):
-        if n < 0:
-            return self.zero()
-        return self._memo(("psi", n, s, t),
-                          lambda: [[self.m(i, j + 1, s, t) for j in range(n)]
-                                   + [self.ph(i, s, t)] for i in range(n + 1)])
-
-    def sigma_row(self, n, s, t):
-        if n < 0:
-            return self.zero()
-        return self._memo(("sigrow", n, s, t),
-                          lambda: [[self.m(i + 1, j, s, t) for j in range(n)]
-                                   + [self.ph(i + 1, s, t)] for i in range(n + 1)])
-
-    def sigtilde(self, n, s, t):
-        if n == -1:
-            return self.one()
-        if n < -1:
-            return self.zero()
-        return self._memo(("sigtil", n, s, t),
-                          lambda: [[self.m(i, j, s, t) for j in range(n)]
-                                   + [self.u(i, s, t)] for i in range(n + 1)])
-
-    def tautilde(self, n, s, t):
-        if n <= 0:
-            return self.zero()
-        rows = list(range(n - 1)) + [n]
-        return self._memo(("tautil", n, s, t),
-                          lambda: [[self.m(i, j, s, t) for j in range(n)]
-                                   for i in rows])
+    tau = _family_method("tau")
+    xi = _family_method("xi")
+    tauhat = _family_method("tau_hat")
+    sigma = _family_method("sigma")
+    psi = _family_method("psi")
+    sigma_row = _family_method("sigma_row")
+    sigtilde = _family_method("sigma_tilde")
+    tautilde = _family_method("tau_tilde")
 
     # -- unnormalized polynomial coefficient vectors (degree-ordered) --
 
-    def Praw(self, n, s, t):
-        """Cofactor coefficients of tau_n P_n; Praw(-1) is the zero polynomial."""
-        if n == -1:
-            return []
-        if n < -1:
-            raise ExtentError("polynomial order below -1")
-        key = ("Praw", n, s, t)
-        v = self.memo.get(key)
-        if v is None:
-            v = self._cofactor_vec(n, lambda i, j: self.m(i, j, s, t))
-            self.memo[key] = v
-        return v
-
-    def Qraw(self, n, s, t):
-        if n == -1:
-            return []
-        if n < -1:
-            raise ExtentError("polynomial order below -1")
-        key = ("Qraw", n, s, t)
-        v = self.memo.get(key)
-        if v is None:
-            v = self._cofactor_vec(n, lambda i, j: self.m(i, j + 1, s, t))
-            self.memo[key] = v
-        return v
-
-    def Rraw(self, n, s, t):
-        """Border [phi | m cols 0..n-2 | x^i]; defined for n >= 1."""
-        if n < 1:
-            raise ExtentError("third-family polynomial needs order >= 1")
-        key = ("Rraw", n, s, t)
-        v = self.memo.get(key)
-        if v is None:
-            def entry(i, j):
-                if j == 0:
-                    return self.ph(i, s, t)
-                return self.m(i, j - 1, s, t)
-            v = self._cofactor_vec(n, entry)
-            self.memo[key] = v
-        return v
-
-    def _cofactor_vec(self, n, entry):
-        # coeff of x^k = (-1)^{k+n} * minor over rows != k
-        out = []
-        for k in range(n + 1):
-            rows = [i for i in range(n + 1) if i != k]
-            mino = self._det([[entry(i, j) for j in range(n)] for i in rows])
-            out.append(mino if (k + n) % 2 == 0 else -mino)
-        return out
+    Praw = _family_method("P", "Cofactor coefficients of tau_n P_n; "
+                               "Praw(-1) is the zero polynomial.")
+    Qraw = _family_method("Q")
+    Rraw = _family_method("R", "Border [phi | m cols 0..n-2 | x^i]; "
+                               "defined for n >= 1.")
 
     # -- recurrence coefficients --
 
@@ -371,30 +357,25 @@ class DetContext:
         return all(v == 0 for v in vec[s - self.s0:])
 
     def coeff_d(self, n, s, t, edge="raise"):
-        if n == 0:
-            if edge == "zero":
-                return self.zero()
-            raise DegeneracyError("d_0 is a band convention (0), not a ratio; "
-                                  "pass edge='zero' to use it")
-        with self.wp():
-            num = -self.sigma(n, s, t) * self.tau(n - 1, s, t + 1)
-            den = self.sigma(n - 1, s, t) * self.tau(n, s, t + 1)
-            if den == 0 and self._phi_all_zero(s, t):
-                return self.zero()
-            return self._div(num, den, "d_%d" % n)
+        return self._sigma_ratio("d", n, s, t, 1, edge)
 
     def coeff_e(self, n, s, t, edge="raise"):
+        return self._sigma_ratio("e", n, s, t, 0, edge)
+
+    def _sigma_ratio(self, name, n, s, t, dt, edge):
+        # d_n (dt = 1) and e_n (dt = 0): -sigma_n tau_{n-1}^{t+dt} /
+        # (sigma_{n-1} tau_n^{t+dt}), 0 when phi vanishes from s on
         if n == 0:
             if edge == "zero":
                 return self.zero()
-            raise DegeneracyError("e_0 is a band convention (0), not a ratio; "
-                                  "pass edge='zero' to use it")
+            raise DegeneracyError("%s_0 is a band convention (0), not a ratio; "
+                                  "pass edge='zero' to use it" % name)
         with self.wp():
-            num = -self.sigma(n, s, t) * self.tau(n - 1, s, t)
-            den = self.sigma(n - 1, s, t) * self.tau(n, s, t)
+            num = -self.sigma(n, s, t) * self.tau(n - 1, s, t + dt)
+            den = self.sigma(n - 1, s, t) * self.tau(n, s, t + dt)
             if den == 0 and self._phi_all_zero(s, t):
                 return self.zero()
-            return self._div(num, den, "e_%d" % n)
+            return self._div(num, den, "%s_%d" % (name, n))
 
     def coeff_f(self, n, s, t):
         with self.wp():
@@ -417,27 +398,13 @@ class DetContext:
 
 # ---- Module-level operation wrappers ----
 
-FAMILIES = ("tau", "xi", "tau_hat", "sigma", "psi", "sigma_row",
-            "sigma_tilde", "tau_tilde")
-
-_FAMILY_FN = {
-    "tau": DetContext.tau,
-    "xi": DetContext.xi,
-    "tau_hat": DetContext.tauhat,
-    "sigma": DetContext.sigma,
-    "psi": DetContext.psi,
-    "sigma_row": DetContext.sigma_row,
-    "sigma_tilde": DetContext.sigtilde,
-    "tau_tilde": DetContext.tautilde,
-}
-
-
 def eval_det(ctx, family, n, s, t):
-    """Evaluate one determinant family at (n, s, t) with the edge conventions."""
-    fn = _FAMILY_FN.get(family)
-    if fn is None:
-        raise ValueError("unknown family %r (one of %s)" % (family, ", ".join(FAMILIES)))
-    return fn(ctx, n, s, t)
+    """Evaluate one family of FAMILY_SPECS at (n, s, t) with its edge values."""
+    spec = FAMILY_SPECS.get(family)
+    if spec is None:
+        raise ValueError("unknown family %r (one of %s)"
+                         % (family, ", ".join(FAMILY_SPECS)))
+    return getattr(ctx, spec.method)(n, s, t)
 
 
 def recurrence_coefficients(ctx, n, s, t):

@@ -263,34 +263,24 @@ def _ev_poly(ctx, ident, n, s, t):
 
 
 def _ev_propr(ctx, n, s, t):
+    # R_n pairs to zero with the bimoment columns 0..n-2 and with phi
     rv = ctx.Rraw(n, s, t)
     worst = ctx.zero()
     scales = []
-    for i in range(n - 1):
+    columns = [lambda k, i=i: ctx.m(k, i, s, t) for i in range(n - 1)]
+    for col in columns + [lambda k: ctx.ph(k, s, t)]:
         tot = ctx.zero()
         top = ctx.zero()
         for k, c in enumerate(rv):
             if c == 0:
                 continue
-            term = c * ctx.m(k, i, s, t)
+            term = c * col(k)
             tot += term
             if abs(term) > top:
                 top = abs(term)
         if abs(tot) > worst:
             worst = abs(tot)
         scales.append(top)
-    tot = ctx.zero()
-    top = ctx.zero()
-    for k, c in enumerate(rv):
-        if c == 0:
-            continue
-        term = c * ctx.ph(k, s, t)
-        tot += term
-        if abs(term) > top:
-            top = abs(term)
-    if abs(tot) > worst:
-        worst = abs(tot)
-    scales.append(top)
     return worst, scales
 
 
@@ -379,10 +369,6 @@ def verify_transformations(ctx, n, s, t, policy=None):
     return out
 
 
-def verify_bilinear(ctx, identity_id, n, s, t, policy=None):
-    return make_record(ctx, identity_id, n, s, t, policy)
-
-
 def verify_trilinear(ctx, identity_id, n, s, t, policy=None):
     if identity_id not in ("tri1", "tri2"):
         raise ValueError("trilinear ids are tri1, tri2")
@@ -447,6 +433,41 @@ def write_report(records, path, precision_digits=None):
 
 # ---- Adjudication artifacts ----
 
+def _adjudicate(ctx, residual, variants, sites, policy, keys):
+    """Worst residual(variant, n, s, t) of each variant over `sites`, and
+    the chosen variant: the first one that reached a site and whose worst
+    residual is zero (exact) or below rel_tol (float).  Sites raising
+    ExtentError or DegeneracyError are skipped; entries keep `keys` in order.
+    """
+    def fmt(v):
+        return None if v is None else fmt_scalar(v, REPORT_DIGITS)
+
+    entry = {"variants": {}, "chosen": None}
+    for variant in variants:
+        worst_abs = worst_rel = None
+        count = skipped = 0
+        for n, s, t in sites:
+            try:
+                res_abs, scales = residual(variant, n, s, t)
+            except (ExtentError, DegeneracyError):
+                skipped += 1
+                continue
+            with ctx.wp():
+                rel = relative_residual(res_abs, scales)
+            count += 1
+            if worst_rel is None or rel > worst_rel:
+                worst_abs, worst_rel = res_abs, rel
+        passes = count > 0 and bool(worst_abs == 0 if ctx.exact
+                                    else worst_rel < policy.rel_tol())
+        stats = {"max_residual_abs": fmt(worst_abs),
+                 "max_residual_rel": fmt(worst_rel),
+                 "sites": count, "skipped": skipped, "passes": passes}
+        entry["variants"][variant] = {k: stats[k] for k in keys}
+        if passes and entry["chosen"] is None:
+            entry["chosen"] = variant
+    return entry
+
+
 def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS):
     """Per-variant residuals for the sign-contested identities.
 
@@ -456,38 +477,12 @@ def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS):
     policy = _policy_for(ctx, policy)
     report = {}
     for ident in ids:
-        entry = {"variants": {}, "chosen": None}
-        for variant in ("printed", "confirmed"):
-            worst_rel = None
-            worst_abs = None
-            count = 0
-            for n in range(N_MIN.get(ident, 0), nmax + 1):
-                for s in range(smax + 1):
-                    for t in range(tmax + 1):
-                        try:
-                            res_abs, scales = evaluate(ctx, ident, n, s, t, variant)
-                        except (ExtentError, DegeneracyError):
-                            continue
-                        with ctx.wp():
-                            rel = relative_residual(res_abs, scales)
-                        count += 1
-                        if worst_rel is None or rel > worst_rel:
-                            worst_rel, worst_abs = rel, res_abs
-            entry["variants"][variant] = {
-                "max_residual_rel": fmt_scalar(worst_rel, REPORT_DIGITS)
-                if worst_rel is not None else None,
-                "max_residual_abs": fmt_scalar(worst_abs, REPORT_DIGITS)
-                if worst_abs is not None else None,
-                "sites": count,
-                "passes": bool(worst_rel is not None
-                               and (worst_abs == 0 if ctx.exact
-                                    else worst_rel < policy.rel_tol())),
-            }
-        for variant in ("printed", "confirmed"):
-            if entry["variants"][variant]["passes"]:
-                entry["chosen"] = variant
-                break
-        report[ident] = entry
+        report[ident] = _adjudicate(
+            ctx, lambda v, n, s, t: evaluate(ctx, ident, n, s, t, v),
+            ("printed", "confirmed"),
+            [(n, s, t) for n in range(N_MIN.get(ident, 0), nmax + 1)
+             for s in range(smax + 1) for t in range(tmax + 1)],
+            policy, ("max_residual_rel", "max_residual_abs", "sites", "passes"))
     return report
 
 

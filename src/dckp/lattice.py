@@ -8,7 +8,6 @@ branch selection prefers determinant-oracle proximity, falling back to
 previous-slice continuity, and halts on an exact tie.
 """
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,12 +15,12 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .numerics import (ConfigError, DegeneracyError, ExtentError,
-                       TolerancePolicy, fmt_scalar, relative_residual)
+from .numerics import (ConfigError, DegeneracyError, TolerancePolicy,
+                       csv_text, fmt_scalar, relative_residual)
 from . import moments, quadrature, detkit
 
 # sigma_row is an internal evaluator for the identity battery, not lattice data
-LATTICE_FAMILIES = ("tau", "xi", "tau_hat", "sigma", "psi", "sigma_tilde", "tau_tilde")
+LATTICE_FAMILIES = tuple(f for f in detkit.FAMILIES if f != "sigma_row")
 
 STENCIL_SITES = ("n-1,s+1,t", "n,s,t", "n,s+1,t", "n+1,s,t",
                  "n-1,s+1,t+1", "n,s,t+1", "n,s+1,t+1", "n+1,s,t+1")
@@ -66,15 +65,17 @@ class TauLattice:
             json.dump(self.to_json_dict(), fh, indent=1)
             fh.write("\n")
 
+    def csv_text(self):
+        return csv_text(["family", "n", "s", "t", "value", "provenance"],
+                        [[f, n, s, t,
+                          fmt_scalar(self.values[(f, n, s, t)],
+                                     self.precision_digits),
+                          self.provenance[(f, n, s, t)]]
+                         for (f, n, s, t) in self.sites()])
+
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["family", "n", "s", "t", "value", "provenance"])
-            for (f, n, s, t) in self.sites():
-                w.writerow([f, n, s, t,
-                            fmt_scalar(self.values[(f, n, s, t)],
-                                       self.precision_digits),
-                            self.provenance[(f, n, s, t)]])
+            fh.write(self.csv_text())
 
 
 # ---- Build ----
@@ -98,11 +99,9 @@ def _cross_validate_t_evolution(ctx, policy, cfg):
 
 
 def _family_available(ctx, family, t):
-    if family == "sigma_tilde":
-        return ctx.has_single(t)
-    if family in ("sigma", "psi"):
-        return ctx.has_phi(t)
-    return True
+    border = detkit.FAMILY_SPECS[family].border
+    return border is None or (ctx.has_phi(t) if border == "phi"
+                              else ctx.has_single(t))
 
 
 def build_lattice(mode, Nmax, Smax, Tmax, config=None):
@@ -114,45 +113,31 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     t-evolution is compared with direct quadrature at spot entries.
     """
     cfg = dict(config or {})
-    precision = cfg.get("precision", 120)
-    guard = cfg.get("guard", 40)
-    seed = cfg.get("seed", 0)
-    level = cfg.get("quad_level")
     K_need = Nmax + Smax + 3
     K = cfg.get("K") or K_need
     if K < K_need:
         raise ConfigError("table extent K=%d below required %d for "
                           "Nmax=%d Smax=%d" % (K, K_need, Nmax, Smax))
-    if mode == "jacobi-float":
-        policy = TolerancePolicy(precision_digits=precision, guard_digits=guard)
-        qcfg = quadrature.config_for(policy, level=level)
-        table = moments.build_jacobi(K, policy, tmax=Tmax, cfg=qcfg)
-        prec = precision
-    elif mode == "synthetic-generic":
-        table = moments.synthetic_generic(seed, K, Tmax=Tmax)
-        prec = None
-    elif mode == "synthetic-structured":
-        table = moments.synthetic_structured(seed, K, tmax=Tmax)
-        prec = None
-    else:
-        raise ConfigError("unknown mode: %r" % (mode,))
+    policy = TolerancePolicy(cfg.get("precision", 120), cfg.get("guard"))
+    qcfg = quadrature.config_for(policy, level=cfg.get("quad_level"))
+    table = moments.build_base_table(mode, 0, 0, K, cfg=qcfg, policy=policy,
+                                     seed=cfg.get("seed", 0), tmax=Tmax)
+    prec = table.precision_digits
     ctx = detkit.DetContext(table)
-    if mode == "jacobi-float" and Tmax >= 1:
+    if not table.exact and Tmax >= 1:
         _cross_validate_t_evolution(ctx, policy, qcfg)
     lat = TauLattice(mode, Nmax, Smax, Tmax, ctx, prec)
     lat.families = tuple(f for f in LATTICE_FAMILIES
                          if _family_available(ctx, f, table.t0))
     for f in lat.families:
-        fn = detkit._FAMILY_FN[f]
         for t in range(Tmax + 1):
             if not _family_available(ctx, f, t):
                 continue
             for n in range(Nmax + 1):
                 for s in range(Smax + 1):
-                    v = fn(ctx, n, s, t)
-                    lat.values[(f, n, s, t)] = v
+                    lat.values[(f, n, s, t)] = detkit.eval_det(ctx, f, n, s, t)
                     lat.provenance[(f, n, s, t)] = "determinant"
-    if mode == "jacobi-float":
+    if not table.exact:
         for (f, n, s, t), v in lat.values.items():
             if f in ("tau", "xi") and not v > 0:
                 raise DegeneracyError(

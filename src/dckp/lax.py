@@ -18,8 +18,9 @@ that survive adjudication verbatim, and repaired forms for the other three.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar, relative_residual
+from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
 from . import polyfam
+from .identities import _adjudicate, _policy_for
 
 EIGEN_SAMPLES = (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
                  Fraction(1, 2), Fraction(2, 3))
@@ -85,70 +86,49 @@ class OperatorTruncation:
 
 # ---- Construction ----
 
-def coefficient_bands(ctx, K, s, t):
-    """Diagonal band vectors a,b,c, alpha,beta, d,e for n = 0..K-1."""
-    with ctx.wp():
-        return {
-            "a": [ctx.coeff_a(n, s, t) for n in range(K)],
-            "b": [ctx.coeff_b(n, s, t) for n in range(K)],
-            "c": [ctx.coeff_c(n, s, t) for n in range(K)],
-            "alpha": [ctx.coeff_alpha(n, s, t) for n in range(K)],
-            "beta": [ctx.coeff_beta(n, s, t) for n in range(K)],
-            "d": [ctx.coeff_d(n, s, t, edge="zero") for n in range(K)],
-            "e": [ctx.coeff_e(n, s, t, edge="zero") for n in range(K)],
-        }
-
-
 def _check_K(K):
     if K < 5:
         raise ConfigError("operator truncation needs K >= 5, got %d" % K)
 
 
+def _operator(ctx, sub, bands):
+    """(I + diag(sub) Lam^-1)^-1 T, T the K x K band matrix whose entry (i,
+    i + o) is bands[o](i); call under ctx.wp()."""
+    K, zero = len(sub), ctx.zero()
+    T = _zeros(K, zero)
+    for o, band in bands.items():
+        for i in range(max(0, -o), K - max(0, o)):
+            T[i][i + o] = band(i)
+    return _forward_solve(sub, T, zero)
+
+
 def build_L(ctx, K, s, t):
     _check_K(K)
-    zero, one = ctx.zero(), ctx.one()
     with ctx.wp():
         a = [ctx.coeff_a(n, s, t) for n in range(K)]
         b = [ctx.coeff_b(n, s, t) for n in range(K)]
         c = [ctx.coeff_c(n, s, t) for n in range(K)]
-        TL = _zeros(K, zero)
-        for i in range(K):
-            if i + 1 < K:
-                TL[i][i + 1] = one
-            TL[i][i] = a[i] - b[i]
-            if i >= 1:
-                TL[i][i - 1] = a[i] * b[i - 1] - c[i]
-            if i >= 2:
-                TL[i][i - 2] = -a[i] * c[i - 1]
-        return _forward_solve(a, TL, zero)
+        return _operator(ctx, a, {1: lambda i: ctx.one(),
+                                  0: lambda i: a[i] - b[i],
+                                  -1: lambda i: a[i] * b[i - 1] - c[i],
+                                  -2: lambda i: -a[i] * c[i - 1]})
 
 
 def build_N(ctx, K, s, t):
     _check_K(K)
-    zero, one = ctx.zero(), ctx.one()
     with ctx.wp():
         alpha = [ctx.coeff_alpha(n, s, t) for n in range(K)]
         beta = [ctx.coeff_beta(n, s, t) for n in range(K)]
-        TN = _zeros(K, zero)
-        for i in range(K):
-            if i + 1 < K:
-                TN[i][i + 1] = one
-            TN[i][i] = beta[i]
-        return _forward_solve(alpha, TN, zero)
+        return _operator(ctx, alpha, {1: lambda i: ctx.one(),
+                                      0: lambda i: beta[i]})
 
 
 def build_M(ctx, K, s, t):
     _check_K(K)
-    zero, one = ctx.zero(), ctx.one()
     with ctx.wp():
         d = [ctx.coeff_d(n, s, t, edge="zero") for n in range(K)]
         e = [ctx.coeff_e(n, s, t, edge="zero") for n in range(K)]
-        TM = _zeros(K, zero)
-        for i in range(K):
-            TM[i][i] = one
-            if i >= 1:
-                TM[i][i - 1] = d[i]
-        return _forward_solve(e, TM, zero)
+        return _operator(ctx, e, {0: lambda i: ctx.one(), -1: lambda i: d[i]})
 
 
 def build_operators(ctx, K, s, t):
@@ -320,41 +300,14 @@ def verify_six_equations(ctx, nmax, s, t, policy=None):
     metadata.  The repaired eq6 reaches the t-advanced recurrence data, which
     exists only where singles are recomputable (weight-backed tables).
     """
-    from .identities import _policy_for, REPORT_DIGITS
     policy = _policy_for(ctx, policy)
     report = {"site": {"s": s, "t": t, "nmax": nmax, "mode": ctx.base.mode,
                        "rel_tol": None if ctx.exact else fmt_scalar(policy.rel_tol(), 8)},
               "equations": {}}
     for eq in SIX_EQUATIONS:
-        variants = ("printed",) if eq in ("eq1", "eq2", "eq3") else ("printed", "repaired")
-        entry = {"variants": {}, "chosen": None}
-        for variant in variants:
-            worst_abs = None
-            worst_rel = None
-            sites = 0
-            skipped = 0
-            for n in range(EQ_N_MIN[eq], nmax + 1):
-                try:
-                    res_abs, scales = evaluate_equation(ctx, eq, n, s, t, variant)
-                except (ExtentError, DegeneracyError):
-                    skipped += 1
-                    continue
-                with ctx.wp():
-                    rel = relative_residual(res_abs, scales)
-                sites += 1
-                if worst_rel is None or rel > worst_rel:
-                    worst_abs, worst_rel = res_abs, rel
-            ok = (sites > 0 and (worst_abs == 0 if ctx.exact
-                                 else worst_rel < policy.rel_tol()))
-            entry["variants"][variant] = {
-                "max_residual_abs": fmt_scalar(worst_abs, REPORT_DIGITS)
-                if worst_abs is not None else None,
-                "max_residual_rel": fmt_scalar(worst_rel, REPORT_DIGITS)
-                if worst_rel is not None else None,
-                "sites": sites, "skipped": skipped, "passes": bool(ok)}
-        for variant in variants:
-            if entry["variants"][variant]["passes"]:
-                entry["chosen"] = variant
-                break
-        report["equations"][eq] = entry
+        report["equations"][eq] = _adjudicate(
+            ctx, lambda v, n, s, t: evaluate_equation(ctx, eq, n, s, t, v),
+            ("printed",) if eq in ("eq1", "eq2", "eq3") else ("printed", "repaired"),
+            [(n, s, t) for n in range(EQ_N_MIN[eq], nmax + 1)], policy,
+            ("max_residual_abs", "max_residual_rel", "sites", "skipped", "passes"))
     return report

@@ -165,30 +165,17 @@ def load_table(path):
         return MomentTable.from_dict(json.load(fh))
 
 
-# ---- Double integrals (jacobi-float) ----
-
-def bimoment(i, j, s, t, cfg, precision_digits=120, method="nested-de"):
-    """Double integral m_{ij}^{s,t}; nested rule by default, ladder as fast path."""
-    dps = precision_digits + WORKING_MARGIN
-    if method == "nested-de":
-        return quad.bimoment_nested(i, j, s, t, cfg, dps)
-    if method == "ladder-de":
-        return quad.bimoment_entry(i, j, s, t, cfg, dps)
-    raise ConfigError("unknown bimoment method: %r" % (method,))
-
-
 # ---- Builders ----
 
-def build_base_table(mode, s0, t0, K, cfg=None, policy=None, seed=0, tmax=3,
-                     method="ladder-de"):
-    """Dispatch to the mode-specific builder; jacobi tables are self-checked."""
+def build_base_table(mode, s0, t0, K, cfg=None, policy=None, seed=0, tmax=3):
+    """The one mode dispatcher.  Jacobi tables need the policy and are
+    self-checked; synthetic ones ignore cfg and policy and draw from seed."""
     if K < 1:
         raise ConfigError("table extent must be positive")
     if mode == "jacobi-float":
         if policy is None:
             raise ConfigError("jacobi-float mode needs a TolerancePolicy")
-        return build_jacobi(K, policy, s0=s0, t0=t0, tmax=tmax,
-                            cfg=cfg, method=method)
+        return build_jacobi(K, policy, s0=s0, t0=t0, tmax=tmax, cfg=cfg)
     if mode == "synthetic-generic":
         return synthetic_generic(seed, K, tmax, s0=s0, t0=t0)
     if mode == "synthetic-structured":
@@ -256,7 +243,7 @@ def synthetic_structured(seed, K, tmax=3, s0=0, t0=0):
 
 # ---- Jacobi builder (quadrature) ----
 
-def build_jacobi(K, policy, s0=0, t0=0, tmax=3, cfg=None, method="ladder-de"):
+def build_jacobi(K, policy, s0=0, t0=0, tmax=3, cfg=None):
     """Float moment table of the true weight at (s0, t0).  One sweep gives
     singles out to t0+tmax+1 and phi out to t0+tmax, a second the bimoments,
     with the ladder's mu from the first.
@@ -272,7 +259,7 @@ def build_jacobi(K, policy, s0=0, t0=0, tmax=3, cfg=None, method="ladder-de"):
     ts = range(t0, t0 + tmax + 2)
     with mp.workdps(dps):
         sg, ph = quad.weight_moments(s0 + K, 0, ts, ts[:-1], cfg, dps)
-        bm = quad.bimoment_table(K, s0, t0, cfg, dps, method=method, mu=sg[t0])
+        bm = quad.bimoment_table(K, s0, t0, cfg, dps, mu=sg[t0])
         asym = max((relative_residual(bm[i][j] - bm[j][i], [bm[i][j], bm[j][i]])
                     for i in range(K) for j in range(i)), default=0)
         if asym >= tol:

@@ -7,6 +7,8 @@ Two scalar regimes coexist:
 No interval arithmetic and no symbolic constants anywhere.
 """
 
+import csv
+import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,15 +36,24 @@ class ExtentError(IndexError):
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Float-mode tolerances. rel_tol is derived, never set directly."""
+    """Float-mode tolerances. rel_tol is derived, never set directly.
+
+    guard_digits defaults to min(40, precision_digits // 3), so scaled-down
+    precisions keep a meaningful tolerance without explicit tuning.
+    """
     precision_digits: int = 120
-    guard_digits: int = 40
+    guard_digits: int = None
 
     def __post_init__(self):
         if self.precision_digits <= 0:
             raise ConfigError("precision_digits must be positive")
+        if self.guard_digits is None:
+            object.__setattr__(self, "guard_digits",
+                               min(40, self.precision_digits // 3))
         if self.guard_digits >= self.precision_digits:
-            raise ConfigError("guard_digits must be smaller than precision_digits")
+            raise ConfigError("guard digits (%d) must be smaller than precision "
+                              "digits (%d)" % (self.guard_digits,
+                                               self.precision_digits))
 
     @property
     def working_dps(self):
@@ -51,11 +62,6 @@ class TolerancePolicy:
     def rel_tol(self):
         with mp.workdps(self.working_dps):
             return mp.mpf(10) ** (-(self.precision_digits - self.guard_digits))
-
-
-def workdps(policy):
-    """Context manager pinning mpmath to the policy's working precision."""
-    return mp.workdps(policy.working_dps)
 
 
 # ---- Residuals ----
@@ -104,15 +110,16 @@ def parse_scalar(s, exact, precision_digits=None):
     return mp.mpf(s)
 
 
-# ---- Well-known constants ----
+def csv_text(header, rows):
+    """A header row and data rows as one CSV document (default dialect)."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
 
-def ln2():
-    return mp.ln(2)
 
-
-def sqrt2():
-    return mp.sqrt(2)
-
+# ---- Self-check ----
 
 def selfcheck_ln2(policy):
     """ln2 at P and at P+20 digits agree to at least P-2 digits."""

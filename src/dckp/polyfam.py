@@ -10,6 +10,7 @@ with coeffs[n] = 1.
 from dataclasses import dataclass
 
 from .numerics import DegeneracyError, ExtentError
+from . import detkit
 
 # ---- Coefficient container ----
 
@@ -44,28 +45,20 @@ def poly(ctx, family, n, s, t):
 
     P_n = tau_n^{-1} det[m cols 0..n-1 | x^i]; Q_n the same on the column-
     shifted table; R_n = (-1)^{n-1} sigma_{n-1}^{-1} det[phi | m cols 0..n-2 | x^i]
-    (n >= 1).
+    (n >= 1).  The raw vector and its normalizer come from detkit.FAMILY_SPECS.
     """
-    if family == "P":
-        if n < 0:
-            raise ExtentError("polynomial order must be >= 0")
-        den = ctx.tau(n, s, t)
-        raw = ctx.Praw(n, s, t)
-        sign = 1
-    elif family == "Q":
-        if n < 0:
-            raise ExtentError("polynomial order must be >= 0")
-        den = ctx.xi(n, s, t)
-        raw = ctx.Qraw(n, s, t)
-        sign = 1
-    elif family == "R":
-        if n < 1:
-            raise ExtentError("third-family polynomial needs order >= 1")
-        den = ctx.sigma(n - 1, s, t)
-        raw = ctx.Rraw(n, s, t)
-        sign = 1 if (n - 1) % 2 == 0 else -1
-    else:
+    spec = detkit.FAMILY_SPECS.get(family)
+    if spec is None or spec.lead is None:
         raise ValueError("unknown family %r (one of P, Q, R)" % (family,))
+    low = max(spec.start, 0)    # Praw_{-1} = [] is no monic polynomial
+    if n < low:
+        raise ExtentError("%s_%d: polynomial order must be >= %d"
+                          % (family, n, low))
+    lead, shift = spec.lead
+    den = detkit.eval_det(ctx, lead, n + shift, s, t)
+    raw = detkit.eval_det(ctx, family, n, s, t)
+    # moving a first border column past the n-1 bimoment columns
+    sign = -1 if spec.first and (n - 1) % 2 else 1
     if den == 0:
         raise DegeneracyError("normalizer of %s_%d vanishes at (s=%d,t=%d)"
                               % (family, n, s, t))
@@ -93,21 +86,18 @@ def inner(ctx, f, g, s, t):
 
 def L_functional(ctx, f, s, t):
     """sum_i f_i phi_i^{s,t} (the sqrt2-weighted endpoint functional)."""
-    fv = _vec(f)
-    with ctx.wp():
-        tot = ctx.zero()
-        for i, fi in enumerate(fv):
-            if fi != 0:
-                tot += fi * ctx.ph(i, s, t)
-        return tot
+    return _pair(ctx, f, lambda i: ctx.ph(i, s, t))
 
 
 def weighted_integral(ctx, f, s, t):
     """sum_i f_i u_i^{s,t} (plain integral against the weight)."""
-    fv = _vec(f)
+    return _pair(ctx, f, lambda i: ctx.u(i, s, t))
+
+
+def _pair(ctx, f, vec):
     with ctx.wp():
         tot = ctx.zero()
-        for i, fi in enumerate(fv):
+        for i, fi in enumerate(_vec(f)):
             if fi != 0:
-                tot += fi * ctx.u(i, s, t)
+                tot += fi * vec(i)
         return tot

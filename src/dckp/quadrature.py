@@ -50,9 +50,18 @@ class QuadratureConfig:
 
 
 def config_for(policy, level=None):
-    """Default config for a tolerance policy: target precision minus 10 digits."""
-    return QuadratureConfig(level=level if level else 6,
-                            max_level=13,
+    """Default config for a tolerance policy: target precision minus 10 digits.
+
+    level None starts at 6; an explicit level must lie in 3..max_level-1,
+    since convergence is judged between two levels.
+    """
+    max_level = 13
+    if level is None:
+        level = 6
+    elif not 3 <= level < max_level:
+        raise ConfigError("quadrature level must lie in 3..%d, got %d"
+                          % (max_level - 1, level))
+    return QuadratureConfig(level=level, max_level=max_level,
                             target_digits=policy.precision_digits - 10)
 
 
@@ -330,13 +339,8 @@ def bimoments(pairs, s, t, cfg, dps, mu=None):
     return _sweep("bimoments m^{%d,%d}" % (s, t), kernel, len(pairs), cfg, dps)
 
 
-def bimoment_table(K, s, t, cfg, dps, method="ladder-de", mu=None):
-    """K x K table of m_{ij}^{s,t}; method "ladder-de" (default) or "nested-de".
-    mu as for `bimoments` (ladder only)."""
-    if method == "nested-de":
-        return [[bimoment_nested(i, j, s, t, cfg, dps) for j in range(K)] for i in range(K)]
-    if method != "ladder-de":
-        raise ConfigError("unknown bimoment method: %r" % (method,))
+def bimoment_table(K, s, t, cfg, dps, mu=None):
+    """K x K table of m_{ij}^{s,t} from one sweep; mu as for `bimoments`."""
     flat = bimoments([(i, j) for i in range(K) for j in range(K)], s, t, cfg,
                      dps, mu=mu)
     return [flat[i * K:(i + 1) * K] for i in range(K)]

@@ -2,12 +2,13 @@
 layering.  Commands run in-process through cli.main."""
 
 import json
+import pickle
 
 import mpmath as mp
 import pytest
 
-from dckp.numerics import digits_of_agreement, parse_scalar
-from dckp import cli
+from dckp.numerics import TolerancePolicy, digits_of_agreement, parse_scalar
+from dckp import cli, detkit, identities, moments
 
 # ---- selfcheck ----
 
@@ -57,6 +58,30 @@ def test_verify_jacobi_unconverged_quadrature_exits_1(capsys, monkeypatch):
     assert cli.main(["verify", "--mode", "jacobi", "--precision", "30",
                      "--guard", "10"]) == 1
     assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", [0, 13, 14])
+def test_verify_quad_level_out_of_range_is_usage_error(capsys, level):
+    assert cli.main(["verify", "--mode", "jacobi", "--precision", "20",
+                     "--guard", "5", "--quad-level", str(level)]) == 2
+    assert "3..12" in capsys.readouterr().err
+
+
+def test_verify_chunk_uses_the_shipped_table(monkeypatch):
+    policy = TolerancePolicy(precision_digits=20)
+    table = moments.build_jacobi(5, policy, tmax=1)
+    ids = ("eq1", "dckp", "4trr")
+    ref = identities.run_suite(detkit.DetContext(table), 1, 1, 1,
+                               policy=policy, ids=ids)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("a verify worker rebuilt the moment table")
+
+    monkeypatch.setattr(cli.moments, "build_jacobi", no_rebuild)
+    payload = pickle.loads(pickle.dumps((table, policy, ids, 1, 1, 1)))
+    recs = cli._verify_chunk(payload)
+    assert ([r.to_json_dict(20) for r in recs]
+            == [r.to_json_dict(20) for r in ref])
 
 
 def test_verify_structured_small(capsys):

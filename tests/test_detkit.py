@@ -159,6 +159,102 @@ def test_norm_is_tau_ratio(generic_ctx):
         assert c.norm(n, 0, 0) == c.tau(n + 1, 0, 0) / c.tau(n, 0, 0)
 
 
+# ---- Literal-matrix oracle for every family ----
+
+def _literal(ctx, family, n, s, t, det):
+    """Each family's matrix written out from the detkit module docstring,
+    with its edge values; cofactor families by Laplace expansion along the
+    x^i column."""
+    def m(i, j):
+        return ctx.m(i, j, s, t)
+
+    def ph(i):
+        return ctx.ph(i, s, t)
+
+    if family in ("tau", "xi", "tau_hat"):
+        c = {"tau": 0, "xi": 1, "tau_hat": 2}[family]
+        if n <= 0:
+            return 1 if n == 0 else 0
+        return det([[m(i, j + c) for j in range(n)] for i in range(n)])
+    if family in ("sigma", "psi"):
+        c = 1 if family == "psi" else 0
+        if n < 0:
+            return 0
+        return det([[m(i, j + c) for j in range(n)] + [ph(i)]
+                    for i in range(n + 1)])
+    if family == "sigma_row":
+        if n < 0:
+            return 0
+        return det([[m(i + 1, j) for j in range(n)] + [ph(i + 1)]
+                    for i in range(n + 1)])
+    if family == "sigma_tilde":
+        if n < 0:
+            return 1 if n == -1 else 0
+        return det([[m(i, j) for j in range(n)] + [ctx.u(i, s, t)]
+                    for i in range(n + 1)])
+    if family == "tau_tilde":
+        if n <= 0:
+            return 0
+        return det([[m(i, j) for j in range(n)]
+                    for i in list(range(n - 1)) + [n]])
+    if family in ("P", "Q"):
+        c = 1 if family == "Q" else 0
+        if n < -1:
+            raise ExtentError("polynomial order below -1")
+
+        def row(i):
+            return [m(i, j + c) for j in range(n)]
+    else:
+        if n < 1:
+            raise ExtentError("third-family polynomial needs order >= 1")
+
+        def row(i):
+            return [ph(i)] + [m(i, j) for j in range(n - 1)]
+    minors = [det([row(i) for i in range(n + 1) if i != k]) for k in range(n + 1)]
+    with ctx.wp():
+        return [d if (k + n) % 2 == 0 else -d for k, d in enumerate(minors)]
+
+
+def _check_against_literal(ctx, det, ss, ts):
+    assert set(detkit.FAMILY_SPECS) == {
+        "tau", "xi", "tau_hat", "sigma", "psi", "sigma_row", "sigma_tilde",
+        "tau_tilde", "P", "Q", "R"}
+    checked = 0
+    for family in detkit.FAMILY_SPECS:
+        for n in range(-2, 5):
+            for s in ss:
+                for t in ts:
+                    try:
+                        want = _literal(ctx, family, n, s, t, det)
+                    except ExtentError:
+                        with pytest.raises(ExtentError):
+                            detkit.eval_det(ctx, family, n, s, t)
+                        continue
+                    got = detkit.eval_det(ctx, family, n, s, t)
+                    assert got == want, (family, n, s, t)
+                    checked += 1
+    return checked
+
+
+def test_families_match_literal_matrices_exact(generic_ctx, structured_ctx):
+    for ctx in (generic_ctx, structured_ctx):
+        assert _check_against_literal(ctx, detkit.det_exact, (0, 1), (0, 1)) > 250
+    # a base table at nonzero s0/t0: absolute s and t index into it
+    offset = detkit.DetContext(moments.synthetic_structured(5, 9, tmax=2,
+                                                            s0=2, t0=1))
+    assert _check_against_literal(offset, detkit.det_exact, (2, 3), (1, 2)) > 250
+
+
+def test_families_match_literal_matrices_float(jacobi_ctx):
+    # equal to the last bit: the same entries in the same order, so the same
+    # full-pivot elimination; evaluated at mpmath's default precision, which
+    # must not leak into the memoized values
+    def det(rows):
+        return detkit.det_float(rows, jacobi_ctx.dps)
+
+    assert _check_against_literal(jacobi_ctx, det, (0, 1), (0, 1)) > 250
+
+
 # ---- Module-level wrappers ----
 
 def test_eval_det_dispatch(generic_ctx):

@@ -43,6 +43,12 @@ def test_build_jacobi_positive_and_cross_validated():
             assert v > 0, (f, n, s, t)
 
 
+def test_build_jacobi_default_guard_follows_precision():
+    # no guard given: the policy default min(40, precision // 3), as in the CLI
+    lat = lattice.build_lattice("jacobi-float", 2, 1, 1, {"precision": 30})
+    assert lat.precision_digits == 30 and lat.get("tau", 2, 1, 1) > 0
+
+
 def test_json_and_csv_export(tmp_path):
     lat = lattice.build_lattice("synthetic-generic", 1, 1, 1, {"seed": 2})
     doc = lat.to_json_dict()
@@ -56,6 +62,8 @@ def test_json_and_csv_export(tmp_path):
     with open(cpath) as fh:
         header = fh.readline().strip().split(",")
     assert header == ["family", "n", "s", "t", "value", "provenance"]
+    with open(cpath, newline="") as fh:
+        assert fh.read() == lat.csv_text()
 
 
 # ---- Corner solve ----

@@ -238,14 +238,3 @@ def test_build_base_table_dispatch():
         moments.build_base_table("synthetic-generic", 0, 0, 0)
     tab = moments.build_base_table("synthetic-structured", 0, 0, 5, seed=2)
     assert tab.mode == "synthetic-structured" and tab.K == 5
-
-
-def test_bimoment_method_dispatch():
-    low = TolerancePolicy(precision_digits=20, guard_digits=6)
-    cfg = moments.quad.config_for(low)
-    a = moments.bimoment(0, 0, 0, 0, cfg, 20, method="ladder-de")
-    b = moments.bimoment(0, 0, 0, 0, cfg, 20, method="nested-de")
-    with mp.workdps(40):
-        assert digits_of_agreement(a, b) >= 10
-    with pytest.raises(ConfigError):
-        moments.bimoment(0, 0, 0, 0, cfg, 20, method="other")

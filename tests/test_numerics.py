@@ -23,6 +23,9 @@ def test_policy_derived_quantities():
     assert pol.working_dps == 120 + WORKING_MARGIN
     with mp.workdps(pol.working_dps):
         assert mp.almosteq(mp.log10(pol.rel_tol()), -80)
+    # the one guard default: min(40, precision // 3)
+    assert TolerancePolicy().guard_digits == 40
+    assert TolerancePolicy(precision_digits=30).guard_digits == 10
 
 
 # ---- Residuals ----

@@ -31,6 +31,13 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         quadrature.QuadratureConfig(level=6, max_level=5)
     assert quadrature.config_for(POL).target_digits == PREC - 10
+    # only None takes the default start level; explicit levels need a second
+    # level below max_level to judge convergence
+    assert quadrature.config_for(POL).level == 6
+    assert quadrature.config_for(POL, level=12).level == 12
+    for bad in (0, 2, 13, 14):
+        with pytest.raises(ConfigError, match=r"3\.\.12"):
+            quadrature.config_for(POL, level=bad)
 
 
 def test_de_calibration_improves_with_level():
@@ -130,11 +137,6 @@ def test_sweep_without_convergence_raises():
     with pytest.raises(ArithmeticError,
                        match=r"bimoments m\^\{0,1\}.*level 7 reached.*last delta \d"):
         quadrature.bimoment_table(3, 0, 1, too_deep, DPS, mu=mu)
-
-
-def test_bimoment_table_unknown_method():
-    with pytest.raises(ConfigError):
-        quadrature.bimoment_table(2, 0, 0, CFG, DPS, method="simpson")
 
 
 # ---- Exact inner-integral machinery ----
