@@ -127,12 +127,11 @@ def resolve_config(args):
         bad = [x for x in ids if x not in identities.CATALOG_IDS]
         if bad:
             raise ConfigError("unknown identity ids: %s" % bad)
-        if (mode == "synthetic-generic"
-                and args.command == "verify"
-                and all(x in identities.NEEDS_SINGLE for x in ids)):
-            raise ConfigError(
-                "synthetic-generic mode has no single moments, so %s can never "
-                "gate; use synthetic-structured or jacobi-float" % list(ids))
+        # judged at the base t, where each mode gates every id it gates anywhere
+        if (args.command == "verify"
+                and not any(identities.gates(mode, x, 0, 0) for x in ids)):
+            raise ConfigError("no identity in %s gates in %s mode, so verify "
+                              "could never fail" % (list(ids), mode))
     else:
         ids = None
     return RunConfig(args.command, mode, merged["precision"], guard,
@@ -238,34 +237,34 @@ def cmd_lattice(cfg):
 # ---- verify ----
 
 def _verify_chunk(payload):
+    """Records of one chunk of ids and the variant report of its contested
+    ids, from one DetContext so both share its determinant memo."""
     # the built table arrives pickled, mpf and Fraction entries exactly
     table, policy, ids, nmax, smax, tmax = payload
-    return identities.run_suite(detkit.DetContext(table), nmax, smax, tmax,
-                                policy=policy, ids=ids)
+    ctx = detkit.DetContext(table)
+    recs = identities.run_suite(ctx, nmax, smax, tmax, policy=policy, ids=ids)
+    report = identities.variant_report(
+        ctx, nmax, smax, tmax, policy=policy,
+        ids=[i for i in identities.VARIANT_IDS if i in ids])
+    return recs, report
 
 
 def cmd_verify(cfg):
     K = cfg.Nmax + cfg.Smax + 3
     ids = list(cfg.identities) if cfg.identities else list(identities.CATALOG_IDS)
     jobs = min(cfg.jobs, len(ids))
-    policy = cfg.policy()
     table = _build_table(cfg, K, cfg.Tmax)
-    ctx = detkit.DetContext(table)
-    if jobs <= 1:
-        recs = identities.run_suite(ctx, cfg.Nmax, cfg.Smax, cfg.Tmax,
-                                    policy=policy, ids=ids)
+    payloads = [(table, cfg.policy(), tuple(ids[i::jobs]),
+                 cfg.Nmax, cfg.Smax, cfg.Tmax) for i in range(jobs)]
+    if jobs == 1:
+        parts = [_verify_chunk(payloads[0])]
     else:
-        chunks = [tuple(ids[i::jobs]) for i in range(jobs)]
-        recs = []
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            for part in ex.map(_verify_chunk,
-                               [(table, policy, ch, cfg.Nmax, cfg.Smax, cfg.Tmax)
-                                for ch in chunks]):
-                recs.extend(part)
-        recs.sort(key=lambda r: (r.identity_id, r.n, r.s, r.t))
-    contested = [i for i in identities.VARIANT_IDS if i in ids]
-    adjud = identities.variant_report(ctx, cfg.Nmax, cfg.Smax, cfg.Tmax,
-                                      policy=policy, ids=contested)
+            parts = list(ex.map(_verify_chunk, payloads))
+    recs = sorted((r for part, _ in parts for r in part),
+                  key=lambda r: (r.identity_id, r.n, r.s, r.t))
+    adjud = {i: report[i] for i in identities.VARIANT_IDS
+             for _, report in parts if i in report}
     summ = identities.suite_summary(recs)
     summ_line = {"summary": {
         "records": len(recs),
@@ -302,8 +301,8 @@ def cmd_polys(cfg):
     K = cfg.Nmax + cfg.Smax + 3
     ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax))
     rows = []
-    for fam in ("P", "Q", "R"):
-        for n in range(0 if fam != "R" else 1, cfg.Nmax + 1):
+    for fam, low in polyfam.LOWEST_ORDER.items():
+        for n in range(low, cfg.Nmax + 1):
             for s in range(cfg.Smax + 1):
                 for t in range(cfg.Tmax + 1):
                     try:

@@ -40,6 +40,13 @@ def eval_poly(f, x):
 
 # ---- Construction ----
 
+# lowest order of each family, P, Q and R in that order; Praw_{-1} = [] is no
+# monic polynomial
+LOWEST_ORDER = {fam: max(spec.start, 0)
+                for fam, spec in detkit.FAMILY_SPECS.items()
+                if spec.lead is not None}
+
+
 def poly(ctx, family, n, s, t):
     """Monic member of family P, Q or R at (n, s, t).
 
@@ -47,10 +54,10 @@ def poly(ctx, family, n, s, t):
     shifted table; R_n = (-1)^{n-1} sigma_{n-1}^{-1} det[phi | m cols 0..n-2 | x^i]
     (n >= 1).  The raw vector and its normalizer come from detkit.FAMILY_SPECS.
     """
-    spec = detkit.FAMILY_SPECS.get(family)
-    if spec is None or spec.lead is None:
+    low = LOWEST_ORDER.get(family)
+    if low is None:
         raise ValueError("unknown family %r (one of P, Q, R)" % (family,))
-    low = max(spec.start, 0)    # Praw_{-1} = [] is no monic polynomial
+    spec = detkit.FAMILY_SPECS[family]
     if n < low:
         raise ExtentError("%s_%d: polynomial order must be >= %d"
                           % (family, n, low))

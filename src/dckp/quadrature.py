@@ -17,14 +17,12 @@ Level L is accepted when every accumulator moved by at most 10^-target_digits,
 relative to max(1, |value|), from level L-1; reaching max_level short of that
 raises ArithmeticError naming the quantity, the level and the last delta.
 
-`integrate_01` stays as the generic mpf integrator behind `bimoment_nested`,
-the naive nested rule tests use as the ladder's reference, and the tests'
-closed-integrand cross-checks.  Nodes are cached per (dps, level) as
-fixed-point (x, 1-x, w) triples; level L reuses every level L-1 node.
+Nodes are cached per (dps, level) as fixed-point (x, 1-x, w) triples; level
+L reuses every level L-1 node.  The tests check the sweeps against
+`mpmath.quad`, whose nodes share no code with `_nodes`.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import asinh, ceil, comb, log, log2, pi as pi_f
 
 import mpmath as mp
@@ -108,16 +106,6 @@ def _nodes(dps, level, base_level):
     return out
 
 
-@lru_cache(maxsize=8)
-def _mpf_nodes(dps, level, base_level):
-    """`_nodes` as mpf triples for the mpf integrator, which the nested
-    reference calls once per outer node; the moment sweeps never build it."""
-    e = -_bits(dps)
-    with mp.workdps(dps):
-        return tuple((mp.mpf((x, e)), mp.mpf((omx, e)), mp.mpf((w, e)))
-                     for x, omx, w in _nodes(dps, level, base_level))
-
-
 # ---- Fixed-point level-doubling driver ----
 
 def _sweep(what, kernel, size, cfg, dps):
@@ -151,55 +139,6 @@ def _sweep(what, kernel, size, cfg, dps):
         level += 1
     with mp.workdps(dps):
         return [mp.mpf((a, -(2 * P + level))) for a in acc]
-
-
-# ---- Generic level-doubling integration (mpf reference) ----
-
-def integrate_01(f, cfg, dps):
-    """int_0^1 f(x) dx; f(x, one_minus_x) -> mpf. Returns (value, level_used)."""
-    with mp.workdps(dps):
-        tol = mp.mpf(10) ** (-cfg.target_digits)
-        total = mp.mpf(0)
-        h = mp.mpf(2) ** (-cfg.level)
-        prev = None
-        level = cfg.level
-        while True:
-            new = mp.mpf(0)
-            for x, omx, w in _mpf_nodes(dps, level, cfg.level):
-                new += f(x, omx) * w
-            total = (total / 2 if level > cfg.level else total) + h * new
-            if prev is not None and abs(total - prev) <= tol * max(mp.mpf(1), abs(total)):
-                return total, level
-            if level >= cfg.max_level:
-                return total, level
-            prev = total
-            level += 1
-            h /= 2
-
-
-def de_calibration(dps, levels):
-    """Digits of agreement with ln2 for int dx/(1+x) at fixed levels (no doubling)."""
-    out = {}
-    with mp.workdps(dps):
-        truth = mp.ln(2)
-        for lv in levels:
-            h = mp.mpf(2) ** (-lv)
-            s = mp.mpf(0)
-            for x, omx, w in _mpf_nodes(dps, lv, lv):
-                s += w / (1 + x)
-            s *= h
-            err = abs(s - truth)
-            out[lv] = float(mp.inf if err == 0 else -mp.log10(err / truth))
-    return out
-
-
-# ---- Weight helpers ----
-
-def _wbar(x, omx, t):
-    # ((1-x)/(1+x))^t with the accurate 1-x
-    if t == 0:
-        return mp.mpf(1)
-    return (omx / (1 + x)) ** t
 
 
 # ---- Single and phi moments (one sweep for every t) ----
@@ -350,18 +289,3 @@ def bimoment_entry(i, j, s, t, cfg, dps):
     """Single m_{ij}^{s,t} by the outer-DE / exact-inner-ladder path."""
     return bimoments([(i, j)], s, t, cfg, dps)[0]
 
-
-def bimoment_nested(i, j, s, t, cfg, dps):
-    """Reference nested double-exponential rule; intended for low precision only."""
-    inner_cfg = QuadratureConfig(level=cfg.level, max_level=min(cfg.max_level, 9),
-                                 target_digits=cfg.target_digits)
-
-    def outer(y, omy):
-        wy = _wbar(y, omy, t) * y ** (s + j)
-        val, _ = integrate_01(
-            lambda x, omx: x ** (s + i) * _wbar(x, omx, t) / (x + y),
-            inner_cfg, dps)
-        return wy * val
-
-    val, _ = integrate_01(outer, inner_cfg, dps)
-    return val

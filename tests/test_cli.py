@@ -70,18 +70,22 @@ def test_verify_quad_level_out_of_range_is_usage_error(capsys, level):
 def test_verify_chunk_uses_the_shipped_table(monkeypatch):
     policy = TolerancePolicy(precision_digits=20)
     table = moments.build_jacobi(5, policy, tmax=1)
-    ids = ("eq1", "dckp", "4trr")
+    ids = ("eq1", "dckp", "4trr", "3.2a")
     ref = identities.run_suite(detkit.DetContext(table), 1, 1, 1,
                                policy=policy, ids=ids)
+    ref_report = identities.variant_report(detkit.DetContext(table), 1, 1, 1,
+                                           policy=policy, ids=["3.2a"])
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("a verify worker rebuilt the moment table")
 
     monkeypatch.setattr(cli.moments, "build_jacobi", no_rebuild)
     payload = pickle.loads(pickle.dumps((table, policy, ids, 1, 1, 1)))
-    recs = cli._verify_chunk(payload)
+    recs, report = cli._verify_chunk(payload)
     assert ([r.to_json_dict(20) for r in recs]
             == [r.to_json_dict(20) for r in ref])
+    # the chunk adjudicates its own contested ids, and only those
+    assert report == ref_report and list(report) == ["3.2a"]
 
 
 def test_verify_structured_small(capsys):
@@ -95,6 +99,14 @@ def test_verify_structured_small(capsys):
 def test_verify_identity_filter_rules():
     assert cli.main(["verify", "--mode", "generic", "--identities", "4trr"]) == 2
     assert cli.main(["verify", "--mode", "generic", "--identities", "nope"]) == 2
+    # a filter in which no id gates would be a vacuous pass
+    assert cli.main(["verify", "--mode", "generic", "--identities", "eq1",
+                     "--n", "2", "--s", "1", "--t", "1"]) == 2
+    small = ["--precision", "20", "--n", "1", "--s", "0", "--t", "0"]
+    assert cli.main(["verify", "--mode", "jacobi", "--identities", "eq1"]
+                    + small) == 0
+    assert cli.main(["verify", "--mode", "structured", "--identities", "4trr"]
+                    + small) == 0
 
 
 def test_verify_jobs_deterministic(tmp_path):

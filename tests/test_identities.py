@@ -4,8 +4,10 @@ shift-closure link, report serialization."""
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dckp import identities, moments, detkit
+from dckp.numerics import DegeneracyError, ExtentError
 
 # ---- Gating ----
 
@@ -48,6 +50,34 @@ def test_structured_suite_all_exact(structured_ctx):
     assert all(r.skipped == "mode" for r in fours if r.t > 0)
     assert any(r.skipped is None and r.gating for r in fours if r.t == 0)
     assert identities.suite_summary(recs)["all_gating_pass"]
+
+
+@settings(max_examples=10, deadline=None)
+@given(mode=st.sampled_from(["synthetic-structured", "synthetic-generic"]),
+       seed=st.integers(0, 10 ** 6), K=st.integers(6, 8),
+       s0=st.integers(0, 2), t0=st.integers(0, 2))
+def test_catalog_exact_at_base_offsets(mode, seed, K, s0, t0):
+    # every gating site the table can evaluate, with s >= s0 and t >= t0,
+    # gives residual exactly 0, and every id that gates in the mode is reached;
+    # phi up to t0 + tmax lets t evolve to t0 + tmax + 1
+    tmax = 3
+    ctx = detkit.DetContext(moments.build_base_table(mode, s0, t0, K, seed=seed,
+                                                     tmax=tmax))
+    reached = set()
+    for ident in identities.CATALOG_IDS:
+        for n in range(identities.N_MIN.get(ident, 0), K):
+            for s in range(s0, s0 + K):
+                for t in range(t0, t0 + tmax + 2):
+                    if not identities.gates(mode, ident, t, t0):
+                        continue
+                    try:
+                        res, _ = identities.evaluate(ctx, ident, n, s, t)
+                    except (ExtentError, DegeneracyError):
+                        continue
+                    assert res == 0, (ident, n, s, t)
+                    reached.add(ident)
+    assert reached == {i for i in identities.CATALOG_IDS
+                       if identities.gates(mode, i, t0, t0)}
 
 
 def test_run_suite_rejects_unknown_id(generic_ctx):

@@ -2,7 +2,8 @@
 
 Oracles are recomputed closed forms, never frozen decimals:
   u_0^{0,0} = 1, u_1^{0,0} = 1/2, phi_0^{0,0} = sqrt2 ln2, m_00^{0,0} = 2 ln2,
-  u_0^{0,1} = 2 ln2 - 1, phi_1^{0,0} = sqrt2 (1 - ln2).
+  u_0^{0,1} = 2 ln2 - 1, phi_1^{0,0} = sqrt2 (1 - ln2);
+elsewhere a nested `mpmath.quad`, which has its own tanh-sinh nodes.
 """
 
 import mpmath as mp
@@ -41,8 +42,17 @@ def test_config_validation():
 
 
 def test_de_calibration_improves_with_level():
-    # below the precision ceiling each level roughly doubles the digit count
-    cal = quadrature.de_calibration(120, [3, 4, 5])
+    # int dx/(1+x) = ln2 from one fixed level of `_nodes` (no doubling): below
+    # the precision ceiling each level roughly doubles the digit count
+    dps = 120
+    e = -quadrature._bits(dps)
+    cal = {}
+    with mp.workdps(dps):
+        for lv in (3, 4, 5):
+            total = sum(mp.mpf((w, e)) / (1 + mp.mpf((x, e)))
+                        for x, _, w in quadrature._nodes(dps, lv, lv))
+            err = abs(total * mp.mpf(2) ** -lv - mp.ln(2)) / mp.ln(2)
+            cal[lv] = float(-mp.log10(err))
     assert cal[3] + 15 < cal[4]
     assert cal[4] + 15 < cal[5]
     assert cal[5] > 90
@@ -68,46 +78,37 @@ def test_phi_vector_closed_forms():
     _agree(ph[1], lambda: mp.sqrt(2) * (1 - mp.ln(2)))
 
 
-def test_integrate_01_smooth_full_target():
-    # polynomial integrand reaches the configured target
-    with mp.workdps(DPS):
-        val, level = quadrature.integrate_01(
-            lambda x, omx: 3 * x * x, CFG, DPS)
-    _agree(val, lambda: mp.mpf(1))
-    assert level <= CFG.max_level
-
-
-def test_integrate_01_endpoint_singularity():
-    # int_0^1 dx/sqrt(1-x) = 2; the omx argument keeps the node accurate, but
-    # the truncated tail beyond omx ~ 10^-dps still contributes ~10^-(dps/2),
-    # so an inverse-sqrt singularity is only good to about half the digits
-    with mp.workdps(DPS):
-        val, level = quadrature.integrate_01(
-            lambda x, omx: 1 / mp.sqrt(omx), CFG, DPS)
-    _agree(val, lambda: mp.mpf(2), need=DPS // 2 - 8)
-    assert level <= CFG.max_level
-
-
 # ---- Bimoments ----
+
+def _nested_quad(i, j, s, t):
+    """m_{ij}^{s,t} as a nested `mpmath.quad`: the oracle shares no node or
+    ladder code with `quadrature`."""
+    def wbar(x):
+        return ((1 - x) / (1 + x)) ** t
+
+    def inner(y):
+        return mp.quad(lambda x: x ** (s + i) * wbar(x) / (x + y), [0, 1])
+
+    return mp.quad(lambda y: y ** (s + j) * wbar(y) * inner(y), [0, 1])
+
+
+LOW = TolerancePolicy(precision_digits=25, guard_digits=8)
+
 
 def test_bimoment_m00_vs_2ln2_both_methods():
     with mp.workdps(DPS):
         fast = quadrature.bimoment_entry(0, 0, 0, 0, CFG, DPS)
     _agree(fast, lambda: 2 * mp.ln(2))
-    low = TolerancePolicy(precision_digits=25, guard_digits=8)
-    lcfg = quadrature.config_for(low)
-    with mp.workdps(low.working_dps):
-        ref = quadrature.bimoment_nested(0, 0, 0, 0, lcfg, low.working_dps)
-        d = digits_of_agreement(ref, 2 * mp.ln(2))
+    with mp.workdps(LOW.working_dps):
+        d = digits_of_agreement(_nested_quad(0, 0, 0, 0), 2 * mp.ln(2))
     assert d >= 15
 
 
 def test_bimoment_nested_agrees_with_ladder_at_shifted_site():
-    low = TolerancePolicy(precision_digits=25, guard_digits=8)
-    lcfg = quadrature.config_for(low)
-    dps = low.working_dps
+    lcfg = quadrature.config_for(LOW)
+    dps = LOW.working_dps
     with mp.workdps(dps):
-        a = quadrature.bimoment_nested(1, 2, 1, 1, lcfg, dps)
+        a = _nested_quad(1, 2, 1, 1)
         b = quadrature.bimoment_entry(1, 2, 1, 1, lcfg, dps)
         d = digits_of_agreement(a, b)
     assert d >= 13
