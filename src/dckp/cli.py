@@ -2,9 +2,10 @@
 polynomial dumps, and Lax-system reports.
 
 Configuration comes from flags, optionally layered over a JSON config file
-(flags win).  Outputs are byte-identical for identical configs; diagnostics go
-to standard error.  Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error.
+(flags win).  Each subcommand takes only the options it reads, as flags and
+as config keys alike; both come from one table, OPTIONS.  Outputs are
+byte-identical for identical configs; diagnostics go to standard error.  Exit
+codes: 0 success, 1 verification failure, 2 usage or configuration error.
 """
 
 import argparse
@@ -28,10 +29,36 @@ EXIT_USAGE = 2
 MODE_ALIASES = {"jacobi": "jacobi-float", "generic": "synthetic-generic",
                 "structured": "synthetic-structured"}
 
-# guard None takes TolerancePolicy's default
-DEFAULTS = {"mode": "jacobi-float", "precision": 120, "guard": None,
-            "n": 4, "s": 2, "t": 2, "seed": 0, "quad_level": None,
-            "out": None, "format": "json", "jobs": 1, "identities": None}
+SUBCOMMANDS = (
+    ("selfcheck", "quadrature, arithmetic, and serialization sanity"),
+    ("lattice", "build the determinant lattice and export it"),
+    ("verify", "run the identity suite and report residuals"),
+    ("polys", "dump polynomial coefficient vectors"),
+    ("lax", "operator compatibility, eigen relations, six equations"))
+
+_ALL = tuple(name for name, _ in SUBCOMMANDS)
+_GRID = _ALL[1:]
+
+# name -> (type, default, subcommands that read it, help).  Each subcommand's
+# flags and the keys its config file may hold both come from this table; a
+# config value must have the option's type, or be null where the default is
+# None.  guard None takes TolerancePolicy's default.
+OPTIONS = {
+    "mode": (str, "jacobi-float", _GRID,
+             "jacobi-float | synthetic-generic | synthetic-structured "
+             "(aliases: jacobi, generic, structured)"),
+    "precision": (int, 120, _ALL, "decimal digits (float mode)"),
+    "guard": (int, None, _ALL, "guard digits; rel_tol = 10^-(precision-guard)"),
+    "n": (int, 4, _GRID, "max polynomial order"),
+    "s": (int, 2, _GRID, "max s shift"),
+    "t": (int, 2, _GRID, "max t shift"),
+    "seed": (int, 0, _GRID, "synthetic data seed"),
+    "out": (str, None, _GRID, "output path (default: stdout)"),
+    "format": (str, "json", ("lattice", "verify", "polys"),
+               "artifact format: json | csv"),
+    "jobs": (int, 1, ("verify",), "worker processes"),
+    "identities": (str, None, ("verify",), "comma-separated identity id filter"),
+}
 
 
 @dataclass
@@ -44,7 +71,6 @@ class RunConfig:
     Smax: int
     Tmax: int
     seed: int
-    quad_level: object
     out: object
     format: str
     jobs: int
@@ -57,41 +83,29 @@ class RunConfig:
 
 # ---- Config resolution ----
 
+def _options(command):
+    return [key for key, (_, _, commands, _) in OPTIONS.items()
+            if command in commands]
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="dckp",
         description="Biorthogonal tau-function lattice: build, verify, export.")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("selfcheck", "quadrature, arithmetic, and serialization sanity"),
-            ("lattice", "build the determinant lattice and export it"),
-            ("verify", "run the identity suite and report residuals"),
-            ("polys", "dump polynomial coefficient vectors"),
-            ("lax", "operator compatibility, eigen relations, six equations")):
+    for name, helptext in SUBCOMMANDS:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", help="JSON config file; flags win")
-        sp.add_argument("--mode", help="jacobi-float | synthetic-generic | "
-                                       "synthetic-structured (aliases: jacobi, "
-                                       "generic, structured)")
-        sp.add_argument("--precision", type=int, help="decimal digits (float mode)")
-        sp.add_argument("--guard", type=int, help="guard digits; rel_tol = "
-                                                  "10^-(precision-guard)")
-        sp.add_argument("--n", type=int, help="max polynomial order")
-        sp.add_argument("--s", type=int, help="max s shift")
-        sp.add_argument("--t", type=int, help="max t shift")
-        sp.add_argument("--seed", type=int, help="synthetic data seed")
-        sp.add_argument("--quad-level", type=int, dest="quad_level",
-                        help="initial tanh-sinh refinement level")
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("json", "csv"), help="artifact format")
-        sp.add_argument("--jobs", type=int, help="worker processes for verify")
-        sp.add_argument("--identities", help="comma-separated identity id filter")
+        for key in _options(name):
+            typ, _, _, helptext = OPTIONS[key]
+            sp.add_argument("--" + key, type=typ, help=helptext)
     return p
 
 
 def resolve_config(args):
-    merged = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    keys = _options(args.command)
+    merged = {key: default for key, (_, default, _, _) in OPTIONS.items()}
+    if args.config:
         try:
             with open(args.config) as fh:
                 file_cfg = json.load(fh)
@@ -99,12 +113,19 @@ def resolve_config(args):
             raise ConfigError("cannot read config file: %s" % exc)
         if not isinstance(file_cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(keys)
         if unknown:
-            raise ConfigError("unknown config keys: %s" % sorted(unknown))
+            raise ConfigError("unknown config keys for %s: %s"
+                              % (args.command, sorted(unknown)))
+        for key, v in file_cfg.items():
+            typ, default, _, _ = OPTIONS[key]
+            # type() rather than isinstance: a bool is not an int
+            if type(v) is not typ and not (v is None and default is None):
+                raise ConfigError("config key %r must be %s, got %r"
+                                  % (key, typ.__name__, v))
         merged.update(file_cfg)
-    for key in DEFAULTS:
-        v = getattr(args, key, None)
+    for key in keys:
+        v = getattr(args, key)
         if v is not None:
             merged[key] = v
     mode = MODE_ALIASES.get(merged["mode"], merged["mode"])
@@ -120,41 +141,38 @@ def resolve_config(args):
         raise ConfigError("--jobs must be at least 1")
     if merged["format"] not in ("json", "csv"):
         raise ConfigError("format must be json or csv")
-    ids = merged["identities"]
-    if isinstance(ids, str):
-        ids = tuple(x.strip() for x in ids.split(",") if x.strip())
+    ids = tuple(x.strip() for x in (merged["identities"] or "").split(",")
+                if x.strip())
     if ids:
         bad = [x for x in ids if x not in identities.CATALOG_IDS]
         if bad:
             raise ConfigError("unknown identity ids: %s" % bad)
         # judged at the base t, where each mode gates every id it gates anywhere
-        if (args.command == "verify"
-                and not any(identities.gates(mode, x, 0, 0) for x in ids)):
+        if not any(identities.gates(mode, x, 0, 0) for x in ids):
             raise ConfigError("no identity in %s gates in %s mode, so verify "
                               "could never fail" % (list(ids), mode))
-    else:
-        ids = None
     return RunConfig(args.command, mode, merged["precision"], guard,
                      merged["n"], merged["s"], merged["t"], merged["seed"],
-                     merged["quad_level"], merged["out"], merged["format"],
-                     merged["jobs"], ids)
+                     merged["out"], merged["format"], merged["jobs"],
+                     ids or None)
 
 
 # ---- Shared plumbing ----
 
 def _build_table(cfg, K, tmax):
-    policy = cfg.policy()
-    return moments.build_base_table(
-        cfg.mode, 0, 0, K, policy=policy, seed=cfg.seed, tmax=tmax,
-        cfg=quadrature.config_for(policy, level=cfg.quad_level))
+    return moments.build_base_table(cfg.mode, 0, 0, K, policy=cfg.policy(),
+                                    seed=cfg.seed, tmax=tmax)
 
 
 def _emit(text, out):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write --out: %s" % exc)
 
 
 def _diag(msg):
@@ -172,17 +190,16 @@ def cmd_selfcheck(cfg):
     ok, d = selfcheck_ln2(policy)
     lines.append(("ln2-stability", d, cfg.precision - 2, ok))
 
-    qcfg = quadrature.config_for(policy, level=cfg.quad_level)
     with mp.workdps(dps):
-        m00 = quadrature.bimoment_entry(0, 0, 0, 0, qcfg, dps)
+        m00 = quadrature.bimoment_entry(0, 0, 0, 0, policy)
         d = digits_of_agreement(m00, 2 * mp.ln(2))
     ok = d >= need
     lines.append(("m00-vs-2ln2", d, need, ok))
 
     with mp.workdps(dps):
         K = 6
-        bm = quadrature.bimoment_table(K, 0, 0, qcfg, dps)
-        uv = quadrature.single_vector(K, 0, 0, qcfg, dps)
+        bm = quadrature.bimoment_table(K, 0, 0, policy)
+        uv = quadrature.single_vector(K, 0, 0, policy)
         worst = mp.inf
         for i in range(K - 1):
             for j in range(K - 1):
@@ -224,7 +241,7 @@ def cmd_selfcheck(cfg):
 def cmd_lattice(cfg):
     lat = lattice.build_lattice(cfg.mode, cfg.Nmax, cfg.Smax, cfg.Tmax,
                                 {"precision": cfg.precision, "guard": cfg.guard,
-                                 "seed": cfg.seed, "quad_level": cfg.quad_level})
+                                 "seed": cfg.seed})
     if cfg.format == "json":
         text = json.dumps(lat.to_json_dict(), indent=1) + "\n"
     else:
@@ -266,13 +283,9 @@ def cmd_verify(cfg):
     adjud = {i: report[i] for i in identities.VARIANT_IDS
              for _, report in parts if i in report}
     summ = identities.suite_summary(recs)
-    summ_line = {"summary": {
-        "records": len(recs),
-        "gating_failures": sum(1 for r in recs
-                               if r.gating and r.skipped is None and not r.passed),
-        "skipped": sum(1 for r in recs if r.skipped is not None),
-        "all_gating_pass": summ["all_gating_pass"]},
-        "adjudication": adjud}
+    summ_line = {"summary": {k: summ[k] for k in ("records", "gating_failures",
+                                                  "skipped", "all_gating_pass")},
+                 "adjudication": adjud}
 
     if cfg.format == "json":
         out_lines = [json.dumps(r.to_json_dict(cfg.precision)) for r in recs]
@@ -288,11 +301,10 @@ def cmd_verify(cfg):
                          for d in dicts])
         _diag(json.dumps(summ_line))
     _emit(text, cfg.out)
-    verdict = "PASS" if summ_line["summary"]["all_gating_pass"] else "FAIL"
+    verdict = "PASS" if summ["all_gating_pass"] else "FAIL"
     _diag("verify: %s (%d records, %d gating failures, %d skipped)"
-          % (verdict, len(recs), summ_line["summary"]["gating_failures"],
-             summ_line["summary"]["skipped"]))
-    return EXIT_OK if summ_line["summary"]["all_gating_pass"] else EXIT_VERIFY
+          % (verdict, summ["records"], summ["gating_failures"], summ["skipped"]))
+    return EXIT_OK if summ["all_gating_pass"] else EXIT_VERIFY
 
 
 # ---- polys ----
@@ -328,8 +340,6 @@ def cmd_polys(cfg):
 # ---- lax ----
 
 def cmd_lax(cfg):
-    if cfg.format == "csv":
-        raise ConfigError("lax report is a nested document; only json")
     Kop = cfg.Nmax + 1
     if Kop < 5:
         raise ConfigError("lax needs --n >= 4 (operator truncation K = n+1 >= 5)")
@@ -374,8 +384,10 @@ COMMANDS = {"selfcheck": cmd_selfcheck, "lattice": cmd_lattice,
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the usage error or help
+        return exc.code
     try:
         cfg = resolve_config(args)
     except ConfigError as exc:

@@ -174,7 +174,7 @@ class DetContext:
     shifts inside each copy.  All determinants are memoized.
     """
 
-    def __init__(self, base_table, tmax=None):
+    def __init__(self, base_table):
         self.base = base_table
         self.exact = base_table.exact
         self.dps = (None if self.exact
@@ -182,8 +182,6 @@ class DetContext:
         self.s0 = base_table.s0
         self.tables = {base_table.t0: base_table}
         top = max(base_table.phi_by_t.keys(), default=base_table.t0 - 1)
-        if tmax is not None:
-            top = min(top, tmax - 1)
         cur = base_table
         for t in range(base_table.t0, top + 1):
             cur = cur.evolve_t()
@@ -356,20 +354,18 @@ class DetContext:
             return False
         return all(v == 0 for v in vec[s - self.s0:])
 
-    def coeff_d(self, n, s, t, edge="raise"):
-        return self._sigma_ratio("d", n, s, t, 1, edge)
+    def coeff_d(self, n, s, t):
+        return self._sigma_ratio("d", n, s, t, 1)
 
-    def coeff_e(self, n, s, t, edge="raise"):
-        return self._sigma_ratio("e", n, s, t, 0, edge)
+    def coeff_e(self, n, s, t):
+        return self._sigma_ratio("e", n, s, t, 0)
 
-    def _sigma_ratio(self, name, n, s, t, dt, edge):
+    def _sigma_ratio(self, name, n, s, t, dt):
         # d_n (dt = 1) and e_n (dt = 0): -sigma_n tau_{n-1}^{t+dt} /
-        # (sigma_{n-1} tau_n^{t+dt}), 0 when phi vanishes from s on
+        # (sigma_{n-1} tau_n^{t+dt}), 0 when phi vanishes from s on; d_0 and
+        # e_0 are 0, like a_0 and c_0
         if n == 0:
-            if edge == "zero":
-                return self.zero()
-            raise DegeneracyError("%s_0 is a band convention (0), not a ratio; "
-                                  "pass edge='zero' to use it" % name)
+            return self.zero()
         with self.wp():
             num = -self.sigma(n, s, t) * self.tau(n - 1, s, t + dt)
             den = self.sigma(n - 1, s, t) * self.tau(n, s, t + dt)
@@ -382,8 +378,6 @@ class DetContext:
             return self.coeff_beta(n, s, t) - self.coeff_alpha(n, s, t)
 
     def coeff_g(self, n, s, t):
-        if n == 0:
-            return self.zero()
         with self.wp():
             return self.coeff_d(n, s, t) - self.coeff_e(n, s, t)
 
@@ -413,7 +407,7 @@ def recurrence_coefficients(ctx, n, s, t):
 
 
 def transform_coefficients(ctx, n, s, t):
-    """dict with beta, both alpha forms, d, e at (n, s, t); n >= 1 for d, e."""
+    """dict with beta, both alpha forms, d, e at (n, s, t)."""
     return {
         "beta": ctx.coeff_beta(n, s, t),
         "alpha_ratio": ctx.coeff_alpha(n, s, t, form="ratio"),

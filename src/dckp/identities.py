@@ -332,6 +332,12 @@ def _policy_for(ctx, policy):
     return TolerancePolicy(precision_digits=ctx.base.precision_digits)
 
 
+def _passes(ctx, res_abs, res_rel, policy):
+    """The verdict rule: exact residuals must vanish, float ones must stay
+    below rel_tol."""
+    return res_abs == 0 if ctx.exact else res_rel < policy.rel_tol()
+
+
 def make_record(ctx, identity_id, n, s, t, policy=None, variant="confirmed"):
     policy = _policy_for(ctx, policy)
     mode = ctx.base.mode
@@ -343,11 +349,8 @@ def make_record(ctx, identity_id, n, s, t, policy=None, variant="confirmed"):
                               gating=False, skipped=type(exc).__name__ + ": " + str(exc))
     with ctx.wp():
         res_rel = relative_residual(res_abs, scales)
-        if ctx.exact:
-            ok = res_abs == 0
-        else:
-            ok = res_rel < policy.rel_tol()
-    return IdentityRecord(identity_id, n, s, t, res_abs, res_rel, ok, mode,
+    return IdentityRecord(identity_id, n, s, t, res_abs, res_rel,
+                          _passes(ctx, res_abs, res_rel, policy), mode,
                           gating=gate)
 
 
@@ -408,11 +411,13 @@ def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
 
 
 def suite_summary(records):
-    """Max residual per identity and the overall gating verdict."""
+    """Record, gating-failure and skip counts, the overall gating verdict and
+    the max residual per identity."""
     worst = {}
-    all_pass = True
+    failures = skipped = 0
     for r in records:
         if r.skipped is not None:
+            skipped += 1
             continue
         key = r.identity_id
         cur = worst.get(key)
@@ -420,8 +425,10 @@ def suite_summary(records):
         if cur is None or val > cur:
             worst[key] = val
         if r.gating and not r.passed:
-            all_pass = False
-    return {"max_residual_rel": worst, "all_gating_pass": all_pass}
+            failures += 1
+    return {"records": len(records), "gating_failures": failures,
+            "skipped": skipped, "all_gating_pass": failures == 0,
+            "max_residual_rel": worst}
 
 
 def write_report(records, path, precision_digits=None):
@@ -457,13 +464,12 @@ def _adjudicate(ctx, residual, variants, sites, policy, keys):
             count += 1
             if worst_rel is None or rel > worst_rel:
                 worst_abs, worst_rel = res_abs, rel
-        passes = count > 0 and bool(worst_abs == 0 if ctx.exact
-                                    else worst_rel < policy.rel_tol())
+        ok = count > 0 and _passes(ctx, worst_abs, worst_rel, policy)
         stats = {"max_residual_abs": fmt(worst_abs),
                  "max_residual_rel": fmt(worst_rel),
-                 "sites": count, "skipped": skipped, "passes": passes}
+                 "sites": count, "skipped": skipped, "passes": ok}
         entry["variants"][variant] = {k: stats[k] for k in keys}
-        if passes and entry["chosen"] is None:
+        if ok and entry["chosen"] is None:
             entry["chosen"] = variant
     return entry
 

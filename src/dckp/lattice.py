@@ -80,15 +80,14 @@ class TauLattice:
 
 # ---- Build ----
 
-def _cross_validate_t_evolution(ctx, policy, cfg):
+def _cross_validate_t_evolution(ctx, policy):
     """Rank-one t-evolved bimoments vs direct quadrature at 3 spot entries,
-    all three from one sweep with the config the table was built with."""
+    all three from one sweep."""
     base = ctx.base
     tb1 = ctx._table(base.t0 + 1)
-    dps = policy.working_dps
     spots = ((0, 0), (1, 1), (0, 2))
-    with mp.workdps(dps):
-        direct = quadrature.bimoments(spots, base.s0, base.t0 + 1, cfg, dps)
+    with mp.workdps(policy.working_dps):
+        direct = quadrature.bimoments(spots, base.s0, base.t0 + 1, policy)
         for (i, j), d in zip(spots, direct):
             rel = relative_residual(abs(tb1.m(i, j) - d), [abs(d)])
             if rel >= policy.rel_tol():
@@ -107,25 +106,20 @@ def _family_available(ctx, family, t):
 def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     """Materialize the determinant families on the grid from a fresh table.
 
-    The base table extent must cover every column shift: K >= Nmax + Smax + 3.
-    An explicit smaller K in the config is a configuration error, never a
-    silent truncation.  Jacobi tables are cross-validated: the rank-one
-    t-evolution is compared with direct quadrature at spot entries.
+    The config dict may set "precision", "guard" and "seed".  The base table
+    extent K = Nmax + Smax + 3 covers every column shift.  Jacobi tables are
+    cross-validated: the rank-one t-evolution is compared with direct
+    quadrature at spot entries.
     """
-    cfg = dict(config or {})
-    K_need = Nmax + Smax + 3
-    K = cfg.get("K") or K_need
-    if K < K_need:
-        raise ConfigError("table extent K=%d below required %d for "
-                          "Nmax=%d Smax=%d" % (K, K_need, Nmax, Smax))
+    cfg = config or {}
     policy = TolerancePolicy(cfg.get("precision", 120), cfg.get("guard"))
-    qcfg = quadrature.config_for(policy, level=cfg.get("quad_level"))
-    table = moments.build_base_table(mode, 0, 0, K, cfg=qcfg, policy=policy,
-                                     seed=cfg.get("seed", 0), tmax=Tmax)
+    table = moments.build_base_table(mode, 0, 0, Nmax + Smax + 3,
+                                     policy=policy, seed=cfg.get("seed", 0),
+                                     tmax=Tmax)
     prec = table.precision_digits
     ctx = detkit.DetContext(table)
     if not table.exact and Tmax >= 1:
-        _cross_validate_t_evolution(ctx, policy, qcfg)
+        _cross_validate_t_evolution(ctx, policy)
     lat = TauLattice(mode, Nmax, Smax, Tmax, ctx, prec)
     lat.families = tuple(f for f in LATTICE_FAMILIES
                          if _family_available(ctx, f, table.t0))

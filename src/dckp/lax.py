@@ -126,8 +126,8 @@ def build_N(ctx, K, s, t):
 def build_M(ctx, K, s, t):
     _check_K(K)
     with ctx.wp():
-        d = [ctx.coeff_d(n, s, t, edge="zero") for n in range(K)]
-        e = [ctx.coeff_e(n, s, t, edge="zero") for n in range(K)]
+        d = [ctx.coeff_d(n, s, t) for n in range(K)]
+        e = [ctx.coeff_e(n, s, t) for n in range(K)]
         return _operator(ctx, e, {0: lambda i: ctx.one(), -1: lambda i: d[i]})
 
 
@@ -242,8 +242,8 @@ def _eq_terms(ctx, eq, n, s, t, variant):
     def b2(k): return ctx.coeff_b(k, s, t + 1)
     def al0(k): return ctx.coeff_alpha(k, s, t)
     def al2(k): return ctx.coeff_alpha(k, s, t + 1)
-    def e0(k): return ctx.coeff_e(k, s, t, edge="zero")
-    def e1(k): return ctx.coeff_e(k, s + 1, t, edge="zero")
+    def e0(k): return ctx.coeff_e(k, s, t)
+    def e1(k): return ctx.coeff_e(k, s + 1, t)
     def c0c(k): return ctx.coeff_c(k, s, t)
     def c1c(k): return ctx.coeff_c(k, s + 1, t)
     def c2c(k): return ctx.coeff_c(k, s, t + 1)

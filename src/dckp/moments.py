@@ -167,15 +167,15 @@ def load_table(path):
 
 # ---- Builders ----
 
-def build_base_table(mode, s0, t0, K, cfg=None, policy=None, seed=0, tmax=3):
+def build_base_table(mode, s0, t0, K, policy=None, seed=0, tmax=3):
     """The one mode dispatcher.  Jacobi tables need the policy and are
-    self-checked; synthetic ones ignore cfg and policy and draw from seed."""
+    self-checked; synthetic ones ignore the policy and draw from seed."""
     if K < 1:
         raise ConfigError("table extent must be positive")
     if mode == "jacobi-float":
         if policy is None:
             raise ConfigError("jacobi-float mode needs a TolerancePolicy")
-        return build_jacobi(K, policy, s0=s0, t0=t0, tmax=tmax, cfg=cfg)
+        return build_jacobi(K, policy, s0=s0, t0=t0, tmax=tmax)
     if mode == "synthetic-generic":
         return synthetic_generic(seed, K, tmax, s0=s0, t0=t0)
     if mode == "synthetic-structured":
@@ -243,7 +243,7 @@ def synthetic_structured(seed, K, tmax=3, s0=0, t0=0):
 
 # ---- Jacobi builder (quadrature) ----
 
-def build_jacobi(K, policy, s0=0, t0=0, tmax=3, cfg=None):
+def build_jacobi(K, policy, s0=0, t0=0, tmax=3):
     """Float moment table of the true weight at (s0, t0).  One sweep gives
     singles out to t0+tmax+1 and phi out to t0+tmax, a second the bimoments,
     with the ladder's mu from the first.
@@ -252,14 +252,11 @@ def build_jacobi(K, policy, s0=0, t0=0, tmax=3, cfg=None):
     the quadrature error taken before symmetrising, and the antidiagonal
     identity m_{i+1,j} + m_{i,j+1} = u_i u_j across the table.
     """
-    dps = policy.working_dps
-    if cfg is None:
-        cfg = quad.config_for(policy)
     tol = policy.rel_tol()
     ts = range(t0, t0 + tmax + 2)
-    with mp.workdps(dps):
-        sg, ph = quad.weight_moments(s0 + K, 0, ts, ts[:-1], cfg, dps)
-        bm = quad.bimoment_table(K, s0, t0, cfg, dps, mu=sg[t0])
+    with mp.workdps(policy.working_dps):
+        sg, ph = quad.weight_moments(s0 + K, 0, ts, ts[:-1], policy)
+        bm = quad.bimoment_table(K, s0, t0, policy, mu=sg[t0])
         asym = max((relative_residual(bm[i][j] - bm[j][i], [bm[i][j], bm[j][i]])
                     for i in range(K) for j in range(i)), default=0)
         if asym >= tol:

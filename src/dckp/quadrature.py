@@ -13,54 +13,29 @@ series around y = 1 otherwise; y-free constants made once per t), then the
 ladder I_{c+1}(y) = mu_c - y I_c(y).  The absolute 2^-P error per node is
 enough because every weight carries a factor x(1-x).
 
-Level L is accepted when every accumulator moved by at most 10^-target_digits,
-relative to max(1, |value|), from level L-1; reaching max_level short of that
-raises ArithmeticError naming the quantity, the level and the last delta.
+Every sweep runs one fixed schedule: it starts at START_LEVEL = 6 and doubles
+up to MAX_LEVEL = 13, working at the policy's working precision with a
+target of precision - 10 digits.  Level L is accepted when every accumulator
+moved by at most 10^-target, relative to max(1, |value|), from level L-1;
+reaching MAX_LEVEL short of that raises ArithmeticError naming the quantity,
+the level and the last delta.  The schedule is not an option: level doubling
+judges its own convergence (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005), so
+the values meet the same target from any start level and only the run time
+moves; the precision alone sets the target.
 
 Nodes are cached per (dps, level) as fixed-point (x, 1-x, w) triples; level
 L reuses every level L-1 node.  The tests check the sweeps against
 `mpmath.quad`, whose nodes share no code with `_nodes`.
 """
 
-from dataclasses import dataclass
 from math import asinh, ceil, comb, log, log2, pi as pi_f
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, mpf_div, mpf_log, to_fixed
 from mpmath.libmp.libelefun import exp_fixed, ln2_fixed, pi_fixed
 
-from .numerics import ConfigError
-
-# ---- Configuration ----
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Level-doubling control. level is the starting refinement, >= 3."""
-    level: int = 6
-    max_level: int = 12
-    target_digits: int = 110
-
-    def __post_init__(self):
-        if self.level < 3:
-            raise ConfigError("quadrature level must be >= 3")
-        if self.max_level < self.level:
-            raise ConfigError("max_level must be >= level")
-
-
-def config_for(policy, level=None):
-    """Default config for a tolerance policy: target precision minus 10 digits.
-
-    level None starts at 6; an explicit level must lie in 3..max_level-1,
-    since convergence is judged between two levels.
-    """
-    max_level = 13
-    if level is None:
-        level = 6
-    elif not 3 <= level < max_level:
-        raise ConfigError("quadrature level must lie in 3..%d, got %d"
-                          % (max_level - 1, level))
-    return QuadratureConfig(level=level, max_level=max_level,
-                            target_digits=policy.precision_digits - 10)
+START_LEVEL = 6
+MAX_LEVEL = 13
 
 
 def _bits(dps):
@@ -108,33 +83,37 @@ def _nodes(dps, level, base_level):
 
 # ---- Fixed-point level-doubling driver ----
 
-def _sweep(what, kernel, size, cfg, dps):
-    """`size` integrals over (0,1) from one level-doubling sweep, as mpf.
+def _sweep(what, kernel, size, policy):
+    """`size` integrals over (0,1) from one level-doubling sweep, as mpf at
+    the policy's working precision.
 
     kernel(nodes, acc) adds, for each fixed-point node (X, 1-X, W) of one
-    level, the products W * f_n(x) (scale 2^2P) into acc[n].  Raises
-    ArithmeticError when max_level is reached short of the target.
+    level, the products W * f_n(x) (scale 2^2P) into acc[n].  The target is
+    precision - 10 digits; raises ArithmeticError when MAX_LEVEL is reached
+    short of it.
     """
+    dps = policy.working_dps
+    target = policy.precision_digits - 10
     P = _bits(dps)
-    tol = 10 ** cfg.target_digits
+    tol = 10 ** target
     acc = [0] * size
     prev = None
-    level = cfg.level
+    level = START_LEVEL
     while True:
-        kernel(_nodes(dps, level, cfg.level), acc)
+        kernel(_nodes(dps, level, START_LEVEL), acc)
         one = 1 << (2 * P + level)
         # the level L-1 total on the level L scale is 2 * prev
         if prev is not None and all(abs(a - 2 * p) * tol <= max(one, abs(a))
                                     for a, p in zip(acc, prev)):
             break
-        if level >= cfg.max_level:
+        if level >= MAX_LEVEL:
             delta = ("%.3g" % max(abs(a - 2 * p) / max(one, abs(a))
                                   for a, p in zip(acc, prev))
                      if prev is not None else "none (one level only)")
             raise ArithmeticError(
                 "quadrature of %s did not converge: level %d reached, "
                 "last delta %s, target 1e-%d"
-                % (what, level, delta, cfg.target_digits))
+                % (what, level, delta, target))
         prev = list(acc)
         level += 1
     with mp.workdps(dps):
@@ -143,7 +122,7 @@ def _sweep(what, kernel, size, cfg, dps):
 
 # ---- Single and phi moments (one sweep for every t) ----
 
-def weight_moments(count, s, single_ts, phi_ts, cfg, dps):
+def weight_moments(count, s, single_ts, phi_ts, policy):
     """Singles and phi-values, i < count, for several t from one sweep:
     u_i^{s,t} = int x^{s+i} ((1-x)/(1+x))^t dx for t in single_ts and
     phi_i^{s,t} = sqrt2 int x^{s+i}/(1+x) ((1-x)/(1+x))^t dx for t in phi_ts.
@@ -151,6 +130,7 @@ def weight_moments(count, s, single_ts, phi_ts, cfg, dps):
     """
     specs = [(t, False) for t in single_ts] + [(t, True) for t in phi_ts]
     thi = max(t for t, _ in specs)
+    dps = policy.working_dps
     P = _bits(dps)
     one = 1 << P
 
@@ -171,7 +151,7 @@ def weight_moments(count, s, single_ts, phi_ts, cfg, dps):
                     n += 1
 
     vals = _sweep("singles/phi at s=%d" % s, kernel, len(specs) * count,
-                  cfg, dps)
+                  policy)
     singles, phis = {}, {}
     with mp.workdps(dps):
         r2 = mp.sqrt(2)
@@ -184,9 +164,9 @@ def weight_moments(count, s, single_ts, phi_ts, cfg, dps):
     return singles, phis
 
 
-def single_vector(count, s, t, cfg, dps):
+def single_vector(count, s, t, policy):
     """[u_i^{s,t}]_{i<count}, u_i = int x^{s+i} ((1-x)/(1+x))^t dx."""
-    return weight_moments(count, s, [t], [], cfg, dps)[0][t]
+    return weight_moments(count, s, [t], [], policy)[0][t]
 
 
 # ---- Exact inner integral I_c(y) = int_0^1 x^c ((1-x)/(1+x))^t / (x+y) dx ----
@@ -249,7 +229,7 @@ def _inner_I0(y, omy, t, P, J, D):
 
 # ---- Bimoments ----
 
-def bimoments(pairs, s, t, cfg, dps, mu=None):
+def bimoments(pairs, s, t, policy, mu=None):
     """[m_{ij}^{s,t} for (i, j) in pairs] from one sweep of the outer-DE /
     exact-inner-ladder rule.  mu = [u_c^{0,t}]_{c < s + max i} (mpf) feeds the
     ladder; it is integrated here when not given.
@@ -257,7 +237,8 @@ def bimoments(pairs, s, t, cfg, dps, mu=None):
     cmax = s + max(i for i, _ in pairs)
     jmax = max(j for _, j in pairs)
     if mu is None:
-        mu = single_vector(max(cmax, 1), 0, t, cfg, dps)
+        mu = single_vector(max(cmax, 1), 0, t, policy)
+    dps = policy.working_dps
     P = _bits(dps)
     one = 1 << P
     MU = [to_fixed(v._mpf_, P) for v in mu[:cmax]]
@@ -275,17 +256,17 @@ def bimoments(pairs, s, t, cfg, dps, mu=None):
             for n, (i, j) in enumerate(pairs):
                 acc[n] += iv[s + i] * col[j]
 
-    return _sweep("bimoments m^{%d,%d}" % (s, t), kernel, len(pairs), cfg, dps)
+    return _sweep("bimoments m^{%d,%d}" % (s, t), kernel, len(pairs), policy)
 
 
-def bimoment_table(K, s, t, cfg, dps, mu=None):
+def bimoment_table(K, s, t, policy, mu=None):
     """K x K table of m_{ij}^{s,t} from one sweep; mu as for `bimoments`."""
-    flat = bimoments([(i, j) for i in range(K) for j in range(K)], s, t, cfg,
-                     dps, mu=mu)
+    flat = bimoments([(i, j) for i in range(K) for j in range(K)], s, t,
+                     policy, mu=mu)
     return [flat[i * K:(i + 1) * K] for i in range(K)]
 
 
-def bimoment_entry(i, j, s, t, cfg, dps):
+def bimoment_entry(i, j, s, t, policy):
     """Single m_{ij}^{s,t} by the outer-DE / exact-inner-ladder path."""
-    return bimoments([(i, j)], s, t, cfg, dps)[0]
+    return bimoments([(i, j)], s, t, policy)[0]
 

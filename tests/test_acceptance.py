@@ -53,8 +53,7 @@ def _parse_residual(txt):
 
 @pytest.fixture(scope="module")
 def jac_ctx():
-    cfg = quadrature.config_for(POLICY)
-    table = moments.build_jacobi(9, POLICY, tmax=3, cfg=cfg)
+    table = moments.build_jacobi(9, POLICY, tmax=3)
     return detkit.DetContext(table)
 
 
@@ -124,16 +123,14 @@ def test_criterion_3_jacobi_full_catalog(jac_ctx):
 # ---- 4: quadrature anchors ----
 
 def test_criterion_4_quadrature_anchors():
-    cfg = quadrature.config_for(POLICY)
-    dps = POLICY.working_dps
-    with mp.workdps(dps):
-        m00 = quadrature.bimoment_entry(0, 0, 0, 0, cfg, dps)
+    with mp.workdps(POLICY.working_dps):
+        m00 = quadrature.bimoment_entry(0, 0, 0, 0, POLICY)
         anchor = abs(m00 - 2 * mp.ln(2))
 
         worst_anti = mp.mpf(0)
         for t in (0, 1, 2):
-            bm = quadrature.bimoment_table(14, 0, t, cfg, dps)
-            uv = quadrature.single_vector(13, 0, t, cfg, dps)
+            bm = quadrature.bimoment_table(14, 0, t, POLICY)
+            uv = quadrature.single_vector(13, 0, t, POLICY)
             for i in range(13):
                 for j in range(13 - i):
                     lhs = bm[i + 1][j] + bm[i][j + 1]
@@ -141,9 +138,9 @@ def test_criterion_4_quadrature_anchors():
                     worst_anti = max(worst_anti,
                                      relative_residual(lhs - rhs, (lhs, rhs)))
 
-        base = moments.build_jacobi(3, POLICY, tmax=1, cfg=cfg)
+        base = moments.build_jacobi(3, POLICY, tmax=1)
         evolved = base.evolve_t()
-        direct = quadrature.bimoment_entry(0, 0, 0, 1, cfg, dps)
+        direct = quadrature.bimoment_entry(0, 0, 0, 1, POLICY)
         rank1 = abs(evolved.m(0, 0) - direct)
     ok = (anchor < mp.mpf("1e-100") and worst_anti < mp.mpf("1e-100")
           and rank1 < mp.mpf("1e-90"))
@@ -184,8 +181,7 @@ def test_criterion_5_orthogonality(jac_ctx):
 
 def _lax_block_worst(precision):
     policy = TolerancePolicy(precision_digits=precision, guard_digits=GUARD)
-    cfg = quadrature.config_for(policy)
-    table = moments.build_jacobi(13, policy, tmax=2, cfg=cfg)
+    table = moments.build_jacobi(13, policy, tmax=2)
     ctx = detkit.DetContext(table)
     worst_compat = mp.mpf(0)
     worst_eigen = mp.mpf(0)

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, artifact shapes, determinism, config
 layering.  Commands run in-process through cli.main."""
 
+import argparse
 import json
 import pickle
 
@@ -52,19 +53,10 @@ def test_verify_jacobi_default_precision(capsys):
 
 
 def test_verify_jacobi_unconverged_quadrature_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli.quadrature, "config_for",
-                        lambda policy, level=None: cli.quadrature.QuadratureConfig(
-                            level=3, max_level=3, target_digits=20))
+    monkeypatch.setattr(cli.quadrature, "MAX_LEVEL", cli.quadrature.START_LEVEL)
     assert cli.main(["verify", "--mode", "jacobi", "--precision", "30",
                      "--guard", "10"]) == 1
     assert "did not converge" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("level", [0, 13, 14])
-def test_verify_quad_level_out_of_range_is_usage_error(capsys, level):
-    assert cli.main(["verify", "--mode", "jacobi", "--precision", "20",
-                     "--guard", "5", "--quad-level", str(level)]) == 2
-    assert "3..12" in capsys.readouterr().err
 
 
 def test_verify_chunk_uses_the_shipped_table(monkeypatch):
@@ -232,6 +224,55 @@ def test_lax_structured_skips_are_reported(capsys):
 
 
 # ---- argument plumbing ----
+
+GRID_FLAGS = {"--config", "--precision", "--guard", "--mode", "--n", "--s",
+              "--t", "--seed", "--out", "--format"}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads(tmp_path):
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    accepted = {name: {flag for action in sp._actions
+                       for flag in action.option_strings} - {"-h", "--help"}
+                for name, sp in sub.choices.items()}
+    assert accepted == {
+        "selfcheck": {"--config", "--precision", "--guard"},
+        "lattice": GRID_FLAGS,
+        "polys": GRID_FLAGS,
+        "lax": GRID_FLAGS - {"--format"},
+        "verify": GRID_FLAGS | {"--jobs", "--identities"}}
+    for argv in (["polys", "--identities", "eq1"], ["lattice", "--jobs", "4"],
+                 ["selfcheck", "--mode", "structured"],
+                 ["verify", "--quad-level", "6"]):
+        assert cli.main(argv) == 2, argv
+    # a config file may hold only the keys its subcommand reads
+    for command, key, value in (("selfcheck", "mode", "generic"),
+                                ("lattice", "jobs", 2),
+                                ("polys", "identities", "eq1"),
+                                ("lax", "format", "json"),
+                                ("verify", "quad_level", 6)):
+        path = tmp_path / ("%s.json" % command)
+        path.write_text(json.dumps({key: value}))
+        assert cli.main([command, "--config", str(path)]) == 2, command
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"n": "4"}, []),
+    ({"jobs": 1.5}, []),
+    ({"n": True}, []),
+    (None, ["--out", "missing-dir/x.jsonl"]),
+], ids=["str-for-int", "float-for-int", "bool-for-int", "unwritable-out"])
+def test_bad_input_values_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                           config, argv):
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--mode", "generic", "--s", "0", "--t", "0"] + argv
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
+    assert cli.main(argv) == 2
+    assert "config error:" in capsys.readouterr().err
+
 
 def test_negative_grid_rejected():
     assert cli.main(["verify", "--mode", "generic", "--n", "-1"]) == 2

@@ -85,10 +85,8 @@ def test_coefficient_edges(structured_ctx):
     assert c.coeff_c(0, 0, 0) == 0
     assert c.coeff_alpha(0, 0, 0) == 0
     assert c.psub(0, 0, 0) == 0
-    with pytest.raises(DegeneracyError):
-        c.coeff_d(0, 0, 0)
-    assert c.coeff_d(0, 0, 0, edge="zero") == 0
-    assert c.coeff_e(0, 0, 0, edge="zero") == 0
+    assert c.coeff_d(0, 0, 0) == 0
+    assert c.coeff_e(0, 0, 0) == 0
     assert c.coeff_g(0, 0, 0) == 0
 
 
@@ -277,7 +275,5 @@ def test_recurrence_and_transform_wrappers(structured_ctx):
 
 def test_tmax_caps_table_stack():
     tab = moments.synthetic_generic(1, 6, Tmax=3)
-    ctx = detkit.DetContext(tab, tmax=1)
-    assert sorted(ctx.tables) == [0, 1]
-    ctx2 = detkit.DetContext(tab)
-    assert sorted(ctx2.tables) == [0, 1, 2, 3, 4]
+    ctx = detkit.DetContext(tab)
+    assert sorted(ctx.tables) == [0, 1, 2, 3, 4]

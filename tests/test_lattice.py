@@ -30,8 +30,6 @@ def test_build_structured_families_and_slices():
 
 def test_build_rejects_small_extent():
     with pytest.raises(ConfigError):
-        lattice.build_lattice("synthetic-generic", 3, 2, 1, {"K": 7})
-    with pytest.raises(ConfigError):
         lattice.build_lattice("no-such-mode", 1, 1, 1)
 
 

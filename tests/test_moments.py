@@ -153,9 +153,8 @@ def test_jacobi_fused_vectors_match_closed_integrands():
     # singles at t0+1..t0+tmax+1 and phi at t0..t0+tmax from the one sweep
     # vs mpmath.quad on the closed integrands
     pol = TolerancePolicy(precision_digits=35, guard_digits=10)
-    cfg = quadrature.config_for(pol)
     dps = pol.working_dps
-    tab = moments.build_jacobi(4, pol, tmax=2, cfg=cfg)
+    tab = moments.build_jacobi(4, pol, tmax=2)
     wbar = lambda x, t: ((1 - x) / (1 + x)) ** t
     worst = mp.inf
     with mp.workdps(dps):
@@ -168,7 +167,8 @@ def test_jacobi_fused_vectors_match_closed_integrands():
                 ref = mp.quad(lambda x: x ** i * wbar(x, t) / (1 + x), [0, 1])
                 worst = min(worst, digits_of_agreement(tab.phi_by_t[t][i],
                                                        mp.sqrt(2) * ref))
-    assert worst >= cfg.target_digits
+    # the sweep's target: precision - 10 digits
+    assert worst >= pol.precision_digits - 10
 
 
 def test_jacobi_offset_base_matches_shift_and_evolve():
@@ -219,10 +219,10 @@ def test_jacobi_asymmetry_is_a_hard_error(monkeypatch):
         moments.build_jacobi(4, POL, tmax=1)
 
 
-def test_jacobi_build_without_convergence_raises():
-    cfg = quadrature.QuadratureConfig(level=3, max_level=3, target_digits=40)
+def test_jacobi_build_without_convergence_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", quadrature.START_LEVEL)
     with pytest.raises(ArithmeticError, match="did not converge"):
-        moments.build_jacobi(3, POL, tmax=1, cfg=cfg)
+        moments.build_jacobi(3, POL, tmax=1)
 
 
 # ---- Builder dispatch ----

@@ -9,12 +9,11 @@ elsewhere a nested `mpmath.quad`, which has its own tanh-sinh nodes.
 import mpmath as mp
 import pytest
 
-from dckp.numerics import ConfigError, TolerancePolicy, digits_of_agreement
+from dckp.numerics import TolerancePolicy, digits_of_agreement
 from dckp import quadrature
 
 PREC = 80
 POL = TolerancePolicy(precision_digits=PREC, guard_digits=20)
-CFG = quadrature.config_for(POL)
 DPS = POL.working_dps
 
 
@@ -24,22 +23,7 @@ def _agree(value, closed_form_fn, need=PREC - 10):
     assert d >= need, d
 
 
-# ---- Configuration ----
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        quadrature.QuadratureConfig(level=2)
-    with pytest.raises(ConfigError):
-        quadrature.QuadratureConfig(level=6, max_level=5)
-    assert quadrature.config_for(POL).target_digits == PREC - 10
-    # only None takes the default start level; explicit levels need a second
-    # level below max_level to judge convergence
-    assert quadrature.config_for(POL).level == 6
-    assert quadrature.config_for(POL, level=12).level == 12
-    for bad in (0, 2, 13, 14):
-        with pytest.raises(ConfigError, match=r"3\.\.12"):
-            quadrature.config_for(POL, level=bad)
-
+# ---- Node rule ----
 
 def test_de_calibration_improves_with_level():
     # int dx/(1+x) = ln2 from one fixed level of `_nodes` (no doubling): below
@@ -62,18 +46,18 @@ def test_de_calibration_improves_with_level():
 
 def test_single_vector_closed_forms():
     with mp.workdps(DPS):
-        u = quadrature.single_vector(3, 0, 0, CFG, DPS)
+        u = quadrature.single_vector(3, 0, 0, POL)
     _agree(u[0], lambda: mp.mpf(1))
     _agree(u[1], lambda: mp.mpf(1) / 2)
     _agree(u[2], lambda: mp.mpf(1) / 3)
     with mp.workdps(DPS):
-        u1 = quadrature.single_vector(1, 0, 1, CFG, DPS)
+        u1 = quadrature.single_vector(1, 0, 1, POL)
     _agree(u1[0], lambda: 2 * mp.ln(2) - 1)
 
 
 def test_phi_vector_closed_forms():
     with mp.workdps(DPS):
-        ph = quadrature.weight_moments(2, 0, [], [0], CFG, DPS)[1][0]
+        ph = quadrature.weight_moments(2, 0, [], [0], POL)[1][0]
     _agree(ph[0], lambda: mp.sqrt(2) * mp.ln(2))
     _agree(ph[1], lambda: mp.sqrt(2) * (1 - mp.ln(2)))
 
@@ -97,7 +81,7 @@ LOW = TolerancePolicy(precision_digits=25, guard_digits=8)
 
 def test_bimoment_m00_vs_2ln2_both_methods():
     with mp.workdps(DPS):
-        fast = quadrature.bimoment_entry(0, 0, 0, 0, CFG, DPS)
+        fast = quadrature.bimoment_entry(0, 0, 0, 0, POL)
     _agree(fast, lambda: 2 * mp.ln(2))
     with mp.workdps(LOW.working_dps):
         d = digits_of_agreement(_nested_quad(0, 0, 0, 0), 2 * mp.ln(2))
@@ -105,11 +89,10 @@ def test_bimoment_m00_vs_2ln2_both_methods():
 
 
 def test_bimoment_nested_agrees_with_ladder_at_shifted_site():
-    lcfg = quadrature.config_for(LOW)
     dps = LOW.working_dps
     with mp.workdps(dps):
         a = _nested_quad(1, 2, 1, 1)
-        b = quadrature.bimoment_entry(1, 2, 1, 1, lcfg, dps)
+        b = quadrature.bimoment_entry(1, 2, 1, 1, LOW)
         d = digits_of_agreement(a, b)
     assert d >= 13
 
@@ -117,27 +100,27 @@ def test_bimoment_nested_agrees_with_ladder_at_shifted_site():
 def test_bimoment_table_antidiagonal_identity():
     K = 5
     with mp.workdps(DPS):
-        bm = quadrature.bimoment_table(K, 0, 1, CFG, DPS)
-        uv = quadrature.single_vector(K, 0, 1, CFG, DPS)
+        bm = quadrature.bimoment_table(K, 0, 1, POL)
+        uv = quadrature.single_vector(K, 0, 1, POL)
         worst = min(digits_of_agreement(bm[i + 1][j] + bm[i][j + 1],
                                         uv[i] * uv[j])
                     for i in range(K - 1) for j in range(K - 1))
     assert worst >= PREC - 10
 
 
-def test_sweep_without_convergence_raises():
-    # one level gives no level-doubling delta; a target beyond the working
-    # precision is never met: both name the quantity, level and last delta
-    one_level = quadrature.QuadratureConfig(level=3, max_level=3, target_digits=40)
-    with pytest.raises(ArithmeticError, match="singles.*level 3 reached.*none"):
-        quadrature.single_vector(3, 0, 0, one_level, DPS)
-    too_deep = quadrature.QuadratureConfig(level=6, max_level=7,
-                                           target_digits=DPS + 20)
+def test_sweep_without_convergence_raises(monkeypatch):
+    # one level gives no level-doubling delta; two levels fall short of the
+    # target at 240 digits: both name the quantity, level and last delta
+    deep = TolerancePolicy(precision_digits=240)
     # mu from a converged sweep, so the bimoment sweep is the one to fail
-    mu = quadrature.single_vector(3, 0, 1, CFG, DPS)
+    mu = quadrature.single_vector(3, 0, 1, deep)
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", quadrature.START_LEVEL)
+    with pytest.raises(ArithmeticError, match="singles.*level 6 reached.*none"):
+        quadrature.single_vector(3, 0, 0, POL)
+    monkeypatch.setattr(quadrature, "MAX_LEVEL", quadrature.START_LEVEL + 1)
     with pytest.raises(ArithmeticError,
                        match=r"bimoments m\^\{0,1\}.*level 7 reached.*last delta \d"):
-        quadrature.bimoment_table(3, 0, 1, too_deep, DPS, mu=mu)
+        quadrature.bimoment_table(3, 0, 1, deep, mu=mu)
 
 
 # ---- Exact inner-integral machinery ----
