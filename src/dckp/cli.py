@@ -88,11 +88,23 @@ def _options(command):
             if command in commands]
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an unknown flag is an error with its own usage,
+    not left to the top-level parser."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: %s" % " ".join(extras))
+        return namespace, extras
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="dckp",
         description="Biorthogonal tau-function lattice: build, verify, export.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           parser_class=_SubcommandParser)
     for name, helptext in SUBCOMMANDS:
         sp = sub.add_parser(name, help=helptext)
         sp.add_argument("--config", help="JSON config file; flags win")

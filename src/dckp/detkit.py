@@ -14,11 +14,39 @@ and one memoized evaluator for every family
   Qraw_n     = det[m cols 1..n   | x^i]         as the coefficient vector
   Rraw_n     = det[phi_i | m cols 0..n-2 | x^i] of x^0..x^n (cofactors)
 
-Each is a minor of one frame, rows 0..n of the moment matrix (Sylvester's
-identity, the basis of Bareiss elimination): FAMILY_SPECS gives the row and
-column offsets, the border vector and its position, the frame row left out
-and the edges.  Rows keep the listed column order, which fixes the float
-pivoting.
+Each is a minor of one frame, rows 0..n of the moment matrix: FAMILY_SPECS
+gives the row and column offsets, the border vector and its position, the
+frame row left out and the edges.
+
+Exact mode reads every family from one fraction-free (Bareiss) elimination
+per frame and (s, t), without pivoting.  The frames come from FAMILY_SPECS:
+families sharing a column offset, a row offset and scalar-or-polynomial
+share one, with their border columns appended after the bimoment columns,
+
+  [m cols 0.. | phi | u]   tau, sigma, sigtilde, tautilde
+  [m cols 1.. | phi]       xi, psi
+  [m cols 2..]             tauhat
+  [m rows 1.. | phi]       sigma_row
+  [m cols 0.. | phi | I]   Praw, Rraw    (swept only when asked for)
+  [m cols 1.. | I]         Qraw
+
+where I is the identity block, one column e_k per frame row.  Each frame row
+is scaled to integers once.  After k steps the entry a^{(k)}_{ij} (i >= k)
+is the minor on rows and columns 0..k-1 plus row i and column j (Sylvester's
+identity; Bareiss, Math. Comp. 22, 1968), divided here by the scales of its
+rows.  So tau_n is the pivot a^{(n-1)}_{n-1,n-1}, tautilde_n the entry
+a^{(n-1)}_{n,n-1} below it, sigma_n (psi, sigtilde, sigma_row alike) the
+border entry a^{(n)}_{n,phi}, and Praw_n (Qraw_n alike) row n of the I block
+after n steps: a^{(n)}_{n,e_k} is the Laplace cofactor of x^k.  Rraw_n, whose
+phi column sits inside the minor, is one 2 x 2 Sylvester step on rows n-1, n
+and columns phi, e_k after n-1 steps, divided by tau_{n-1}, times (-1)^(n-1)
+for moving phi first.  An order the sweep does not reach (past a zero
+divisor tau_k, or past the table's extent, where the minor raises
+ExtentError) falls back to det_exact of its minor, so values and errors are
+those of the minor itself.
+
+Float mode keeps one fully pivoted det_float per minor, rows in the listed
+column order: a no-pivot sweep would differ from it in the last digits.
 
 Edge conventions: tau_0 = xi_0 = tauhat_0 = 1 and sigtilde_{-1} = 1 (empty
 determinants); Praw_{-1} = Qraw_{-1} = [] (the zero polynomial); tau_{-1} =
@@ -76,7 +104,32 @@ FAMILY_SPECS = {
 FAMILIES = tuple(f for f, spec in FAMILY_SPECS.items() if spec.lead is None)
 
 
+def _frame_key(spec):
+    """The exact-mode frame a family is read from: column offset, row offset,
+    and whether it is a cofactor vector (its frame carries the I block)."""
+    return spec.col, spec.row, spec.lead is not None
+
+
+def _frames():
+    frames = {}     # frame -> (its families, its border columns)
+    for name, spec in FAMILY_SPECS.items():
+        names, borders = frames.setdefault(_frame_key(spec), ([], []))
+        names.append(name)
+        if spec.border and spec.border not in borders:
+            borders.append(spec.border)
+    return frames
+
+
+_FRAMES = _frames()
+
+
 # ---- Determinants ----
+
+def _integer_row(row):
+    """(d, row * d) with d the least common denominator of the row."""
+    d = lcm(*[v.denominator for v in row])
+    return d, [v.numerator * (d // v.denominator) for v in row]
+
 
 def det_exact(rows):
     """Determinant of a square Fraction matrix by integer Bareiss elimination."""
@@ -86,11 +139,9 @@ def det_exact(rows):
     scale = 1
     M = []
     for r in rows:
-        d = 1
-        for v in r:
-            d = lcm(d, Fraction(v).denominator)
+        d, ints = _integer_row(r)
         scale *= d
-        M.append([int(v * d) for v in r])
+        M.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -156,6 +207,34 @@ def det_float(rows, dps):
         return sign * det
 
 
+def _bareiss_steps(M, C):
+    """Fraction-free elimination of the integer rows M in place, without
+    pivoting, on their first C columns.
+
+    Yields (k, prev) before step k.  Then M[i][j], for i >= k and j >= k, is
+    the minor on rows and columns 0..k-1 plus row i and column j, and prev is
+    the leading k x k minor, the divisor of step k.  Stops where prev is
+    zero.  A row may be longer than the rows above it: their missing entries
+    are zeros.
+    """
+    prev = 1
+    for k in range(len(M)):
+        yield k, prev
+        if k >= C or k + 1 >= len(M) or prev == 0:
+            return
+        rk = M[k]
+        pk = rk[k]
+        width = len(rk)
+        for i in range(k + 1, len(M)):
+            row = M[i]
+            mik = row[k]
+            M[i] = (row[:k + 1]
+                    + [(a * pk - mik * b) // prev
+                       for a, b in zip(row[k + 1:width], rk[k + 1:])]
+                    + [a * pk // prev for a in row[width:]])
+        prev = pk
+
+
 # ---- Context over a stack of t-evolved tables ----
 
 def _family_method(family, doc=None):
@@ -171,7 +250,8 @@ class DetContext:
     """Family evaluators at absolute (n, s, t) over one base moment table.
 
     t moves through rank-one evolved copies of the base table, s through index
-    shifts inside each copy.  All determinants are memoized.
+    shifts inside each copy.  All determinants are memoized; in exact mode
+    one sweep per frame and (s, t) fills the memo (see the module doc).
     """
 
     def __init__(self, base_table):
@@ -187,6 +267,7 @@ class DetContext:
             cur = cur.evolve_t()
             self.tables[cur.t0] = cur
         self.memo = {}
+        self.swept = set()
 
     # -- scalars --
 
@@ -238,9 +319,79 @@ class DetContext:
             return self.zero()
         key = (family, n, s, t)
         v = self.memo.get(key)
+        if v is None and self.exact:
+            frame = (_frame_key(spec), s, t)
+            if frame not in self.swept:
+                self.swept.add(frame)
+                self._sweep(*frame)
+                v = self.memo.get(key)
         if v is None:
             v = self.memo[key] = self._frame_value(spec, n, s, t)
         return v
+
+    def _sweep(self, frame, s, t):
+        """Memoize every value of `frame` at (s, t) that one elimination
+        reaches: each of its families over the whole n-range of the table."""
+        col, row, poly = frame
+        names, borders = _FRAMES[frame]
+        specs = [(name, FAMILY_SPECS[name]) for name in names]
+        for name, spec in specs:
+            empty = -1 + (spec.skip is not None)    # the order of a 0 x 0 minor
+            if empty >= spec.start:
+                self.memo[(name, empty, s, t)] = [] if poly else Fraction(1)
+        ds = s - self.s0
+        tb = self.tables.get(t)
+        if tb is None or ds < 0:
+            return
+        top = ds + row                  # table row of frame row 0
+        R = tb.K - top                  # frame rows
+        C = max(0, min(tb.K - ds - col, R))    # bimoment columns
+        vecs, at = [], {}               # border -> (frame column, rows it has)
+        for b in borders:
+            vec = tb.phi_by_t.get(t) if b == "phi" else tb.single
+            if vec is not None:
+                at[b] = (C + len(vecs), min(len(vec) - top, R))
+                vecs.append(vec)
+        ident = C + len(vecs)           # first column of the I block
+        M, d, scale = [], [], [1]       # row scales; scale[i]: rows 0..i-1
+        for i in range(R):
+            r = top + i
+            di, ints = _integer_row([tb.m(r, ds + col + j) for j in range(C)]
+                                    + [v[r] if r < len(v) else 0 for v in vecs])
+            if poly:
+                ints += [0] * i + [di]      # I block up to its diagonal
+            M.append(ints)
+            d.append(di)
+            scale.append(scale[-1] * di)
+        memo = self.memo
+        for k, prev in _bareiss_steps(M, C):
+            rk = M[k]
+            for name, spec in specs:
+                if spec.skip is not None:
+                    # tau_{k+1} = a^{(k)}_{k,k}, tautilde_{k+1} = a^{(k)}_{k+1,k}
+                    i = k + spec.skip
+                    if k < C and i < R:
+                        memo[(name, k + 1, s, t)] = Fraction(M[i][k],
+                                                             scale[k] * d[i])
+                elif not poly:
+                    c, rows = at.get(spec.border, (None, 0))
+                    if k < rows:
+                        memo[(name, k, s, t)] = Fraction(rk[c], scale[k + 1])
+                elif spec.border is None:
+                    memo[(name, k, s, t)] = [Fraction(v, scale[k + 1])
+                                             for v in rk[ident:]]
+                else:
+                    # Rraw_{k+1}: 2 x 2 Sylvester step on rows k, k+1 and
+                    # columns phi, e_j, over tau_k, with phi moved first
+                    c, rows = at.get(spec.border, (None, 0))
+                    if k + 1 < rows and prev != 0:
+                        nxt = M[k + 1]
+                        p, q = rk[c], nxt[c]
+                        sign = -1 if k % 2 else 1
+                        memo[(name, k + 1, s, t)] = [
+                            Fraction(sign * ((p * b - q * a) // prev),
+                                     scale[k + 2])
+                            for a, b in zip(rk[ident:] + [0], nxt[ident:])]
 
     def _frame_value(self, spec, n, s, t):
         vec = {"phi": self.ph, "u": self.u}.get(spec.border)
@@ -328,24 +479,14 @@ class DetContext:
                              self.tau(n + 1, s, t) * self.xi(n, s, t),
                              "beta_%d" % n)
 
-    def coeff_alpha(self, n, s, t, form="ratio"):
-        """alpha_n, either the determinant-ratio form or the beta-difference form.
-
-        The two agree exactly iff the tau/xi bilinear identity holds at (n,s,t).
-        """
+    def coeff_alpha(self, n, s, t):
+        """alpha_n = xi_{n+1} tau_{n-1}^{s+1} / (xi_n tau_n^{s+1})."""
         if n == 0:
             return self.zero()
         with self.wp():
-            if form == "ratio":
-                return self._div(self.xi(n + 1, s, t) * self.tau(n - 1, s + 1, t),
-                                 self.xi(n, s, t) * self.tau(n, s + 1, t),
-                                 "alpha_%d" % n)
-            if form == "difference":
-                return self.coeff_beta(n, s, t) - self._div(
-                    self.xi(n + 1, s, t) * self.xi(n, s, t),
-                    self.tau(n + 1, s, t) * self.tau(n, s + 1, t),
-                    "alpha_%d" % n)
-        raise ValueError("unknown alpha form: %r" % (form,))
+            return self._div(self.xi(n + 1, s, t) * self.tau(n - 1, s + 1, t),
+                             self.xi(n, s, t) * self.tau(n, s + 1, t),
+                             "alpha_%d" % n)
 
     def _phi_all_zero(self, s, t):
         tb = self._table(t)
@@ -400,18 +541,3 @@ def eval_det(ctx, family, n, s, t):
                          % (family, ", ".join(FAMILY_SPECS)))
     return getattr(ctx, spec.method)(n, s, t)
 
-
-def recurrence_coefficients(ctx, n, s, t):
-    """(a_n, b_n, c_n) for the four-term recurrence; needs single moments."""
-    return (ctx.coeff_a(n, s, t), ctx.coeff_b(n, s, t), ctx.coeff_c(n, s, t))
-
-
-def transform_coefficients(ctx, n, s, t):
-    """dict with beta, both alpha forms, d, e at (n, s, t)."""
-    return {
-        "beta": ctx.coeff_beta(n, s, t),
-        "alpha_ratio": ctx.coeff_alpha(n, s, t, form="ratio"),
-        "alpha_difference": ctx.coeff_alpha(n, s, t, form="difference"),
-        "d": ctx.coeff_d(n, s, t),
-        "e": ctx.coeff_e(n, s, t),
-    }

@@ -106,12 +106,15 @@ def _family_available(ctx, family, t):
 def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     """Materialize the determinant families on the grid from a fresh table.
 
-    The config dict may set "precision", "guard" and "seed".  The base table
-    extent K = Nmax + Smax + 3 covers every column shift.  Jacobi tables are
-    cross-validated: the rank-one t-evolution is compared with direct
-    quadrature at spot entries.
+    The config dict may set "precision", "guard" and "seed"; any other key is
+    a ConfigError.  The base table extent K = Nmax + Smax + 3 covers every
+    column shift.  Jacobi tables are cross-validated: the rank-one
+    t-evolution is compared with direct quadrature at spot entries.
     """
     cfg = config or {}
+    unknown = sorted(set(cfg) - {"precision", "guard", "seed"})
+    if unknown:
+        raise ConfigError("unknown lattice config keys: %s" % unknown)
     policy = TolerancePolicy(cfg.get("precision", 120), cfg.get("guard"))
     table = moments.build_base_table(mode, 0, 0, Nmax + Smax + 3,
                                      policy=policy, seed=cfg.get("seed", 0),

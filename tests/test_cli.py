@@ -229,7 +229,7 @@ GRID_FLAGS = {"--config", "--precision", "--guard", "--mode", "--n", "--s",
               "--t", "--seed", "--out", "--format"}
 
 
-def test_each_subcommand_takes_only_the_options_it_reads(tmp_path):
+def test_each_subcommand_takes_only_the_options_it_reads(tmp_path, capsys):
     parser = cli._build_parser()
     sub = next(a for a in parser._actions
                if isinstance(a, argparse._SubParsersAction))
@@ -246,6 +246,11 @@ def test_each_subcommand_takes_only_the_options_it_reads(tmp_path):
                  ["selfcheck", "--mode", "structured"],
                  ["verify", "--quad-level", "6"]):
         assert cli.main(argv) == 2, argv
+        # reported with the subcommand's own usage, not the top-level one
+        err = capsys.readouterr().err
+        assert "usage: dckp %s " % argv[0] in err, err
+        assert "dckp %s: error: unrecognized arguments: %s" % (
+            argv[0], " ".join(argv[1:])) in err, err
     # a config file may hold only the keys its subcommand reads
     for command, key, value in (("selfcheck", "mode", "generic"),
                                 ("lattice", "jobs", 2),

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dckp.numerics import DegeneracyError, ExtentError, digits_of_agreement
 from dckp import detkit, moments
@@ -132,14 +133,20 @@ def test_jacobi_positivity_small_grid(jacobi_ctx):
 
 # ---- Coefficient identities ----
 
+def _alpha_difference(c, n, s, t):
+    """alpha_n as beta_n - xi_{n+1} xi_n / (tau_{n+1} tau_n^{s+1})."""
+    return c.coeff_beta(n, s, t) - (c.xi(n + 1, s, t) * c.xi(n, s, t)
+                                    / (c.tau(n + 1, s, t) * c.tau(n, s + 1, t)))
+
+
 def test_alpha_forms_agree_exactly(generic_ctx, structured_ctx):
+    # the ratio and beta-difference forms of alpha_n agree exactly iff the
+    # tau/xi bilinear identity holds at (n, s, t)
     for c in (generic_ctx, structured_ctx):
         for n in range(1, 4):
             for s in range(2):
-                assert (c.coeff_alpha(n, s, 0, form="ratio")
-                        == c.coeff_alpha(n, s, 0, form="difference")), (n, s)
-    with pytest.raises(ValueError):
-        generic_ctx.coeff_alpha(1, 0, 0, form="other")
+                assert c.coeff_alpha(n, s, 0) == _alpha_difference(c, n, s, 0), \
+                    (n, s)
 
 
 def test_chat_definition(structured_ctx):
@@ -213,13 +220,13 @@ def _literal(ctx, family, n, s, t, det):
         return [d if (k + n) % 2 == 0 else -d for k, d in enumerate(minors)]
 
 
-def _check_against_literal(ctx, det, ss, ts):
+def _check_against_literal(ctx, det, ss, ts, ns=range(-2, 5)):
     assert set(detkit.FAMILY_SPECS) == {
         "tau", "xi", "tau_hat", "sigma", "psi", "sigma_row", "sigma_tilde",
         "tau_tilde", "P", "Q", "R"}
     checked = 0
     for family in detkit.FAMILY_SPECS:
-        for n in range(-2, 5):
+        for n in ns:
             for s in ss:
                 for t in ts:
                     try:
@@ -243,6 +250,57 @@ def test_families_match_literal_matrices_exact(generic_ctx, structured_ctx):
     assert _check_against_literal(offset, detkit.det_exact, (2, 3), (1, 2)) > 250
 
 
+@settings(max_examples=10, deadline=None)
+@given(mode=st.sampled_from(["synthetic-structured", "synthetic-generic"]),
+       seed=st.integers(0, 10 ** 6), K=st.integers(6, 9),
+       s0=st.integers(0, 2), t0=st.integers(0, 2))
+def test_exact_sweep_matches_literal_matrices(mode, seed, K, s0, t0):
+    # every family, every order up to past the table's extent (ExtentError
+    # from the minor) and every site of a fresh context, each read from the
+    # frame sweeps, against det_exact of the literal matrix
+    ctx = detkit.DetContext(moments.build_base_table(mode, s0, t0, K, seed=seed,
+                                                     tmax=2))
+    assert _check_against_literal(ctx, detkit.det_exact, range(s0, s0 + 3),
+                                  range(t0, t0 + 4), range(-2, K + 1)) > 0
+
+
+def test_vanishing_leading_minor_falls_back_per_minor(monkeypatch):
+    tab = moments.synthetic_generic(3, 8, Tmax=2)
+    m = tab.bimoments
+    m[1][1] = m[0][1] ** 2 / m[0][0]        # tau_2 = 0 at (s, t) = (0, 0)
+    ctx = detkit.DetContext(tab)
+    real = detkit.det_exact
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(detkit, "det_exact", counted)
+    fallback = set()
+    for family in detkit.FAMILY_SPECS:
+        for n in range(-1, 9):
+            try:
+                want = _literal(ctx, family, n, 0, 0, real)
+            except ExtentError:
+                with pytest.raises(ExtentError):
+                    detkit.eval_det(ctx, family, n, 0, 0)
+                continue
+            before = len(calls)
+            assert detkit.eval_det(ctx, family, n, 0, 0) == want, (family, n)
+            if len(calls) > before:
+                fallback.add((family, n))
+    assert ctx.tau(1, 0, 0) != 0 and ctx.tau(2, 0, 0) == 0
+    # the sweeps of [m cols 0.. | ...] stop at the zero divisor tau_2, after
+    # the step it divides: tau_3 and tau_tilde_3 are their last values,
+    # sigma_2, P_2 and R_2 those of their borders.  Every order above, up to
+    # the last one the table holds, comes per minor.
+    reach = {"tau": (3, 8), "tau_tilde": (3, 7), "sigma": (2, 7), "P": (2, 7),
+             "R": (2, 7)}
+    assert fallback == {(f, n) for f, (last, top) in reach.items()
+                        for n in range(last + 1, top + 1)}
+
+
 def test_families_match_literal_matrices_float(jacobi_ctx):
     # equal to the last bit: the same entries in the same order, so the same
     # full-pivot elimination; evaluated at mpmath's default precision, which
@@ -261,16 +319,6 @@ def test_eval_det_dispatch(generic_ctx):
         generic_ctx.sigma_row(1, 0, 0)
     with pytest.raises(ValueError):
         detkit.eval_det(generic_ctx, "nope", 0, 0, 0)
-
-
-def test_recurrence_and_transform_wrappers(structured_ctx):
-    a, b, cc = detkit.recurrence_coefficients(structured_ctx, 2, 0, 0)
-    assert (a, b, cc) == (structured_ctx.coeff_a(2, 0, 0),
-                          structured_ctx.coeff_b(2, 0, 0),
-                          structured_ctx.coeff_c(2, 0, 0))
-    tr = detkit.transform_coefficients(structured_ctx, 2, 0, 0)
-    assert tr["alpha_ratio"] == tr["alpha_difference"]
-    assert set(tr) == {"beta", "alpha_ratio", "alpha_difference", "d", "e"}
 
 
 def test_tmax_caps_table_stack():

@@ -33,6 +33,13 @@ def test_build_rejects_small_extent():
         lattice.build_lattice("no-such-mode", 1, 1, 1)
 
 
+def test_build_rejects_unknown_config_keys():
+    # a misspelt "precision" must not silently run at the default 120 digits
+    for cfg in ({"precison": 50}, {"seed": 1, "K": 7}):
+        with pytest.raises(ConfigError, match="unknown lattice config keys"):
+            lattice.build_lattice("synthetic-generic", 1, 1, 1, cfg)
+
+
 def test_build_jacobi_positive_and_cross_validated():
     lat = lattice.build_lattice("jacobi-float", 3, 1, 1,
                                 {"precision": 50, "guard": 15})
