@@ -11,7 +11,6 @@ Record semantics: exact mode passes iff residual_abs == 0; float mode iff
 residual_rel < rel_tol, with scale = max |individual product term| (floor 1).
 """
 
-import json
 from dataclasses import dataclass
 
 from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
@@ -84,24 +83,16 @@ def _comb(ctx, pairs):
     for coef, vec in pairs:
         if vec is None:
             continue
-        top = ctx.zero()
-        for k, v in enumerate(vec):
-            while len(out) <= k:
-                out.append(ctx.zero())
-            term = coef * v
+        terms = [coef * v for v in vec]
+        out.extend([ctx.zero()] * (len(terms) - len(out)))
+        for k, term in enumerate(terms):
             out[k] = out[k] + term
-            if abs(term) > top:
-                top = abs(term)
-        scales.append(top)
+        scales.append(_maxabs(ctx, terms))
     return out, scales
 
 
 def _maxabs(ctx, vec):
-    top = ctx.zero()
-    for v in vec:
-        if abs(v) > top:
-            top = abs(v)
-    return top
+    return max((abs(v) for v in vec), default=ctx.zero())
 
 
 def _sum_terms(pairs):
@@ -354,34 +345,6 @@ def make_record(ctx, identity_id, n, s, t, policy=None, variant="confirmed"):
                           gating=gate)
 
 
-# ---- Single-site verification wrappers ----
-
-def verify_recurrence(ctx, n, s, t, policy=None):
-    """Four-term recurrence residual record at one site (n >= 1)."""
-    if n < 1:
-        raise ValueError("recurrence defined for n >= 1")
-    return make_record(ctx, "4trr", n, s, t, policy)
-
-
-def verify_transformations(ctx, n, s, t, policy=None):
-    """The five spectral-transformation residual records at one site."""
-    out = []
-    for ident in ("prop2.5", "prop2.6", "spec1", "dt1", "trans2"):
-        if n >= N_MIN.get(ident, 0):
-            out.append(make_record(ctx, ident, n, s, t, policy))
-    return out
-
-
-def verify_trilinear(ctx, identity_id, n, s, t, policy=None):
-    if identity_id not in ("tri1", "tri2"):
-        raise ValueError("trilinear ids are tri1, tri2")
-    return make_record(ctx, identity_id, n, s, t, policy)
-
-
-def verify_dckp(ctx, n, s, t, policy=None):
-    return make_record(ctx, "dckp", n, s, t, policy)
-
-
 # ---- Suite ----
 
 def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
@@ -429,13 +392,6 @@ def suite_summary(records):
     return {"records": len(records), "gating_failures": failures,
             "skipped": skipped, "all_gating_pass": failures == 0,
             "max_residual_rel": worst}
-
-
-def write_report(records, path, precision_digits=None):
-    """JSON-lines report, one record per line."""
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r.to_json_dict(precision_digits)) + "\n")
 
 
 # ---- Adjudication artifacts ----
@@ -491,30 +447,3 @@ def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS):
             policy, ("max_residual_rel", "max_residual_abs", "sites", "passes"))
     return report
 
-
-def shift_closure_report(ctx, n, s, t):
-    """The column-shift substitution applied to the t-step bilinear.
-
-    Substituting m_{ij} -> m_{i,j+1} maps tau -> xi and sigma -> psi, carrying
-    the t-step bilinear's stencil onto the xi/psi stencil.  The resulting form
-    differs from the printed xi-psi-sq relation by exactly 2 psi^2 (the two
-    share their xi terms; the psi^2 signs are opposite), and neither vanishes:
-    the relation that does hold replaces psi^2 by psi*sigma_row.  All three
-    residuals and the exact 2 psi^2 link are returned.
-    """
-    X, PS, SR = ctx.xi, ctx.psi, ctx.sigma_row
-    with ctx.wp():
-        r_subs = (X(n + 1, s, t + 1) * X(n, s, t)
-                  - X(n + 1, s, t) * X(n, s, t + 1)
-                  + PS(n, s, t) ** 2)
-        r_printed = (X(n + 1, s, t + 1) * X(n, s, t)
-                     - X(n, s, t + 1) * X(n + 1, s, t)
-                     - PS(n, s, t) ** 2)
-        r_confirmed = (X(n + 1, s, t + 1) * X(n, s, t)
-                       - X(n, s, t + 1) * X(n + 1, s, t)
-                       + PS(n, s, t) * SR(n, s, t))
-        link = r_subs - r_printed - 2 * PS(n, s, t) ** 2
-    return {"subs_image_of_t_step": r_subs,
-            "printed_xi_psi_sq": r_printed,
-            "confirmed_xi_psi_row": r_confirmed,
-            "link_residual": link}

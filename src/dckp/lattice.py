@@ -4,11 +4,10 @@ The lattice stores the determinant families eagerly on the (n, s, t) grid so
 identity stencils are O(1) lookups.  The quartic lattice equation, read as a
 quadratic in one t-advanced corner, powers an initial-value propagation that
 rebuilds a t-slice from the previous slice plus an n <= 1 boundary staircase;
-branch selection prefers determinant-oracle proximity, falling back to
-previous-slice continuity, and halts on an exact tie.
+of the two roots it keeps the one nearer the determinant oracle, and halts on
+an exact tie.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,11 +59,6 @@ class TauLattice:
                       for (f, n, s, t) in self.sites()],
         }
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-            fh.write("\n")
-
     def csv_text(self):
         return csv_text(["family", "n", "s", "t", "value", "provenance"],
                         [[f, n, s, t,
@@ -72,10 +66,6 @@ class TauLattice:
                                      self.precision_digits),
                           self.provenance[(f, n, s, t)]]
                          for (f, n, s, t) in self.sites()])
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
 
 
 # ---- Build ----
@@ -224,21 +214,18 @@ def _stencil_from(getter, n, s, t, skip=None):
     return {k: getter(*site) for k, site in rel.items() if k != skip}
 
 
-def propagate(lat, from_t, to_t, branch="oracle"):
+def propagate(lat, from_t, to_t):
     """Rebuild tau slices (from_t, to_t] from the quartic corner equation.
 
     Each slice t+1 is filled in increasing n from the previous slice plus
     boundary data: the n=0 row (identically 1) and the n=1 determinant row
-    over the staircase range s <= Smax + Nmax - n.  The filled corner is
-    tau_{n+1}^{s,t+1}; roots are disambiguated against the determinant oracle
-    (branch="oracle") or the previous slice (branch="continuity"), and an
-    exact tie halts propagation.
+    over the staircase range s0 <= s <= Smax + Nmax - n.  The filled corner
+    is tau_{n+1}^{s,t+1}; of its two roots the one nearer the determinant
+    oracle is kept, and an exact tie halts propagation.
     """
     if not (lat.ctx.base.t0 <= from_t < to_t <= lat.Tmax):
         raise ConfigError("propagation range (%d, %d] outside lattice t-range"
                           % (from_t, to_t))
-    if branch not in ("oracle", "continuity"):
-        raise ConfigError("branch policy must be 'oracle' or 'continuity'")
     ctx = lat.ctx
     out = TauLattice(lat.mode, lat.Nmax, lat.Smax, lat.Tmax, ctx,
                      lat.precision_digits, dict(lat.values),
@@ -259,22 +246,19 @@ def propagate(lat, from_t, to_t, branch="oracle"):
     for t in range(from_t, to_t):
         # boundary staircase at t+1: the n=0 row is 1 by convention (val
         # handles it); the n=1 row comes from the determinant oracle
-        for s in range(S1 + 1):
+        for s in range(ctx.s0, S1 + 1):
             work[(1, s, t + 1)] = ctx.tau(1, s, t + 1)
         for n in range(1, lat.Nmax):
-            for s in range(S1 - (n - 1) + 1):
+            for s in range(ctx.s0, S1 - (n - 1) + 1):
                 stn = _stencil_from(val, n, s, t, skip="n+1,s,t+1")
                 dps = None if ctx.exact else ctx.dps
                 r1, r2 = solve_dckp_corner(stn, "n+1,s,t+1", dps=dps)
-                if branch == "oracle":
-                    ref = ctx.tau(n + 1, s, t + 1)
-                else:
-                    ref = val(n + 1, s, t)
+                ref = ctx.tau(n + 1, s, t + 1)
                 d1, d2 = abs(r1 - ref), abs(r2 - ref)
                 if r1 != r2 and d1 == d2:
                     raise DegeneracyError(
                         "branch ambiguity at tau_%d^{%d,%d}: roots equidistant "
-                        "from the %s reference" % (n + 1, s, t + 1, branch))
+                        "from the determinant oracle" % (n + 1, s, t + 1))
                 work[(n + 1, s, t + 1)] = r1 if d1 <= d2 else r2
         for (n, s, tt) in list(work.keys()):
             if tt != t + 1 or n < 2 or s > lat.Smax or n > lat.Nmax:

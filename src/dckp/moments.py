@@ -17,7 +17,6 @@ so evolve_t runs no quadrature.  Synthetic tables treat phi as free data;
 structured ones carry singles at the base t only, generic ones none.
 """
 
-import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -154,17 +153,6 @@ class MomentTable:
         return cls(d["mode"], d["s0"], d["t0"], d["K"], prec, bm, sg, ph)
 
 
-def save_table(table, path):
-    with open(path, "w") as fh:
-        json.dump(table.to_dict(), fh, indent=1)
-        fh.write("\n")
-
-
-def load_table(path):
-    with open(path) as fh:
-        return MomentTable.from_dict(json.load(fh))
-
-
 # ---- Builders ----
 
 def build_base_table(mode, s0, t0, K, policy=None, seed=0, tmax=3):
@@ -177,7 +165,7 @@ def build_base_table(mode, s0, t0, K, policy=None, seed=0, tmax=3):
             raise ConfigError("jacobi-float mode needs a TolerancePolicy")
         return build_jacobi(K, policy, s0=s0, t0=t0, tmax=tmax)
     if mode == "synthetic-generic":
-        return synthetic_generic(seed, K, tmax, s0=s0, t0=t0)
+        return synthetic_generic(seed, K, tmax=tmax, s0=s0, t0=t0)
     if mode == "synthetic-structured":
         return synthetic_structured(seed, K, tmax=tmax, s0=s0, t0=t0)
     raise ConfigError("unknown mode: %r" % (mode,))
@@ -195,14 +183,14 @@ def _rand_frac(rng, nonzero=False):
             return Fraction(num, rng.randint(1, _BOUND))
 
 
-def synthetic_generic(seed, K, Tmax=3, s0=0, t0=0):
+def synthetic_generic(seed, K, tmax=3, s0=0, t0=0):
     """Random symmetric exact bimoments with an independent phi vector per t."""
     rng = random.Random("generic:%d" % seed)
     bm = [[Fraction(0)] * K for _ in range(K)]
     for i in range(K):
         for j in range(i, K):
             bm[i][j] = bm[j][i] = _rand_frac(rng)
-    ph = {t: [_rand_frac(rng) for _ in range(K)] for t in range(t0, t0 + Tmax + 1)}
+    ph = {t: [_rand_frac(rng) for _ in range(K)] for t in range(t0, t0 + tmax + 1)}
     return MomentTable("synthetic-generic", s0, t0, K, None, bm, {}, ph)
 
 

@@ -13,7 +13,7 @@ JAC_GUARD = 20
 
 @pytest.fixture(scope="session")
 def generic_ctx():
-    return detkit.DetContext(moments.synthetic_generic(1, 9, Tmax=3))
+    return detkit.DetContext(moments.synthetic_generic(1, 9, tmax=3))
 
 
 @pytest.fixture(scope="session")

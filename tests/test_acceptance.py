@@ -65,7 +65,7 @@ def test_criterion_1_generic_exact_gates():
     worst = Fraction(0)
     sites = 0
     for seed in range(20):
-        ctx = detkit.DetContext(moments.synthetic_generic(seed, 8, Tmax=3))
+        ctx = detkit.DetContext(moments.synthetic_generic(seed, 8, tmax=3))
         for ident in ids:
             for n in range(5):
                 for s in range(3):

@@ -265,7 +265,7 @@ def test_exact_sweep_matches_literal_matrices(mode, seed, K, s0, t0):
 
 
 def test_vanishing_leading_minor_falls_back_per_minor(monkeypatch):
-    tab = moments.synthetic_generic(3, 8, Tmax=2)
+    tab = moments.synthetic_generic(3, 8, tmax=2)
     m = tab.bimoments
     m[1][1] = m[0][1] ** 2 / m[0][0]        # tau_2 = 0 at (s, t) = (0, 0)
     ctx = detkit.DetContext(tab)
@@ -321,7 +321,7 @@ def test_eval_det_dispatch(generic_ctx):
         detkit.eval_det(generic_ctx, "nope", 0, 0, 0)
 
 
-def test_tmax_caps_table_stack():
-    tab = moments.synthetic_generic(1, 6, Tmax=3)
+def test_full_table_stack():
+    tab = moments.synthetic_generic(1, 6, tmax=3)
     ctx = detkit.DetContext(tab)
     assert sorted(ctx.tables) == [0, 1, 2, 3, 4]

@@ -1,9 +1,11 @@
 """Tau lattice: materialization, corner solve, propagation, degeneracy and
 configuration errors."""
 
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dckp.numerics import ConfigError, DegeneracyError
 from dckp import lattice, moments, detkit
@@ -28,7 +30,7 @@ def test_build_structured_families_and_slices():
     assert lat.get("tau", 0, 0, 1) == 1
 
 
-def test_build_rejects_small_extent():
+def test_build_rejects_unknown_mode():
     with pytest.raises(ConfigError):
         lattice.build_lattice("no-such-mode", 1, 1, 1)
 
@@ -54,21 +56,16 @@ def test_build_jacobi_default_guard_follows_precision():
     assert lat.precision_digits == 30 and lat.get("tau", 2, 1, 1) > 0
 
 
-def test_json_and_csv_export(tmp_path):
+def test_json_and_csv_export():
     lat = lattice.build_lattice("synthetic-generic", 1, 1, 1, {"seed": 2})
     doc = lat.to_json_dict()
     assert doc["meta"]["ranges"] == {"Nmax": 1, "Smax": 1, "Tmax": 1}
     assert len(doc["sites"]) == len(lat.values)
-    jpath, cpath = str(tmp_path / "l.json"), str(tmp_path / "l.csv")
-    lat.write_json(jpath)
-    lat.write_csv(cpath)
-    with open(jpath) as fh:
-        assert '"family"' in fh.read()
-    with open(cpath) as fh:
-        header = fh.readline().strip().split(",")
-    assert header == ["family", "n", "s", "t", "value", "provenance"]
-    with open(cpath, newline="") as fh:
-        assert fh.read() == lat.csv_text()
+    assert json.loads(json.dumps(doc)) == doc
+    lines = lat.csv_text().splitlines()
+    assert lines[0].split(",") == ["family", "n", "s", "t", "value",
+                                   "provenance"]
+    assert len(lines) == 1 + len(lat.values)
 
 
 # ---- Corner solve ----
@@ -143,7 +140,7 @@ def test_propagate_generic_exact():
 
 
 def test_propagate_trivial_phi_reproduces_base_slice():
-    tab = moments.synthetic_generic(3, 9, Tmax=2)
+    tab = moments.synthetic_generic(3, 9, tmax=2)
     tab.phi_by_t = {t: [Fraction(0)] * 9 for t in tab.phi_by_t}
     ctx = detkit.DetContext(tab)
     lat = lattice.TauLattice("synthetic-generic", 3, 2, 2, ctx, None)
@@ -159,16 +156,36 @@ def test_propagate_trivial_phi_reproduces_base_slice():
                 assert out.values[("tau", n, s, t)] == ctx.tau(n, s, 0)
 
 
-def test_propagate_jacobi_both_branches(jacobi_policy):
+def test_propagate_jacobi_within_tolerance(jacobi_policy):
     lat = lattice.build_lattice("jacobi-float", 3, 1, 1,
                                 {"precision": jacobi_policy.precision_digits,
                                  "guard": jacobi_policy.guard_digits})
-    tol = jacobi_policy.rel_tol()
-    for branch in ("oracle", "continuity"):
-        out = lattice.propagate(lat, 0, 1, branch=branch)
-        rep = lattice.propagation_report(out, lat)
-        assert rep["sites"] > 0
-        assert rep["max_rel"] < tol, branch
+    rep = lattice.propagation_report(lattice.propagate(lat, 0, 1), lat)
+    assert rep["sites"] > 0
+    assert rep["max_rel"] < jacobi_policy.rel_tol()
+
+
+@settings(max_examples=10, deadline=None)
+@given(mode=st.sampled_from(["synthetic-structured", "synthetic-generic"]),
+       seed=st.integers(0, 10 ** 6), K=st.integers(6, 8),
+       s0=st.integers(0, 2), t0=st.integers(0, 2))
+def test_propagate_exact_at_base_offsets(mode, seed, K, s0, t0):
+    # a lattice over a table based at (s0, t0), with absolute s and t
+    # bounds: every propagated tau equals its determinant
+    ctx = detkit.DetContext(moments.build_base_table(mode, s0, t0, K,
+                                                     seed=seed, tmax=2))
+    nmax, smax, tmax = K - 4, s0 + 1, t0 + 2
+    lat = lattice.TauLattice(mode, nmax, smax, tmax, ctx, None)
+    for n in range(nmax + 1):
+        for s in range(s0, smax + 1):
+            for t in range(t0, tmax + 1):
+                lat.values[("tau", n, s, t)] = ctx.tau(n, s, t)
+                lat.provenance[("tau", n, s, t)] = "determinant"
+    out = lattice.propagate(lat, t0, tmax)
+    sites = [k for k, p in out.provenance.items() if p == "propagated"]
+    assert len(sites) > 0
+    for key in sites:
+        assert out.values[key] == ctx.tau(*key[1:]), key
 
 
 def test_propagate_validation():
@@ -177,5 +194,3 @@ def test_propagate_validation():
         lattice.propagate(lat, 0, 2)
     with pytest.raises(ConfigError):
         lattice.propagate(lat, 1, 1)
-    with pytest.raises(ConfigError):
-        lattice.propagate(lat, 0, 1, branch="guess")

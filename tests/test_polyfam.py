@@ -36,7 +36,7 @@ def test_extent_and_family_validation(generic_ctx):
 
 
 def test_degenerate_normalizer_reported():
-    tab = moments.synthetic_generic(1, 5, Tmax=1)
+    tab = moments.synthetic_generic(1, 5, tmax=1)
     tab.bimoments[0][0] = Fraction(0)   # tau_1 = m_00 = 0
     ctx = detkit.DetContext(tab)
     with pytest.raises(DegeneracyError):
