@@ -153,20 +153,24 @@ def resolve_config(args):
         raise ConfigError("--jobs must be at least 1")
     if merged["format"] not in ("json", "csv"):
         raise ConfigError("format must be json or csv")
-    ids = tuple(x.strip() for x in (merged["identities"] or "").split(",")
-                if x.strip())
-    if ids:
+    ids = None
+    if merged["identities"] is not None:
+        ids = tuple(x.strip() for x in merged["identities"].split(",")
+                    if x.strip())
         bad = [x for x in ids if x not in identities.CATALOG_IDS]
         if bad:
             raise ConfigError("unknown identity ids: %s" % bad)
-        # judged at the base t, where each mode gates every id it gates anywhere
+        repeated = sorted({x for x in ids if ids.count(x) > 1})
+        if repeated:
+            raise ConfigError("repeated identity ids: %s" % repeated)
+        # judged at the base t, where each mode gates every id it gates
+        # anywhere; an empty filter gates nothing
         if not any(identities.gates(mode, x, 0, 0) for x in ids):
             raise ConfigError("no identity in %s gates in %s mode, so verify "
                               "could never fail" % (list(ids), mode))
     return RunConfig(args.command, mode, merged["precision"], guard,
                      merged["n"], merged["s"], merged["t"], merged["seed"],
-                     merged["out"], merged["format"], merged["jobs"],
-                     ids or None)
+                     merged["out"], merged["format"], merged["jobs"], ids)
 
 
 # ---- Shared plumbing ----

@@ -9,9 +9,15 @@ emits the per-variant residuals with the chosen form recorded.
 
 Record semantics: exact mode passes iff residual_abs == 0; float mode iff
 residual_rel < rel_tol, with scale = max |individual product term| (floor 1).
+An exact residual is first zero-tested in integer arithmetic, on numerators
+over a common denominator (`_vanishes`); only a nonzero one is formed as a
+Fraction with its scale terms.  The values are the same either way.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import NamedTuple
 
 from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
                        fmt_scalar, relative_residual)
@@ -70,6 +76,39 @@ class IdentityRecord:
                 "pass": bool(self.passed), "mode": self.mode}
 
 
+# ---- Exact zero tests ----
+
+def _vanishes(products):
+    """Whether sum sign * prod(factors) over (sign, factors) pairs of exact
+    rationals (int or Fraction) is zero.  The products are summed over one
+    unreduced common denominator: no gcd, no Fraction."""
+    num, den = 0, 1
+    for sign, factors in products:
+        p, q = sign, 1
+        for f in factors:
+            p *= f.numerator
+            q *= f.denominator
+        if p:
+            num = num * q + p * den
+            den *= q
+    return num == 0
+
+
+class _Ratio(NamedTuple):
+    """An unreduced exact rational, read like a Fraction by `_integers`."""
+    numerator: int
+    denominator: int
+
+
+def _integers(values):
+    """Exact rationals as (integer numerators, one common denominator).  The
+    entries of one determinant-family vector share most of their
+    denominators, so their least common one stays short where the product
+    of all of them would not."""
+    den = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 # ---- Polynomial-combination helpers ----
 
 def _shift_x(ctx, vec):
@@ -77,18 +116,30 @@ def _shift_x(ctx, vec):
 
 
 def _comb(ctx, pairs):
-    """sum coef*vec over (coef, vec) pairs; returns (residual vec, scale terms)."""
+    """sum coef*vec over (coef, vec) pairs; returns (max |residual coefficient|,
+    scale terms)."""
+    pairs = [(coef, vec) for coef, vec in pairs if vec is not None]
+    if ctx.exact:
+        # with vec_i = ints_i / den_i, coefficient k vanishes iff
+        # sum_i w_i ints_i[k] does, w_i being coef_i / den_i over one
+        # common denominator: one test per coefficient
+        rows = [_integers(vec) for _, vec in pairs]
+        weights, _ = _integers([_Ratio(coef.numerator, coef.denominator * den)
+                                for (coef, _), (_, den) in zip(pairs, rows)])
+        width = max((len(ints) for ints, _ in rows), default=0)
+        if all(_vanishes([(w, (ints[k],)) for w, (ints, _) in zip(weights, rows)
+                          if k < len(ints)])
+               for k in range(width)):
+            return Fraction(0), []
     out = []
     scales = []
     for coef, vec in pairs:
-        if vec is None:
-            continue
         terms = [coef * v for v in vec]
         out.extend([ctx.zero()] * (len(terms) - len(out)))
         for k, term in enumerate(terms):
             out[k] = out[k] + term
         scales.append(_maxabs(ctx, terms))
-    return out, scales
+    return _maxabs(ctx, out), scales
 
 
 def _maxabs(ctx, vec):
@@ -207,16 +258,30 @@ def _ev_bilinear(ctx, ident, n, s, t, variant):
                  (sgn, [T(n, s + 1, t), TH(n, s, t)])]
     else:
         raise ValueError("not a bilinear/trilinear id: %r" % (ident,))
+    if ctx.exact and _vanishes(pairs):
+        return Fraction(0), []
     diff, terms = _sum_terms(pairs)
     return abs(diff), terms
 
 
+def _dckp_parts(a, b, c, d, e, f, g, h):
+    """A_t, A_{t+1} and B of the quartic 4 A_t A_{t+1} = B^2, from tau_n^{s+1},
+    tau_n, tau_{n+1}, tau_{n-1}^{s+1} at t and then at t+1."""
+    return a * b - c * d, e * f - g * h, a * f + e * b - g * d - c * h
+
+
 def _ev_dckp(ctx, n, s, t):
     T = ctx.tau
-    A0 = T(n, s + 1, t) * T(n, s, t) - T(n + 1, s, t) * T(n - 1, s + 1, t)
-    A1 = T(n, s + 1, t + 1) * T(n, s, t + 1) - T(n + 1, s, t + 1) * T(n - 1, s + 1, t + 1)
-    B = (T(n, s + 1, t) * T(n, s, t + 1) + T(n, s + 1, t + 1) * T(n, s, t)
-         - T(n + 1, s, t + 1) * T(n - 1, s + 1, t) - T(n + 1, s, t) * T(n - 1, s + 1, t + 1))
+    taus = (T(n, s + 1, t), T(n, s, t), T(n + 1, s, t), T(n - 1, s + 1, t),
+            T(n, s + 1, t + 1), T(n, s, t + 1), T(n + 1, s, t + 1),
+            T(n - 1, s + 1, t + 1))
+    if ctx.exact:
+        # the quartic is homogeneous in tau, so over the integer taus its
+        # residual is the true one times a power of their common denominator
+        A0, A1, B = _dckp_parts(*_integers(taus)[0])
+        if _vanishes([(4, (A0, A1)), (-1, (B, B))]):
+            return Fraction(0), []
+    A0, A1, B = _dckp_parts(*taus)
     diff = 4 * A0 * A1 - B * B
     return abs(diff), [abs(4 * A0 * A1), abs(B * B)]
 
@@ -249,17 +314,22 @@ def _ev_poly(ctx, ident, n, s, t):
                  (SG(n, s, t) * T(n, s, t + 1), ctx.Praw(n - 1, s, t))]
     else:
         raise ValueError("not a polynomial id: %r" % (ident,))
-    combo, scales = _comb(ctx, pairs)
-    return _maxabs(ctx, combo), scales
+    return _comb(ctx, pairs)
 
 
 def _ev_propr(ctx, n, s, t):
     # R_n pairs to zero with the bimoment columns 0..n-2 and with phi
     rv = ctx.Rraw(n, s, t)
+    columns = [lambda k, i=i: ctx.m(k, i, s, t) for i in range(n - 1)]
+    columns.append(lambda k: ctx.ph(k, s, t))
+    if ctx.exact:
+        ints, _ = _integers(rv)
+        if all(_vanishes([(a, (col(k),)) for k, a in enumerate(ints) if a])
+               for col in columns):
+            return Fraction(0), []
     worst = ctx.zero()
     scales = []
-    columns = [lambda k, i=i: ctx.m(k, i, s, t) for i in range(n - 1)]
-    for col in columns + [lambda k: ctx.ph(k, s, t)]:
+    for col in columns:
         tot = ctx.zero()
         top = ctx.zero()
         for k, c in enumerate(rv):
@@ -295,8 +365,7 @@ def _ev_4trr(ctx, n, s, t):
              (-(a_n - b_n), pvec(n)),
              (-(a_n * b_nm1 - c_n), pvec(n - 1)),
              (a_n * c_nm1, pvec(n - 2))]
-    combo, scales = _comb(ctx, pairs)
-    return _maxabs(ctx, combo), scales
+    return _comb(ctx, pairs)
 
 
 def evaluate(ctx, identity_id, n, s, t, variant="confirmed"):

@@ -69,6 +69,8 @@ class TolerancePolicy:
 def relative_residual(diff, scale_terms):
     """|diff| / max(1, max|scale_terms|); exact in, exact out."""
     if isinstance(diff, Fraction):
+        if diff == 0:
+            return Fraction(0)
         scale = max([Fraction(1)] + [abs(Fraction(x)) for x in scale_terms])
         return abs(diff) / scale
     scale = max([mp.mpf(1)] + [abs(x) for x in scale_terms])

@@ -99,6 +99,18 @@ def test_verify_identity_filter_rules():
                     + small) == 0
     assert cli.main(["verify", "--mode", "structured", "--identities", "4trr"]
                     + small) == 0
+    # an empty filter gates nothing either
+    for empty in ("", ",", " , "):
+        assert cli.main(["verify", "--mode", "structured", "--identities",
+                         empty] + small) == 2
+
+
+def test_verify_rejects_repeated_identity(capsys):
+    small = ["--mode", "structured", "--n", "1", "--s", "0", "--t", "0"]
+    for jobs in ("1", "2"):
+        assert cli.main(["verify", "--identities", "eq1,dckp, eq1", "--jobs",
+                         jobs] + small) == 2
+        assert "repeated identity ids: ['eq1']" in capsys.readouterr().err
 
 
 def test_verify_jobs_deterministic(tmp_path):

@@ -2,6 +2,7 @@
 shift-closure link, report serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +94,49 @@ def test_single_site_records(structured_ctx):
         rec = identities.make_record(c, ident, n, s, 0)
         assert rec.skipped is None and rec.gating, ident
         assert rec.residual_abs == 0 and rec.passed, ident
+
+
+# ---- Integer zero test ----
+
+def _catalog_run(ctx):
+    recs = identities.run_suite(ctx, 4, 2, 2)
+    return ([(r.identity_id, r.n, r.s, r.t, r.residual_abs, r.residual_rel,
+              r.passed, r.skipped) for r in recs],
+            identities.variant_report(ctx, 4, 2, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: moments.synthetic_structured(1, 9, tmax=3),
+    lambda: moments.synthetic_generic(1, 9, tmax=3),
+    lambda: moments.synthetic_structured(4, 8, tmax=3, s0=1, t0=2),
+    lambda: moments.synthetic_generic(6, 8, tmax=3, s0=2, t0=1),
+])
+def test_integer_zero_test_matches_fraction_path(build, monkeypatch):
+    # the same records and reports when every residual is formed as a
+    # Fraction; the printed variants carry nonzero residuals
+    ctx = detkit.DetContext(build())
+    fast = _catalog_run(ctx)
+    monkeypatch.setattr(identities, "_vanishes", lambda products: False)
+    assert _catalog_run(ctx) == fast
+    assert any(r[4] == 0 for r in fast[0])
+    assert all(e["variants"]["printed"]["max_residual_abs"] != "0/1"
+               for e in fast[1].values())
+
+
+def test_integer_zero_test_sees_a_wrong_value(monkeypatch):
+    ctx = detkit.DetContext(moments.synthetic_structured(3, 9, tmax=3))
+    ctx.tau(3, 1, 1)
+    ctx.memo[("tau", 3, 1, 1)] += Fraction(1, 7)
+    for family, fn in (("P", ctx.Praw), ("R", ctx.Rraw)):
+        coeffs = list(fn(3, 1, 1))
+        coeffs[1] += 1
+        ctx.memo[(family, 3, 1, 1)] = coeffs
+    fast = _catalog_run(ctx)
+    failing = {r[0] for r in fast[0] if r[6] is False}
+    assert failing >= {"eq1", "tri1", "dckp", "prop2.5", "spec1", "dt1",
+                       "trans2", "propr"}
+    monkeypatch.setattr(identities, "_vanishes", lambda products: False)
+    assert _catalog_run(ctx) == fast
 
 
 # ---- Float suite ----

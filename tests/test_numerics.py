@@ -35,6 +35,11 @@ def test_relative_residual_exact():
     assert r == Fraction(1, 16)
     # floor at 1 when every scale term is tiny
     assert relative_residual(Fraction(1, 2), [Fraction(1, 100)]) == Fraction(1, 2)
+    # an exact zero is zero whatever the scale terms, even none
+    for scales in ([Fraction(4), Fraction(-8)], []):
+        r = relative_residual(Fraction(0), scales)
+        assert r == 0 and isinstance(r, Fraction)
+    assert relative_residual(Fraction(-3), []) == Fraction(3)
 
 
 def test_relative_residual_float():
