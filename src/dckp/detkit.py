@@ -1,6 +1,7 @@
 """Determinant kernel and the bordered-determinant families built on a moment
-table: fraction-free Bareiss for exact entries, fully pivoted LU for floats,
-and one memoized evaluator for every family
+table: one no-pivot elimination per frame (fraction-free Bareiss for exact
+entries, Schur complements for floats), fully pivoted determinants of single
+minors as the fallback, and one memoized evaluator for every family
 
   tau_n      = det(m_{ij})                     n x n
   xi_n       = det(m_{i,j+1})
@@ -18,10 +19,10 @@ Each is a minor of one frame, rows 0..n of the moment matrix: FAMILY_SPECS
 gives the row and column offsets, the border vector and its position, the
 frame row left out and the edges.
 
-Exact mode reads every family from one fraction-free (Bareiss) elimination
-per frame and (s, t), without pivoting.  The frames come from FAMILY_SPECS:
-families sharing a column offset, a row offset and scalar-or-polynomial
-share one, with their border columns appended after the bimoment columns,
+Both modes read every family from one elimination per frame and (s, t),
+without pivoting.  The frames come from FAMILY_SPECS: families sharing a
+column offset, a row offset and scalar-or-polynomial share one, with their
+border columns appended after the bimoment columns,
 
   [m cols 0.. | phi | u]   tau, sigma, sigtilde, tautilde
   [m cols 1.. | phi]       xi, psi
@@ -30,23 +31,33 @@ share one, with their border columns appended after the bimoment columns,
   [m cols 0.. | phi | I]   Praw, Rraw    (swept only when asked for)
   [m cols 1.. | I]         Qraw
 
-where I is the identity block, one column e_k per frame row.  Each frame row
-is scaled to integers once.  After k steps the entry a^{(k)}_{ij} (i >= k)
-is the minor on rows and columns 0..k-1 plus row i and column j (Sylvester's
-identity; Bareiss, Math. Comp. 22, 1968), divided here by the scales of its
-rows.  So tau_n is the pivot a^{(n-1)}_{n-1,n-1}, tautilde_n the entry
-a^{(n-1)}_{n,n-1} below it, sigma_n (psi, sigtilde, sigma_row alike) the
-border entry a^{(n)}_{n,phi}, and Praw_n (Qraw_n alike) row n of the I block
-after n steps: a^{(n)}_{n,e_k} is the Laplace cofactor of x^k.  Rraw_n, whose
-phi column sits inside the minor, is one 2 x 2 Sylvester step on rows n-1, n
-and columns phi, e_k after n-1 steps, divided by tau_{n-1}, times (-1)^(n-1)
-for moving phi first.  An order the sweep does not reach (past a zero
-divisor tau_k, or past the table's extent, where the minor raises
-ExtentError) falls back to det_exact of its minor, so values and errors are
-those of the minor itself.
+where I is the identity block, one column e_k per frame row.  Exact mode
+scales each frame row to integers once; after k Bareiss steps the entry
+a^{(k)}_{ij} (i >= k) is the minor on rows and columns 0..k-1 plus row i and
+column j (Sylvester's identity; Bareiss, Math. Comp. 22, 1968), divided by
+the scales of its rows.  So tau_n is the pivot a^{(n-1)}_{n-1,n-1},
+tautilde_n the entry a^{(n-1)}_{n,n-1} below it, sigma_n (psi, sigtilde,
+sigma_row alike) the border entry a^{(n)}_{n,phi}, and Praw_n (Qraw_n alike)
+row n of the I block after n steps: a^{(n)}_{n,e_k} is the Laplace cofactor
+of x^k.  Rraw_n, whose phi column sits inside the minor, is one 2 x 2
+Sylvester step on rows n-1, n and columns phi, e_k after n-1 steps, divided
+by tau_{n-1}, times (-1)^(n-1) for moving phi first.
 
-Float mode keeps one fully pivoted det_float per minor, rows in the listed
-column order: a no-pivot sweep would differ from it in the last digits.
+Float mode eliminates in Schur-complement form at the working precision:
+after k steps the entry S^{(k)}_{ij} times prev, the product of the k pivots
+so far, is that same minor.  So tau_{k+1} = prev S_{k,k}, tautilde_{k+1} =
+prev S_{k+1,k}, a border family prev S_{k,phi}, a cofactor row prev S_{k,I},
+and Rraw_{k+1} = (-1)^k prev (S_{k,phi} S_{k+1,e} - S_{k+1,phi} S_{k,e}).  No
+pivoting is needed on these frames: with a positive weight the Cauchy-kernel
+bimoment matrix is totally positive (Bertola, Gekhtman & Szmigielski,
+J. Approx. Theory 162, 2010), where elimination without pivoting is backward
+stable (de Boor & Pinkus, Linear Algebra Appl. 17, 1977).
+
+An order a sweep does not reach falls back to det_exact or det_float of its
+minor, so values and errors are those of the minor itself: past the table's
+extent (where the minor raises ExtentError), past a zero divisor tau_k of
+the exact sweep, and past an exactly zero pivot of the float sweep, which
+stops before the step it would divide by.
 
 Edge conventions: tau_0 = xi_0 = tauhat_0 = 1 and sigtilde_{-1} = 1 (empty
 determinants); Praw_{-1} = Qraw_{-1} = [] (the zero polynomial); tau_{-1} =
@@ -105,7 +116,7 @@ FAMILIES = tuple(f for f, spec in FAMILY_SPECS.items() if spec.lead is None)
 
 
 def _frame_key(spec):
-    """The exact-mode frame a family is read from: column offset, row offset,
+    """The frame a family is read from: column offset, row offset,
     and whether it is a cofactor vector (its frame carries the I block)."""
     return spec.col, spec.row, spec.lead is not None
 
@@ -235,6 +246,28 @@ def _bareiss_steps(M, C):
         prev = pk
 
 
+def _schur_steps(M, C):
+    """_bareiss_steps for mpf rows in Schur-complement form, one multiply
+    and one subtract per entry at the ambient precision.  prev is the product
+    of the pivots so far, and prev * M[i][j] the minor _bareiss_steps has in
+    M[i][j].  Stops at an exactly zero pivot, before the step it divides."""
+    prev = mp.mpf(1)
+    for k in range(len(M)):
+        yield k, prev
+        if k >= C or k + 1 >= len(M) or M[k][k] == 0:
+            return
+        rk = M[k]
+        pk = rk[k]
+        width = len(rk)
+        for i in range(k + 1, len(M)):
+            row = M[i]
+            f = row[k] / pk
+            M[i] = (row[:k + 1]
+                    + [a - f * b for a, b in zip(row[k + 1:width], rk[k + 1:])]
+                    + row[width:])
+        prev *= pk
+
+
 # ---- Context over a stack of t-evolved tables ----
 
 def _family_method(family, doc=None):
@@ -250,8 +283,8 @@ class DetContext:
     """Family evaluators at absolute (n, s, t) over one base moment table.
 
     t moves through rank-one evolved copies of the base table, s through index
-    shifts inside each copy.  All determinants are memoized; in exact mode
-    one sweep per frame and (s, t) fills the memo (see the module doc).
+    shifts inside each copy.  All determinants are memoized; one sweep per
+    frame and (s, t) fills the memo (see the module doc).
     """
 
     def __init__(self, base_table):
@@ -319,11 +352,12 @@ class DetContext:
             return self.zero()
         key = (family, n, s, t)
         v = self.memo.get(key)
-        if v is None and self.exact:
+        if v is None:
             frame = (_frame_key(spec), s, t)
             if frame not in self.swept:
                 self.swept.add(frame)
-                self._sweep(*frame)
+                with self.wp():
+                    self._sweep(*frame)
                 v = self.memo.get(key)
         if v is None:
             v = self.memo[key] = self._frame_value(spec, n, s, t)
@@ -331,14 +365,20 @@ class DetContext:
 
     def _sweep(self, frame, s, t):
         """Memoize every value of `frame` at (s, t) that one elimination
-        reaches: each of its families over the whole n-range of the table."""
+        reaches: each of its families over the whole n-range of the table.
+        Only the elimination and the value of a swept entry depend on the
+        mode: an exact entry is a minor over its row scales, a float one a
+        Schur complement entry times prev, the product of the pivots."""
         col, row, poly = frame
         names, borders = _FRAMES[frame]
         specs = [(name, FAMILY_SPECS[name]) for name in names]
         for name, spec in specs:
             empty = -1 + (spec.skip is not None)    # the order of a 0 x 0 minor
             if empty >= spec.start:
-                self.memo[(name, empty, s, t)] = [] if poly else Fraction(1)
+                self.memo[(name, empty, s, t)] = [] if poly else self.one()
+        steps, value = ((_bareiss_steps, lambda v, prev, den: Fraction(v, den))
+                        if self.exact else
+                        (_schur_steps, lambda v, prev, den: prev * v))
         ds = s - self.s0
         tb = self.tables.get(t)
         if tb is None or ds < 0:
@@ -356,42 +396,46 @@ class DetContext:
         M, d, scale = [], [], [1]       # row scales; scale[i]: rows 0..i-1
         for i in range(R):
             r = top + i
-            di, ints = _integer_row([tb.m(r, ds + col + j) for j in range(C)]
-                                    + [v[r] if r < len(v) else 0 for v in vecs])
+            cells = ([tb.m(r, ds + col + j) for j in range(C)]
+                     + [v[r] if r < len(v) else 0 for v in vecs])
+            di, ints = _integer_row(cells) if self.exact else (1, cells)
             if poly:
                 ints += [0] * i + [di]      # I block up to its diagonal
             M.append(ints)
             d.append(di)
             scale.append(scale[-1] * di)
         memo = self.memo
-        for k, prev in _bareiss_steps(M, C):
+        for k, prev in steps(M, C):
             rk = M[k]
             for name, spec in specs:
                 if spec.skip is not None:
                     # tau_{k+1} = a^{(k)}_{k,k}, tautilde_{k+1} = a^{(k)}_{k+1,k}
                     i = k + spec.skip
                     if k < C and i < R:
-                        memo[(name, k + 1, s, t)] = Fraction(M[i][k],
-                                                             scale[k] * d[i])
+                        memo[(name, k + 1, s, t)] = value(M[i][k], prev,
+                                                          scale[k] * d[i])
                 elif not poly:
                     c, rows = at.get(spec.border, (None, 0))
                     if k < rows:
-                        memo[(name, k, s, t)] = Fraction(rk[c], scale[k + 1])
+                        memo[(name, k, s, t)] = value(rk[c], prev, scale[k + 1])
                 elif spec.border is None:
-                    memo[(name, k, s, t)] = [Fraction(v, scale[k + 1])
+                    memo[(name, k, s, t)] = [value(v, prev, scale[k + 1])
                                              for v in rk[ident:]]
                 else:
                     # Rraw_{k+1}: 2 x 2 Sylvester step on rows k, k+1 and
-                    # columns phi, e_j, over tau_k, with phi moved first
+                    # columns phi, e_j, with phi moved first; an exact entry
+                    # is a minor, so the step divides by tau_k
                     c, rows = at.get(spec.border, (None, 0))
                     if k + 1 < rows and prev != 0:
                         nxt = M[k + 1]
                         p, q = rk[c], nxt[c]
                         sign = -1 if k % 2 else 1
+                        cross = [p * b - q * a
+                                 for a, b in zip(rk[ident:] + [0], nxt[ident:])]
+                        if self.exact:
+                            cross = [x // prev for x in cross]
                         memo[(name, k + 1, s, t)] = [
-                            Fraction(sign * ((p * b - q * a) // prev),
-                                     scale[k + 2])
-                            for a, b in zip(rk[ident:] + [0], nxt[ident:])]
+                            value(sign * x, prev, scale[k + 2]) for x in cross]
 
     def _frame_value(self, spec, n, s, t):
         vec = {"phi": self.ph, "u": self.u}.get(spec.border)

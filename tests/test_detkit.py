@@ -1,6 +1,8 @@
 """Determinant kernel and family evaluators: exact vs float agreement, edge
 conventions, closed-form oracles, coefficient ratios."""
 
+import dataclasses
+import operator
 import random
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dckp.numerics import DegeneracyError, ExtentError, digits_of_agreement
-from dckp import detkit, moments
+from dckp.numerics import (WORKING_MARGIN, DegeneracyError, ExtentError,
+                           digits_of_agreement)
+from dckp import detkit, identities, lattice, moments
 
 # ---- Determinant kernels ----
 
@@ -220,7 +223,30 @@ def _literal(ctx, family, n, s, t, det):
         return [d if (k + n) % 2 == 0 else -d for k, d in enumerate(minors)]
 
 
-def _check_against_literal(ctx, det, ss, ts, ns=range(-2, 5)):
+def _within(bound):
+    """Agreement of a family value with its literal one: each scalar or
+    cofactor coefficient to a relative error <= bound (an exact zero exactly)."""
+    def agree(got, want):
+        if isinstance(want, list):
+            return len(got) == len(want) and all(map(agree, got, want))
+        return abs(got - want) <= bound * abs(want)
+    return agree
+
+
+def _count_calls(monkeypatch, name):
+    """The calls of detkit.<name> from now on, each as its matrix size."""
+    real, calls = getattr(detkit, name), []
+
+    def counted(rows, *args):
+        calls.append(len(rows))
+        return real(rows, *args)
+
+    monkeypatch.setattr(detkit, name, counted)
+    return calls
+
+
+def _check_against_literal(ctx, det, ss, ts, ns=range(-2, 5),
+                           agree=operator.eq):
     assert set(detkit.FAMILY_SPECS) == {
         "tau", "xi", "tau_hat", "sigma", "psi", "sigma_row", "sigma_tilde",
         "tau_tilde", "P", "Q", "R"}
@@ -236,7 +262,7 @@ def _check_against_literal(ctx, det, ss, ts, ns=range(-2, 5)):
                             detkit.eval_det(ctx, family, n, s, t)
                         continue
                     got = detkit.eval_det(ctx, family, n, s, t)
-                    assert got == want, (family, n, s, t)
+                    assert agree(got, want), (family, n, s, t, got, want)
                     checked += 1
     return checked
 
@@ -270,13 +296,7 @@ def test_vanishing_leading_minor_falls_back_per_minor(monkeypatch):
     m[1][1] = m[0][1] ** 2 / m[0][0]        # tau_2 = 0 at (s, t) = (0, 0)
     ctx = detkit.DetContext(tab)
     real = detkit.det_exact
-    calls = []
-
-    def counted(rows):
-        calls.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(detkit, "det_exact", counted)
+    calls = _count_calls(monkeypatch, "det_exact")
     fallback = set()
     for family in detkit.FAMILY_SPECS:
         for n in range(-1, 9):
@@ -302,13 +322,84 @@ def test_vanishing_leading_minor_falls_back_per_minor(monkeypatch):
 
 
 def test_families_match_literal_matrices_float(jacobi_ctx):
-    # equal to the last bit: the same entries in the same order, so the same
-    # full-pivot elimination; evaluated at mpmath's default precision, which
-    # must not leak into the memoized values
+    # the frame sweeps eliminate without pivoting, so they agree with the
+    # full-pivot det_float of each literal matrix to within rounding:
+    # 10^-precision relative, 10^guard inside rel_tol.  Evaluated at mpmath's
+    # default precision, which must not leak into the memoized values.
     def det(rows):
         return detkit.det_float(rows, jacobi_ctx.dps)
 
-    assert _check_against_literal(jacobi_ctx, det, (0, 1), (0, 1)) > 250
+    bound = mp.mpf(10) ** -jacobi_ctx.base.precision_digits
+    assert _check_against_literal(jacobi_ctx, det, (0, 1), (0, 1),
+                                  agree=_within(bound)) > 250
+
+
+def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx, jacobi_policy,
+                                                    monkeypatch):
+    # every float family comes from a frame sweep: a lattice and a catalog
+    # run (on a cold context over the shared table) reach no det_float
+    calls = _count_calls(monkeypatch, "det_float")
+    lattice.build_lattice("jacobi-float", 5, 2, 2, {"precision": 60, "guard": 20})
+    identities.run_suite(detkit.DetContext(jacobi_ctx.base), 4, 2, 2,
+                         policy=jacobi_policy)
+    assert calls == []
+
+
+def test_vanishing_float_pivot_falls_back_per_minor(monkeypatch):
+    # the float twin of the exact test above: m_00 = 1, m_01 = m_10 = 2 and
+    # m_11 = 4 make the second pivot exactly 0 in binary
+    tab = moments.synthetic_generic(3, 8, tmax=2)
+    with mp.workdps(30 + WORKING_MARGIN):
+        def mpf(v):
+            return mp.mpf(v.numerator) / v.denominator
+        bm = [[mpf(v) for v in row] for row in tab.bimoments]
+        ph = {t: [mpf(v) for v in vec] for t, vec in tab.phi_by_t.items()}
+    bm[0][0], bm[0][1], bm[1][0], bm[1][1] = map(mp.mpf, (1, 2, 2, 4))
+    ctx = detkit.DetContext(dataclasses.replace(
+        tab, precision_digits=30, bimoments=bm, phi_by_t=ph))
+    real = detkit.det_float
+    calls = _count_calls(monkeypatch, "det_float")
+
+    def det(rows):
+        return real(rows, ctx.dps)
+
+    agree = _within(mp.mpf(10) ** -30)
+    fallback = set()
+    for family in detkit.FAMILY_SPECS:
+        for n in range(-1, 9):
+            try:
+                want = _literal(ctx, family, n, 0, 0, det)
+            except ExtentError:
+                with pytest.raises(ExtentError):
+                    detkit.eval_det(ctx, family, n, 0, 0)
+                continue
+            except DegeneracyError as err:
+                want = err              # a singular literal (sub)matrix
+            before = len(calls)
+            try:
+                got = detkit.eval_det(ctx, family, n, 0, 0)
+            except DegeneracyError as err:
+                got = err
+            if len(calls) > before:
+                # per minor: det_float of the literal minor, to the last bit,
+                # or its DegeneracyError with the same text
+                fallback.add((family, n))
+                assert (str(got) == str(want) if isinstance(want, Exception)
+                        else got == want), (family, n)
+            elif isinstance(want, Exception):
+                # the singular leading minor: its zero pivot, read swept
+                assert (family, n) == ("tau", 2) and got == 0
+            else:
+                assert agree(got, want), (family, n, got, want)
+    assert ctx.tau(1, 0, 0) == 1 and ctx.tau(2, 0, 0) == 0
+    # the sweeps of [m cols 0.. | ...] stop at the zero pivot, before the
+    # step it divides: tau_2 and tau_tilde_2 are their last values, sigma_1
+    # and P_1 those of their borders, and R_2 (a 2 x 2 step on rows 1, 2
+    # after one step) that of R.  Every order above comes per minor.
+    reach = {"tau": (2, 8), "tau_tilde": (2, 7), "sigma": (1, 7), "P": (1, 7),
+             "R": (2, 7)}
+    assert fallback == {(f, n) for f, (last, top) in reach.items()
+                        for n in range(last + 1, top + 1)}
 
 
 # ---- Module-level wrappers ----
