@@ -214,8 +214,8 @@ def cmd_selfcheck(cfg):
 
     with mp.workdps(dps):
         K = 6
-        bm = quadrature.bimoment_table(K, 0, 0, policy)
         uv = quadrature.single_vector(K, 0, 0, policy)
+        bm = quadrature.bimoment_table(K, 0, 0, policy, mu=uv)
         worst = mp.inf
         for i in range(K - 1):
             for j in range(K - 1):

@@ -238,7 +238,9 @@ def build_jacobi(K, policy, s0=0, t0=0, tmax=3):
 
     Hard errors at rel_tol: the asymmetry |m_ij - m_ji|, a free estimate of
     the quadrature error taken before symmetrising, and the antidiagonal
-    identity m_{i+1,j} + m_{i,j+1} = u_i u_j across the table.
+    identity m_{i+1,j} + m_{i,j+1} = u_i u_j across the table.  The bimoment
+    sweep meets that identity with its own outer singles in place of u_j
+    (see `quadrature`), so the second gate compares them with this sweep's.
     """
     tol = policy.rel_tol()
     ts = range(t0, t0 + tmax + 2)

@@ -4,24 +4,34 @@ x^s (1-x)^t (1+x)^-t.
 One level-doubling driver, `_sweep`, computes every moment of a table.  It
 walks the cached nodes level by level as fixed-point ints with P =
 ceil(dps log2 10) + 32 fraction bits; a kernel adds each node's terms into
-integer accumulators, so level L adds only its new odd nodes, and each value
-becomes an mpf once.  `weight_moments` gets singles and phi-values for many t
-in one sweep; `bimoments` gets any set of m_{ij} = int int x^{s+i} y^{s+j}
-w(x)w(y)/(x+y) from one outer sum with the inner x-integral exact per node:
-I_0(y) in closed form (partial fractions for y <= 1/2, a positive Taylor
-series around y = 1 otherwise; y-free constants made once per t), then the
-ladder I_{c+1}(y) = mu_c - y I_c(y).  The absolute 2^-P error per node is
-enough because every weight carries a factor x(1-x).
+integer accumulators, so level L adds only its new odd nodes, a linear
+`derive` maps them to the returned values once per level, and each value
+becomes an mpf once.  Both sweeps make O(K) sums per node, not O(K^2).
+`weight_moments` gets singles and phi-values for many t in one sweep, phi_i
+for i >= 1 derived from the singles.  `bimoments` gets any set of m_{ij} =
+int int x^{s+i} y^{s+j} w(x)w(y)/(x+y) from one outer sum with the inner
+x-integral exact per node: I_0(y) in closed form (partial fractions for
+y <= 1/2 or t = 0, a positive Taylor series around y = 1 otherwise; y-free
+constants made once per t), then the ladder I_{c+1}(y) = mu_c - y I_c(y)
+up to I_s.  It sums row 0 and the outer singles S_j, and the ladder summed
+over the nodes gives the other rows.
+
+The derived values equal per-value sums up to 2^-P per node, so
+m_{i+1,j} + m_{i,j+1} = mu_{s+i} S_j holds to that rounding whatever the
+quadrature error: checking it against u_i u_j compares the outer singles
+with the weight sweep's, while |m_ij - m_ji| estimates the quadrature
+error.  The absolute 2^-P error per node is enough because every weight
+carries a factor x(1-x).
 
 Every sweep runs one fixed schedule: it starts at START_LEVEL = 6 and doubles
 up to MAX_LEVEL = 13, working at the policy's working precision with a
-target of precision - 10 digits.  Level L is accepted when every accumulator
-moved by at most 10^-target, relative to max(1, |value|), from level L-1;
-reaching MAX_LEVEL short of that raises ArithmeticError naming the quantity,
-the level and the last delta.  The schedule is not an option: level doubling
-judges its own convergence (Bailey, Jeyabalan & Li, Exp. Math. 14, 2005), so
-the values meet the same target from any start level and only the run time
-moves; the precision alone sets the target.
+target of precision - 10 digits.  Level L is accepted when every returned
+value moved by at most 10^-target, relative to max(1, |value|), from level
+L-1; reaching MAX_LEVEL short of that raises ArithmeticError naming the
+quantity, the level and the last delta.  The schedule is not an option:
+level doubling judges its own convergence (Bailey, Jeyabalan & Li, Exp. Math.
+14, 2005), so the values meet the same target from any start level and only
+the run time moves; the precision alone sets the target.
 
 Nodes are cached per (dps, level) as fixed-point (x, 1-x, w) triples; level
 L reuses every level L-1 node.  The tests check the sweeps against
@@ -83,14 +93,15 @@ def _nodes(dps, level, base_level):
 
 # ---- Fixed-point level-doubling driver ----
 
-def _sweep(what, kernel, size, policy):
-    """`size` integrals over (0,1) from one level-doubling sweep, as mpf at
-    the policy's working precision.
+def _sweep(what, kernel, size, policy, derive=list):
+    """The integrals derive(acc) over (0,1) from one level-doubling sweep, as
+    mpf at the policy's working precision.
 
     kernel(nodes, acc) adds, for each fixed-point node (X, 1-X, W) of one
-    level, the products W * f_n(x) (scale 2^2P) into acc[n].  The target is
-    precision - 10 digits; raises ArithmeticError when MAX_LEVEL is reached
-    short of it.
+    level, its terms into the `size` integer accumulators acc[n]; derive maps
+    them, linearly, to the returned values at scale 2^2P.  The target is
+    precision - 10 digits, judged on the returned values; raises
+    ArithmeticError when MAX_LEVEL is reached short of it.
     """
     dps = policy.working_dps
     target = policy.precision_digits - 10
@@ -101,23 +112,24 @@ def _sweep(what, kernel, size, policy):
     level = START_LEVEL
     while True:
         kernel(_nodes(dps, level, START_LEVEL), acc)
+        vals = derive(acc)
         one = 1 << (2 * P + level)
         # the level L-1 total on the level L scale is 2 * prev
         if prev is not None and all(abs(a - 2 * p) * tol <= max(one, abs(a))
-                                    for a, p in zip(acc, prev)):
+                                    for a, p in zip(vals, prev)):
             break
         if level >= MAX_LEVEL:
             delta = ("%.3g" % max(abs(a - 2 * p) / max(one, abs(a))
-                                  for a, p in zip(acc, prev))
+                                  for a, p in zip(vals, prev))
                      if prev is not None else "none (one level only)")
             raise ArithmeticError(
                 "quadrature of %s did not converge: level %d reached, "
                 "last delta %s, target 1e-%d"
                 % (what, level, delta, target))
-        prev = list(acc)
+        prev = vals
         level += 1
     with mp.workdps(dps):
-        return [mp.mpf((a, -(2 * P + level))) for a in acc]
+        return [mp.mpf((a, -(2 * P + level))) for a in vals]
 
 
 # ---- Single and phi moments (one sweep for every t) ----
@@ -126,10 +138,13 @@ def weight_moments(count, s, single_ts, phi_ts, policy):
     """Singles and phi-values, i < count, for several t from one sweep:
     u_i^{s,t} = int x^{s+i} ((1-x)/(1+x))^t dx for t in single_ts and
     phi_i^{s,t} = sqrt2 int x^{s+i}/(1+x) ((1-x)/(1+x))^t dx for t in phi_ts.
-    Returns two dicts t -> list of mpf.
+    Returns two dicts t -> list of mpf.  Only phi_0 is summed: x/(1+x) =
+    (1-r)/2 with r = (1-x)/(1+x) gives phi_i^{s,t} = (u_{i-1}^{s,t} -
+    u_{i-1}^{s,t+1})/sqrt2 from singles at t and t+1, summed for every phi t.
     """
-    specs = [(t, False) for t in single_ts] + [(t, True) for t in phi_ts]
-    thi = max(t for t, _ in specs)
+    sts = sorted(set(single_ts).union(*({t, t + 1} for t in phi_ts)))
+    row = {t: n * count for n, t in enumerate(sts)}
+    thi = max(sts)
     dps = policy.working_dps
     P = _bits(dps)
     one = 1 << P
@@ -144,24 +159,31 @@ def weight_moments(count, s, single_ts, phi_ts, policy):
             for _ in range(s + count - 1):
                 pw.append(pw[-1] * x >> P)
             pw, n = pw[s:], 0
-            for t, phi in specs:
-                v = (wt[t] << P) // den if phi else wt[t]
+            for t in sts:
+                v = wt[t]
                 for q in pw:
                     acc[n] += v * q
                     n += 1
+            for t in phi_ts:
+                acc[n] += (wt[t] << P) // den * pw[0]
+                n += 1
 
-    vals = _sweep("singles/phi at s=%d" % s, kernel, len(specs) * count,
-                  policy)
-    singles, phis = {}, {}
+    def derive(acc):
+        out = [v for t in single_ts for v in acc[row[t]:row[t] + count]]
+        for n, t in enumerate(phi_ts, len(sts) * count):
+            a, b = row[t], row[t + 1]
+            out += [acc[n]] + [(acc[a + i] - acc[b + i]) >> 1
+                               for i in range(count - 1)]
+        return out
+
+    vals = _sweep("singles/phi at s=%d" % s, kernel,
+                  len(sts) * count + len(phi_ts), policy, derive)
+    vecs = [vals[n:n + count] for n in range(0, len(vals), count)]
     with mp.workdps(dps):
         r2 = mp.sqrt(2)
-        for n, (t, phi) in enumerate(specs):
-            vec = vals[n * count:(n + 1) * count]
-            if phi:
-                phis[t] = [r2 * v for v in vec]
-            else:
-                singles[t] = vec
-    return singles, phis
+        phis = {t: [r2 * v for v in vec]
+                for t, vec in zip(phi_ts, vecs[len(single_ts):])}
+    return dict(zip(single_ts, vecs)), phis
 
 
 def single_vector(count, s, t, policy):
@@ -207,8 +229,9 @@ def _J_table(t, dps):
 def _inner_I0(y, omy, t, P, J, D):
     """Closed-form I_0(y) in fixed point at P bits; omy = 1-y."""
     one = 1 << P
-    if 2 * y <= one:
-        # ((1+y)/(1-y))^t ln((1+y)/y) + sum_n D_n (1-y)^-n
+    if 2 * y <= one or not t:
+        # ((1+y)/(1-y))^t ln((1+y)/y) + sum_n D_n (1-y)^-n; at t = 0 no
+        # term cancels, so this branch serves every y
         lg = to_fixed(mpf_log(mpf_div(from_man_exp(one + y, 0),
                                       from_man_exp(y, 0), P + 16), P + 16), P)
         a = ((one + y) << P) // omy
@@ -233,9 +256,13 @@ def bimoments(pairs, s, t, policy, mu=None):
     """[m_{ij}^{s,t} for (i, j) in pairs] from one sweep of the outer-DE /
     exact-inner-ladder rule.  mu = [u_c^{0,t}]_{c < s + max i} (mpf) feeds the
     ladder; it is integrated here when not given.
+
+    The sweep sums row 0, A_j = sum W I_s(y) y^{s+j}, and the outer singles
+    S_j = sum W y^{s+j} for j <= reach = max(i + j); summing the ladder over
+    the nodes gives every other row, m_{i+1,j} = mu_{s+i} S_j - m_{i,j+1}.
     """
     cmax = s + max(i for i, _ in pairs)
-    jmax = max(j for _, j in pairs)
+    reach = max(i + j for i, j in pairs)
     if mu is None:
         mu = single_vector(max(cmax, 1), 0, t, policy)
     dps = policy.working_dps
@@ -246,17 +273,25 @@ def bimoments(pairs, s, t, policy, mu=None):
 
     def kernel(nodes, acc):
         for y, omy, w in nodes:
-            iv = [_inner_I0(y, omy, t, P, J, D)]
-            for c in range(cmax):
-                iv.append(MU[c] - (y * iv[c] >> P))
+            iv = _inner_I0(y, omy, t, P, J, D)
+            for c in range(s):
+                iv = MU[c] - (y * iv >> P)
             r = (omy << P) // (one + y)
-            col = [w * pow(r, t) * pow(y, s) >> P * (t + s)]
-            for _ in range(jmax):
-                col.append(col[-1] * y >> P)
-            for n, (i, j) in enumerate(pairs):
-                acc[n] += iv[s + i] * col[j]
+            col = w * pow(r, t) * pow(y, s) >> P * (t + s)
+            for n in range(0, 2 * reach + 2, 2):
+                acc[n] += iv * col
+                acc[n + 1] += col
+                col = col * y >> P
 
-    return _sweep("bimoments m^{%d,%d}" % (s, t), kernel, len(pairs), policy)
+    def derive(acc):
+        rows, S = [acc[0::2]], acc[1::2]
+        for c in MU[s:]:
+            prev = rows[-1]
+            rows.append([c * S[j] - prev[j + 1] for j in range(len(prev) - 1)])
+        return [rows[i][j] for i, j in pairs]
+
+    return _sweep("bimoments m^{%d,%d}" % (s, t), kernel, 2 * reach + 2,
+                  policy, derive)
 
 
 def bimoment_table(K, s, t, policy, mu=None):

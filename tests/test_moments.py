@@ -219,6 +219,23 @@ def test_jacobi_asymmetry_is_a_hard_error(monkeypatch):
         moments.build_jacobi(4, POL, tmax=1)
 
 
+def test_jacobi_antidiagonal_is_a_hard_error(monkeypatch):
+    # a symmetric skew passes the asymmetry gate; the antidiagonal identity
+    # m_10 + m_01 = u_0^2 must still catch it
+    real = quadrature.bimoment_table
+
+    def skewed(*args, **kwargs):
+        bm = real(*args, **kwargs)
+        bm[0][1] += mp.mpf("1e-30")
+        bm[1][0] += mp.mpf("1e-30")
+        return bm
+
+    monkeypatch.setattr(quadrature, "bimoment_table", skewed)
+    with pytest.raises(ArithmeticError,
+                       match=r"antidiagonal self-check failed at \(0,0\)"):
+        moments.build_jacobi(4, POL, tmax=1)
+
+
 def test_jacobi_build_without_convergence_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "MAX_LEVEL", quadrature.START_LEVEL)
     with pytest.raises(ArithmeticError, match="did not converge"):

@@ -8,9 +8,10 @@ elsewhere a nested `mpmath.quad`, which has its own tanh-sinh nodes.
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_fixed
 
 from dckp.numerics import TolerancePolicy, digits_of_agreement
-from dckp import quadrature
+from dckp import moments, quadrature
 
 PREC = 80
 POL = TolerancePolicy(precision_digits=PREC, guard_digits=20)
@@ -108,6 +109,130 @@ def test_bimoment_table_antidiagonal_identity():
     assert worst >= PREC - 10
 
 
+# ---- The linear sums against the per-pair and per-t kernels ----
+#
+# The reference kernels below sum every returned value on its own, as the
+# sweeps did before they summed O(K) rows and derived the rest.  Both sides
+# run through `_sweep`.
+
+def _reference_bimoments(pairs, s, t, policy, mu):
+    """One accumulator per (i, j): the ladder up to I_{s + max i} per node."""
+    cmax = s + max(i for i, _ in pairs)
+    jmax = max(j for _, j in pairs)
+    dps = policy.working_dps
+    P = quadrature._bits(dps)
+    one = 1 << P
+    MU = [to_fixed(v._mpf_, P) for v in mu[:cmax]]
+    J, D = quadrature._J_table(t, dps)
+
+    def kernel(nodes, acc):
+        for y, omy, w in nodes:
+            iv = [quadrature._inner_I0(y, omy, t, P, J, D)]
+            for c in range(cmax):
+                iv.append(MU[c] - (y * iv[c] >> P))
+            r = (omy << P) // (one + y)
+            col = [w * pow(r, t) * pow(y, s) >> P * (t + s)]
+            for _ in range(jmax):
+                col.append(col[-1] * y >> P)
+            for n, (i, j) in enumerate(pairs):
+                acc[n] += iv[s + i] * col[j]
+
+    return quadrature._sweep("reference", kernel, len(pairs), policy)
+
+
+def _reference_weight_moments(count, s, single_ts, phi_ts, policy):
+    """One accumulator per single and per phi value."""
+    specs = [(t, False) for t in single_ts] + [(t, True) for t in phi_ts]
+    thi = max(t for t, _ in specs)
+    P = quadrature._bits(policy.working_dps)
+    one = 1 << P
+
+    def kernel(nodes, acc):
+        for x, omx, w in nodes:
+            den = one + x
+            r = (omx << P) // den
+            wt, pw = [w], [one]
+            for _ in range(thi):
+                wt.append(wt[-1] * r >> P)
+            for _ in range(s + count - 1):
+                pw.append(pw[-1] * x >> P)
+            pw, n = pw[s:], 0
+            for t, phi in specs:
+                v = (wt[t] << P) // den if phi else wt[t]
+                for q in pw:
+                    acc[n] += v * q
+                    n += 1
+
+    vals = quadrature._sweep("reference", kernel, len(specs) * count, policy)
+    vecs = [vals[n:n + count] for n in range(0, len(vals), count)]
+    r2 = mp.sqrt(2)
+    return (dict(zip(single_ts, vecs)),
+            {t: [r2 * v for v in vec]
+             for t, vec in zip(phi_ts, vecs[len(single_ts):])})
+
+
+def _assert_same(got, want, policy):
+    # equal, or apart by the final rounding of a sum whose per-node terms
+    # differ by 2^-P: one ulp plus 2^-P per node
+    P = quadrature._bits(policy.working_dps)
+    nodes = sum(len(v) for (d, _, _), v in quadrature._node_cache.items()
+                if d == policy.working_dps)
+    for a, b in zip(got, want, strict=True):
+        assert a == b or abs(a - b) <= (abs(b) * mp.eps * 2
+                                        + mp.mpf(2) ** -P * nodes), (a, b)
+
+
+@pytest.mark.parametrize("prec,guard", [(30, 10), (80, 20), (120, 40)])
+def test_linear_sums_match_per_pair_and_per_t_kernels(prec, guard):
+    pol = TolerancePolicy(prec, guard)
+    with mp.workdps(pol.working_dps):
+        # s and t in 0..2, with K cycling through 3..9
+        for n, (s, t) in enumerate((s, t) for s in range(3) for t in range(3)):
+            K = 3 + n % 7
+            mu = quadrature.single_vector(s + K, 0, t, pol)
+            pairs = [(i, j) for i in range(K) for j in range(K)]
+            _assert_same([v for row in quadrature.bimoment_table(
+                K, s, t, pol, mu=mu) for v in row],
+                _reference_bimoments(pairs, s, t, pol, mu), pol)
+        # the lattice's t-evolution spot check, mu integrated by the sweep
+        spots = ((0, 0), (1, 1), (0, 2))
+        mu = quadrature.single_vector(1, 0, 1, pol)
+        _assert_same(quadrature.bimoments(spots, 0, 1, pol),
+                     _reference_bimoments(spots, 0, 1, pol, mu), pol)
+        # the weight sweep of build_jacobi, and phi without requested singles
+        for args in ((9, 0, range(4), range(3)), (5, 2, [1], [0, 2]),
+                     (2, 0, [], [0])):
+            got = quadrature.weight_moments(*args, pol)
+            want = _reference_weight_moments(*args, pol)
+            for g, w in zip(got, want):
+                assert g.keys() == w.keys()
+                for t in g:
+                    _assert_same(g[t], w[t], pol)
+
+
+def test_sweeps_sum_linearly_many_accumulators(monkeypatch):
+    # 2(2K-1) sums for a K x K table (K^2 per pair); (tmax+2)(s0+K) singles
+    # plus one phi_0 per phi t for build_jacobi's weight sweep
+    sizes = []
+    real = quadrature._sweep
+
+    def counted(what, kernel, size, *args):
+        sizes.append(size)
+        return real(what, kernel, size, *args)
+
+    monkeypatch.setattr(quadrature, "_sweep", counted)
+    low = TolerancePolicy(30, 10)
+    for K in (3, 9):
+        mu = quadrature.single_vector(K, 0, 0, low)
+        sizes.clear()
+        quadrature.bimoment_table(K, 0, 0, low, mu=mu)
+        assert sizes == [2 * (2 * K - 1)]
+    for K, s0, tmax in ((3, 1, 2), (4, 0, 1)):
+        sizes.clear()
+        moments.build_jacobi(K, low, s0=s0, t0=0, tmax=tmax)
+        assert sizes == [(tmax + 2) * (s0 + K) + tmax + 1, 2 * (2 * K - 1)]
+
+
 def test_sweep_without_convergence_raises(monkeypatch):
     # one level gives no level-doubling delta; two levels fall short of the
     # target at 240 digits: both name the quantity, level and last delta
@@ -140,6 +265,7 @@ def test_J_table_closed_forms():
 
 def test_inner_I0_branches_agree():
     # partial-fraction branch (y <= 1/2) and Taylor branch (y > 1/2) must meet
+    # for t > 0
     P = quadrature._bits(DPS)
     one = 1 << P
     J, D = quadrature._J_table(2, DPS)
@@ -150,3 +276,9 @@ def test_inner_I0_branches_agree():
     with mp.workdps(DPS):
         d = digits_of_agreement(_fixed_to_mpf(lo), _fixed_to_mpf(hi))
     assert d >= 8
+    # at t = 0 the closed form ln((1+y)/y) serves y > 1/2 too
+    J0, D0 = quadrature._J_table(0, DPS)
+    y = 3 * one // 4
+    with mp.workdps(DPS):
+        i0 = _fixed_to_mpf(quadrature._inner_I0(y, one - y, 0, P, J0, D0))
+    _agree(i0, lambda: mp.ln(mp.mpf(7) / 3))
