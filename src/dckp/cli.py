@@ -214,8 +214,12 @@ def cmd_selfcheck(cfg):
 
     with mp.workdps(dps):
         K = 6
-        uv = quadrature.single_vector(K, 0, 0, policy)
-        bm = quadrature.bimoment_table(K, 0, 0, policy, mu=uv)
+        swept = []
+        for t in (0, 1):
+            uv = quadrature.single_vector(K, 0, t, policy)
+            swept.append((uv, quadrature.bimoment_table(K, 0, t, policy,
+                                                        mu=uv)))
+        uv, bm = swept[0]
         worst = mp.inf
         for i in range(K - 1):
             for j in range(K - 1):
@@ -226,6 +230,20 @@ def cmd_selfcheck(cfg):
                 worst = min(worst, d)
     ok = worst >= need
     lines.append(("antidiagonal-grid", worst, need, ok))
+
+    # the closed-form table against the sweep: singles and bimoments at
+    # t = 0, and at t = 1 after the rank-one step by the closed-form phi
+    base = moments.build_jacobi(K, policy, tmax=0)
+    with mp.workdps(dps):
+        worst = mp.inf
+        for tab, (uv, bm) in zip((base, base.evolve_t()), swept):
+            worst = min([worst]
+                        + [digits_of_agreement(a, b)
+                           for a, b in zip(tab.single, uv)]
+                        + [digits_of_agreement(tab.m(i, j), bm[i][j])
+                           for i in range(K) for j in range(K)])
+    ok = worst >= need
+    lines.append(("closed-vs-quadrature", worst, need, ok))
 
     import random
     rng = random.Random("selfcheck:0")
@@ -278,7 +296,7 @@ def _verify_chunk(payload):
     recs = identities.run_suite(ctx, nmax, smax, tmax, policy=policy, ids=ids)
     report = identities.variant_report(
         ctx, nmax, smax, tmax, policy=policy,
-        ids=[i for i in identities.VARIANT_IDS if i in ids])
+        ids=[i for i in identities.VARIANT_IDS if i in ids], records=recs)
     return recs, report
 
 

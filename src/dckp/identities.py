@@ -398,17 +398,22 @@ def _passes(ctx, res_abs, res_rel, policy):
     return res_abs == 0 if ctx.exact else res_rel < policy.rel_tol()
 
 
+def _with_relative(ctx, res_abs, scales):
+    """(residual_abs, residual_rel) from evaluate's (residual_abs, scales)."""
+    with ctx.wp():
+        return res_abs, relative_residual(res_abs, scales)
+
+
 def make_record(ctx, identity_id, n, s, t, policy=None, variant="confirmed"):
     policy = _policy_for(ctx, policy)
     mode = ctx.base.mode
     gate = gates(mode, identity_id, t, ctx.base.t0)
     try:
-        res_abs, scales = evaluate(ctx, identity_id, n, s, t, variant)
+        res_abs, res_rel = _with_relative(
+            ctx, *evaluate(ctx, identity_id, n, s, t, variant))
     except (ExtentError, DegeneracyError) as exc:
         return IdentityRecord(identity_id, n, s, t, None, None, None, mode,
                               gating=False, skipped=type(exc).__name__ + ": " + str(exc))
-    with ctx.wp():
-        res_rel = relative_residual(res_abs, scales)
     return IdentityRecord(identity_id, n, s, t, res_abs, res_rel,
                           _passes(ctx, res_abs, res_rel, policy), mode,
                           gating=gate)
@@ -466,10 +471,11 @@ def suite_summary(records):
 # ---- Adjudication artifacts ----
 
 def _adjudicate(ctx, residual, variants, sites, policy, keys):
-    """Worst residual(variant, n, s, t) of each variant over `sites`, and
-    the chosen variant: the first one that reached a site and whose worst
-    residual is zero (exact) or below rel_tol (float).  Sites raising
-    ExtentError or DegeneracyError are skipped; entries keep `keys` in order.
+    """Worst residual(variant, n, s, t) = (residual_abs, residual_rel) of
+    each variant over `sites`, and the chosen variant: the first one that
+    reached a site and whose worst residual is zero (exact) or below rel_tol
+    (float).  Sites raising ExtentError or DegeneracyError are skipped;
+    entries keep `keys` in order.
     """
     def fmt(v):
         return None if v is None else fmt_scalar(v, REPORT_DIGITS)
@@ -480,12 +486,10 @@ def _adjudicate(ctx, residual, variants, sites, policy, keys):
         count = skipped = 0
         for n, s, t in sites:
             try:
-                res_abs, scales = residual(variant, n, s, t)
+                res_abs, rel = residual(variant, n, s, t)
             except (ExtentError, DegeneracyError):
                 skipped += 1
                 continue
-            with ctx.wp():
-                rel = relative_residual(res_abs, scales)
             count += 1
             if worst_rel is None or rel > worst_rel:
                 worst_abs, worst_rel = res_abs, rel
@@ -499,17 +503,29 @@ def _adjudicate(ctx, residual, variants, sites, policy, keys):
     return entry
 
 
-def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS):
+def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS,
+                   records=()):
     """Per-variant residuals for the sign-contested identities.
 
     For each id the printed and confirmed forms are evaluated across the grid;
     the chosen variant (the one gating `pass`) is recorded in the metadata.
+    A confirmed residual that `records` (run_suite's, on the same ctx)
+    already holds is read from its record instead of evaluated again.
     """
     policy = _policy_for(ctx, policy)
+    done = {(r.identity_id, r.n, r.s, r.t): r for r in records
+            if r.identity_id in ids and r.skipped is None}
+
+    def residual(ident, variant, n, s, t):
+        rec = done.get((ident, n, s, t)) if variant == "confirmed" else None
+        if rec is not None:
+            return rec.residual_abs, rec.residual_rel
+        return _with_relative(ctx, *evaluate(ctx, ident, n, s, t, variant))
+
     report = {}
     for ident in ids:
         report[ident] = _adjudicate(
-            ctx, lambda v, n, s, t: evaluate(ctx, ident, n, s, t, v),
+            ctx, lambda v, n, s, t: residual(ident, v, n, s, t),
             ("printed", "confirmed"),
             [(n, s, t) for n in range(N_MIN.get(ident, 0), nmax + 1)
              for s in range(smax + 1) for t in range(tmax + 1)],

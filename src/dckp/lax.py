@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
 from . import polyfam
-from .identities import _adjudicate, _policy_for
+from .identities import _adjudicate, _policy_for, _with_relative
 
 EIGEN_SAMPLES = (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
                  Fraction(1, 2), Fraction(2, 3))
@@ -306,7 +306,8 @@ def verify_six_equations(ctx, nmax, s, t, policy=None):
               "equations": {}}
     for eq in SIX_EQUATIONS:
         report["equations"][eq] = _adjudicate(
-            ctx, lambda v, n, s, t: evaluate_equation(ctx, eq, n, s, t, v),
+            ctx, lambda v, n, s, t: _with_relative(
+                ctx, *evaluate_equation(ctx, eq, n, s, t, v)),
             ("printed",) if eq in ("eq1", "eq2", "eq3") else ("printed", "repaired"),
             [(n, s, t) for n in range(EQ_N_MIN[eq], nmax + 1)], policy,
             ("max_residual_abs", "max_residual_rel", "sites", "skipped", "passes"))

@@ -4,28 +4,33 @@ phi_i, with the two lattice evolutions.
 Shift in s reindexes (drop row/column 0); shift in t is the rank-one update
 m'_ij = m_ij - phi_i phi_j.  Three modes:
 
-  jacobi-float          float entries from quadrature of the true weight
+  jacobi-float          float entries of the true weight from closed forms
   synthetic-generic     exact random symmetric bimoments, free phi, no singles
   synthetic-structured  exact random singles with bimoments filled so that
                         m_{i+1,j} + m_{i,j+1} = u_i u_j on every antidiagonal
 
 Singles and phi vectors are both stored per absolute t (`single_by_t`,
 `phi_by_t`): a t-step keeps the entries above the new t, a shift in s drops
-index 0 of each.  No t-update law exists for either.  A jacobi table gets
-singles for t0..t0+tmax+1 and phi for t0..t0+tmax from one quadrature sweep,
-so evolve_t runs no quadrature.  Synthetic tables treat phi as free data;
-structured ones carry singles at the base t only, generic ones none.
+index 0 of each.  No t-update law exists for either.  A jacobi table is
+built at (s0, t0) = (0, 0), where every entry is p + q ln2 (phi: sqrt2 times
+that) with p, q rational; it gets singles for t = 0..tmax+1 and phi for
+t = 0..tmax from these exact pairs, so neither the build nor evolve_t runs
+quadrature.  The quadrature sweep is the independent oracle of the closed
+forms.  Synthetic tables treat phi as free data; structured ones carry
+singles at the base t only, generic ones none.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, lcm
 
 import mpmath as mp
+from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_ln2, mpf_mul,
+                          mpf_pos, mpf_sqrt, round_nearest)
 
 from .numerics import (WORKING_MARGIN, ExtentError, ConfigError,
-                       fmt_scalar, parse_scalar, relative_residual)
-from . import quadrature as quad
+                       fmt_scalar, parse_scalar)
 
 MODES = ("jacobi-float", "synthetic-generic", "synthetic-structured")
 
@@ -156,14 +161,18 @@ class MomentTable:
 # ---- Builders ----
 
 def build_base_table(mode, s0, t0, K, policy=None, seed=0, tmax=3):
-    """The one mode dispatcher.  Jacobi tables need the policy and are
-    self-checked; synthetic ones ignore the policy and draw from seed."""
+    """The one mode dispatcher.  Jacobi tables need the policy and a base at
+    (0, 0); synthetic ones ignore the policy and draw from seed."""
     if K < 1:
         raise ConfigError("table extent must be positive")
     if mode == "jacobi-float":
         if policy is None:
             raise ConfigError("jacobi-float mode needs a TolerancePolicy")
-        return build_jacobi(K, policy, s0=s0, t0=t0, tmax=tmax)
+        if (s0, t0) != (0, 0):
+            raise ConfigError("jacobi-float tables are built at (s0, t0) = "
+                              "(0, 0) only: their closed forms hold there; "
+                              "use shift_s/evolve_t to move the base")
+        return build_jacobi(K, policy, tmax=tmax)
     if mode == "synthetic-generic":
         return synthetic_generic(seed, K, tmax=tmax, s0=s0, t0=t0)
     if mode == "synthetic-structured":
@@ -229,42 +238,118 @@ def synthetic_structured(seed, K, tmax=3, s0=0, t0=0):
     return MomentTable("synthetic-structured", s0, t0, K, None, bm, {t0: u}, ph)
 
 
-# ---- Jacobi builder (quadrature) ----
+# ---- Jacobi builder (closed forms) ----
+#
+# At (s0, t0) = (0, 0) every single, phi/sqrt2 and bimoment of the weight
+# ((1-x)/(1+x))^t on (0,1) is p + q ln2 with p, q rational, held as the exact
+# pair (p, q):
+#   u_i^t = I(i, t, t),  phi_i^t = sqrt2 I(i, t, t+1),
+#   I(a, b, c) = int_0^1 x^a (1-x)^b (1+x)^-c dx = int_1^2 (z-1)^a (2-z)^b z^-c dz;
+#   m_0j = 1/(j+1)^2 + (ln2 - F_{j+1})/(j+1),  F_k = int_0^1 y^k/(1+y) dy;
+#   m_{i+1,j} = u_i u_j - m_{i,j+1} with u_i = 1/(i+1), the Cauchy-kernel
+#   ladder (Bertola, Gekhtman & Szmigielski, J. Approx. Theory 162, 2010).
+# The tanh-sinh sweep of `quadrature` computes the same numbers independently
+# and serves as their oracle.
 
-def build_jacobi(K, policy, s0=0, t0=0, tmax=3):
-    """Float moment table of the true weight at (s0, t0).  One sweep gives
-    singles out to t0+tmax+1 and phi out to t0+tmax, a second the bimoments,
-    with the ladder's mu from the first.
+# Bits carried beyond the working precision and a pair's own cancellation:
+# about 10 digits, so the once-rounded value is correctly rounded unless the
+# exact one lies within 2^-32 ulp of a rounding boundary.
+GUARD_BITS = 32
 
-    Hard errors at rel_tol: the asymmetry |m_ij - m_ji|, a free estimate of
-    the quadrature error taken before symmetrising, and the antidiagonal
-    identity m_{i+1,j} + m_{i,j+1} = u_i u_j across the table.  The bimoment
-    sweep meets that identity with its own outer singles in place of u_j
-    (see `quadrature`), so the second gate compares them with this sweep's.
-    """
-    tol = policy.rel_tol()
-    ts = range(t0, t0 + tmax + 2)
+
+def _weight_integral(a, b, c):
+    """I(a, b, c) as an exact pair (p, q): in z = 1 + x the integrand is a
+    polynomial in z times z^-c, and every power integrates to a rational
+    except z^-1, which gives ln2."""
+    coef = [comb(a, k) * (-1) ** (a - k) for k in range(a + 1)]   # (z-1)^a
+    for _ in range(b):                                             # * (2-z)
+        coef = [2 * x - y for x, y in zip(coef + [0], [0] + coef)]
+    # int_1^2 z^(e-1) dz = (2^e - 1)/e, over one common denominator
+    den = lcm(*range(1, max(len(coef) - c, c - 1) + 1)) << max(c - 1, 0)
+    num = q = 0
+    for k, ck in enumerate(coef):
+        e = k - c + 1
+        if e == 0:
+            q = ck
+        elif e > 0:
+            num += ck * ((1 << e) - 1) * (den // e)
+        else:
+            num += ck * ((1 << -e) - 1) * (den // (-e << -e))
+    return Fraction(num, den), Fraction(q)
+
+
+def _bimoment_pairs(K):
+    """K x K bimoments m_ij^{0,0} as exact pairs: row 0 out to j = 2K-2 from
+    F_k = (-1)^k (ln2 - sum_{i<=k} (-1)^(i+1)/i), the other rows by the
+    ladder."""
+    row, h = [], Fraction(0)
+    for k in range(1, 2 * K):
+        h += Fraction((-1) ** (k + 1), k)
+        sign = (-1) ** k
+        row.append((Fraction(1, k * k) + sign * h / k, Fraction(1 - sign, k)))
+    rows = [row]
+    for i in range(K - 1):
+        rows.append([(Fraction(1, (i + 1) * (j + 1)) - p, -q)
+                     for j, (p, q) in enumerate(rows[-1][1:])])
+    return [r[:K] for r in rows]
+
+
+def _pair_terms(pair, prec):
+    """The two terms p and q ln2 of a pair as mpf tuples at prec bits."""
+    p, q = pair
+    return (from_rational(p.numerator, p.denominator, prec, round_nearest),
+            mpf_mul(from_rational(q.numerator, q.denominator, prec,
+                                  round_nearest),
+                    mpf_ln2(prec, round_nearest), prec, round_nearest))
+
+
+def _cancellation_bits(pair):
+    """log2(max(|p|, |q| ln2) / |p + q ln2|), read from an evaluation whose
+    precision exceeds it by at least 16 bits.  Every pair here is a positive
+    integral, so the doubling ends."""
+    prec = 64
+    while True:
+        a, b = _pair_terms(pair, prec)
+        v = mpf_add(a, b, prec, round_nearest)
+        if v[1]:
+            lost = max(t[2] + t[3] for t in (a, b) if t[1]) - (v[2] + v[3])
+            if lost < prec - 16:
+                return max(lost, 0)
+        prec *= 2
+
+
+def _round_pair(pair, prec, root2=False):
+    """p + q ln2, times sqrt2 when root2, evaluated once at prec plus the
+    pair's cancellation plus GUARD_BITS and rounded to prec bits."""
+    wp = prec + _cancellation_bits(pair) + GUARD_BITS
+    v = mpf_add(*_pair_terms(pair, wp), wp, round_nearest)
+    if root2:
+        v = mpf_mul(v, mpf_sqrt(from_int(2), wp, round_nearest), wp,
+                    round_nearest)
+    return mp.mpf(mpf_pos(v, prec, round_nearest))
+
+
+def _jacobi_pairs(K, tmax):
+    """Exact pairs of the (0, 0) table: K x K bimoments, singles per t for
+    t <= tmax+1 and phi/sqrt2 per t for t <= tmax, K of each."""
+    return (_bimoment_pairs(K),
+            {t: [_weight_integral(i, t, t) for i in range(K)]
+             for t in range(tmax + 2)},
+            {t: [_weight_integral(i, t, t + 1) for i in range(K)]
+             for t in range(tmax + 1)})
+
+
+def build_jacobi(K, policy, tmax=3):
+    """Float moment table of the true weight at (s0, t0) = (0, 0): singles
+    out to t = tmax+1 and phi out to t = tmax beside the bimoments, every
+    entry its exact pair correctly rounded to the working precision.  Runs
+    no quadrature."""
+    bm, sg, ph = _jacobi_pairs(K, tmax)
     with mp.workdps(policy.working_dps):
-        sg, ph = quad.weight_moments(s0 + K, 0, ts, ts[:-1], policy)
-        bm = quad.bimoment_table(K, s0, t0, policy, mu=sg[t0])
-        asym = max((relative_residual(bm[i][j] - bm[j][i], [bm[i][j], bm[j][i]])
-                    for i in range(K) for j in range(i)), default=0)
-        if asym >= tol:
-            raise ArithmeticError("bimoment asymmetry %s reaches rel_tol: "
-                                  "quadrature error too large" % mp.nstr(asym, 8))
-        for i in range(K):
-            for j in range(i):
-                v = (bm[i][j] + bm[j][i]) / 2
-                bm[i][j] = bm[j][i] = v
-        sg = {t: v[s0:] for t, v in sg.items()}
-        ph = {t: v[s0:] for t, v in ph.items()}
-        u = sg[t0]
-        for i in range(K - 1):
-            for j in range(K - 1):
-                r = relative_residual(bm[i + 1][j] + bm[i][j + 1] - u[i] * u[j],
-                                      [u[i] * u[j]])
-                if r >= tol:
-                    raise ArithmeticError(
-                        "antidiagonal self-check failed at (%d,%d): %s" % (i, j, r))
-    return MomentTable("jacobi-float", s0, t0, K, policy.precision_digits,
+        prec = mp.mp.prec
+        bm = [[_round_pair(x, prec) for x in row] for row in bm]
+        sg = {t: [_round_pair(x, prec) for x in v] for t, v in sg.items()}
+        ph = {t: [_round_pair(x, prec, root2=True) for x in v]
+              for t, v in ph.items()}
+    return MomentTable("jacobi-float", 0, 0, K, policy.precision_digits,
                        bm, sg, ph)

@@ -7,21 +7,23 @@ ceil(dps log2 10) + 32 fraction bits; a kernel adds each node's terms into
 integer accumulators, so level L adds only its new odd nodes, a linear
 `derive` maps them to the returned values once per level, and each value
 becomes an mpf once.  Both sweeps make O(K) sums per node, not O(K^2).
-`weight_moments` gets singles and phi-values for many t in one sweep, phi_i
-for i >= 1 derived from the singles.  `bimoments` gets any set of m_{ij} =
-int int x^{s+i} y^{s+j} w(x)w(y)/(x+y) from one outer sum with the inner
-x-integral exact per node: I_0(y) in closed form (partial fractions for
-y <= 1/2 or t = 0, a positive Taylor series around y = 1 otherwise; y-free
-constants made once per t), then the ladder I_{c+1}(y) = mu_c - y I_c(y)
-up to I_s.  It sums row 0 and the outer singles S_j, and the ladder summed
-over the nodes gives the other rows.
+`single_vector` gets the singles u_i^{s,t} at one t.  `bimoments` gets any
+set of m_{ij} = int int x^{s+i} y^{s+j} w(x)w(y)/(x+y) from one outer sum
+with the inner x-integral exact per node: I_0(y) in closed form (partial
+fractions for y <= 1/2 or t = 0, a positive Taylor series around y = 1
+otherwise; y-free constants made once per t), then the ladder
+I_{c+1}(y) = mu_c - y I_c(y) up to I_s.  It sums row 0 and the outer
+singles S_j, and the ladder summed over the nodes gives the other rows.
 
 The derived values equal per-value sums up to 2^-P per node, so
 m_{i+1,j} + m_{i,j+1} = mu_{s+i} S_j holds to that rounding whatever the
-quadrature error: checking it against u_i u_j compares the outer singles
-with the weight sweep's, while |m_ij - m_ji| estimates the quadrature
-error.  The absolute 2^-P error per node is enough because every weight
-carries a factor x(1-x).
+quadrature error.  The absolute 2^-P error per node is enough because every
+weight carries a factor x(1-x).
+
+The moment tables the program uses come from closed forms (`moments`); no
+table build runs a sweep.  The sweeps are their independent oracle: the
+lattice's t-evolution cross-check, `selfcheck`, acceptance criterion 4 and
+the tests compare the two.
 
 Every sweep runs one fixed schedule: it starts at START_LEVEL = 6 and doubles
 up to MAX_LEVEL = 13, working at the policy's working precision with a
@@ -132,63 +134,27 @@ def _sweep(what, kernel, size, policy, derive=list):
         return [mp.mpf((a, -(2 * P + level))) for a in vals]
 
 
-# ---- Single and phi moments (one sweep for every t) ----
+# ---- Single moments ----
 
-def weight_moments(count, s, single_ts, phi_ts, policy):
-    """Singles and phi-values, i < count, for several t from one sweep:
-    u_i^{s,t} = int x^{s+i} ((1-x)/(1+x))^t dx for t in single_ts and
-    phi_i^{s,t} = sqrt2 int x^{s+i}/(1+x) ((1-x)/(1+x))^t dx for t in phi_ts.
-    Returns two dicts t -> list of mpf.  Only phi_0 is summed: x/(1+x) =
-    (1-r)/2 with r = (1-x)/(1+x) gives phi_i^{s,t} = (u_{i-1}^{s,t} -
-    u_{i-1}^{s,t+1})/sqrt2 from singles at t and t+1, summed for every phi t.
-    """
-    sts = sorted(set(single_ts).union(*({t, t + 1} for t in phi_ts)))
-    row = {t: n * count for n, t in enumerate(sts)}
-    thi = max(sts)
-    dps = policy.working_dps
-    P = _bits(dps)
+def single_vector(count, s, t, policy):
+    """[u_i^{s,t}]_{i<count}, u_i = int x^{s+i} ((1-x)/(1+x))^t dx, from one
+    sweep of count sums."""
+    P = _bits(policy.working_dps)
     one = 1 << P
 
     def kernel(nodes, acc):
         for x, omx, w in nodes:
-            den = one + x
-            r = (omx << P) // den
-            wt, pw = [w], [one]
-            for _ in range(thi):
-                wt.append(wt[-1] * r >> P)
-            for _ in range(s + count - 1):
-                pw.append(pw[-1] * x >> P)
-            pw, n = pw[s:], 0
-            for t in sts:
-                v = wt[t]
-                for q in pw:
-                    acc[n] += v * q
-                    n += 1
-            for t in phi_ts:
-                acc[n] += (wt[t] << P) // den * pw[0]
-                n += 1
+            r = (omx << P) // (one + x)
+            v, q = w, one
+            for _ in range(t):
+                v = v * r >> P
+            for _ in range(s):
+                q = q * x >> P
+            for n in range(count):
+                acc[n] += v * q
+                q = q * x >> P
 
-    def derive(acc):
-        out = [v for t in single_ts for v in acc[row[t]:row[t] + count]]
-        for n, t in enumerate(phi_ts, len(sts) * count):
-            a, b = row[t], row[t + 1]
-            out += [acc[n]] + [(acc[a + i] - acc[b + i]) >> 1
-                               for i in range(count - 1)]
-        return out
-
-    vals = _sweep("singles/phi at s=%d" % s, kernel,
-                  len(sts) * count + len(phi_ts), policy, derive)
-    vecs = [vals[n:n + count] for n in range(0, len(vals), count)]
-    with mp.workdps(dps):
-        r2 = mp.sqrt(2)
-        phis = {t: [r2 * v for v in vec]
-                for t, vec in zip(phi_ts, vecs[len(single_ts):])}
-    return dict(zip(single_ts, vecs)), phis
-
-
-def single_vector(count, s, t, policy):
-    """[u_i^{s,t}]_{i<count}, u_i = int x^{s+i} ((1-x)/(1+x))^t dx."""
-    return weight_moments(count, s, [t], [], policy)[0][t]
+    return _sweep("singles at s=%d, t=%d" % (s, t), kernel, count, policy)
 
 
 # ---- Exact inner integral I_c(y) = int_0^1 x^c ((1-x)/(1+x))^t / (x+y) dx ----

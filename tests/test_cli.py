@@ -52,9 +52,21 @@ def test_verify_jacobi_default_precision(capsys):
     assert tail["summary"]["all_gating_pass"] is True
 
 
-def test_verify_jacobi_unconverged_quadrature_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr(cli.quadrature, "MAX_LEVEL", cli.quadrature.START_LEVEL)
+def test_verify_jacobi_runs_no_quadrature(capsys, monkeypatch):
+    # the table comes from closed forms; the sweep is only their oracle
+    def no_quadrature(*args):
+        raise AssertionError("verify ran quadrature")
+
+    monkeypatch.setattr(cli.quadrature, "_nodes", no_quadrature)
     assert cli.main(["verify", "--mode", "jacobi", "--precision", "30",
+                     "--guard", "10", "--n", "2", "--s", "1", "--t", "1"]) == 0
+    assert "PASS" in capsys.readouterr().err
+
+
+def test_lattice_jacobi_unconverged_quadrature_exits_1(capsys, monkeypatch):
+    # the lattice's t-evolution cross-check still integrates
+    monkeypatch.setattr(cli.quadrature, "MAX_LEVEL", cli.quadrature.START_LEVEL)
+    assert cli.main(["lattice", "--mode", "jacobi", "--precision", "30",
                      "--guard", "10"]) == 1
     assert "did not converge" in capsys.readouterr().err
 

@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dckp.numerics import ConfigError, DegeneracyError
 from dckp import lattice, moments, detkit
@@ -181,7 +181,14 @@ def test_propagate_exact_at_base_offsets(mode, seed, K, s0, t0):
             for t in range(t0, tmax + 1):
                 lat.values[("tau", n, s, t)] = ctx.tau(n, s, t)
                 lat.provenance[("tau", n, s, t)] = "determinant"
-    out = lattice.propagate(lat, t0, tmax)
+    try:
+        out = lattice.propagate(lat, t0, tmax)
+    except DegeneracyError as exc:
+        # generic entries are 0 in one draw of 101, and a zero tau can leave
+        # the corner equation with neither a quadratic nor a linear term:
+        # the corner is then undetermined (seed 3634, K 8: m_22 = 0)
+        assume("fully degenerate" not in str(exc))
+        raise
     sites = [k for k, p in out.provenance.items() if p == "propagated"]
     assert len(sites) > 0
     for key in sites:

@@ -128,6 +128,31 @@ def test_jacobi_closed_form_oracles(jacobi_ctx):
     assert worst >= POL.precision_digits - 5
 
 
+def test_jacobi_table_is_correctly_rounded():
+    # every entry equals its exact pair evaluated 60 digits higher with
+    # mpmath's own arithmetic, then rounded to the working precision
+    for prec, K, tmax in ((30, 15, 3), (80, 12, 2), (120, 9, 3), (240, 3, 1)):
+        pol = TolerancePolicy(prec)
+        dps = pol.working_dps
+        tab = moments.build_jacobi(K, pol, tmax=tmax)
+        bm, sg, ph = moments._jacobi_pairs(K, tmax)
+
+        def high(pair, root2=False):
+            p, q = pair
+            with mp.workdps(dps + 60):
+                v = (mp.mpf(p.numerator) / p.denominator
+                     + mp.mpf(q.numerator) / q.denominator * mp.ln(2))
+                v = v * mp.sqrt(2) if root2 else v
+            with mp.workdps(dps):
+                return +v
+
+        assert tab.bimoments == [[high(x) for x in row] for row in bm]
+        assert tab.single_by_t == {t: [high(x) for x in v]
+                                   for t, v in sg.items()}
+        assert tab.phi_by_t == {t: [high(x, True) for x in v]
+                                for t, v in ph.items()}
+
+
 def test_jacobi_t_step_single_invariant(jacobi_ctx):
     # u_i^{t+1} = sqrt2 phi_i^t - u_i^t follows from 2/(1+x) - 1 = (1-x)/(1+x)
     base = jacobi_ctx.base
@@ -150,8 +175,8 @@ def test_jacobi_evolved_m00_closed_form(jacobi_ctx):
 
 
 def test_jacobi_fused_vectors_match_closed_integrands():
-    # singles at t0+1..t0+tmax+1 and phi at t0..t0+tmax from the one sweep
-    # vs mpmath.quad on the closed integrands
+    # closed-form singles at t = 1..tmax+1 and phi at t = 0..tmax vs
+    # mpmath.quad on the integrands
     pol = TolerancePolicy(precision_digits=35, guard_digits=10)
     dps = pol.working_dps
     tab = moments.build_jacobi(4, pol, tmax=2)
@@ -167,26 +192,29 @@ def test_jacobi_fused_vectors_match_closed_integrands():
                 ref = mp.quad(lambda x: x ** i * wbar(x, t) / (1 + x), [0, 1])
                 worst = min(worst, digits_of_agreement(tab.phi_by_t[t][i],
                                                        mp.sqrt(2) * ref))
-    # the sweep's target: precision - 10 digits
+    # mpmath.quad's accuracy, not the closed forms', sets the bound
     assert worst >= pol.precision_digits - 10
 
 
 def test_jacobi_offset_base_matches_shift_and_evolve():
-    # a table built at (s0, t0) = (1, 1) equals shift_s().evolve_t() of the
-    # (0, 0) table: bimoments, singles and phi per t
+    # the (0, 0) table moved to (s0, t0) = (1, 1) by shift_s().evolve_t()
+    # equals the sweep there: bimoments, singles and phi per t, with
+    # phi_i^{1,t} = (u_i^{0,t} - u_i^{0,t+1})/sqrt2 from x/(1+x) = (1-r)/2
     pol = TolerancePolicy(precision_digits=35, guard_digits=10)
-    base = moments.build_jacobi(6, pol, tmax=2)
-    via = base.shift_s().evolve_t()
-    direct = moments.build_jacobi(5, pol, s0=1, t0=1, tmax=1)
-    assert (direct.s0, direct.t0, direct.K) == (via.s0, via.t0, via.K)
-    assert sorted(direct.single_by_t) == sorted(via.single_by_t) == [1, 2, 3]
-    assert sorted(direct.phi_by_t) == sorted(via.phi_by_t) == [1, 2]
-    pairs = [(direct.bimoments[i][j], via.bimoments[i][j])
-             for i in range(5) for j in range(5)]
-    for mine, theirs in ((direct.single_by_t, via.single_by_t),
-                         (direct.phi_by_t, via.phi_by_t)):
-        pairs += [(a, b) for t in mine for a, b in zip(mine[t], theirs[t])]
+    via = moments.build_jacobi(6, pol, tmax=2).shift_s().evolve_t()
+    assert (via.s0, via.t0, via.K) == (1, 1, 5)
+    assert sorted(via.single_by_t) == [1, 2, 3]
+    assert sorted(via.phi_by_t) == [1, 2]
     with mp.workdps(pol.working_dps):
+        sg = {t: quadrature.single_vector(6, 0, t, pol) for t in (1, 2, 3)}
+        direct = quadrature.bimoment_table(5, 1, 1, pol, mu=sg[1])
+        r2 = mp.sqrt(2)
+        pairs = [(direct[i][j], via.bimoments[i][j])
+                 for i in range(5) for j in range(5)]
+        pairs += [(a, b) for t in (1, 2, 3)
+                  for a, b in zip(sg[t][1:], via.single_by_t[t])]
+        pairs += [((a - b) / r2, c) for t in (1, 2)
+                  for a, b, c in zip(sg[t], sg[t + 1], via.phi_by_t[t])]
         worst = max(relative_residual(a - b, [a, b]) for a, b in pairs)
     assert worst < pol.rel_tol()
 
@@ -203,45 +231,6 @@ def test_jacobi_evolve_t_runs_no_quadrature(monkeypatch):
     assert ev.single == tab.single_by_t[2]
 
 
-def test_jacobi_asymmetry_is_a_hard_error(monkeypatch):
-    # |m_ij - m_ji| estimates the quadrature error; a skew that averaging
-    # would hide from the antidiagonal check must still be reported
-    real = quadrature.bimoment_table
-
-    def skewed(*args, **kwargs):
-        bm = real(*args, **kwargs)
-        bm[0][1] += mp.mpf("1e-30")
-        bm[1][0] -= mp.mpf("1e-30")
-        return bm
-
-    monkeypatch.setattr(quadrature, "bimoment_table", skewed)
-    with pytest.raises(ArithmeticError, match="asymmetry"):
-        moments.build_jacobi(4, POL, tmax=1)
-
-
-def test_jacobi_antidiagonal_is_a_hard_error(monkeypatch):
-    # a symmetric skew passes the asymmetry gate; the antidiagonal identity
-    # m_10 + m_01 = u_0^2 must still catch it
-    real = quadrature.bimoment_table
-
-    def skewed(*args, **kwargs):
-        bm = real(*args, **kwargs)
-        bm[0][1] += mp.mpf("1e-30")
-        bm[1][0] += mp.mpf("1e-30")
-        return bm
-
-    monkeypatch.setattr(quadrature, "bimoment_table", skewed)
-    with pytest.raises(ArithmeticError,
-                       match=r"antidiagonal self-check failed at \(0,0\)"):
-        moments.build_jacobi(4, POL, tmax=1)
-
-
-def test_jacobi_build_without_convergence_raises(monkeypatch):
-    monkeypatch.setattr(quadrature, "MAX_LEVEL", quadrature.START_LEVEL)
-    with pytest.raises(ArithmeticError, match="did not converge"):
-        moments.build_jacobi(3, POL, tmax=1)
-
-
 # ---- Builder dispatch ----
 
 def test_build_base_table_dispatch():
@@ -251,5 +240,10 @@ def test_build_base_table_dispatch():
         moments.build_base_table("no-such-mode", 0, 0, 4)
     with pytest.raises(ConfigError):
         moments.build_base_table("synthetic-generic", 0, 0, 0)
+    # the closed forms hold at (0, 0); an offset jacobi base is refused,
+    # not built wrong
+    for s0, t0 in ((1, 0), (0, 1)):
+        with pytest.raises(ConfigError, match=r"\(s0, t0\) = \(0, 0\) only"):
+            moments.build_base_table("jacobi-float", s0, t0, 4, policy=POL)
     tab = moments.build_base_table("synthetic-structured", 0, 0, 5, seed=2)
     assert tab.mode == "synthetic-structured" and tab.K == 5

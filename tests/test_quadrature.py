@@ -10,7 +10,8 @@ import mpmath as mp
 import pytest
 from mpmath.libmp import to_fixed
 
-from dckp.numerics import TolerancePolicy, digits_of_agreement
+from dckp.numerics import (TolerancePolicy, digits_of_agreement,
+                           relative_residual)
 from dckp import moments, quadrature
 
 PREC = 80
@@ -57,8 +58,9 @@ def test_single_vector_closed_forms():
 
 
 def test_phi_vector_closed_forms():
+    # the direct phi kernel below, the oracle of the closed-form phi
     with mp.workdps(DPS):
-        ph = quadrature.weight_moments(2, 0, [], [0], POL)[1][0]
+        ph = _reference_weight_moments(2, 0, [], [0], POL)[1][0]
     _agree(ph[0], lambda: mp.sqrt(2) * mp.ln(2))
     _agree(ph[1], lambda: mp.sqrt(2) * (1 - mp.ln(2)))
 
@@ -109,11 +111,12 @@ def test_bimoment_table_antidiagonal_identity():
     assert worst >= PREC - 10
 
 
-# ---- The linear sums against the per-pair and per-t kernels ----
+# ---- The linear sums against the per-pair and per-value kernels ----
 #
 # The reference kernels below sum every returned value on its own, as the
 # sweeps did before they summed O(K) rows and derived the rest.  Both sides
-# run through `_sweep`.
+# run through `_sweep`.  The per-value kernel also sums phi, which the
+# program takes only from its closed form.
 
 def _reference_bimoments(pairs, s, t, policy, mu):
     """One accumulator per (i, j): the ladder up to I_{s + max i} per node."""
@@ -199,20 +202,45 @@ def test_linear_sums_match_per_pair_and_per_t_kernels(prec, guard):
         mu = quadrature.single_vector(1, 0, 1, pol)
         _assert_same(quadrature.bimoments(spots, 0, 1, pol),
                      _reference_bimoments(spots, 0, 1, pol, mu), pol)
-        # the weight sweep of build_jacobi, and phi without requested singles
-        for args in ((9, 0, range(4), range(3)), (5, 2, [1], [0, 2]),
-                     (2, 0, [], [0])):
-            got = quadrature.weight_moments(*args, pol)
-            want = _reference_weight_moments(*args, pol)
-            for g, w in zip(got, want):
-                assert g.keys() == w.keys()
-                for t in g:
-                    _assert_same(g[t], w[t], pol)
+        # the singles sweep
+        for count, s, t in ((9, 0, 0), (9, 0, 3), (5, 2, 1)):
+            _assert_same(quadrature.single_vector(count, s, t, pol),
+                         _reference_weight_moments(count, s, [t], [], pol)[0][t],
+                         pol)
+
+
+# ---- The closed-form table against the sweep ----
+
+@pytest.mark.parametrize("prec,guard,K,tmax", [
+    (30, 10, 15, 3), (80, 20, 12, 2), (120, 40, 9, 3), (240, 40, 3, 1)])
+def test_closed_forms_match_the_sweep(prec, guard, K, tmax):
+    # moments.build_jacobi's table against independent sweeps, to rel_tol:
+    # singles at t <= tmax+1, phi at t <= tmax from the direct phi kernel,
+    # and bimoments at t <= tmax, reached by rank-one steps with the
+    # closed-form phi
+    pol = TolerancePolicy(prec, guard)
+    tabs = [moments.build_jacobi(K, pol, tmax=tmax)]
+    for _ in range(tmax):
+        tabs.append(tabs[-1].evolve_t())
+    with mp.workdps(pol.working_dps):
+        sg = {t: quadrature.single_vector(K, 0, t, pol)
+              for t in range(tmax + 2)}
+        ph = _reference_weight_moments(K, 0, [], range(tmax + 1), pol)[1]
+        pairs = [(a, b) for t in sg
+                 for a, b in zip(tabs[0].single_by_t[t], sg[t])]
+        pairs += [(a, b) for t in ph
+                  for a, b in zip(tabs[0].phi_by_t[t], ph[t])]
+        for t, tab in enumerate(tabs):
+            bm = quadrature.bimoment_table(K, 0, t, pol, mu=sg[t])
+            pairs += [(tab.m(i, j), bm[i][j])
+                      for i in range(K) for j in range(K)]
+        worst = max(relative_residual(a - b, [a, b]) for a, b in pairs)
+    assert len(pairs) == K * (2 * tmax + 3) + K * K * (tmax + 1)
+    assert worst < pol.rel_tol(), mp.nstr(worst, 5)
 
 
 def test_sweeps_sum_linearly_many_accumulators(monkeypatch):
-    # 2(2K-1) sums for a K x K table (K^2 per pair); (tmax+2)(s0+K) singles
-    # plus one phi_0 per phi t for build_jacobi's weight sweep
+    # 2(2K-1) sums for a K x K table (K^2 per pair), count for the singles
     sizes = []
     real = quadrature._sweep
 
@@ -224,13 +252,11 @@ def test_sweeps_sum_linearly_many_accumulators(monkeypatch):
     low = TolerancePolicy(30, 10)
     for K in (3, 9):
         mu = quadrature.single_vector(K, 0, 0, low)
+        assert sizes == [K]
         sizes.clear()
         quadrature.bimoment_table(K, 0, 0, low, mu=mu)
         assert sizes == [2 * (2 * K - 1)]
-    for K, s0, tmax in ((3, 1, 2), (4, 0, 1)):
         sizes.clear()
-        moments.build_jacobi(K, low, s0=s0, t0=0, tmax=tmax)
-        assert sizes == [(tmax + 2) * (s0 + K) + tmax + 1, 2 * (2 * K - 1)]
 
 
 def test_sweep_without_convergence_raises(monkeypatch):
