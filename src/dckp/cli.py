@@ -292,7 +292,7 @@ def _verify_chunk(payload):
     ids, from one DetContext so both share its determinant memo."""
     # the built table arrives pickled, mpf and Fraction entries exactly
     table, policy, ids, nmax, smax, tmax = payload
-    ctx = detkit.DetContext(table)
+    ctx = detkit.DetContext(table, nmax + 1)
     recs = identities.run_suite(ctx, nmax, smax, tmax, policy=policy, ids=ids)
     report = identities.variant_report(
         ctx, nmax, smax, tmax, policy=policy,
@@ -345,7 +345,7 @@ def cmd_verify(cfg):
 
 def cmd_polys(cfg):
     K = cfg.Nmax + cfg.Smax + 3
-    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax))
+    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax), cfg.Nmax)
     rows = []
     for fam, low in polyfam.LOWEST_ORDER.items():
         for n in range(low, cfg.Nmax + 1):
@@ -378,7 +378,7 @@ def cmd_lax(cfg):
     if Kop < 5:
         raise ConfigError("lax needs --n >= 4 (operator truncation K = n+1 >= 5)")
     K = Kop + cfg.Smax + 4
-    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax + 1))
+    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax + 1), Kop + 1)
     policy = cfg.policy()
     doc = {"meta": {"mode": cfg.mode, "K": Kop,
                     "ranges": {"Smax": cfg.Smax, "Tmax": cfg.Tmax},

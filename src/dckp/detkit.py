@@ -53,11 +53,18 @@ bimoment matrix is totally positive (Bertola, Gekhtman & Szmigielski,
 J. Approx. Theory 162, 2010), where elimination without pivoting is backward
 stable (de Boor & Pinkus, Linear Algebra Appl. 17, 1977).
 
+A context is built with `orders`, the highest family order its caller
+reads, and each sweep takes frame rows 0..orders only (fewer where the
+table ends).  By Sylvester's identity an entry after k steps depends only on
+rows 0..k-1, i and columns 0..k-1, j, so the rows and columns left out change
+no value that is read, in either mode; the orders above the bound are the
+costliest ones, with the most steps and, in exact mode, the largest integers.
+
 An order a sweep does not reach falls back to det_exact or det_float of its
-minor, so values and errors are those of the minor itself: past the table's
-extent (where the minor raises ExtentError), past a zero divisor tau_k of
-the exact sweep, and past an exactly zero pivot of the float sweep, which
-stops before the step it would divide by.
+minor, so values and errors are those of the minor itself: above the bound,
+past the table's extent (where the minor raises ExtentError), past a zero
+divisor tau_k of the exact sweep, and past an exactly zero pivot of the
+float sweep, which stops before the step it would divide by.
 
 Edge conventions: tau_0 = xi_0 = tauhat_0 = 1 and sigtilde_{-1} = 1 (empty
 determinants); Praw_{-1} = Qraw_{-1} = [] (the zero polynomial); tau_{-1} =
@@ -284,11 +291,13 @@ class DetContext:
 
     t moves through rank-one evolved copies of the base table, s through index
     shifts inside each copy.  All determinants are memoized; one sweep per
-    frame and (s, t) fills the memo (see the module doc).
+    frame and (s, t) fills the memo up to `orders`, the highest family order
+    the caller reads (see the module doc).
     """
 
-    def __init__(self, base_table):
+    def __init__(self, base_table, orders):
         self.base = base_table
+        self.orders = orders
         self.exact = base_table.exact
         self.dps = (None if self.exact
                     else base_table.precision_digits + WORKING_MARGIN)
@@ -365,7 +374,9 @@ class DetContext:
 
     def _sweep(self, frame, s, t):
         """Memoize every value of `frame` at (s, t) that one elimination
-        reaches: each of its families over the whole n-range of the table.
+        reaches: each of its families up to order self.orders (a pivot
+        family, tau, xi or tauhat, to one more), from frame rows
+        0..self.orders inside the table.
         Only the elimination and the value of a swept entry depend on the
         mode: an exact entry is a minor over its row scales, a float one a
         Schur complement entry times prev, the product of the pivots."""
@@ -384,7 +395,7 @@ class DetContext:
         if tb is None or ds < 0:
             return
         top = ds + row                  # table row of frame row 0
-        R = tb.K - top                  # frame rows
+        R = min(tb.K - top, self.orders + 1)    # frame rows
         C = max(0, min(tb.K - ds - col, R))    # bimoment columns
         vecs, at = [], {}               # border -> (frame column, rows it has)
         for b in borders:

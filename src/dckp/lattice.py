@@ -110,7 +110,8 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
                                      policy=policy, seed=cfg.get("seed", 0),
                                      tmax=Tmax)
     prec = table.precision_digits
-    ctx = detkit.DetContext(table)
+    # the lattice reads orders up to Nmax; lax on lat.ctx at K = Nmax one more
+    ctx = detkit.DetContext(table, Nmax + 1)
     if not table.exact and Tmax >= 1:
         _cross_validate_t_evolution(ctx, policy)
     lat = TauLattice(mode, Nmax, Smax, Tmax, ctx, prec)

@@ -1,8 +1,8 @@
 """Moment tables: bimoments m_ij, single moments u_i, linear-functional values
 phi_i, with the two lattice evolutions.
 
-Shift in s reindexes (drop row/column 0); shift in t is the rank-one update
-m'_ij = m_ij - phi_i phi_j.  Three modes:
+Shift in s reindexes (DetContext reads m_{i+ds, j+ds}); shift in t is the
+rank-one update m'_ij = m_ij - phi_i phi_j.  Three modes:
 
   jacobi-float          float entries of the true weight from closed forms
   synthetic-generic     exact random symmetric bimoments, free phi, no singles
@@ -10,8 +10,8 @@ m'_ij = m_ij - phi_i phi_j.  Three modes:
                         m_{i+1,j} + m_{i,j+1} = u_i u_j on every antidiagonal
 
 Singles and phi vectors are both stored per absolute t (`single_by_t`,
-`phi_by_t`): a t-step keeps the entries above the new t, a shift in s drops
-index 0 of each.  No t-update law exists for either.  A jacobi table is
+`phi_by_t`): a t-step keeps the entries above the new t, a shift in s reads
+index i + ds of each.  No t-update law exists for either.  A jacobi table is
 built at (s0, t0) = (0, 0), where every entry is p + q ln2 (phi: sqrt2 times
 that) with p, q rational; it gets singles for t = 0..tmax+1 and phi for
 t = 0..tmax from these exact pairs, so neither the build nor evolve_t runs
@@ -29,19 +29,9 @@ import mpmath as mp
 from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_ln2, mpf_mul,
                           mpf_pos, mpf_sqrt, round_nearest)
 
-from .numerics import (WORKING_MARGIN, ExtentError, ConfigError,
-                       fmt_scalar, parse_scalar)
+from .numerics import WORKING_MARGIN, ExtentError, ConfigError
 
 MODES = ("jacobi-float", "synthetic-generic", "synthetic-structured")
-
-
-# ---- Weight ----
-
-def weight(x, s, t):
-    """x^s ((1-x)/(1+x))^t on 0 < x < 1; exact for Fraction input."""
-    if not 0 < x < 1:
-        raise ValueError("weight argument must lie in (0,1)")
-    return x ** s * ((1 - x) / (1 + x)) ** t
 
 
 # ---- Table ----
@@ -96,17 +86,6 @@ class MomentTable:
 
     # ---- Evolutions ----
 
-    def shift_s(self):
-        """Table at (s0+1, t0): every index advances by one, extent shrinks."""
-        K2 = self.K - 1
-        if K2 < 1:
-            raise ExtentError("cannot shift s: table exhausted")
-        bm = [[self.bimoments[i + 1][j + 1] for j in range(K2)] for i in range(K2)]
-        sg = {t: v[1:] for t, v in self.single_by_t.items()}
-        ph = {t: v[1:] for t, v in self.phi_by_t.items()}
-        return MomentTable(self.mode, self.s0 + 1, self.t0, K2,
-                           self.precision_digits, bm, sg, ph)
-
     def evolve_t(self):
         """Table at (s0, t0+1): rank-one update by the phi vector at t0."""
         vec = self.phi_by_t.get(self.t0)
@@ -127,36 +106,6 @@ class MomentTable:
         return MomentTable(self.mode, self.s0, self.t0 + 1, K,
                            self.precision_digits, bm, sg, ph)
 
-    # ---- Serialization ----
-
-    def to_dict(self):
-        return {
-            "mode": self.mode,
-            "s0": self.s0,
-            "t0": self.t0,
-            "K": self.K,
-            "precision_digits": self.precision_digits,
-            "bimoments": [[fmt_scalar(v, self.precision_digits) for v in row]
-                          for row in self.bimoments],
-            "single": {str(t): [fmt_scalar(v, self.precision_digits) for v in vec]
-                       for t, vec in sorted(self.single_by_t.items())},
-            "phi": {str(t): [fmt_scalar(v, self.precision_digits) for v in vec]
-                    for t, vec in sorted(self.phi_by_t.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        prec = d["precision_digits"]
-        exact = prec is None
-
-        def rd(s):
-            return parse_scalar(s, exact, prec)
-
-        bm = [[rd(v) for v in row] for row in d["bimoments"]]
-        sg = {int(t): [rd(v) for v in vec] for t, vec in d.get("single", {}).items()}
-        ph = {int(t): [rd(v) for v in vec] for t, vec in d.get("phi", {}).items()}
-        return cls(d["mode"], d["s0"], d["t0"], d["K"], prec, bm, sg, ph)
-
 
 # ---- Builders ----
 
@@ -171,7 +120,7 @@ def build_base_table(mode, s0, t0, K, policy=None, seed=0, tmax=3):
         if (s0, t0) != (0, 0):
             raise ConfigError("jacobi-float tables are built at (s0, t0) = "
                               "(0, 0) only: their closed forms hold there; "
-                              "use shift_s/evolve_t to move the base")
+                              "a DetContext reads other (s, t) from it")
         return build_jacobi(K, policy, tmax=tmax)
     if mode == "synthetic-generic":
         return synthetic_generic(seed, K, tmax=tmax, s0=s0, t0=t0)

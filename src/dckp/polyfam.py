@@ -1,8 +1,7 @@
 """Polynomial families P, Q, R as monic coefficient vectors from determinant
-cofactors, and the three linear functionals (Cauchy-kernel inner product, the
-sqrt2-weighted functional, the plain weighted integral).
+cofactors, and the Cauchy-kernel inner product.
 
-All functionals are finite bilinear/linear forms over the moment table; no
+The inner product is a finite bilinear form over the moment table; no
 integration happens at runtime.  Coefficient vectors are low-to-high degree
 with coeffs[n] = 1.
 """
@@ -74,7 +73,7 @@ def poly(ctx, family, n, s, t):
     return PolyCoeffs(family, n, s, t, coeffs)
 
 
-# ---- Functionals ----
+# ---- Inner product ----
 
 def inner(ctx, f, g, s, t):
     """Cauchy-kernel pairing: sum_{i,j} f_i g_j m_{ij}^{s,t}."""
@@ -88,23 +87,4 @@ def inner(ctx, f, g, s, t):
                 if gj == 0:
                     continue
                 tot += fi * gj * ctx.m(i, j, s, t)
-        return tot
-
-
-def L_functional(ctx, f, s, t):
-    """sum_i f_i phi_i^{s,t} (the sqrt2-weighted endpoint functional)."""
-    return _pair(ctx, f, lambda i: ctx.ph(i, s, t))
-
-
-def weighted_integral(ctx, f, s, t):
-    """sum_i f_i u_i^{s,t} (plain integral against the weight)."""
-    return _pair(ctx, f, lambda i: ctx.u(i, s, t))
-
-
-def _pair(ctx, f, vec):
-    with ctx.wp():
-        tot = ctx.zero()
-        for i, fi in enumerate(_vec(f)):
-            if fi != 0:
-                tot += fi * vec(i)
         return tot

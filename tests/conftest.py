@@ -13,12 +13,12 @@ JAC_GUARD = 20
 
 @pytest.fixture(scope="session")
 def generic_ctx():
-    return detkit.DetContext(moments.synthetic_generic(1, 9, tmax=3))
+    return detkit.DetContext(moments.synthetic_generic(1, 9, tmax=3), 9)
 
 
 @pytest.fixture(scope="session")
 def structured_ctx():
-    return detkit.DetContext(moments.synthetic_structured(1, 9, tmax=3))
+    return detkit.DetContext(moments.synthetic_structured(1, 9, tmax=3), 9)
 
 
 @pytest.fixture(scope="session")
@@ -28,4 +28,4 @@ def jacobi_policy():
 
 @pytest.fixture(scope="session")
 def jacobi_ctx(jacobi_policy):
-    return detkit.DetContext(moments.build_jacobi(9, jacobi_policy, tmax=3))
+    return detkit.DetContext(moments.build_jacobi(9, jacobi_policy, tmax=3), 9)

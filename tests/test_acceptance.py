@@ -54,7 +54,7 @@ def _parse_residual(txt):
 @pytest.fixture(scope="module")
 def jac_ctx():
     table = moments.build_jacobi(9, POLICY, tmax=3)
-    return detkit.DetContext(table)
+    return detkit.DetContext(table, table.K)
 
 
 # ---- 1: synthetic-generic quartic and bilinear gates, 20 seeds ----
@@ -65,7 +65,7 @@ def test_criterion_1_generic_exact_gates():
     worst = Fraction(0)
     sites = 0
     for seed in range(20):
-        ctx = detkit.DetContext(moments.synthetic_generic(seed, 8, tmax=3))
+        ctx = detkit.DetContext(moments.synthetic_generic(seed, 8, tmax=3), 8)
         for ident in ids:
             for n in range(5):
                 for s in range(3):
@@ -87,7 +87,7 @@ def test_criterion_2_structured_recurrence():
     worst = Fraction(0)
     sites = 0
     for seed in range(10):
-        ctx = detkit.DetContext(moments.synthetic_structured(seed, 8, tmax=1))
+        ctx = detkit.DetContext(moments.synthetic_structured(seed, 8, tmax=1), 8)
         for n in range(1, 4):
             for s in (0, 1):
                 res, _ = identities.evaluate(ctx, "4trr", n, s, 0)
@@ -182,7 +182,7 @@ def test_criterion_5_orthogonality(jac_ctx):
 def _lax_block_worst(precision):
     policy = TolerancePolicy(precision_digits=precision, guard_digits=GUARD)
     table = moments.build_jacobi(13, policy, tmax=2)
-    ctx = detkit.DetContext(table)
+    ctx = detkit.DetContext(table, table.K)
     worst_compat = mp.mpf(0)
     worst_eigen = mp.mpf(0)
     with mp.workdps(policy.working_dps):

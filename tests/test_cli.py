@@ -75,10 +75,10 @@ def test_verify_chunk_uses_the_shipped_table(monkeypatch):
     policy = TolerancePolicy(precision_digits=20)
     table = moments.build_jacobi(5, policy, tmax=1)
     ids = ("eq1", "dckp", "4trr", "3.2a")
-    ref = identities.run_suite(detkit.DetContext(table), 1, 1, 1,
+    ref = identities.run_suite(detkit.DetContext(table, table.K), 1, 1, 1,
                                policy=policy, ids=ids)
-    ref_report = identities.variant_report(detkit.DetContext(table), 1, 1, 1,
-                                           policy=policy, ids=["3.2a"])
+    ref_report = identities.variant_report(detkit.DetContext(table, table.K),
+                                           1, 1, 1, policy=policy, ids=["3.2a"])
 
     def no_rebuild(*args, **kwargs):
         raise AssertionError("a verify worker rebuilt the moment table")

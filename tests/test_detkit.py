@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dckp.numerics import (WORKING_MARGIN, DegeneracyError, ExtentError,
-                           digits_of_agreement)
-from dckp import detkit, identities, lattice, moments
+                           TolerancePolicy, digits_of_agreement)
+from dckp import cli, detkit, identities, lattice, lax, moments
 
 # ---- Determinant kernels ----
 
@@ -272,7 +272,7 @@ def test_families_match_literal_matrices_exact(generic_ctx, structured_ctx):
         assert _check_against_literal(ctx, detkit.det_exact, (0, 1), (0, 1)) > 250
     # a base table at nonzero s0/t0: absolute s and t index into it
     offset = detkit.DetContext(moments.synthetic_structured(5, 9, tmax=2,
-                                                            s0=2, t0=1))
+                                                            s0=2, t0=1), 9)
     assert _check_against_literal(offset, detkit.det_exact, (2, 3), (1, 2)) > 250
 
 
@@ -285,7 +285,7 @@ def test_exact_sweep_matches_literal_matrices(mode, seed, K, s0, t0):
     # from the minor) and every site of a fresh context, each read from the
     # frame sweeps, against det_exact of the literal matrix
     ctx = detkit.DetContext(moments.build_base_table(mode, s0, t0, K, seed=seed,
-                                                     tmax=2))
+                                                     tmax=2), K)
     assert _check_against_literal(ctx, detkit.det_exact, range(s0, s0 + 3),
                                   range(t0, t0 + 4), range(-2, K + 1)) > 0
 
@@ -294,7 +294,7 @@ def test_vanishing_leading_minor_falls_back_per_minor(monkeypatch):
     tab = moments.synthetic_generic(3, 8, tmax=2)
     m = tab.bimoments
     m[1][1] = m[0][1] ** 2 / m[0][0]        # tau_2 = 0 at (s, t) = (0, 0)
-    ctx = detkit.DetContext(tab)
+    ctx = detkit.DetContext(tab, tab.K)
     real = detkit.det_exact
     calls = _count_calls(monkeypatch, "det_exact")
     fallback = set()
@@ -340,9 +340,47 @@ def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx, jacobi_policy,
     # run (on a cold context over the shared table) reach no det_float
     calls = _count_calls(monkeypatch, "det_float")
     lattice.build_lattice("jacobi-float", 5, 2, 2, {"precision": 60, "guard": 20})
-    identities.run_suite(detkit.DetContext(jacobi_ctx.base), 4, 2, 2,
+    identities.run_suite(detkit.DetContext(jacobi_ctx.base, 9), 4, 2, 2,
                          policy=jacobi_policy)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["structured", "jacobi"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--jobs", "1", "--n", "3", "--s", "1", "--t", "1"],
+    ["polys", "--n", "3", "--s", "1", "--t", "1"],
+    ["lax", "--n", "4", "--s", "1", "--t", "1"],
+    ["lattice", "--n", "3", "--s", "1", "--t", "1"],
+], ids=lambda argv: argv[0])
+def test_commands_bound_sweeps_above_every_order_they_read(argv, mode, capsys,
+                                                           monkeypatch):
+    # each command bounds its contexts' sweeps by the highest order it reads;
+    # a bound one too low would still give every value, per minor, so only
+    # the count of per-minor determinants shows it
+    calls = [_count_calls(monkeypatch, name)
+             for name in ("det_exact", "det_float")]
+    assert cli.main(argv + ["--mode", mode, "--precision", "30",
+                            "--guard", "10"]) == 0
+    assert calls == [[], []]
+
+
+def test_lattice_context_serves_lax_at_its_order(monkeypatch):
+    # the README and benchmark path: propagation, then the Lax residuals at
+    # K = Nmax and the six equations, on the lattice's own context
+    calls = [_count_calls(monkeypatch, name)
+             for name in ("det_exact", "det_float")]
+    # (structured tables carry singles at their base t only)
+    for mode, config, ts in (("synthetic-structured", {"seed": 1}, (0,)),
+                             ("jacobi-float", {"precision": 30, "guard": 10},
+                              (0, 1))):
+        lat = lattice.build_lattice(mode, 5, 1, 2, config)
+        lattice.propagate(lat, 0, 2)
+        for s in (0, 1):
+            for t in ts:
+                lax.compat_residuals(lat.ctx, 5, s, t)
+                lax.eigen_residuals(lat.ctx, 5, s, t)
+        lax.verify_six_equations(lat.ctx, 4, 0, 0)
+    assert calls == [[], []]
 
 
 def test_vanishing_float_pivot_falls_back_per_minor(monkeypatch):
@@ -356,7 +394,7 @@ def test_vanishing_float_pivot_falls_back_per_minor(monkeypatch):
         ph = {t: [mpf(v) for v in vec] for t, vec in tab.phi_by_t.items()}
     bm[0][0], bm[0][1], bm[1][0], bm[1][1] = map(mp.mpf, (1, 2, 2, 4))
     ctx = detkit.DetContext(dataclasses.replace(
-        tab, precision_digits=30, bimoments=bm, phi_by_t=ph))
+        tab, precision_digits=30, bimoments=bm, phi_by_t=ph), tab.K)
     real = detkit.det_float
     calls = _count_calls(monkeypatch, "det_float")
 
@@ -402,6 +440,53 @@ def test_vanishing_float_pivot_falls_back_per_minor(monkeypatch):
                         for n in range(last + 1, top + 1)}
 
 
+def _exactly(v):
+    """A family value or error as something == compares bit for bit: an mpf
+    by its sign, mantissa, exponent and bit count."""
+    if isinstance(v, list):
+        return [_exactly(x) for x in v]
+    if isinstance(v, Exception):
+        return type(v), str(v)
+    return v._mpf_ if isinstance(v, mp.mpf) else v
+
+
+def _outcome(ctx, family, n, s, t):
+    try:
+        return detkit.eval_det(ctx, family, n, s, t)
+    except (DegeneracyError, ExtentError) as err:
+        return err
+
+
+@settings(max_examples=12, deadline=None)
+@given(mode=st.sampled_from(["synthetic-structured", "synthetic-generic",
+                             "jacobi-float"]),
+       seed=st.integers(0, 10 ** 6), K=st.integers(4, 7),
+       orders=st.integers(0, 8))
+def test_bounded_sweeps_read_the_full_sweeps_values(mode, seed, K, orders):
+    # after k steps an entry depends on rows 0..k-1, i and columns 0..k-1, j
+    # only, so a context whose sweeps stop at frame row `orders` reads the
+    # values of one sweeping the whole table at every order <= orders: equal
+    # Fractions, bit-identical mpf.  Above the bound it falls back per minor,
+    # which agrees exactly in exact mode and to rounding in float mode.
+    table = moments.build_base_table(
+        mode, 0, 0, K, seed=seed, tmax=2,
+        policy=TolerancePolicy(precision_digits=30, guard_digits=10))
+    full = detkit.DetContext(table, table.K)
+    bounded = detkit.DetContext(table, orders)
+    near = _within(mp.mpf(10) ** -30)
+    for family in detkit.FAMILY_SPECS:
+        for n in range(-2, K + 2):
+            for s in range(3):
+                for t in range(4):
+                    got, want = (_outcome(ctx, family, n, s, t)
+                                 for ctx in (bounded, full))
+                    if (n <= orders or table.exact
+                            or isinstance(want, Exception)):
+                        assert _exactly(got) == _exactly(want), (family, n, s, t)
+                    else:
+                        assert near(got, want), (family, n, s, t, got, want)
+
+
 # ---- Module-level wrappers ----
 
 def test_eval_det_dispatch(generic_ctx):
@@ -414,5 +499,5 @@ def test_eval_det_dispatch(generic_ctx):
 
 def test_full_table_stack():
     tab = moments.synthetic_generic(1, 6, tmax=3)
-    ctx = detkit.DetContext(tab)
+    ctx = detkit.DetContext(tab, tab.K)
     assert sorted(ctx.tables) == [0, 1, 2, 3, 4]

@@ -63,7 +63,7 @@ def test_catalog_exact_at_base_offsets(mode, seed, K, s0, t0):
     # phi up to t0 + tmax lets t evolve to t0 + tmax + 1
     tmax = 3
     ctx = detkit.DetContext(moments.build_base_table(mode, s0, t0, K, seed=seed,
-                                                     tmax=tmax))
+                                                     tmax=tmax), K)
     reached = set()
     for ident in identities.CATALOG_IDS:
         for n in range(identities.N_MIN.get(ident, 0), K):
@@ -114,7 +114,8 @@ def _catalog_run(ctx):
 def test_integer_zero_test_matches_fraction_path(build, monkeypatch):
     # the same records and reports when every residual is formed as a
     # Fraction; the printed variants carry nonzero residuals
-    ctx = detkit.DetContext(build())
+    table = build()
+    ctx = detkit.DetContext(table, table.K)
     fast = _catalog_run(ctx)
     monkeypatch.setattr(identities, "_vanishes", lambda products: False)
     assert _catalog_run(ctx) == fast
@@ -124,7 +125,7 @@ def test_integer_zero_test_matches_fraction_path(build, monkeypatch):
 
 
 def test_integer_zero_test_sees_a_wrong_value(monkeypatch):
-    ctx = detkit.DetContext(moments.synthetic_structured(3, 9, tmax=3))
+    ctx = detkit.DetContext(moments.synthetic_structured(3, 9, tmax=3), 9)
     ctx.tau(3, 1, 1)
     ctx.memo[("tau", 3, 1, 1)] += Fraction(1, 7)
     for family, fn in (("P", ctx.Praw), ("R", ctx.Rraw)):

@@ -142,7 +142,7 @@ def test_propagate_generic_exact():
 def test_propagate_trivial_phi_reproduces_base_slice():
     tab = moments.synthetic_generic(3, 9, tmax=2)
     tab.phi_by_t = {t: [Fraction(0)] * 9 for t in tab.phi_by_t}
-    ctx = detkit.DetContext(tab)
+    ctx = detkit.DetContext(tab, tab.K)
     lat = lattice.TauLattice("synthetic-generic", 3, 2, 2, ctx, None)
     for t in range(3):
         for n in range(4):
@@ -173,7 +173,7 @@ def test_propagate_exact_at_base_offsets(mode, seed, K, s0, t0):
     # a lattice over a table based at (s0, t0), with absolute s and t
     # bounds: every propagated tau equals its determinant
     ctx = detkit.DetContext(moments.build_base_table(mode, s0, t0, K,
-                                                     seed=seed, tmax=2))
+                                                     seed=seed, tmax=2), K)
     nmax, smax, tmax = K - 4, s0 + 1, t0 + 2
     lat = lattice.TauLattice(mode, nmax, smax, tmax, ctx, None)
     for n in range(nmax + 1):

@@ -9,6 +9,23 @@ import pytest
 from dckp.numerics import DegeneracyError, ExtentError, digits_of_agreement
 from dckp import detkit, moments, polyfam
 
+
+def _L_functional(ctx, f, s, t):
+    """sum_i f_i phi_i^{s,t}, the sqrt2-weighted endpoint functional."""
+    return _pair(ctx, f, lambda i: ctx.ph(i, s, t))
+
+
+def _weighted_integral(ctx, f, s, t):
+    """sum_i f_i u_i^{s,t}, the plain integral against the weight."""
+    return _pair(ctx, f, lambda i: ctx.u(i, s, t))
+
+
+def _pair(ctx, f, vec):
+    with ctx.wp():
+        return sum((fi * vec(i) for i, fi in enumerate(f.coeffs) if fi != 0),
+                   ctx.zero())
+
+
 # ---- Construction basics ----
 
 def test_p0_is_one(generic_ctx):
@@ -38,7 +55,7 @@ def test_extent_and_family_validation(generic_ctx):
 def test_degenerate_normalizer_reported():
     tab = moments.synthetic_generic(1, 5, tmax=1)
     tab.bimoments[0][0] = Fraction(0)   # tau_1 = m_00 = 0
-    ctx = detkit.DetContext(tab)
+    ctx = detkit.DetContext(tab, tab.K)
     with pytest.raises(DegeneracyError):
         polyfam.poly(ctx, "P", 1, 0, 0)
 
@@ -80,7 +97,7 @@ def test_r_orthogonality_and_L_annihilation(generic_ctx):
     c = generic_ctx
     for n in range(1, 4):
         R = polyfam.poly(c, "R", n, 0, 0)
-        assert polyfam.L_functional(c, R, 0, 0) == 0
+        assert _L_functional(c, R, 0, 0) == 0
         for j in range(n - 1):
             assert polyfam.inner(c, R, _unit(j), 0, 0) == 0, (n, j)
 
@@ -107,14 +124,14 @@ def test_L_of_p_is_sigma_ratio(generic_ctx):
     c = generic_ctx
     for n in range(4):
         P = polyfam.poly(c, "P", n, 0, 0)
-        assert polyfam.L_functional(c, P, 0, 0) == c.sigma(n, 0, 0) / c.tau(n, 0, 0)
+        assert _L_functional(c, P, 0, 0) == c.sigma(n, 0, 0) / c.tau(n, 0, 0)
 
 
 def test_weighted_integral_is_sigtilde_ratio(structured_ctx):
     c = structured_ctx
     for n in range(4):
         P = polyfam.poly(c, "P", n, 0, 0)
-        assert (polyfam.weighted_integral(c, P, 0, 0)
+        assert (_weighted_integral(c, P, 0, 0)
                 == c.sigtilde(n, 0, 0) / c.tau(n, 0, 0))
 
 
