@@ -74,16 +74,23 @@ rank-one evolved tables.
 
 Recurrence coefficients are ratios of these determinants; a vanishing exact
 denominator raises DegeneracyError.
+
+Beside the family memo each context keeps a memo of derived values: the
+recurrence coefficients here, polyfam's monic vectors and lax's operators,
+each built once per context and arguments by the `derived` decorator.  A
+value is computed by the same operations at the context's working precision
+whichever caller asks first, so memoizing it changes no bit of any result.
+Errors are not memoized.
 """
 
+import functools
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import mpmath as mp
 
-from .numerics import WORKING_MARGIN, DegeneracyError, ExtentError
+from .numerics import WORKING_MARGIN, DegeneracyError, ExtentError, _integers
 
 # ---- Family table ----
 
@@ -143,12 +150,6 @@ _FRAMES = _frames()
 
 # ---- Determinants ----
 
-def _integer_row(row):
-    """(d, row * d) with d the least common denominator of the row."""
-    d = lcm(*[v.denominator for v in row])
-    return d, [v.numerator * (d // v.denominator) for v in row]
-
-
 def det_exact(rows):
     """Determinant of a square Fraction matrix by integer Bareiss elimination."""
     n = len(rows)
@@ -157,7 +158,7 @@ def det_exact(rows):
     scale = 1
     M = []
     for r in rows:
-        d, ints = _integer_row(r)
+        ints, d = _integers(r)
         scale *= d
         M.append(ints)
     sign = 1
@@ -277,6 +278,23 @@ def _schur_steps(M, C):
 
 # ---- Context over a stack of t-evolved tables ----
 
+def derived(fn):
+    """fn(ctx, *args), a value built from ctx's families, memoized per
+    context in ctx.derived under (fn's name, *args).  A call that raises
+    stores nothing, so a repeated call raises again.  Callers must not
+    mutate a value they are given."""
+    name = fn.__qualname__
+
+    @functools.wraps(fn)
+    def cached(ctx, *args):
+        key = (name,) + args
+        v = ctx.derived.get(key)
+        if v is None:
+            v = ctx.derived[key] = fn(ctx, *args)
+        return v
+    return cached
+
+
 def _family_method(family, doc=None):
     """A DetContext method delegating to the memoized family evaluator."""
     def method(self, n, s, t):
@@ -290,9 +308,11 @@ class DetContext:
     """Family evaluators at absolute (n, s, t) over one base moment table.
 
     t moves through rank-one evolved copies of the base table, s through index
-    shifts inside each copy.  All determinants are memoized; one sweep per
-    frame and (s, t) fills the memo up to `orders`, the highest family order
-    the caller reads (see the module doc).
+    shifts inside each copy.  All determinants are memoized in `memo`; one
+    sweep per frame and (s, t) fills it up to `orders`, the highest family
+    order the caller reads (see the module doc).  Values derived from the
+    families (recurrence coefficients, monic polynomials, Lax operators) are
+    memoized apart, in `derived`, so `memo` holds families only.
     """
 
     def __init__(self, base_table, orders):
@@ -309,6 +329,7 @@ class DetContext:
             cur = cur.evolve_t()
             self.tables[cur.t0] = cur
         self.memo = {}
+        self.derived = {}
         self.swept = set()
 
     # -- scalars --
@@ -409,7 +430,7 @@ class DetContext:
             r = top + i
             cells = ([tb.m(r, ds + col + j) for j in range(C)]
                      + [v[r] if r < len(v) else 0 for v in vecs])
-            di, ints = _integer_row(cells) if self.exact else (1, cells)
+            ints, di = _integers(cells) if self.exact else (cells, 1)
             if poly:
                 ints += [0] * i + [di]      # I block up to its diagonal
             M.append(ints)
@@ -498,17 +519,20 @@ class DetContext:
             raise DegeneracyError("vanishing denominator in %s" % what)
         return num / den
 
+    @derived
     def norm(self, n, s, t):
         """h_n = tau_{n+1}/tau_n, the squared biorthogonal norm."""
         with self.wp():
             return self._div(self.tau(n + 1, s, t), self.tau(n, s, t),
                              "norm h_%d" % n)
 
+    @derived
     def psub(self, n, s, t):
         """Subleading coefficient p_n of P_n: -tautilde_n/tau_n."""
         with self.wp():
             return self._div(-self.tautilde(n, s, t), self.tau(n, s, t), "p_%d" % n)
 
+    @derived
     def coeff_a(self, n, s, t):
         if n == 0:
             return self.zero()
@@ -517,10 +541,12 @@ class DetContext:
                              self.sigtilde(n - 1, s, t) * self.tau(n, s, t),
                              "a_%d" % n)
 
+    @derived
     def coeff_b(self, n, s, t):
         with self.wp():
             return self.psub(n + 1, s, t) - self.psub(n, s, t)
 
+    @derived
     def coeff_c(self, n, s, t):
         if n == 0:
             return self.zero()
@@ -528,12 +554,14 @@ class DetContext:
             return self._div(self.tau(n - 1, s, t) * self.tau(n + 1, s, t),
                              self.tau(n, s, t) ** 2, "c_%d" % n)
 
+    @derived
     def coeff_beta(self, n, s, t):
         with self.wp():
             return self._div(self.xi(n + 1, s, t) * self.tau(n, s, t),
                              self.tau(n + 1, s, t) * self.xi(n, s, t),
                              "beta_%d" % n)
 
+    @derived
     def coeff_alpha(self, n, s, t):
         """alpha_n = xi_{n+1} tau_{n-1}^{s+1} / (xi_n tau_n^{s+1})."""
         if n == 0:
@@ -550,9 +578,11 @@ class DetContext:
             return False
         return all(v == 0 for v in vec[s - self.s0:])
 
+    @derived
     def coeff_d(self, n, s, t):
         return self._sigma_ratio("d", n, s, t, 1)
 
+    @derived
     def coeff_e(self, n, s, t):
         return self._sigma_ratio("e", n, s, t, 0)
 
@@ -569,14 +599,17 @@ class DetContext:
                 return self.zero()
             return self._div(num, den, "%s_%d" % (name, n))
 
+    @derived
     def coeff_f(self, n, s, t):
         with self.wp():
             return self.coeff_beta(n, s, t) - self.coeff_alpha(n, s, t)
 
+    @derived
     def coeff_g(self, n, s, t):
         with self.wp():
             return self.coeff_d(n, s, t) - self.coeff_e(n, s, t)
 
+    @derived
     def coeff_chat(self, n, s, t):
         """chat_n = c_n - 2 a_n b_{n-1}, the corrected bilinear combination."""
         if n == 0:

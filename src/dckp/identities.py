@@ -14,13 +14,12 @@ over a common denominator (`_vanishes`); only a nonzero one is formed as a
 Fraction with its scale terms.  The values are the same either way.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
-                       fmt_scalar, relative_residual)
+                       _integers, fmt_scalar, relative_residual)
 
 # ---- Catalog ----
 
@@ -98,15 +97,6 @@ class _Ratio(NamedTuple):
     """An unreduced exact rational, read like a Fraction by `_integers`."""
     numerator: int
     denominator: int
-
-
-def _integers(values):
-    """Exact rationals as (integer numerators, one common denominator).  The
-    entries of one determinant-family vector share most of their
-    denominators, so their least common one stays short where the product
-    of all of them would not."""
-    den = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # ---- Polynomial-combination helpers ----
@@ -432,6 +422,7 @@ def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
         if ident not in CATALOG_IDS:
             raise ValueError("unknown identity id: %r" % (ident,))
     mode = ctx.base.mode
+    policy = _policy_for(ctx, policy)
     records = []
     for ident in chosen:
         for n in range(N_MIN.get(ident, 0), nmax + 1):

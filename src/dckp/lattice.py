@@ -5,17 +5,21 @@ identity stencils are O(1) lookups.  The quartic lattice equation, read as a
 quadratic in one t-advanced corner, powers an initial-value propagation that
 rebuilds a t-slice from the previous slice plus an n <= 1 boundary staircase;
 of the two roots it keeps the one nearer the determinant oracle, and halts on
-an exact tie.
+an exact tie.  The quartic is homogeneous of degree four in the stencil, so
+an exact corner is solved on the integer numerators of its stencil over one
+common denominator, with no Fraction arithmetic until the two roots.
 """
 
 import math
+import operator
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
 
 from .numerics import (ConfigError, DegeneracyError, TolerancePolicy,
-                       csv_text, fmt_scalar, relative_residual)
+                       _integers, csv_text, fmt_scalar, relative_residual)
 from . import moments, quadrature, detkit
 
 # sigma_row is an internal evaluator for the identity battery, not lattice data
@@ -136,15 +140,50 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
 
 # ---- Quartic corner solve ----
 
-def _fraction_sqrt(fr):
-    if fr < 0:
+def _integer_sqrt(q):
+    if q < 0:
         raise DegeneracyError("negative discriminant in exact corner solve")
-    num, den = fr.numerator, fr.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
+    root = math.isqrt(q)
+    if root * root != q:
         raise DegeneracyError("discriminant is not a perfect rational square; "
                               "stencil does not lie on an exact lattice")
-    return Fraction(rn, rd)
+    return root
+
+
+def _float_sqrt(q):
+    if q < 0:
+        raise DegeneracyError("negative discriminant in float corner "
+                              "solve: %s" % mp.nstr(q, 8))
+    return mp.sqrt(q)
+
+
+def _corner_roots(g, which_unknown, sqrt, over):
+    """Roots of 4 A (P - Q X) = (R - S X)^2 in the unknown corner X, with
+    g(site) the stencil, sqrt the discriminant's square root and over(num,
+    den) the division of the mode."""
+    A = g("n,s+1,t") * g("n,s,t") - g("n+1,s,t") * g("n-1,s+1,t")
+    P = g("n,s+1,t+1") * g("n,s,t+1")
+    R = g("n,s+1,t") * g("n,s,t+1") + g("n,s+1,t+1") * g("n,s,t")
+    if which_unknown == "n-1,s+1,t+1":
+        Q = g("n+1,s,t+1")
+        R = R - g("n+1,s,t+1") * g("n-1,s+1,t")
+        S = g("n+1,s,t")
+    else:
+        Q = g("n-1,s+1,t+1")
+        R = R - g("n+1,s,t") * g("n-1,s+1,t+1")
+        S = g("n-1,s+1,t")
+    a2 = S * S
+    a1 = 4 * A * Q - 2 * R * S
+    a0 = R * R - 4 * A * P
+    if a2 == 0:
+        if a1 == 0:
+            raise DegeneracyError("corner equation fully degenerate "
+                                  "(no linear term)")
+        x = over(-a0, a1)
+        return (x, x)
+    root = sqrt(A * (A * Q * Q - R * S * Q + P * S * S))
+    mid = 2 * A * Q - R * S
+    return (over(-mid + 2 * root, a2), over(-mid - 2 * root, a2))
 
 
 def solve_dckp_corner(stencil, which_unknown, dps=None):
@@ -155,54 +194,29 @@ def solve_dckp_corner(stencil, which_unknown, dps=None):
     one of the two admissible corners of the t+1 layer.  A vanishing quadratic
     coefficient degrades to the linear case (returned as a double entry); a
     fully degenerate equation is an error.
+
+    Exact stencils are solved in integers.  Every term of the quartic is a
+    product of four stencil values, so with the seven values written as
+    integers over their least common denominator D the unknown is X' / D,
+    X' the root of the same quadratic over the integers: one isqrt tests the
+    discriminant, and each root is one Fraction.  Float stencils are solved
+    at `dps` digits when given.
     """
     if which_unknown not in UNKNOWN_CORNERS:
         raise ConfigError("unknown corner id %r; expected one of %r"
                           % (which_unknown, UNKNOWN_CORNERS))
-    missing = [k for k in STENCIL_SITES
-               if k != which_unknown and k not in stencil]
+    known = [k for k in STENCIL_SITES if k != which_unknown]
+    missing = [k for k in known if k not in stencil]
     if missing:
         raise ConfigError("stencil missing sites: %r" % (missing,))
-    g = stencil.__getitem__
-    exact = isinstance(g("n,s,t"), (Fraction, int))
-
-    def _solve():
-        A = g("n,s+1,t") * g("n,s,t") - g("n+1,s,t") * g("n-1,s+1,t")
-        P = g("n,s+1,t+1") * g("n,s,t+1")
-        R = g("n,s+1,t") * g("n,s,t+1") + g("n,s+1,t+1") * g("n,s,t")
-        if which_unknown == "n-1,s+1,t+1":
-            Q = g("n+1,s,t+1")
-            R = R - g("n+1,s,t+1") * g("n-1,s+1,t")
-            S = g("n+1,s,t")
-        else:
-            Q = g("n-1,s+1,t+1")
-            R = R - g("n+1,s,t") * g("n-1,s+1,t+1")
-            S = g("n-1,s+1,t")
-        # 4 A (P - Q X) = (R - S X)^2
-        a2 = S * S
-        a1 = 4 * A * Q - 2 * R * S
-        a0 = R * R - 4 * A * P
-        if a2 == 0:
-            if a1 == 0:
-                raise DegeneracyError("corner equation fully degenerate "
-                                      "(no linear term)")
-            x = -a0 / a1
-            return (x, x)
-        quarter_disc = A * (A * Q * Q - R * S * Q + P * S * S)
-        if exact:
-            root = _fraction_sqrt(Fraction(quarter_disc))
-        else:
-            if quarter_disc < 0:
-                raise DegeneracyError("negative discriminant in float corner "
-                                      "solve: %s" % mp.nstr(quarter_disc, 8))
-            root = mp.sqrt(quarter_disc)
-        mid = 2 * A * Q - R * S
-        return ((-mid + 2 * root) / a2, (-mid - 2 * root) / a2)
-
-    if exact or dps is None:
-        return _solve()
-    with mp.workdps(dps):
-        return _solve()
+    if isinstance(stencil["n,s,t"], (Fraction, int)):
+        nums, D = _integers([stencil[k] for k in known])
+        return _corner_roots(dict(zip(known, nums)).__getitem__, which_unknown,
+                             _integer_sqrt,
+                             lambda num, den: Fraction(num, den * D))
+    with mp.workdps(dps) if dps is not None else nullcontext():
+        return _corner_roots(stencil.__getitem__, which_unknown, _float_sqrt,
+                             operator.truediv)
 
 
 # ---- Propagation ----

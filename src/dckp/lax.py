@@ -11,6 +11,9 @@ superdiagonal) and capital letters the diagonal coefficient matrices:
 The unit lower-bidiagonal inverses are applied by forward substitution, so a
 truncation defect lives only in the last row; products of two operators are
 then exact on the interior block [1, K-3] used for compatibility residuals.
+Each operator is built once per DetContext and (K, s, t) (detkit.derived)
+and shared by the compatibility and eigenfunction residuals; no caller
+mutates one.
 The six scalar compatibility equations are evaluated per variant: the three
 that survive adjudication verbatim, and repaired forms for the other three.
 """
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
-from . import polyfam
+from . import detkit, polyfam
 from .identities import _adjudicate, _policy_for, _with_relative
 
 EIGEN_SAMPLES = (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
@@ -102,6 +105,7 @@ def _operator(ctx, sub, bands):
     return _forward_solve(sub, T, zero)
 
 
+@detkit.derived
 def build_L(ctx, K, s, t):
     _check_K(K)
     with ctx.wp():
@@ -114,6 +118,7 @@ def build_L(ctx, K, s, t):
                                   -2: lambda i: -a[i] * c[i - 1]})
 
 
+@detkit.derived
 def build_N(ctx, K, s, t):
     _check_K(K)
     with ctx.wp():
@@ -123,6 +128,7 @@ def build_N(ctx, K, s, t):
                                       0: lambda i: beta[i]})
 
 
+@detkit.derived
 def build_M(ctx, K, s, t):
     _check_K(K)
     with ctx.wp():
@@ -148,25 +154,26 @@ def compat_residuals(ctx, K, s, t):
     compat_LN: L^{s+1,t} N^{s,t}   - N^{s,t} L^{s,t}
     compat_ML: M^{s,t}   L^{s,t+1} - L^{s,t} M^{s,t}
 
-    Each product builds only the operators it needs; a product whose
-    coefficient data is out of reach for the mode (singles lost after a
-    t-step) is reported as None rather than aborting the others.
+    Each product builds only the operators it needs, each operator once per
+    context; a product whose coefficient data is out of reach for the mode
+    (singles lost after a t-step) is reported as None rather than aborting
+    the others.
     """
     _check_K(K)
     zero = ctx.zero()
     lo, hi = 1, K - 3
     parts = {
-        "compat_MN": (lambda: build_M(ctx, K, s + 1, t), lambda: build_N(ctx, K, s, t + 1),
-                      lambda: build_N(ctx, K, s, t), lambda: build_M(ctx, K, s, t)),
-        "compat_LN": (lambda: build_L(ctx, K, s + 1, t), lambda: build_N(ctx, K, s, t),
-                      lambda: build_N(ctx, K, s, t), lambda: build_L(ctx, K, s, t)),
-        "compat_ML": (lambda: build_M(ctx, K, s, t), lambda: build_L(ctx, K, s, t + 1),
-                      lambda: build_L(ctx, K, s, t), lambda: build_M(ctx, K, s, t)),
+        "compat_MN": ((build_M, s + 1, t), (build_N, s, t + 1),
+                      (build_N, s, t), (build_M, s, t)),
+        "compat_LN": ((build_L, s + 1, t), (build_N, s, t),
+                      (build_N, s, t), (build_L, s, t)),
+        "compat_ML": ((build_M, s, t), (build_L, s, t + 1),
+                      (build_L, s, t), (build_M, s, t)),
     }
     out = {}
-    for name, (mkP, mkQ, mkPb, mkQb) in parts.items():
+    for name, ops in parts.items():
         try:
-            P, Q, Pb, Qb = mkP(), mkQ(), mkPb(), mkQb()
+            P, Q, Pb, Qb = [build(ctx, K, *site) for build, *site in ops]
         except (ExtentError, DegeneracyError) as exc:
             out[name] = None
             out[name + "_skipped"] = type(exc).__name__ + ": " + str(exc)

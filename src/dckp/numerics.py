@@ -11,6 +11,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath as mp
 
@@ -39,7 +40,9 @@ class TolerancePolicy:
     """Float-mode tolerances. rel_tol is derived, never set directly.
 
     guard_digits defaults to min(40, precision_digits // 3), so scaled-down
-    precisions keep a meaningful tolerance without explicit tuning.
+    precisions keep a meaningful tolerance without explicit tuning.  rel_tol
+    is computed on first use and kept on the instance, outside the fields,
+    so equality and repr see only the two digit counts.
     """
     precision_digits: int = 120
     guard_digits: int = None
@@ -60,8 +63,25 @@ class TolerancePolicy:
         return self.precision_digits + WORKING_MARGIN
 
     def rel_tol(self):
-        with mp.workdps(self.working_dps):
-            return mp.mpf(10) ** (-(self.precision_digits - self.guard_digits))
+        tol = self.__dict__.get("_rel_tol")
+        if tol is None:
+            digits = self.precision_digits - self.guard_digits
+            with mp.workdps(self.working_dps):
+                tol = mp.mpf(10) ** -digits
+            object.__setattr__(self, "_rel_tol", tol)
+        return tol
+
+
+# ---- Exact rationals over one denominator ----
+
+def _integers(values):
+    """Exact rationals (anything with .numerator and .denominator) as
+    (integer numerators, their least common denominator).  Values that share
+    most of their denominators, like the entries of one frame row or one
+    determinant-family vector, keep it short where the product of all of
+    them would not be."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # ---- Residuals ----

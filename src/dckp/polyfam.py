@@ -1,9 +1,8 @@
 """Polynomial families P, Q, R as monic coefficient vectors from determinant
-cofactors, and the Cauchy-kernel inner product.
+cofactors.
 
-The inner product is a finite bilinear form over the moment table; no
-integration happens at runtime.  Coefficient vectors are low-to-high degree
-with coeffs[n] = 1.
+Coefficient vectors are low-to-high degree with coeffs[n] = 1, each built
+once per DetContext (detkit.derived).
 """
 
 from dataclasses import dataclass
@@ -46,8 +45,9 @@ LOWEST_ORDER = {fam: max(spec.start, 0)
                 if spec.lead is not None}
 
 
+@detkit.derived
 def poly(ctx, family, n, s, t):
-    """Monic member of family P, Q or R at (n, s, t).
+    """Monic member of family P, Q or R at (n, s, t), built once per context.
 
     P_n = tau_n^{-1} det[m cols 0..n-1 | x^i]; Q_n the same on the column-
     shifted table; R_n = (-1)^{n-1} sigma_{n-1}^{-1} det[phi | m cols 0..n-2 | x^i]
@@ -71,20 +71,3 @@ def poly(ctx, family, n, s, t):
     with ctx.wp():
         coeffs = tuple(sign * c / den for c in raw)
     return PolyCoeffs(family, n, s, t, coeffs)
-
-
-# ---- Inner product ----
-
-def inner(ctx, f, g, s, t):
-    """Cauchy-kernel pairing: sum_{i,j} f_i g_j m_{ij}^{s,t}."""
-    fv, gv = _vec(f), _vec(g)
-    with ctx.wp():
-        tot = ctx.zero()
-        for i, fi in enumerate(fv):
-            if fi == 0:
-                continue
-            for j, gj in enumerate(gv):
-                if gj == 0:
-                    continue
-                tot += fi * gj * ctx.m(i, j, s, t)
-        return tot

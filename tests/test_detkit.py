@@ -1,6 +1,7 @@
 """Determinant kernel and family evaluators: exact vs float agreement, edge
 conventions, closed-form oracles, coefficient ratios."""
 
+import collections
 import dataclasses
 import operator
 import random
@@ -92,6 +93,55 @@ def test_coefficient_edges(structured_ctx):
     assert c.coeff_d(0, 0, 0) == 0
     assert c.coeff_e(0, 0, 0) == 0
     assert c.coeff_g(0, 0, 0) == 0
+
+
+COEFFICIENTS = ("norm", "psub", "coeff_a", "coeff_b", "coeff_c", "coeff_beta",
+                "coeff_alpha", "coeff_d", "coeff_e", "coeff_f", "coeff_g",
+                "coeff_chat")
+
+
+class _CountingDict(dict):
+    """A dict counting the stores to each key."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_coefficients_evaluated_once_per_context():
+    ctx = detkit.DetContext(moments.synthetic_structured(2, 9, tmax=2), 9)
+    ctx.derived = _CountingDict()
+    divisions = collections.Counter()
+    div = ctx._div
+
+    def counting(num, den, what):
+        divisions[what] += 1
+        return div(num, den, what)
+
+    ctx._div = counting
+    values = [[getattr(ctx, name)(n, 1, 0) for name in COEFFICIENTS
+               for n in range(4)] for _ in range(2)]
+    assert values[0] == values[1]
+    # b_n reads p_{n+1}, so a few more values than were asked for are kept
+    assert set(ctx.derived.stores) >= {("DetContext." + name, n, 1, 0)
+                                       for name in COEFFICIENTS
+                                       for n in range(4)}
+    assert set(ctx.derived.stores.values()) == {1}
+    assert divisions and set(divisions.values()) == {1}
+
+
+def test_degenerate_coefficient_raises_every_time():
+    tab = moments.synthetic_generic(1, 6, tmax=1)
+    tab.bimoments[0][0] = Fraction(0)   # tau_1 = m_00 = 0
+    ctx = detkit.DetContext(tab, tab.K)
+    for _ in range(2):
+        with pytest.raises(DegeneracyError, match="c_1"):
+            ctx.coeff_c(1, 0, 0)
+    assert ("DetContext.coeff_c", 1, 0, 0) not in ctx.derived
 
 
 def test_extent_errors(generic_ctx):

@@ -2,10 +2,11 @@
 configuration errors."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dckp.numerics import ConfigError, DegeneracyError
 from dckp import lattice, moments, detkit
@@ -122,6 +123,90 @@ def test_corner_solve_degenerate_errors():
            "n,s+1,t+1": Fraction(1)}
     with pytest.raises(DegeneracyError):
         lattice.solve_dckp_corner(stn, "n+1,s,t+1")
+
+
+def _fraction_corner(stencil, which_unknown):
+    """The exact corner solve in Fraction arithmetic, reducing at every step:
+    the reference the integer solve must reproduce."""
+    g = stencil.__getitem__
+    A = g("n,s+1,t") * g("n,s,t") - g("n+1,s,t") * g("n-1,s+1,t")
+    P = g("n,s+1,t+1") * g("n,s,t+1")
+    R = g("n,s+1,t") * g("n,s,t+1") + g("n,s+1,t+1") * g("n,s,t")
+    if which_unknown == "n-1,s+1,t+1":
+        Q = g("n+1,s,t+1")
+        R = R - g("n+1,s,t+1") * g("n-1,s+1,t")
+        S = g("n+1,s,t")
+    else:
+        Q = g("n-1,s+1,t+1")
+        R = R - g("n+1,s,t") * g("n-1,s+1,t+1")
+        S = g("n-1,s+1,t")
+    a2 = S * S
+    a1 = 4 * A * Q - 2 * R * S
+    a0 = R * R - 4 * A * P
+    if a2 == 0:
+        if a1 == 0:
+            raise DegeneracyError("corner equation fully degenerate "
+                                  "(no linear term)")
+        x = -a0 / a1
+        return (x, x)
+    disc = Fraction(A * (A * Q * Q - R * S * Q + P * S * S))
+    if disc < 0:
+        raise DegeneracyError("negative discriminant in exact corner solve")
+    rn, rd = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if rn * rn != disc.numerator or rd * rd != disc.denominator:
+        raise DegeneracyError("discriminant is not a perfect rational square; "
+                              "stencil does not lie on an exact lattice")
+    root = Fraction(rn, rd)
+    mid = 2 * A * Q - R * S
+    return ((-mid + 2 * root) / a2, (-mid - 2 * root) / a2)
+
+
+def _outcome(solve, stencil, which):
+    try:
+        return solve(stencil, which)
+    except DegeneracyError as exc:
+        return type(exc), str(exc)
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+_LATTICE = detkit.DetContext(moments.synthetic_generic(1, 9, tmax=1), 9)
+
+
+@st.composite
+def _stencils(draw):
+    """Seven stencil values: small rationals (zeros, vanishing S, negative
+    and non-square discriminants are frequent), all zeros, or a tau stencil
+    of an exact lattice, where the discriminant is a square, times a
+    rational."""
+    which = draw(st.sampled_from(lattice.UNKNOWN_CORNERS))
+    kind = draw(st.sampled_from(("random", "zero", "lattice")))
+    known = [k for k in lattice.STENCIL_SITES if k != which]
+    if kind == "random":
+        return which, {k: draw(_small) for k in known}
+    if kind == "zero":
+        return which, {k: Fraction(0) for k in known}
+    n, s = draw(st.integers(1, 3)), draw(st.integers(0, 1))
+    scale = draw(_small.filter(lambda v: v != 0))
+    stn = lattice._stencil_from(_LATTICE.tau, n, s, 0, skip=which)
+    return which, {k: scale * v for k, v in stn.items()}
+
+
+_LINEAR = {"n-1,s+1,t": Fraction(0), "n,s,t": Fraction(1, 3),
+           "n,s+1,t": Fraction(2), "n+1,s,t": Fraction(3, 2),
+           "n-1,s+1,t+1": Fraction(1), "n,s,t+1": Fraction(-1, 4),
+           "n,s+1,t+1": Fraction(2, 5)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_stencils())
+@example(case=("n+1,s,t+1", _LINEAR))
+@example(case=("n+1,s,t+1", {k: Fraction(0) for k in _LINEAR}))
+@example(case=("n+1,s,t+1", dict(_LINEAR, **{"n-1,s+1,t": Fraction(1, 2)})))
+def test_integer_corner_solve_matches_fraction_solve(case):
+    # equal roots, or the same error with the same message
+    which, stn = case
+    assert (_outcome(lattice.solve_dckp_corner, stn, which)
+            == _outcome(_fraction_corner, stn, which))
 
 
 # ---- Propagation ----

@@ -1,12 +1,13 @@
 """Lax operators: band structure, compatibility products, eigen relations,
 six scalar equations with variant adjudication."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from dckp.numerics import ConfigError, ExtentError
-from dckp import lax, polyfam
+from dckp import detkit, lax, polyfam
 
 # ---- Operator structure ----
 
@@ -54,6 +55,36 @@ def test_jacobi_compat_all_three(jacobi_ctx, jacobi_policy):
     tol = jacobi_policy.rel_tol()
     for name in ("compat_MN", "compat_LN", "compat_ML"):
         assert out[name] is not None and out[name] < tol, name
+
+
+def test_operators_built_once_per_context(jacobi_ctx, monkeypatch):
+    # compat_residuals and eigen_residuals at one site share one build of
+    # each operator: L at (s, t), (s+1, t), (s, t+1), N at (s, t), (s, t+1)
+    # and M at (s, t), (s+1, t), however often they are called
+    ctx = detkit.DetContext(jacobi_ctx.base, jacobi_ctx.orders)
+    kind = {frozenset((1, 0, -1, -2)): "L", frozenset((1, 0)): "N",
+            frozenset((0, -1)): "M"}
+    built = Counter()
+    build = lax._operator
+
+    def counting(ctx, sub, bands):
+        built[kind[frozenset(bands)]] += 1
+        return build(ctx, sub, bands)
+
+    monkeypatch.setattr(lax, "_operator", counting)
+    for _ in range(2):
+        lax.compat_residuals(ctx, 5, 0, 0)
+        lax.eigen_residuals(ctx, 5, 0, 0)
+    assert built == {"L": 3, "N": 2, "M": 2}
+
+
+def test_unbuildable_operator_is_skipped_every_time(structured_ctx):
+    # L at t+1 raises on structured data; nothing is kept, so it raises again
+    for _ in range(2):
+        out = lax.compat_residuals(structured_ctx, 6, 0, 0)
+        assert out["compat_ML"] is None and "compat_ML_skipped" in out
+        with pytest.raises(ExtentError):
+            lax.build_L(structured_ctx, 6, 0, 1)
 
 
 # ---- Eigen relations ----
