@@ -11,7 +11,6 @@ codes: 0 success, 1 verification failure, 2 usage or configuration error.
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -310,6 +309,7 @@ def cmd_verify(cfg):
     if jobs == 1:
         parts = [_verify_chunk(payloads[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             parts = list(ex.map(_verify_chunk, payloads))
     recs = sorted((r for part, _ in parts for r in part),

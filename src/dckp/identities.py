@@ -7,6 +7,16 @@ arithmetic on synthetic data), the catalog carries both the printed and the
 confirmed variant: `pass` gates on the confirmed form, and variant_report
 emits the per-variant residuals with the chosen form recorded.
 
+IDENTITY_SPECS is the catalog: each id's kind, lowest n and gating rule and,
+for the bilinear and trilinear ids, the stencil as signed products of family
+reads, evaluated by one function (a variant id also has its printed one).
+So a stencil's reads are static.  At n = 0 the records of 3.2b, 3.3b, 3.4a,
+3.4b, e1-e4, eq1, fn-b, tau-hat-rel and tri2 read no order >= 1 value outside
+a product that also holds an edge zero (tau_{-1} = xi_{-1} = sigma_{-1} =
+psi_{-1} = 0): they check only the edge conventions and pass on any data, as
+eq1 there reads tau_0 tau_0 = xi_0 xi_0 = 1.  So does dckp, the quartic
+4 * 1 * 1 = 2^2 at n = 0.
+
 Record semantics: exact mode passes iff residual_abs == 0; float mode iff
 residual_rel < rel_tol, with scale = max |individual product term| (floor 1).
 An exact residual is first zero-tested in integer arithmetic, on numerators
@@ -23,31 +33,108 @@ from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
 
 # ---- Catalog ----
 
-CATALOG_IDS = ("4trr", "prop2.5", "prop2.6", "spec1", "dt1", "trans2", "propr",
-               "eq1", "3.2a", "3.2b", "3.3a", "3.3b", "3.4a", "3.4b",
-               "tri1", "tri2", "fn-a", "fn-b", "xi-psi-sq", "tau-hat-rel",
-               "e1", "e2", "e3", "e4", "dckp")
+@dataclass(frozen=True)
+class Identity:
+    """One catalog id: how it is evaluated and where it gates."""
+    kind: str                   # "stencil", "poly", "propr", "4trr" or "dckp"
+    n_min: int = 0              # lowest n evaluated
+    generic: bool = False       # gates on synthetic-generic data (the ids
+                                # derived through orthogonality do not)
+    single: bool = False        # needs singles: on structured data it gates
+                                # only at the base t
+    stencil: tuple = ()         # signed products (sign, reads), each read
+                                # (family, dn, ds, dt): see _stencil
+    printed: tuple = None       # the printed stencil of a variant id
 
-N_MIN = {"4trr": 1, "prop2.6": 1, "dt1": 1, "trans2": 1, "propr": 1}
 
-NEEDS_SINGLE = {"4trr"}
+def _stencil(text):
+    """Signed products from text such as "+ tau[n+1] xi[n-1,s+1] - ...", stored
+    pre-split as (sign, reads).  A read names its family and its shifts of
+    (n, s, t): tau[n-1,s+1] is tau_{n-1}^{s+1,t}, a bare xi is xi_n^{s,t}."""
+    products = []
+    for token in text.split():
+        if token in ("+", "-"):
+            products.append((1 if token == "+" else -1, []))
+            continue
+        family, _, shifts = token.rstrip("]").partition("[")
+        d = [0, 0, 0]
+        for shift in filter(None, shifts.split(",")):
+            d["nst".index(shift[0])] = int(shift[1:])
+        products[-1][1].append((family, *d))
+    return tuple((sign, tuple(reads)) for sign, reads in products)
+
+
+def _by_stencil(text, printed=None, generic=False):
+    return Identity("stencil", generic=generic, stencil=_stencil(text),
+                    printed=printed and _stencil(printed))
+
+
+_E1 = "+ tau[n+1] tau[n-1,s+1] - tau tau[s+1] + xi xi"
+_FN_A = "+ sigma[s+1] tau[n+1] - sigma[n+1] tau[s+1] - xi[n+1] psi"
+_FN_B = "+ sigma tau[s+1] - sigma[n-1,s+1] tau[n+1] - xi psi"
+
+IDENTITY_SPECS = {
+    "4trr": Identity("4trr", n_min=1, single=True),
+    "prop2.5": Identity("poly"),
+    "prop2.6": Identity("poly", n_min=1),
+    "spec1": Identity("poly"),
+    "dt1": Identity("poly", n_min=1),
+    "trans2": Identity("poly", n_min=1),
+    "propr": Identity("propr", n_min=1),
+    "eq1": _by_stencil(_E1),
+    "3.2a": _by_stencil("+ tau[t+1] tau[n+1] - tau[n+1,t+1] tau - sigma sigma",
+                        "+ tau[n+1,t+1] tau - tau[t+1] tau[n+1] - sigma sigma"),
+    "3.2b": _by_stencil("+ tau tau[s+1,t+1] - tau[n+1] tau[n-1,s+1,t+1]"
+                        " - xi[t+1] xi + sigma[n-1,s+1] sigma"),
+    "3.3a": _by_stencil(_FN_A, "+ sigma[n+1] xi + xi[n+1] sigma - tau[n+1] psi"),
+    "3.3b": _by_stencil(_FN_B, "+ sigma[s+1] xi + sigma[n-1,s+1] xi[n+1]"
+                               " - tau[s+1] psi"),
+    "3.4a": _by_stencil("+ tau[t+1] xi - tau xi[t+1] - sigma psi[n-1]",
+                        "+ tau[t+1] xi - tau xi[t+1] + sigma psi[n-1]"),
+    "3.4b": _by_stencil("+ tau xi[n-1,t+1] - tau[t+1] xi[n-1] - sigma[n-1] psi[n-1]",
+                        "+ tau xi[n-1,t+1] - tau[t+1] xi[n-1] + sigma[n-1] psi[n-1]"),
+    "tri1": _by_stencil("+ sigma[s+1] xi tau[n+1] + xi[n+1] sigma[n-1,s+1] tau[n+1]"
+                        " - sigma[n+1] tau[s+1] xi - xi[n+1] sigma tau[s+1]"),
+    "tri2": _by_stencil("+ tau sigma[n-1] xi[t+1] + sigma xi[n-1,t+1] tau"
+                        " - xi tau[t+1] sigma[n-1] - sigma xi[n-1] tau[t+1]"),
+    "fn-a": _by_stencil(_FN_A),
+    "fn-b": _by_stencil(_FN_B),
+    "xi-psi-sq": _by_stencil("+ xi[n+1,t+1] xi - xi[t+1] xi[n+1] + psi sigma_row",
+                             "+ xi[n+1,t+1] xi - xi[t+1] xi[n+1] - psi psi"),
+    "tau-hat-rel": _by_stencil("+ xi[n+1] xi[n-1,s+1] - xi xi[s+1] + tau[s+1] tau_hat",
+                               "+ xi[n+1] xi[n-1,s+1] - xi xi[s+1] - tau[s+1] tau_hat"),
+    "e1": _by_stencil(_E1, generic=True),
+    "e2": _by_stencil("+ tau[t+1] tau[n-1] - tau tau[n-1,t+1] + sigma[n-1] sigma[n-1]",
+                      generic=True),
+    "e3": _by_stencil("+ tau[t+1] tau[n-1,s+1] - tau tau[n-1,s+1,t+1]"
+                      " + psi[n-1] psi[n-1]", generic=True),
+    "e4": _by_stencil("+ tau[t+1] xi[n-1] - tau xi[n-1,t+1] + psi[n-1] sigma[n-1]",
+                      generic=True),
+    "dckp": Identity("dckp", generic=True),
+}
+
+CATALOG_IDS = tuple(IDENTITY_SPECS)
 
 # ids whose printed form failed adjudication and gate on a confirmed variant
-VARIANT_IDS = ("3.2a", "3.3a", "3.3b", "3.4a", "3.4b", "xi-psi-sq", "tau-hat-rel")
+VARIANT_IDS = tuple(i for i, spec in IDENTITY_SPECS.items() if spec.printed)
 
 # residuals quoted in summary reports are diagnostics, not table data
 REPORT_DIGITS = 12
 
-# identities derived through orthogonality: computed but never gating on
-# synthetic-generic data
-GENERIC_GATES = frozenset({"e1", "e2", "e3", "e4", "dckp"})
+
+def _spec(identity_id):
+    spec = IDENTITY_SPECS.get(identity_id)
+    if spec is None:
+        raise ValueError("unknown identity id: %r" % (identity_id,))
+    return spec
 
 
 def gates(mode, identity_id, t, base_t):
     """Whether a record at this site participates in the pass/fail verdict."""
+    spec = _spec(identity_id)
     if mode == "synthetic-generic":
-        return identity_id in GENERIC_GATES
-    if mode == "synthetic-structured" and identity_id in NEEDS_SINGLE:
+        return spec.generic
+    if mode == "synthetic-structured" and spec.single:
         return t == base_t
     return True
 
@@ -150,104 +237,12 @@ def _sum_terms(pairs):
     return total, terms
 
 
-# ---- Identity evaluators: (ctx, n, s, t, variant) -> (residual_abs, scales) ----
+# ---- Identity evaluators, one per kind: -> (residual_abs, scales) ----
 
-def _ev_bilinear(ctx, ident, n, s, t, variant):
-    T, X, TH = ctx.tau, ctx.xi, ctx.tauhat
-    SG, PS, SR = ctx.sigma, ctx.psi, ctx.sigma_row
-    v = variant
-    if ident in ("eq1", "e1"):
-        pairs = [(+1, [T(n + 1, s, t), T(n - 1, s + 1, t)]),
-                 (-1, [T(n, s, t), T(n, s + 1, t)]),
-                 (+1, [X(n, s, t), X(n, s, t)])]
-    elif ident == "e2":
-        pairs = [(+1, [T(n, s, t + 1), T(n - 1, s, t)]),
-                 (-1, [T(n, s, t), T(n - 1, s, t + 1)]),
-                 (+1, [SG(n - 1, s, t), SG(n - 1, s, t)])]
-    elif ident == "e3":
-        pairs = [(+1, [T(n, s, t + 1), T(n - 1, s + 1, t)]),
-                 (-1, [T(n, s, t), T(n - 1, s + 1, t + 1)]),
-                 (+1, [PS(n - 1, s, t), PS(n - 1, s, t)])]
-    elif ident == "e4":
-        pairs = [(+1, [T(n, s, t + 1), X(n - 1, s, t)]),
-                 (-1, [T(n, s, t), X(n - 1, s, t + 1)]),
-                 (+1, [PS(n - 1, s, t), SG(n - 1, s, t)])]
-    elif ident == "3.2a":
-        if v == "printed":
-            pairs = [(+1, [T(n + 1, s, t + 1), T(n, s, t)]),
-                     (-1, [T(n, s, t + 1), T(n + 1, s, t)]),
-                     (-1, [SG(n, s, t), SG(n, s, t)])]
-        else:
-            pairs = [(+1, [T(n, s, t + 1), T(n + 1, s, t)]),
-                     (-1, [T(n + 1, s, t + 1), T(n, s, t)]),
-                     (-1, [SG(n, s, t), SG(n, s, t)])]
-    elif ident == "3.2b":
-        pairs = [(+1, [T(n, s, t), T(n, s + 1, t + 1)]),
-                 (-1, [T(n + 1, s, t), T(n - 1, s + 1, t + 1)]),
-                 (-1, [X(n, s, t + 1), X(n, s, t)]),
-                 (+1, [SG(n - 1, s + 1, t), SG(n, s, t)])]
-    elif ident == "3.3a":
-        if v == "printed":
-            pairs = [(+1, [SG(n + 1, s, t), X(n, s, t)]),
-                     (+1, [X(n + 1, s, t), SG(n, s, t)]),
-                     (-1, [T(n + 1, s, t), PS(n, s, t)])]
-        else:
-            pairs = [(+1, [SG(n, s + 1, t), T(n + 1, s, t)]),
-                     (-1, [SG(n + 1, s, t), T(n, s + 1, t)]),
-                     (-1, [X(n + 1, s, t), PS(n, s, t)])]
-    elif ident == "3.3b":
-        if v == "printed":
-            pairs = [(+1, [SG(n, s + 1, t), X(n, s, t)]),
-                     (+1, [SG(n - 1, s + 1, t), X(n + 1, s, t)]),
-                     (-1, [T(n, s + 1, t), PS(n, s, t)])]
-        else:
-            pairs = [(+1, [SG(n, s, t), T(n, s + 1, t)]),
-                     (-1, [SG(n - 1, s + 1, t), T(n + 1, s, t)]),
-                     (-1, [X(n, s, t), PS(n, s, t)])]
-    elif ident == "3.4a":
-        sgn = +1 if v == "printed" else -1
-        pairs = [(+1, [T(n, s, t + 1), X(n, s, t)]),
-                 (-1, [T(n, s, t), X(n, s, t + 1)]),
-                 (sgn, [SG(n, s, t), PS(n - 1, s, t)])]
-    elif ident == "3.4b":
-        sgn = +1 if v == "printed" else -1
-        pairs = [(+1, [T(n, s, t), X(n - 1, s, t + 1)]),
-                 (-1, [T(n, s, t + 1), X(n - 1, s, t)]),
-                 (sgn, [SG(n - 1, s, t), PS(n - 1, s, t)])]
-    elif ident == "tri1":
-        pairs = [(+1, [SG(n, s + 1, t), X(n, s, t), T(n + 1, s, t)]),
-                 (+1, [X(n + 1, s, t), SG(n - 1, s + 1, t), T(n + 1, s, t)]),
-                 (-1, [SG(n + 1, s, t), T(n, s + 1, t), X(n, s, t)]),
-                 (-1, [X(n + 1, s, t), SG(n, s, t), T(n, s + 1, t)])]
-    elif ident == "tri2":
-        pairs = [(+1, [T(n, s, t), SG(n - 1, s, t), X(n, s, t + 1)]),
-                 (+1, [SG(n, s, t), X(n - 1, s, t + 1), T(n, s, t)]),
-                 (-1, [X(n, s, t), T(n, s, t + 1), SG(n - 1, s, t)]),
-                 (-1, [SG(n, s, t), X(n - 1, s, t), T(n, s, t + 1)])]
-    elif ident == "fn-a":
-        pairs = [(+1, [SG(n, s + 1, t), T(n + 1, s, t)]),
-                 (-1, [SG(n + 1, s, t), T(n, s + 1, t)]),
-                 (-1, [X(n + 1, s, t), PS(n, s, t)])]
-    elif ident == "fn-b":
-        pairs = [(+1, [SG(n, s, t), T(n, s + 1, t)]),
-                 (-1, [SG(n - 1, s + 1, t), T(n + 1, s, t)]),
-                 (-1, [X(n, s, t), PS(n, s, t)])]
-    elif ident == "xi-psi-sq":
-        if v == "printed":
-            pairs = [(+1, [X(n + 1, s, t + 1), X(n, s, t)]),
-                     (-1, [X(n, s, t + 1), X(n + 1, s, t)]),
-                     (-1, [PS(n, s, t), PS(n, s, t)])]
-        else:
-            pairs = [(+1, [X(n + 1, s, t + 1), X(n, s, t)]),
-                     (-1, [X(n, s, t + 1), X(n + 1, s, t)]),
-                     (+1, [PS(n, s, t), SR(n, s, t)])]
-    elif ident == "tau-hat-rel":
-        sgn = -1 if v == "printed" else +1
-        pairs = [(+1, [X(n + 1, s, t), X(n - 1, s + 1, t)]),
-                 (-1, [X(n, s, t), X(n, s + 1, t)]),
-                 (sgn, [T(n, s + 1, t), TH(n, s, t)])]
-    else:
-        raise ValueError("not a bilinear/trilinear id: %r" % (ident,))
+def _ev_stencil(ctx, stencil, n, s, t):
+    read = ctx._family
+    pairs = [(sign, [read(f, n + dn, s + ds, t + dt) for f, dn, ds, dt in reads])
+             for sign, reads in stencil]
     if ctx.exact and _vanishes(pairs):
         return Fraction(0), []
     diff, terms = _sum_terms(pairs)
@@ -359,17 +354,22 @@ def _ev_4trr(ctx, n, s, t):
 
 
 def evaluate(ctx, identity_id, n, s, t, variant="confirmed"):
-    """(residual_abs, scale_terms) for one identity at one site."""
+    """(residual_abs, scale_terms) for one identity at one site.  Only the
+    variant ids have a "printed" variant."""
+    spec = _spec(identity_id)
+    stencil = {"confirmed": spec.stencil, "printed": spec.printed}.get(variant)
+    if stencil is None:
+        raise ValueError("identity %r has no variant %r" % (identity_id, variant))
     with ctx.wp():
-        if identity_id == "dckp":
-            return _ev_dckp(ctx, n, s, t)
-        if identity_id in ("prop2.5", "prop2.6", "spec1", "dt1", "trans2"):
+        if spec.kind == "stencil":
+            return _ev_stencil(ctx, stencil, n, s, t)
+        if spec.kind == "poly":
             return _ev_poly(ctx, identity_id, n, s, t)
-        if identity_id == "propr":
+        if spec.kind == "propr":
             return _ev_propr(ctx, n, s, t)
-        if identity_id == "4trr":
+        if spec.kind == "4trr":
             return _ev_4trr(ctx, n, s, t)
-        return _ev_bilinear(ctx, identity_id, n, s, t, variant)
+        return _ev_dckp(ctx, n, s, t)
 
 
 # ---- Records ----
@@ -417,18 +417,15 @@ def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
     Sites a mode cannot evaluate (missing singles, exhausted extent, degenerate
     denominators) yield skipped records; failures are recorded, never thrown.
     """
-    chosen = list(ids) if ids else list(CATALOG_IDS)
-    for ident in chosen:
-        if ident not in CATALOG_IDS:
-            raise ValueError("unknown identity id: %r" % (ident,))
+    chosen = [(ident, _spec(ident)) for ident in (ids or CATALOG_IDS)]
     mode = ctx.base.mode
     policy = _policy_for(ctx, policy)
     records = []
-    for ident in chosen:
-        for n in range(N_MIN.get(ident, 0), nmax + 1):
+    for ident, spec in chosen:
+        for n in range(spec.n_min, nmax + 1):
             for s in range(smax + 1):
                 for t in range(tmax + 1):
-                    if ident in NEEDS_SINGLE and not ctx.has_single(t):
+                    if spec.single and not ctx.has_single(t):
                         records.append(IdentityRecord(
                             ident, n, s, t, None, None, None, mode,
                             gating=False, skipped="mode"))
@@ -518,7 +515,7 @@ def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS,
         report[ident] = _adjudicate(
             ctx, lambda v, n, s, t: residual(ident, v, n, s, t),
             ("printed", "confirmed"),
-            [(n, s, t) for n in range(N_MIN.get(ident, 0), nmax + 1)
+            [(n, s, t) for n in range(_spec(ident).n_min, nmax + 1)
              for s in range(smax + 1) for t in range(tmax + 1)],
             policy, ("max_residual_rel", "max_residual_abs", "sites", "passes"))
     return report

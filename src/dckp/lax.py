@@ -234,8 +234,11 @@ def eigen_residuals(ctx, K, s, t, xs=EIGEN_SAMPLES):
 
 # ---- Six compatibility equations ----
 
-SIX_EQUATIONS = ("eq1", "eq2", "eq3", "eq4", "eq5", "eq6")
-EQ_N_MIN = {"eq1": 0, "eq2": 0, "eq3": 0, "eq4": 1, "eq5": 0, "eq6": 1}
+# each equation's lowest n (eq4 and eq6 read index n-1) and its variants
+SIX_EQUATIONS = {"eq1": (0, ("printed",)), "eq2": (0, ("printed",)),
+                 "eq3": (0, ("printed",)), "eq4": (1, ("printed", "repaired")),
+                 "eq5": (0, ("printed", "repaired")),
+                 "eq6": (1, ("printed", "repaired"))}
 
 
 def _eq_terms(ctx, eq, n, s, t, variant):
@@ -311,11 +314,10 @@ def verify_six_equations(ctx, nmax, s, t, policy=None):
     report = {"site": {"s": s, "t": t, "nmax": nmax, "mode": ctx.base.mode,
                        "rel_tol": None if ctx.exact else fmt_scalar(policy.rel_tol(), 8)},
               "equations": {}}
-    for eq in SIX_EQUATIONS:
+    for eq, (n_min, variants) in SIX_EQUATIONS.items():
         report["equations"][eq] = _adjudicate(
             ctx, lambda v, n, s, t: _with_relative(
                 ctx, *evaluate_equation(ctx, eq, n, s, t, v)),
-            ("printed",) if eq in ("eq1", "eq2", "eq3") else ("printed", "repaired"),
-            [(n, s, t) for n in range(EQ_N_MIN[eq], nmax + 1)], policy,
+            variants, [(n, s, t) for n in range(n_min, nmax + 1)], policy,
             ("max_residual_abs", "max_residual_rel", "sites", "skipped", "passes"))
     return report

@@ -14,18 +14,47 @@ from dckp.numerics import DegeneracyError, ExtentError
 
 def test_gates_per_mode():
     g = identities.gates
-    assert g("synthetic-generic", "dckp", 2, 0)
-    assert not g("synthetic-generic", "tri1", 0, 0)
+    specs = identities.IDENTITY_SPECS
+    assert {i for i in specs if g("synthetic-generic", i, 2, 0)} \
+        == {i for i, spec in specs.items() if spec.generic} \
+        == {"e1", "e2", "e3", "e4", "dckp"}
     assert g("synthetic-structured", "tri1", 2, 0)
-    assert g("synthetic-structured", "4trr", 0, 0)
-    assert not g("synthetic-structured", "4trr", 1, 0)
+    single = {i for i, spec in specs.items() if spec.single}
+    assert single == {"4trr"}
+    assert all(g("synthetic-structured", i, 0, 0) for i in single)
+    assert not any(g("synthetic-structured", i, 1, 0) for i in single)
     assert all(g("jacobi-float", i, 2, 0) for i in identities.CATALOG_IDS)
 
 
 def test_catalog_shape():
-    assert len(identities.CATALOG_IDS) == 25
-    assert set(identities.VARIANT_IDS) <= set(identities.CATALOG_IDS)
-    assert identities.GENERIC_GATES <= set(identities.CATALOG_IDS)
+    specs = identities.IDENTITY_SPECS
+    assert identities.CATALOG_IDS == tuple(specs) and len(specs) == 25
+    assert identities.VARIANT_IDS == ("3.2a", "3.3a", "3.3b", "3.4a", "3.4b",
+                                      "xi-psi-sq", "tau-hat-rel")
+    assert {i for i, spec in specs.items() if spec.n_min} \
+        == {"4trr", "prop2.6", "dt1", "trans2", "propr"}
+    assert sum(spec.kind == "stencil" for spec in specs.values()) == 17
+    for ident, spec in specs.items():
+        assert (spec.kind == "stencil") == bool(spec.stencil), ident
+        if ident in identities.VARIANT_IDS:
+            assert spec.printed and spec.printed != spec.stencil, ident
+        else:
+            assert spec.printed is None, ident
+        for sign, reads in spec.stencil + (spec.printed or ()):
+            assert sign in (1, -1) and reads, ident
+            for family, *shift in reads:
+                assert family in detkit.FAMILY_SPECS, (ident, family)
+                assert all(isinstance(d, int) for d in shift), ident
+
+
+@pytest.mark.parametrize("ident, variant", [
+    ("bogus", "confirmed"),      # an unknown id
+    ("eq1", "printed"),          # an id with no printed form
+    ("3.2a", "repaired"),        # an unknown variant
+])
+def test_evaluate_rejects_what_it_cannot_evaluate(generic_ctx, ident, variant):
+    with pytest.raises(ValueError):
+        identities.evaluate(generic_ctx, ident, 1, 0, 0, variant)
 
 
 # ---- Exact suites ----
@@ -66,7 +95,7 @@ def test_catalog_exact_at_base_offsets(mode, seed, K, s0, t0):
                                                      tmax=tmax), K)
     reached = set()
     for ident in identities.CATALOG_IDS:
-        for n in range(identities.N_MIN.get(ident, 0), K):
+        for n in range(identities.IDENTITY_SPECS[ident].n_min, K):
             for s in range(s0, s0 + K):
                 for t in range(t0, t0 + tmax + 2):
                     if not identities.gates(mode, ident, t, t0):
@@ -94,6 +123,83 @@ def test_single_site_records(structured_ctx):
         rec = identities.make_record(c, ident, n, s, 0)
         assert rec.skipped is None and rec.gating, ident
         assert rec.residual_abs == 0 and rec.passed, ident
+
+
+# ---- Edge-only records at n = 0 ----
+
+# stencil ids whose n = 0 records check only the edge conventions
+EDGE_ONLY_AT_N0 = {"3.2b", "3.3b", "3.4a", "3.4b", "e1", "e2", "e3", "e4",
+                   "eq1", "fn-b", "tau-hat-rel", "tri2"}
+
+
+def _edge_zero(read):
+    """Whether a read at n = 0 falls below its family's start, where the
+    family is 0 (tau_{-1} = sigma_{-1} = psi_{-1} = 0 and so on)."""
+    family, dn, _, _ = read
+    spec = detkit.FAMILY_SPECS[family]
+    return dn < spec.start and spec.error is None
+
+
+def _edge_only_at_n0():
+    """Stencil ids whose n = 0 records read no order >= 1 value outside a
+    product that also holds an edge zero."""
+    return {ident for ident, spec in identities.IDENTITY_SPECS.items()
+            if spec.kind == "stencil"
+            and all(any(map(_edge_zero, reads)) or all(r[1] <= 0 for r in reads)
+                    for _, reads in spec.stencil)}
+
+
+def _bumps(value):
+    """value + 1, or for a polynomial one copy per coefficient plus 1."""
+    if isinstance(value, list):
+        return [value[:k] + [c + 1] + value[k + 1:] for k, c in enumerate(value)]
+    return [value + 1]
+
+
+def test_edge_only_records_at_n0_match_a_corruption_sweep(monkeypatch):
+    # the set derived from the stencils and the family starts is the set of
+    # gating n = 0 records that no +1 bump of an order >= 1 value they read
+    # can fail; dckp is the one other such id: at n = 0 tau_{n+1} meets only
+    # tau_{-1} = 0, and the quartic reads 4 * 1 * 1 = 2^2
+    assert _edge_only_at_n0() == EDGE_ONLY_AT_N0
+    mode, (N, S, T) = "synthetic-structured", (3, 1, 1)
+    table = moments.build_base_table(mode, 0, 0, N + S + 3, seed=1, tmax=T)
+    ctx = detkit.DetContext(table, N + 1)
+    reads = []
+    family = ctx._family
+
+    def logged(name, n, s, t):
+        reads.append((name, n, s, t))
+        return family(name, n, s, t)
+
+    monkeypatch.setattr(ctx, "_family", logged)
+
+    def residual(ident, s, t):
+        ctx.derived.clear()
+        return identities.evaluate(ctx, ident, 0, s, t)[0]
+
+    sensitive, insensitive = set(), set()
+    for ident, spec in identities.IDENTITY_SPECS.items():
+        for s in range(S + 1):
+            for t in range(T + 1):
+                if spec.n_min > 0 or not identities.gates(mode, ident, t, 0):
+                    continue
+                reads.clear()
+                assert residual(ident, s, t) == 0, (ident, s, t)
+                fails = False
+                for key in dict.fromkeys(r for r in reads if r[1] >= 1):
+                    value = ctx.memo[key]
+                    for bumped in _bumps(value):
+                        ctx.memo[key] = bumped
+                        fails = fails or residual(ident, s, t) != 0
+                    ctx.memo[key] = value
+                (sensitive if fails else insensitive).add((ident, s, t))
+    edge_only = {r for r in insensitive if r[0] in EDGE_ONLY_AT_N0}
+    assert len(edge_only) == 48
+    assert {r[0] for r in insensitive} == EDGE_ONLY_AT_N0 | {"dckp"}
+    assert {r[0] for r in sensitive} == {"prop2.5", "spec1", "3.2a", "3.3a",
+                                         "tri1", "fn-a", "xi-psi-sq"}
+    assert not {r[0] for r in sensitive} & {r[0] for r in insensitive}
 
 
 # ---- Integer zero test ----

@@ -137,8 +137,12 @@ def test_jacobi_six_equations_adjudication(jacobi_ctx, jacobi_policy):
 
 
 def test_equation_n_minimums(structured_ctx):
-    # eq4/eq6 reach index n-1 coefficients and start at n = 1
-    assert lax.EQ_N_MIN["eq4"] == 1 and lax.EQ_N_MIN["eq6"] == 1
+    # eq4/eq6 reach index n-1 coefficients and start at n = 1; eq1..eq3
+    # carry only their printed form
+    assert {eq: n_min for eq, (n_min, _) in lax.SIX_EQUATIONS.items()} \
+        == {"eq1": 0, "eq2": 0, "eq3": 0, "eq4": 1, "eq5": 0, "eq6": 1}
+    assert {eq for eq, (_, variants) in lax.SIX_EQUATIONS.items()
+            if variants == ("printed",)} == {"eq1", "eq2", "eq3"}
     res, scales = lax.evaluate_equation(structured_ctx, "eq5", 0, 0, 0,
                                         variant="repaired")
     assert res == 0 and scales
