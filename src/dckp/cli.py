@@ -47,7 +47,8 @@ OPTIONS = {
              "jacobi-float | synthetic-generic | synthetic-structured "
              "(aliases: jacobi, generic, structured)"),
     "precision": (int, 120, _ALL, "decimal digits (float mode)"),
-    "guard": (int, None, _ALL, "guard digits; rel_tol = 10^-(precision-guard)"),
+    "guard": (int, None, _ALL, "guard digits, 0 <= guard < precision; "
+              "rel_tol = 10^-(precision-guard)"),
     "n": (int, 4, _GRID, "max polynomial order"),
     "s": (int, 2, _GRID, "max s shift"),
     "t": (int, 2, _GRID, "max t shift"),

@@ -1,7 +1,8 @@
 """Determinant kernel and the bordered-determinant families built on a moment
 table: one no-pivot elimination per frame (fraction-free Bareiss for exact
-entries, Schur complements for floats), fully pivoted determinants of single
-minors as the fallback, and one memoized evaluator for every family
+entries, Schur complements for floats, whose pivots it checks), exact
+determinants of single minors as the fallback, and one memoized evaluator for
+every family
 
   tau_n      = det(m_{ij})                     n x n
   xi_n       = det(m_{i,j+1})
@@ -60,11 +61,23 @@ rows 0..k-1, i and columns 0..k-1, j, so the rows and columns left out change
 no value that is read, in either mode; the orders above the bound are the
 costliest ones, with the most steps and, in exact mode, the largest integers.
 
-An order a sweep does not reach falls back to det_exact or det_float of its
-minor, so values and errors are those of the minor itself: above the bound,
-past the table's extent (where the minor raises ExtentError), past a zero
-divisor tau_k of the exact sweep, and past an exactly zero pivot of the
-float sweep, which stops before the step it would divide by.
+The float sweep checks each pivot before it divides by it.  Pivot k fails
+unless it exceeds 10^-(dps - WORKING_MARGIN), that is 10^-precision, times
+|its row's original diagonal entry|: at dps digits a Schur complement carries
+a rounding error of about 10^-dps of its row's scale, so a pivot within
+WORKING_MARGIN digits of that level has no digit the margin can vouch for.  A
+zero or negative pivot fails too: the float path never proves a determinant
+zero, and on a totally positive frame every pivot is positive, so every swept
+tau, xi and tauhat is.  At a failed pivot the sweep keeps the values of that
+step that do not use it (all but the pivot family's next order) and stops.
+
+A sweep reaches order `orders` + 1 of the pivot families tau, xi and tauhat
+and `orders` of the others.  A read it does not reach raises ExtentError past
+the table's extent (the literal minor's rows do not exist); above the bound,
+a ValueError naming it, so a bound set too tight fails loudly rather than as
+a skipped site; past a failed float pivot, DegeneracyError naming the family,
+(n, s, t) and the pivot.  Past a zero divisor tau_k of the exact sweep it is
+det_exact of the literal minor.
 
 Edge conventions: tau_0 = xi_0 = tauhat_0 = 1 and sigtilde_{-1} = 1 (empty
 determinants); Praw_{-1} = Qraw_{-1} = [] (the zero polynomial); tau_{-1} =
@@ -184,48 +197,6 @@ def det_exact(rows):
     return Fraction(sign * M[n - 1][n - 1], scale)
 
 
-def det_float(rows, dps):
-    """Determinant of a square mpf matrix by LU with full pivoting.
-
-    An exactly zero full pivot is a degeneracy (the float path never proves a
-    determinant zero), reported rather than returned as 0.
-    """
-    n = len(rows)
-    with mp.workdps(dps):
-        if n == 0:
-            return mp.mpf(1)
-        M = [[mp.mpf(v) for v in r] for r in rows]
-        det = mp.mpf(1)
-        sign = 1
-        for k in range(n):
-            pi, pj, best = k, k, abs(M[k][k])
-            for i in range(k, n):
-                for j in range(k, n):
-                    a = abs(M[i][j])
-                    if a > best:
-                        pi, pj, best = i, j, a
-            if best == 0:
-                raise DegeneracyError("singular pivot in float elimination")
-            if pi != k:
-                M[k], M[pi] = M[pi], M[k]
-                sign = -sign
-            if pj != k:
-                for r in M:
-                    r[k], r[pj] = r[pj], r[k]
-                sign = -sign
-            piv = M[k][k]
-            det *= piv
-            for i in range(k + 1, n):
-                fct = M[i][k] / piv
-                if fct == 0:
-                    continue
-                row = M[i]
-                rk = M[k]
-                for j in range(k + 1, n):
-                    row[j] -= fct * rk[j]
-        return sign * det
-
-
 def _bareiss_steps(M, C):
     """Fraction-free elimination of the integer rows M in place, without
     pivoting, on their first C columns.
@@ -258,11 +229,12 @@ def _schur_steps(M, C):
     """_bareiss_steps for mpf rows in Schur-complement form, one multiply
     and one subtract per entry at the ambient precision.  prev is the product
     of the pivots so far, and prev * M[i][j] the minor _bareiss_steps has in
-    M[i][j].  Stops at an exactly zero pivot, before the step it divides."""
+    M[i][j].  Step k runs only when the caller asks for the next value, so a
+    caller that stops at a failed pivot M[k][k] never divides by it."""
     prev = mp.mpf(1)
     for k in range(len(M)):
         yield k, prev
-        if k >= C or k + 1 >= len(M) or M[k][k] == 0:
+        if k >= C or k + 1 >= len(M):
             return
         rk = M[k]
         pk = rk[k]
@@ -330,7 +302,7 @@ class DetContext:
             self.tables[cur.t0] = cur
         self.memo = {}
         self.derived = {}
-        self.swept = set()
+        self.swept = {}         # frame, s, t -> its failed float pivot or None
 
     # -- scalars --
 
@@ -367,11 +339,6 @@ class DetContext:
         tb = self.tables.get(t)
         return tb is not None and tb.has_phi()
 
-    def _det(self, rows):
-        if self.exact:
-            return det_exact(rows)
-        return det_float(rows, self.dps)
-
     # -- determinant families: one memoized evaluator over FAMILY_SPECS --
 
     def _family(self, family, n, s, t):
@@ -385,22 +352,24 @@ class DetContext:
         if v is None:
             frame = (_frame_key(spec), s, t)
             if frame not in self.swept:
-                self.swept.add(frame)
                 with self.wp():
-                    self._sweep(*frame)
+                    self.swept[frame] = self._sweep(*frame)
                 v = self.memo.get(key)
         if v is None:
-            v = self.memo[key] = self._frame_value(spec, n, s, t)
+            v = self.memo[key] = self._frame_value(family, n, s, t,
+                                                   self.swept[frame])
         return v
 
     def _sweep(self, frame, s, t):
         """Memoize every value of `frame` at (s, t) that one elimination
         reaches: each of its families up to order self.orders (a pivot
         family, tau, xi or tauhat, to one more), from frame rows
-        0..self.orders inside the table.
-        Only the elimination and the value of a swept entry depend on the
-        mode: an exact entry is a minor over its row scales, a float one a
-        Schur complement entry times prev, the product of the pivots."""
+        0..self.orders inside the table.  Returns the float pivot that
+        stopped it, as (step, pivot, floor), or None.
+        Only the elimination, the value of a swept entry and the pivot check
+        depend on the mode: an exact entry is a minor over its row scales, a
+        float one a Schur complement entry times prev, the product of the
+        pivots, and only a float pivot is checked against its floor."""
         col, row, poly = frame
         names, borders = _FRAMES[frame]
         specs = [(name, FAMILY_SPECS[name]) for name in names]
@@ -436,14 +405,20 @@ class DetContext:
             M.append(ints)
             d.append(di)
             scale.append(scale[-1] * di)
+        if not self.exact:
+            # pivot k must exceed 10^-precision of its row's diagonal entry
+            eps = mp.mpf(10) ** (WORKING_MARGIN - self.dps)
+            floors = [eps * abs(M[k][k]) for k in range(C)]
         memo = self.memo
         for k, prev in steps(M, C):
             rk = M[k]
+            trusted = self.exact or k >= C or rk[k] > floors[k]
             for name, spec in specs:
                 if spec.skip is not None:
-                    # tau_{k+1} = a^{(k)}_{k,k}, tautilde_{k+1} = a^{(k)}_{k+1,k}
+                    # tau_{k+1} = a^{(k)}_{k,k}, the pivot (kept only if it
+                    # passes), and tautilde_{k+1} = a^{(k)}_{k+1,k}
                     i = k + spec.skip
-                    if k < C and i < R:
+                    if k < C and i < R and (trusted or spec.skip):
                         memo[(name, k + 1, s, t)] = value(M[i][k], prev,
                                                           scale[k] * d[i])
                 elif not poly:
@@ -468,8 +443,13 @@ class DetContext:
                             cross = [x // prev for x in cross]
                         memo[(name, k + 1, s, t)] = [
                             value(sign * x, prev, scale[k + 2]) for x in cross]
+            if not trusted:
+                return k, rk[k], floors[k]
 
-    def _frame_value(self, spec, n, s, t):
+    def _frame_value(self, family, n, s, t, stop):
+        """A value the sweep of its frame did not reach, `stop` the failed
+        float pivot that stopped the sweep (see the module doc)."""
+        spec = FAMILY_SPECS[family]
         vec = {"phi": self.ph, "u": self.u}.get(spec.border)
         poly = spec.lead is not None
         # square minors: n rows if a row is left out, else n+1; a border is a column
@@ -481,15 +461,25 @@ class DetContext:
             cells = head + [self.m(i, j + spec.col, s, t) for j in range(width)]
             return cells + [vec(i, s, t)] if vec and not spec.first else cells
 
-        frame = range(n + 1)
+        drop = None if spec.skip is None else n - spec.skip
+        rows = [line(i) for i in range(n + 1) if i != drop]   # or ExtentError
+        reach = self.orders + (spec.skip == 0)
+        if n > reach:
+            raise ValueError("%s_%d^{%d,%d} is above the sweep bound of its "
+                             "context: orders = %d reaches %s to order %d"
+                             % (family, n, s, t, self.orders, family, reach))
+        if not self.exact:
+            k, pivot, floor = stop
+            raise DegeneracyError(
+                "%s_%d^{%d,%d} lies past float pivot %d of its frame, %s, "
+                "not above its floor %s (10^-%d of its diagonal entry)"
+                % (family, n, s, t, k, mp.nstr(pivot, 5), mp.nstr(floor, 5),
+                   self.dps - WORKING_MARGIN))
         if not poly:
-            drop = None if spec.skip is None else n - spec.skip
-            return self._det([line(i) for i in frame if i != drop])
-        # coeff of x^k = (-1)^{k+n} * minor over frame rows != k; an mpf
-        # negation rounds to the ambient precision, so it runs at self.dps
-        minors = [self._det([line(i) for i in frame if i != k]) for k in frame]
-        with self.wp():
-            return [v if (k + n) % 2 == 0 else -v for k, v in enumerate(minors)]
+            return det_exact(rows)
+        # coeff of x^k = (-1)^{k+n} * minor over frame rows != k
+        minors = [det_exact(rows[:k] + rows[k + 1:]) for k in range(n + 1)]
+        return [v if (k + n) % 2 == 0 else -v for k, v in enumerate(minors)]
 
     tau = _family_method("tau")
     xi = _family_method("xi")

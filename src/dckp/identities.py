@@ -15,7 +15,11 @@ So a stencil's reads are static.  At n = 0 the records of 3.2b, 3.3b, 3.4a,
 a product that also holds an edge zero (tau_{-1} = xi_{-1} = sigma_{-1} =
 psi_{-1} = 0): they check only the edge conventions and pass on any data, as
 eq1 there reads tau_0 tau_0 = xi_0 xi_0 = 1.  So does dckp, the quartic
-4 * 1 * 1 = 2^2 at n = 0.
+4 * 1 * 1 = 2^2 at n = 0.  From n = 1 on, a +1 bump of any order >= 1 value a
+record reads fails it, with one exception: 4trr does not depend on tau_{n-2}.
+It reads tau_{n-2} only in its term a_n c_{n-1} P_{n-2}, where c_{n-1} =
+tau_{n-2} tau_n / tau_{n-1}^2 and P_{n-2} is normalized by tau_{n-2}, so it
+cancels.
 
 Record semantics: exact mode passes iff residual_abs == 0; float mode iff
 residual_rel < rel_tol, with scale = max |individual product term| (floor 1).

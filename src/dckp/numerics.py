@@ -53,6 +53,9 @@ class TolerancePolicy:
         if self.guard_digits is None:
             object.__setattr__(self, "guard_digits",
                                min(40, self.precision_digits // 3))
+        if self.guard_digits < 0:
+            raise ConfigError("guard digits (%d) must be nonnegative"
+                              % self.guard_digits)
         if self.guard_digits >= self.precision_digits:
             raise ConfigError("guard digits (%d) must be smaller than precision "
                               "digits (%d)" % (self.guard_digits,

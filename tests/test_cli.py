@@ -3,7 +3,10 @@ layering.  Commands run in-process through cli.main."""
 
 import argparse
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import mpmath as mp
 import pytest
@@ -27,6 +30,27 @@ def test_selfcheck_low_precision_still_passes(capsys):
 
 def test_selfcheck_guard_at_precision_is_usage_error():
     assert cli.main(["selfcheck", "--precision", "30", "--guard", "40"]) == 2
+
+
+def test_negative_guard_is_usage_error(capsys):
+    # rel_tol 10^-90 at 30 digits would report a configuration error as
+    # gating failures
+    assert cli.main(["verify", "--mode", "jacobi", "--precision", "30",
+                     "--guard", "-60"]) == 2
+    assert "guard digits (-60) must be nonnegative" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # verify imports concurrent.futures only when --jobs asks for workers;
+    # imported with the module, it and multiprocessing would slow the start
+    # of every command
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    probe = ("import sys, dckp.cli; print(sorted(m for m in sys.modules if "
+             "m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 # ---- verify ----

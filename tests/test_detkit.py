@@ -48,6 +48,47 @@ def test_det_exact_desnanot_jacobi():
         assert lhs == rhs
 
 
+def det_float(rows, dps):
+    """Determinant of a square mpf matrix by LU with full pivoting: the
+    oracle of the literal-matrix float checks.  An exactly zero full pivot
+    raises DegeneracyError (the float path never proves a determinant zero).
+    """
+    n = len(rows)
+    with mp.workdps(dps):
+        if n == 0:
+            return mp.mpf(1)
+        M = [[mp.mpf(v) for v in r] for r in rows]
+        det = mp.mpf(1)
+        sign = 1
+        for k in range(n):
+            pi, pj, best = k, k, abs(M[k][k])
+            for i in range(k, n):
+                for j in range(k, n):
+                    a = abs(M[i][j])
+                    if a > best:
+                        pi, pj, best = i, j, a
+            if best == 0:
+                raise DegeneracyError("singular pivot in float elimination")
+            if pi != k:
+                M[k], M[pi] = M[pi], M[k]
+                sign = -sign
+            if pj != k:
+                for r in M:
+                    r[k], r[pj] = r[pj], r[k]
+                sign = -sign
+            piv = M[k][k]
+            det *= piv
+            for i in range(k + 1, n):
+                fct = M[i][k] / piv
+                if fct == 0:
+                    continue
+                row = M[i]
+                rk = M[k]
+                for j in range(k + 1, n):
+                    row[j] -= fct * rk[j]
+        return sign * det
+
+
 def test_det_float_matches_exact():
     rng = random.Random("detfloat:0")
     for trial in range(50):
@@ -56,7 +97,7 @@ def test_det_float_matches_exact():
         ex = detkit.det_exact(A)
         with mp.workdps(55):
             Af = [[mp.mpf(v.numerator) / v.denominator for v in row] for row in A]
-        fl = detkit.det_float(Af, 40)
+        fl = det_float(Af, 40)
         with mp.workdps(40):
             if ex == 0:
                 assert abs(fl) < mp.mpf(10) ** -25
@@ -66,7 +107,7 @@ def test_det_float_matches_exact():
 
 def test_det_float_reports_exact_zero_pivot():
     with pytest.raises(DegeneracyError):
-        detkit.det_float([[mp.mpf(0), mp.mpf(0)], [mp.mpf(0), mp.mpf(0)]], 30)
+        det_float([[mp.mpf(0), mp.mpf(0)], [mp.mpf(0), mp.mpf(0)]], 30)
 
 
 # ---- Edge conventions ----
@@ -377,22 +418,24 @@ def test_families_match_literal_matrices_float(jacobi_ctx):
     # 10^-precision relative, 10^guard inside rel_tol.  Evaluated at mpmath's
     # default precision, which must not leak into the memoized values.
     def det(rows):
-        return detkit.det_float(rows, jacobi_ctx.dps)
+        return det_float(rows, jacobi_ctx.dps)
 
     bound = mp.mpf(10) ** -jacobi_ctx.base.precision_digits
     assert _check_against_literal(jacobi_ctx, det, (0, 1), (0, 1),
                                   agree=_within(bound)) > 250
 
 
-def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx, jacobi_policy,
-                                                    monkeypatch):
-    # every float family comes from a frame sweep: a lattice and a catalog
-    # run (on a cold context over the shared table) reach no det_float
-    calls = _count_calls(monkeypatch, "det_float")
-    lattice.build_lattice("jacobi-float", 5, 2, 2, {"precision": 60, "guard": 20})
-    identities.run_suite(detkit.DetContext(jacobi_ctx.base, 9), 4, 2, 2,
-                         policy=jacobi_policy)
-    assert calls == []
+def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx, jacobi_policy):
+    # every float family comes from a frame sweep, and on jacobi data every
+    # pivot of a lattice and a catalog run (on a cold context over the shared
+    # table) passes its check: no sweep stops early and no record is skipped
+    lat = lattice.build_lattice("jacobi-float", 5, 2, 2,
+                                {"precision": 60, "guard": 20})
+    ctx = detkit.DetContext(jacobi_ctx.base, 9)
+    records = identities.run_suite(ctx, 4, 2, 2, policy=jacobi_policy)
+    assert all(r.skipped is None for r in records)
+    for c in (lat.ctx, ctx):
+        assert len(c.swept) > 20 and set(c.swept.values()) == {None}
 
 
 @pytest.mark.parametrize("mode", ["structured", "jacobi"])
@@ -404,21 +447,19 @@ def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx, jacobi_policy,
 ], ids=lambda argv: argv[0])
 def test_commands_bound_sweeps_above_every_order_they_read(argv, mode, capsys,
                                                            monkeypatch):
-    # each command bounds its contexts' sweeps by the highest order it reads;
-    # a bound one too low would still give every value, per minor, so only
-    # the count of per-minor determinants shows it
-    calls = [_count_calls(monkeypatch, name)
-             for name in ("det_exact", "det_float")]
+    # each command bounds its contexts' sweeps by the highest order it reads:
+    # a read above the bound raises, so the command would fail; and no exact
+    # value comes per minor
+    calls = _count_calls(monkeypatch, "det_exact")
     assert cli.main(argv + ["--mode", mode, "--precision", "30",
                             "--guard", "10"]) == 0
-    assert calls == [[], []]
+    assert calls == []
 
 
 def test_lattice_context_serves_lax_at_its_order(monkeypatch):
     # the README and benchmark path: propagation, then the Lax residuals at
     # K = Nmax and the six equations, on the lattice's own context
-    calls = [_count_calls(monkeypatch, name)
-             for name in ("det_exact", "det_float")]
+    calls = _count_calls(monkeypatch, "det_exact")
     # (structured tables carry singles at their base t only)
     for mode, config, ts in (("synthetic-structured", {"seed": 1}, (0,)),
                              ("jacobi-float", {"precision": 30, "guard": 10},
@@ -430,64 +471,14 @@ def test_lattice_context_serves_lax_at_its_order(monkeypatch):
                 lax.compat_residuals(lat.ctx, 5, s, t)
                 lax.eigen_residuals(lat.ctx, 5, s, t)
         lax.verify_six_equations(lat.ctx, 4, 0, 0)
-    assert calls == [[], []]
+    assert calls == []
 
 
-def test_vanishing_float_pivot_falls_back_per_minor(monkeypatch):
-    # the float twin of the exact test above: m_00 = 1, m_01 = m_10 = 2 and
-    # m_11 = 4 make the second pivot exactly 0 in binary
-    tab = moments.synthetic_generic(3, 8, tmax=2)
-    with mp.workdps(30 + WORKING_MARGIN):
-        def mpf(v):
-            return mp.mpf(v.numerator) / v.denominator
-        bm = [[mpf(v) for v in row] for row in tab.bimoments]
-        ph = {t: [mpf(v) for v in vec] for t, vec in tab.phi_by_t.items()}
-    bm[0][0], bm[0][1], bm[1][0], bm[1][1] = map(mp.mpf, (1, 2, 2, 4))
-    ctx = detkit.DetContext(dataclasses.replace(
-        tab, precision_digits=30, bimoments=bm, phi_by_t=ph), tab.K)
-    real = detkit.det_float
-    calls = _count_calls(monkeypatch, "det_float")
-
-    def det(rows):
-        return real(rows, ctx.dps)
-
-    agree = _within(mp.mpf(10) ** -30)
-    fallback = set()
-    for family in detkit.FAMILY_SPECS:
-        for n in range(-1, 9):
-            try:
-                want = _literal(ctx, family, n, 0, 0, det)
-            except ExtentError:
-                with pytest.raises(ExtentError):
-                    detkit.eval_det(ctx, family, n, 0, 0)
-                continue
-            except DegeneracyError as err:
-                want = err              # a singular literal (sub)matrix
-            before = len(calls)
-            try:
-                got = detkit.eval_det(ctx, family, n, 0, 0)
-            except DegeneracyError as err:
-                got = err
-            if len(calls) > before:
-                # per minor: det_float of the literal minor, to the last bit,
-                # or its DegeneracyError with the same text
-                fallback.add((family, n))
-                assert (str(got) == str(want) if isinstance(want, Exception)
-                        else got == want), (family, n)
-            elif isinstance(want, Exception):
-                # the singular leading minor: its zero pivot, read swept
-                assert (family, n) == ("tau", 2) and got == 0
-            else:
-                assert agree(got, want), (family, n, got, want)
-    assert ctx.tau(1, 0, 0) == 1 and ctx.tau(2, 0, 0) == 0
-    # the sweeps of [m cols 0.. | ...] stop at the zero pivot, before the
-    # step it divides: tau_2 and tau_tilde_2 are their last values, sigma_1
-    # and P_1 those of their borders, and R_2 (a 2 x 2 step on rows 1, 2
-    # after one step) that of R.  Every order above comes per minor.
-    reach = {"tau": (2, 8), "tau_tilde": (2, 7), "sigma": (1, 7), "P": (1, 7),
-             "R": (2, 7)}
-    assert fallback == {(f, n) for f, (last, top) in reach.items()
-                        for n in range(last + 1, top + 1)}
+def _outcome(ctx, family, n, s, t):
+    try:
+        return detkit.eval_det(ctx, family, n, s, t)
+    except (DegeneracyError, ExtentError) as err:
+        return err
 
 
 def _exactly(v):
@@ -500,11 +491,71 @@ def _exactly(v):
     return v._mpf_ if isinstance(v, mp.mpf) else v
 
 
-def _outcome(ctx, family, n, s, t):
-    try:
-        return detkit.eval_det(ctx, family, n, s, t)
-    except (DegeneracyError, ExtentError) as err:
-        return err
+# the families whose frames, [m cols 0.. | phi | u] and [m cols 0.. | phi | I],
+# carry the pivots of tau
+TAU_PIVOTED = ("tau", "sigma", "sigma_tilde", "tau_tilde", "P", "R")
+
+
+@pytest.mark.parametrize("pivot", ["zero", "tiny", "negative"])
+def test_failed_float_pivot_raises_past_it(pivot):
+    # m_11 set against m_00, m_01 and m_10 of a jacobi table makes the second
+    # pivot of the tau frames, m_11 - (m_10 / m_00) m_01, exactly 0, positive
+    # but 10^-35 of its diagonal (below the floor 10^-30), or negative
+    tab = moments.build_jacobi(8, TolerancePolicy(30, 10), tmax=1)
+    ref = detkit.DetContext(tab, tab.K)
+    bm = [list(row) for row in tab.bimoments]
+    with mp.workdps(ref.dps):
+        first = bm[1][0] / bm[0][0] * bm[0][1]
+        bm[1][1] = {"zero": first, "tiny": first * (1 + mp.mpf(10) ** -35),
+                    "negative": first / 2}[pivot]
+        want = bm[1][1] - bm[1][0] / bm[0][0] * bm[0][1]
+        floor = mp.mpf(10) ** -30 * bm[1][1]
+    ctx = detkit.DetContext(dataclasses.replace(tab, bimoments=bm), tab.K)
+    assert {"zero": want == 0, "tiny": 0 < want < floor,
+            "negative": want < 0}[pivot]
+    # the sweeps keep every value that does not read the pivot: tau_1 before
+    # it, and tau_tilde_2, sigma_1, sigma_tilde_1, P_1 and R_2 of its step,
+    # bit for bit those of the unchanged table, which none of them reads
+    # m_11 from; every order above raises, naming the pivot
+    last = {"tau": 1, "tau_tilde": 2, "sigma": 1, "sigma_tilde": 1, "P": 1,
+            "R": 2}
+    raised = 0
+    for family in TAU_PIVOTED:
+        for n in range(-1, 9):
+            got = _outcome(ctx, family, n, 0, 0)
+            if n <= last[family]:
+                assert _exactly(got) == _exactly(_outcome(ref, family, n, 0, 0))
+                continue
+            if isinstance(got, ExtentError):    # past the table's extent
+                assert n == 8 and family != "tau"
+                continue
+            assert isinstance(got, DegeneracyError), (family, n, got)
+            assert str(got) == (
+                "%s_%d^{0,0} lies past float pivot 1 of its frame, %s, not "
+                "above its floor %s (10^-30 of its diagonal entry)"
+                % (family, n, mp.nstr(want, 5), mp.nstr(floor, 5))), str(got)
+            raised += 1
+    assert raised == 7 + 6 + 6 + 5 + 6 + 5
+    # a failure stops its own frame only: at s = 2 no entry is m_11
+    assert ctx.tau(3, 2, 0) > 0 and ctx.swept[((0, 0, False), 2, 0)] is None
+
+
+@pytest.mark.parametrize("mode", ["synthetic-structured", "jacobi-float"])
+def test_reads_above_the_sweep_bound_raise(mode):
+    # orders = 3 sweeps the pivot families to order 4 and the others to 3;
+    # a read above is neither a skip nor per minor, but an error naming it
+    table = moments.build_base_table(mode, 0, 0, 8, seed=2, tmax=1,
+                                     policy=TolerancePolicy(30, 10))
+    ctx = detkit.DetContext(table, 3)
+    assert ctx.tau(4, 0, 0) and ctx.sigma(3, 0, 0) and ctx.tautilde(3, 0, 0)
+    for family, n in (("tau", 5), ("xi", 5), ("tau_hat", 5), ("sigma", 4),
+                      ("tau_tilde", 4), ("P", 4), ("R", 4)):
+        with pytest.raises(ValueError, match=r"^%s_%d\^\{0,0\} is above the "
+                           "sweep bound" % (family, n)):
+            detkit.eval_det(ctx, family, n, 0, 0)
+    # past the table's extent the minor's own ExtentError comes first
+    with pytest.raises(ExtentError):
+        ctx.tau(9, 0, 0)
 
 
 @settings(max_examples=12, deadline=None)
@@ -515,26 +566,27 @@ def _outcome(ctx, family, n, s, t):
 def test_bounded_sweeps_read_the_full_sweeps_values(mode, seed, K, orders):
     # after k steps an entry depends on rows 0..k-1, i and columns 0..k-1, j
     # only, so a context whose sweeps stop at frame row `orders` reads the
-    # values of one sweeping the whole table at every order <= orders: equal
-    # Fractions, bit-identical mpf.  Above the bound it falls back per minor,
-    # which agrees exactly in exact mode and to rounding in float mode.
+    # values of one sweeping the whole table at every order it reaches
+    # (orders, and one more for a pivot family): equal Fractions,
+    # bit-identical mpf.  Above, it raises the bound error, unless the minor
+    # lies past the table's extent, where both raise its ExtentError.
     table = moments.build_base_table(
         mode, 0, 0, K, seed=seed, tmax=2,
         policy=TolerancePolicy(precision_digits=30, guard_digits=10))
     full = detkit.DetContext(table, table.K)
     bounded = detkit.DetContext(table, orders)
-    near = _within(mp.mpf(10) ** -30)
-    for family in detkit.FAMILY_SPECS:
+    for family, spec in detkit.FAMILY_SPECS.items():
+        reach = orders + (spec.skip == 0)
         for n in range(-2, K + 2):
             for s in range(3):
                 for t in range(4):
-                    got, want = (_outcome(ctx, family, n, s, t)
-                                 for ctx in (bounded, full))
-                    if (n <= orders or table.exact
-                            or isinstance(want, Exception)):
+                    want = _outcome(full, family, n, s, t)
+                    if n <= reach or isinstance(want, ExtentError):
+                        got = _outcome(bounded, family, n, s, t)
                         assert _exactly(got) == _exactly(want), (family, n, s, t)
                     else:
-                        assert near(got, want), (family, n, s, t, got, want)
+                        with pytest.raises(ValueError, match="sweep bound"):
+                            detkit.eval_det(bounded, family, n, s, t)
 
 
 # ---- Module-level wrappers ----

@@ -156,12 +156,11 @@ def _bumps(value):
     return [value + 1]
 
 
-def test_edge_only_records_at_n0_match_a_corruption_sweep(monkeypatch):
-    # the set derived from the stencils and the family starts is the set of
-    # gating n = 0 records that no +1 bump of an order >= 1 value they read
-    # can fail; dckp is the one other such id: at n = 0 tau_{n+1} meets only
-    # tau_{-1} = 0, and the quartic reads 4 * 1 * 1 = 2^2
-    assert _edge_only_at_n0() == EDGE_ONLY_AT_N0
+def _corruption_sweep(monkeypatch, ns):
+    """Each gating record at the orders ns on exact structured data (seed 1,
+    (N, S, T) = (3, 1, 1)), re-evaluated under every +1 bump of an order >= 1
+    value it reads: record -> [(read, whether the bump fails it)], one entry
+    per bump."""
     mode, (N, S, T) = "synthetic-structured", (3, 1, 1)
     table = moments.build_base_table(mode, 0, 0, N + S + 3, seed=1, tmax=T)
     ctx = detkit.DetContext(table, N + 1)
@@ -174,32 +173,57 @@ def test_edge_only_records_at_n0_match_a_corruption_sweep(monkeypatch):
 
     monkeypatch.setattr(ctx, "_family", logged)
 
-    def residual(ident, s, t):
+    def residual(ident, n, s, t):
         ctx.derived.clear()
-        return identities.evaluate(ctx, ident, 0, s, t)[0]
+        return identities.evaluate(ctx, ident, n, s, t)[0]
 
-    sensitive, insensitive = set(), set()
+    sweep = {}
     for ident, spec in identities.IDENTITY_SPECS.items():
-        for s in range(S + 1):
-            for t in range(T + 1):
-                if spec.n_min > 0 or not identities.gates(mode, ident, t, 0):
-                    continue
-                reads.clear()
-                assert residual(ident, s, t) == 0, (ident, s, t)
-                fails = False
-                for key in dict.fromkeys(r for r in reads if r[1] >= 1):
-                    value = ctx.memo[key]
-                    for bumped in _bumps(value):
-                        ctx.memo[key] = bumped
-                        fails = fails or residual(ident, s, t) != 0
-                    ctx.memo[key] = value
-                (sensitive if fails else insensitive).add((ident, s, t))
+        for n in ns:
+            for s in range(S + 1):
+                for t in range(T + 1):
+                    if n < spec.n_min or not identities.gates(mode, ident, t, 0):
+                        continue
+                    reads.clear()
+                    assert residual(ident, n, s, t) == 0, (ident, n, s, t)
+                    bumps = sweep[(ident, n, s, t)] = []
+                    for key in dict.fromkeys(r for r in reads if r[1] >= 1):
+                        value = ctx.memo[key]
+                        for bumped in _bumps(value):
+                            ctx.memo[key] = bumped
+                            bumps.append((key, residual(ident, n, s, t) != 0))
+                        ctx.memo[key] = value
+    return sweep
+
+
+def test_edge_only_records_at_n0_match_a_corruption_sweep(monkeypatch):
+    # the set derived from the stencils and the family starts is the set of
+    # gating n = 0 records that no +1 bump of an order >= 1 value they read
+    # can fail; dckp is the one other such id: at n = 0 tau_{n+1} meets only
+    # tau_{-1} = 0, and the quartic reads 4 * 1 * 1 = 2^2
+    assert _edge_only_at_n0() == EDGE_ONLY_AT_N0
+    sweep = _corruption_sweep(monkeypatch, [0])
+    sensitive = {r for r, bumps in sweep.items() if any(f for _, f in bumps)}
+    insensitive = set(sweep) - sensitive
     edge_only = {r for r in insensitive if r[0] in EDGE_ONLY_AT_N0}
     assert len(edge_only) == 48
     assert {r[0] for r in insensitive} == EDGE_ONLY_AT_N0 | {"dckp"}
     assert {r[0] for r in sensitive} == {"prop2.5", "spec1", "3.2a", "3.3a",
                                          "tri1", "fn-a", "xi-psi-sq"}
     assert not {r[0] for r in sensitive} & {r[0] for r in insensitive}
+
+
+def test_records_above_n0_fail_under_every_bump(monkeypatch):
+    # from n = 1 on, every gating record fails under every +1 bump of every
+    # order >= 1 value it reads, but one: 4trr at n = 3 (it gates at the base
+    # t only) does not read tau_1 = tau_{n-2}, which cancels (see the module
+    # doc)
+    sweep = _corruption_sweep(monkeypatch, [1, 2, 3])
+    assert len(sweep) == 294
+    assert sum(map(len, sweep.values())) == 2088
+    survivors = {(r, key) for r, bumps in sweep.items()
+                 for key, fails in bumps if not fails}
+    assert survivors == {(("4trr", 3, s, 0), ("tau", 1, s, 0)) for s in (0, 1)}
 
 
 # ---- Integer zero test ----

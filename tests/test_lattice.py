@@ -5,10 +5,11 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dckp.numerics import ConfigError, DegeneracyError
+from dckp.numerics import WORKING_MARGIN, ConfigError, DegeneracyError
 from dckp import lattice, moments, detkit
 
 # ---- Build ----
@@ -49,6 +50,25 @@ def test_build_jacobi_positive_and_cross_validated():
     for (f, n, s, t), v in lat.values.items():
         if f in ("tau", "xi"):
             assert v > 0, (f, n, s, t)
+
+
+def test_build_float_lattice_with_a_negative_tau_raises(monkeypatch):
+    # m_11 = m_01 m_10 / (2 m_00) makes tau_2 = -m_01 m_10 / 2 < 0: the
+    # failed pivot of its frame stops the build, as no tau or xi of a float
+    # lattice may be non-positive
+    build = moments.build_base_table
+
+    def broken(*args, **kwargs):
+        table = build(*args, **kwargs)
+        m = table.bimoments
+        with mp.workdps(table.precision_digits + WORKING_MARGIN):
+            m[1][1] = m[0][1] * m[1][0] / (2 * m[0][0])
+        return table
+
+    monkeypatch.setattr(moments, "build_base_table", broken)
+    with pytest.raises(DegeneracyError, match=r"^tau_2\^\{0,0\} lies past "
+                       "float pivot 1 of its frame, -"):
+        lattice.build_lattice("jacobi-float", 3, 1, 0, {"precision": 30})
 
 
 def test_build_jacobi_default_guard_follows_precision():

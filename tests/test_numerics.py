@@ -18,6 +18,13 @@ def test_policy_rejects_guard_at_or_above_precision():
         TolerancePolicy(precision_digits=0, guard_digits=0)
 
 
+def test_policy_rejects_negative_guard():
+    # a negative guard would ask for more digits than the precision carries
+    with pytest.raises(ConfigError, match="nonnegative"):
+        TolerancePolicy(precision_digits=30, guard_digits=-1)
+    assert TolerancePolicy(precision_digits=30, guard_digits=0).guard_digits == 0
+
+
 def test_policy_derived_quantities():
     pol = TolerancePolicy(precision_digits=120, guard_digits=40)
     assert pol.working_dps == 120 + WORKING_MARGIN
