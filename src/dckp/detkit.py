@@ -14,11 +14,11 @@ every family
   tautilde_n = det(m rows 0..n-2,n, cols 0..n-1)
   Praw_n     = det[m cols 0..n-1 | x^i]         (n+1) x (n+1), rows 0..n,
   Qraw_n     = det[m cols 1..n   | x^i]         as the coefficient vector
-  Rraw_n     = det[phi_i | m cols 0..n-2 | x^i] of x^0..x^n (cofactors)
+  Rraw_n     = det[m cols 0..n-2 | phi_i | x^i] of x^0..x^n (cofactors)
 
-Each is a minor of one frame, rows 0..n of the moment matrix: FAMILY_SPECS
-gives the row and column offsets, the border vector and its position, the
-frame row left out and the edges.
+Each is a minor of one frame, rows 0..n of the moment matrix, with its
+border columns after the m columns: FAMILY_SPECS gives the row and column
+offsets, the border vector, the frame row left out and the edges.
 
 Both modes read every family from one elimination per frame and (s, t),
 without pivoting.  The frames come from FAMILY_SPECS: families sharing a
@@ -40,15 +40,15 @@ the scales of its rows.  So tau_n is the pivot a^{(n-1)}_{n-1,n-1},
 tautilde_n the entry a^{(n-1)}_{n,n-1} below it, sigma_n (psi, sigtilde,
 sigma_row alike) the border entry a^{(n)}_{n,phi}, and Praw_n (Qraw_n alike)
 row n of the I block after n steps: a^{(n)}_{n,e_k} is the Laplace cofactor
-of x^k.  Rraw_n, whose phi column sits inside the minor, is one 2 x 2
-Sylvester step on rows n-1, n and columns phi, e_k after n-1 steps, divided
-by tau_{n-1}, times (-1)^(n-1) for moving phi first.
+of x^k.  Rraw_n, whose minor holds two border columns, phi and e_k, in the
+frame's order, is one 2 x 2 Sylvester step on rows n-1, n and those columns
+after n-1 steps, divided by tau_{n-1}.
 
 Float mode eliminates in Schur-complement form at the working precision:
 after k steps the entry S^{(k)}_{ij} times prev, the product of the k pivots
 so far, is that same minor.  So tau_{k+1} = prev S_{k,k}, tautilde_{k+1} =
 prev S_{k+1,k}, a border family prev S_{k,phi}, a cofactor row prev S_{k,I},
-and Rraw_{k+1} = (-1)^k prev (S_{k,phi} S_{k+1,e} - S_{k+1,phi} S_{k,e}).  No
+and Rraw_{k+1} = prev (S_{k,phi} S_{k+1,e} - S_{k+1,phi} S_{k,e}).  No
 pivoting is needed on these frames: with a positive weight the Cauchy-kernel
 bimoment matrix is totally positive (Bertola, Gekhtman & Szmigielski,
 J. Approx. Theory 162, 2010), where elimination without pivoting is backward
@@ -113,11 +113,10 @@ class Family:
     method: str                 # the DetContext method evaluating it
     col: int = 0                # column offset into m
     row: int = 0                # row offset of the frame
-    border: str = None          # "phi" or "u": a bordering column
-    first: bool = False         # border column first, else last
+    border: str = None          # "phi" or "u": a column after the m columns
     skip: int = None            # scalar family: frame row n - skip left out
     lead: tuple = None          # polynomial family: (family, order shift) of
-                                # its x^n cofactor, up to the border's sign
+                                # its x^n cofactor
     start: int = 0              # lowest n from the frame (tau_0 = det() = 1);
     error: str = None           # below it 0, or ExtentError(error)
 
@@ -135,7 +134,7 @@ FAMILY_SPECS = {
                 error="polynomial order below -1"),
     "Q": Family("Qraw", col=1, lead=("xi", 0), start=-1,
                 error="polynomial order below -1"),
-    "R": Family("Rraw", border="phi", first=True, lead=("sigma", -1), start=1,
+    "R": Family("Rraw", border="phi", lead=("sigma", -1), start=1,
                 error="third-family polynomial needs order >= 1"),
 }
 
@@ -430,19 +429,18 @@ class DetContext:
                                              for v in rk[ident:]]
                 else:
                     # Rraw_{k+1}: 2 x 2 Sylvester step on rows k, k+1 and
-                    # columns phi, e_j, with phi moved first; an exact entry
-                    # is a minor, so the step divides by tau_k
+                    # columns phi, e_j; an exact entry is a minor, so the
+                    # step divides by tau_k
                     c, rows = at.get(spec.border, (None, 0))
                     if k + 1 < rows and prev != 0:
                         nxt = M[k + 1]
                         p, q = rk[c], nxt[c]
-                        sign = -1 if k % 2 else 1
                         cross = [p * b - q * a
                                  for a, b in zip(rk[ident:] + [0], nxt[ident:])]
                         if self.exact:
                             cross = [x // prev for x in cross]
                         memo[(name, k + 1, s, t)] = [
-                            value(sign * x, prev, scale[k + 2]) for x in cross]
+                            value(x, prev, scale[k + 2]) for x in cross]
             if not trusted:
                 return k, rk[k], floors[k]
 
@@ -457,9 +455,8 @@ class DetContext:
 
         def line(i):
             i += spec.row
-            head = [vec(i, s, t)] if vec and spec.first else []
-            cells = head + [self.m(i, j + spec.col, s, t) for j in range(width)]
-            return cells + [vec(i, s, t)] if vec and not spec.first else cells
+            cells = [self.m(i, j + spec.col, s, t) for j in range(width)]
+            return cells + [vec(i, s, t)] if vec else cells
 
         drop = None if spec.skip is None else n - spec.skip
         rows = [line(i) for i in range(n + 1) if i != drop]   # or ExtentError
@@ -495,7 +492,7 @@ class DetContext:
     Praw = _family_method("P", "Cofactor coefficients of tau_n P_n; "
                                "Praw(-1) is the zero polynomial.")
     Qraw = _family_method("Q")
-    Rraw = _family_method("R", "Border [phi | m cols 0..n-2 | x^i]; "
+    Rraw = _family_method("R", "Border [m cols 0..n-2 | phi | x^i]; "
                                "defined for n >= 1.")
 
     # -- recurrence coefficients --

@@ -8,18 +8,23 @@ confirmed variant: `pass` gates on the confirmed form, and variant_report
 emits the per-variant residuals with the chosen form recorded.
 
 IDENTITY_SPECS is the catalog: each id's kind, lowest n and gating rule and,
-for the bilinear and trilinear ids, the stencil as signed products of family
-reads, evaluated by one function (a variant id also has its printed one).
-So a stencil's reads are static.  At n = 0 the records of 3.2b, 3.3b, 3.4a,
-3.4b, e1-e4, eq1, fn-b, tau-hat-rel and tri2 read no order >= 1 value outside
-a product that also holds an edge zero (tau_{-1} = xi_{-1} = sigma_{-1} =
-psi_{-1} = 0): they check only the edge conventions and pass on any data, as
-eq1 there reads tau_0 tau_0 = xi_0 xi_0 = 1.  So does dckp, the quartic
-4 * 1 * 1 = 2^2 at n = 0.  From n = 1 on, a +1 bump of any order >= 1 value a
-record reads fails it, with one exception: 4trr does not depend on tau_{n-2}.
-It reads tau_{n-2} only in its term a_n c_{n-1} P_{n-2}, where c_{n-1} =
+for 22 of the 25 ids, the stencil as signed products of family reads,
+evaluated by one function (a variant id also has its printed one).  In the
+17 bilinear and trilinear stencils every read is a scalar.  In the five
+linear ones (prop2.5, prop2.6, spec1, dt1 and trans2) each product ends in a
+P, Q or R cofactor vector, possibly times x, and the signed product of its
+scalar reads is the vector's coefficient.  So a stencil's reads are static.
+At n = 0 the records of 3.2b, 3.3b, 3.4a, 3.4b, e1-e4, eq1, fn-b,
+tau-hat-rel and tri2 read no order >= 1 value outside a product that also
+holds an edge zero (tau_{-1} = xi_{-1} = sigma_{-1} = psi_{-1} = 0): they
+check only the edge conventions and pass on any data, as eq1 there reads
+tau_0 tau_0 = xi_0 xi_0 = 1.  So does dckp, the quartic 4 * 1 * 1 = 2^2 at
+n = 0.  From n = 1 on, a +1 bump of any order >= 1 value a record reads
+fails it, with one exception: 4trr does not depend on tau_{n-2}.  It reads
+tau_{n-2} only in its term a_n c_{n-1} P_{n-2}, where c_{n-1} =
 tau_{n-2} tau_n / tau_{n-1}^2 and P_{n-2} is normalized by tau_{n-2}, so it
-cancels.
+cancels.  On jacobi data at the default precision a 1 + 10^-5 scaling of
+such a value fails its record likewise, with the same exception.
 
 Record semantics: exact mode passes iff residual_abs == 0; float mode iff
 residual_rel < rel_tol, with scale = max |individual product term| (floor 1).
@@ -34,13 +39,19 @@ from typing import NamedTuple
 
 from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
                        _integers, fmt_scalar, relative_residual)
+from .detkit import FAMILY_SPECS
+
+# the cofactor-vector families P, Q and R: a stencil product ending in one of
+# them is a vector
+_VECTORS = frozenset(f for f, spec in FAMILY_SPECS.items()
+                     if spec.lead is not None)
 
 # ---- Catalog ----
 
 @dataclass(frozen=True)
 class Identity:
     """One catalog id: how it is evaluated and where it gates."""
-    kind: str                   # "stencil", "poly", "propr", "4trr" or "dckp"
+    kind: str                   # "stencil", "propr", "4trr" or "dckp"
     n_min: int = 0              # lowest n evaluated
     generic: bool = False       # gates on synthetic-generic data (the ids
                                 # derived through orthogonality do not)
@@ -54,7 +65,9 @@ class Identity:
 def _stencil(text):
     """Signed products from text such as "+ tau[n+1] xi[n-1,s+1] - ...", stored
     pre-split as (sign, reads).  A read names its family and its shifts of
-    (n, s, t): tau[n-1,s+1] is tau_{n-1}^{s+1,t}, a bare xi is xi_n^{s,t}."""
+    (n, s, t): tau[n-1,s+1] is tau_{n-1}^{s+1,t}, a bare xi is xi_n^{s,t}.
+    The token x, a read of family "x", multiplies the product's P, Q or R
+    vector by x."""
     products = []
     for token in text.split():
         if token in ("+", "-"):
@@ -68,9 +81,9 @@ def _stencil(text):
     return tuple((sign, tuple(reads)) for sign, reads in products)
 
 
-def _by_stencil(text, printed=None, generic=False):
-    return Identity("stencil", generic=generic, stencil=_stencil(text),
-                    printed=printed and _stencil(printed))
+def _by_stencil(text, printed=None, generic=False, n_min=0):
+    return Identity("stencil", n_min=n_min, generic=generic,
+                    stencil=_stencil(text), printed=printed and _stencil(printed))
 
 
 _E1 = "+ tau[n+1] tau[n-1,s+1] - tau tau[s+1] + xi xi"
@@ -79,11 +92,16 @@ _FN_B = "+ sigma tau[s+1] - sigma[n-1,s+1] tau[n+1] - xi psi"
 
 IDENTITY_SPECS = {
     "4trr": Identity("4trr", n_min=1, single=True),
-    "prop2.5": Identity("poly"),
-    "prop2.6": Identity("poly", n_min=1),
-    "spec1": Identity("poly"),
-    "dt1": Identity("poly", n_min=1),
-    "trans2": Identity("poly", n_min=1),
+    "prop2.5": _by_stencil("+ tau[n+1] x P[s+1] - tau[s+1] P[n+1] - xi[n+1] Q"),
+    "prop2.6": _by_stencil("+ tau[n-1,s+1] Q - xi x P[n-1,s+1] + tau[s+1] Q[n-1]",
+                           n_min=1),
+    "spec1": _by_stencil("+ xi tau[n+1] x P[s+1] + xi[n+1] tau[n+1] x P[n-1,s+1]"
+                         " - xi tau[s+1] P[n+1] - xi[n+1] tau[s+1] P"),
+    "dt1": _by_stencil("+ sigma[n-1] P[t+1] - tau[t+1] R - sigma P[n-1,t+1]",
+                       n_min=1),
+    "trans2": _by_stencil("+ sigma[n-1] tau P[t+1] - sigma tau P[n-1,t+1]"
+                          " - sigma[n-1] tau[t+1] P + sigma tau[t+1] P[n-1]",
+                          n_min=1),
     "propr": Identity("propr", n_min=1),
     "eq1": _by_stencil(_E1),
     "3.2a": _by_stencil("+ tau[t+1] tau[n+1] - tau[n+1,t+1] tau - sigma sigma",
@@ -199,7 +217,6 @@ def _shift_x(ctx, vec):
 def _comb(ctx, pairs):
     """sum coef*vec over (coef, vec) pairs; returns (max |residual coefficient|,
     scale terms)."""
-    pairs = [(coef, vec) for coef, vec in pairs if vec is not None]
     if ctx.exact:
         # with vec_i = ints_i / den_i, coefficient k vanishes iff
         # sum_i w_i ints_i[k] does, w_i being coef_i / den_i over one
@@ -245,8 +262,22 @@ def _sum_terms(pairs):
 
 def _ev_stencil(ctx, stencil, n, s, t):
     read = ctx._family
-    pairs = [(sign, [read(f, n + dn, s + ds, t + dt) for f, dn, ds, dt in reads])
+    pairs = [(sign, [read(f, n + dn, s + ds, t + dt)
+                     for f, dn, ds, dt in reads if f != "x"])
              for sign, reads in stencil]
+    if stencil[0][1][-1][0] in _VECTORS:
+        # each product is a coefficient, the signed product of its scalar
+        # reads in written order, times its vector
+        terms = []
+        for (sign, values), (_, reads) in zip(pairs, stencil):
+            *scalars, vec = values
+            coef = scalars[0]
+            for v in scalars[1:]:
+                coef = coef * v
+            if ("x", 0, 0, 0) in reads:
+                vec = _shift_x(ctx, vec)
+            terms.append((coef if sign > 0 else -coef, vec))
+        return _comb(ctx, terms)
     if ctx.exact and _vanishes(pairs):
         return Fraction(0), []
     diff, terms = _sum_terms(pairs)
@@ -273,37 +304,6 @@ def _ev_dckp(ctx, n, s, t):
     A0, A1, B = _dckp_parts(*taus)
     diff = 4 * A0 * A1 - B * B
     return abs(diff), [abs(4 * A0 * A1), abs(B * B)]
-
-
-def _ev_poly(ctx, ident, n, s, t):
-    T, X, SG = ctx.tau, ctx.xi, ctx.sigma
-    if ident == "prop2.5":
-        pairs = [(T(n + 1, s, t), _shift_x(ctx, ctx.Praw(n, s + 1, t))),
-                 (-T(n, s + 1, t), ctx.Praw(n + 1, s, t)),
-                 (-X(n + 1, s, t), ctx.Qraw(n, s, t))]
-    elif ident == "prop2.6":
-        pairs = [(T(n - 1, s + 1, t), ctx.Qraw(n, s, t)),
-                 (-X(n, s, t), _shift_x(ctx, ctx.Praw(n - 1, s + 1, t))),
-                 (T(n, s + 1, t), ctx.Qraw(n - 1, s, t))]
-    elif ident == "spec1":
-        pm1 = _shift_x(ctx, ctx.Praw(n - 1, s + 1, t)) if n >= 1 else None
-        pairs = [(X(n, s, t) * T(n + 1, s, t), _shift_x(ctx, ctx.Praw(n, s + 1, t))),
-                 (X(n + 1, s, t) * T(n + 1, s, t), pm1),
-                 (-X(n, s, t) * T(n, s + 1, t), ctx.Praw(n + 1, s, t)),
-                 (-X(n + 1, s, t) * T(n, s + 1, t), ctx.Praw(n, s, t))]
-    elif ident == "dt1":
-        sg = 1 if (n - 1) % 2 == 0 else -1
-        pairs = [(SG(n - 1, s, t), ctx.Praw(n, s, t + 1)),
-                 (-sg * T(n, s, t + 1), ctx.Rraw(n, s, t)),
-                 (-SG(n, s, t), ctx.Praw(n - 1, s, t + 1))]
-    elif ident == "trans2":
-        pairs = [(SG(n - 1, s, t) * T(n, s, t), ctx.Praw(n, s, t + 1)),
-                 (-SG(n, s, t) * T(n, s, t), ctx.Praw(n - 1, s, t + 1)),
-                 (-SG(n - 1, s, t) * T(n, s, t + 1), ctx.Praw(n, s, t)),
-                 (SG(n, s, t) * T(n, s, t + 1), ctx.Praw(n - 1, s, t))]
-    else:
-        raise ValueError("not a polynomial id: %r" % (ident,))
-    return _comb(ctx, pairs)
 
 
 def _ev_propr(ctx, n, s, t):
@@ -367,8 +367,6 @@ def evaluate(ctx, identity_id, n, s, t, variant="confirmed"):
     with ctx.wp():
         if spec.kind == "stencil":
             return _ev_stencil(ctx, stencil, n, s, t)
-        if spec.kind == "poly":
-            return _ev_poly(ctx, identity_id, n, s, t)
         if spec.kind == "propr":
             return _ev_propr(ctx, n, s, t)
         if spec.kind == "4trr":

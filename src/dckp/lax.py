@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
 from . import detkit, polyfam
-from .identities import _adjudicate, _policy_for, _with_relative
+from .identities import _adjudicate, _policy_for, _sum_terms, _with_relative
 
 EIGEN_SAMPLES = (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
                  Fraction(1, 2), Fraction(2, 3))
@@ -293,12 +293,8 @@ def _eq_terms(ctx, eq, n, s, t, variant):
 def evaluate_equation(ctx, eq, n, s, t, variant="repaired"):
     """(residual_abs, scale terms) of one compatibility equation at one site."""
     with ctx.wp():
-        terms = _eq_terms(ctx, eq, n, s, t, variant)
-        total = ctx.zero()
-        scales = []
-        for v in terms:
-            total = total + v
-            scales.append(abs(v))
+        total, scales = _sum_terms([(1, (v,)) for v in
+                                    _eq_terms(ctx, eq, n, s, t, variant)])
         return abs(total), scales
 
 

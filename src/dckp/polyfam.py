@@ -50,8 +50,9 @@ def poly(ctx, family, n, s, t):
     """Monic member of family P, Q or R at (n, s, t), built once per context.
 
     P_n = tau_n^{-1} det[m cols 0..n-1 | x^i]; Q_n the same on the column-
-    shifted table; R_n = (-1)^{n-1} sigma_{n-1}^{-1} det[phi | m cols 0..n-2 | x^i]
-    (n >= 1).  The raw vector and its normalizer come from detkit.FAMILY_SPECS.
+    shifted table; R_n = sigma_{n-1}^{-1} det[m cols 0..n-2 | phi | x^i]
+    (n >= 1).  Each raw vector and its normalizer, its x^n coefficient, come
+    from detkit.FAMILY_SPECS.
     """
     low = LOWEST_ORDER.get(family)
     if low is None:
@@ -63,11 +64,9 @@ def poly(ctx, family, n, s, t):
     lead, shift = spec.lead
     den = detkit.eval_det(ctx, lead, n + shift, s, t)
     raw = detkit.eval_det(ctx, family, n, s, t)
-    # moving a first border column past the n-1 bimoment columns
-    sign = -1 if spec.first and (n - 1) % 2 else 1
     if den == 0:
         raise DegeneracyError("normalizer of %s_%d vanishes at (s=%d,t=%d)"
                               % (family, n, s, t))
     with ctx.wp():
-        coeffs = tuple(sign * c / den for c in raw)
+        coeffs = tuple(c / den for c in raw)
     return PolyCoeffs(family, n, s, t, coeffs)

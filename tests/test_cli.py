@@ -53,6 +53,16 @@ def test_importing_the_cli_leaves_the_process_pool_unimported():
     assert out == "[]\n"
 
 
+def test_readme_library_example_runs():
+    # README's one python block runs as written, so it cannot drift from
+    # the library
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        blocks = fh.read().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+
+
 # ---- verify ----
 
 def test_verify_generic_desk_grid(capsys):

@@ -308,7 +308,7 @@ def _literal(ctx, family, n, s, t, det):
             raise ExtentError("third-family polynomial needs order >= 1")
 
         def row(i):
-            return [ph(i)] + [m(i, j) for j in range(n - 1)]
+            return [m(i, j) for j in range(n - 1)] + [ph(i)]
     minors = [det([row(i) for i in range(n + 1) if i != k]) for k in range(n + 1)]
     with ctx.wp():
         return [d if (k + n) % 2 == 0 else -d for k, d in enumerate(minors)]

@@ -4,11 +4,12 @@ shift-closure link, report serialization."""
 import json
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dckp import identities, moments, detkit
-from dckp.numerics import DegeneracyError, ExtentError
+from dckp.numerics import DegeneracyError, ExtentError, TolerancePolicy
 
 # ---- Gating ----
 
@@ -33,7 +34,11 @@ def test_catalog_shape():
                                       "xi-psi-sq", "tau-hat-rel")
     assert {i for i, spec in specs.items() if spec.n_min} \
         == {"4trr", "prop2.6", "dt1", "trans2", "propr"}
-    assert sum(spec.kind == "stencil" for spec in specs.values()) == 17
+    assert sum(spec.kind == "stencil" for spec in specs.values()) == 22
+    vectors = {"P", "Q", "R"}
+    linear = {i for i, spec in specs.items()
+              if any(r[0] in vectors for _, reads in spec.stencil for r in reads)}
+    assert linear == {"prop2.5", "prop2.6", "spec1", "dt1", "trans2"}
     for ident, spec in specs.items():
         assert (spec.kind == "stencil") == bool(spec.stencil), ident
         if ident in identities.VARIANT_IDS:
@@ -42,9 +47,19 @@ def test_catalog_shape():
             assert spec.printed is None, ident
         for sign, reads in spec.stencil + (spec.printed or ()):
             assert sign in (1, -1) and reads, ident
+            # a linear stencil's products each end in their one vector read,
+            # after at least one scalar read, its coefficient; the x token,
+            # if present, multiplies the vector by x
+            names = [family for family, *_ in reads]
+            assert (names[-1] in vectors) == (ident in linear), ident
+            assert set(names[:-1]) - {"x"}, ident
+            assert not vectors & set(names[:-1]), ident
+            assert names.count("x") <= (ident in linear), ident
             for family, *shift in reads:
-                assert family in detkit.FAMILY_SPECS, (ident, family)
+                assert family in detkit.FAMILY_SPECS or family == "x", \
+                    (ident, family)
                 assert all(isinstance(d, int) for d in shift), ident
+                assert family != "x" or shift == [0, 0, 0], ident
 
 
 @pytest.mark.parametrize("ident, variant", [
@@ -134,35 +149,40 @@ EDGE_ONLY_AT_N0 = {"3.2b", "3.3b", "3.4a", "3.4b", "e1", "e2", "e3", "e4",
 
 def _edge_zero(read):
     """Whether a read at n = 0 falls below its family's start, where the
-    family is 0 (tau_{-1} = sigma_{-1} = psi_{-1} = 0 and so on)."""
+    family is 0 (tau_{-1} = sigma_{-1} = psi_{-1} = 0 and so on); the x
+    token is no read."""
     family, dn, _, _ = read
-    spec = detkit.FAMILY_SPECS[family]
-    return dn < spec.start and spec.error is None
+    spec = detkit.FAMILY_SPECS.get(family)
+    return spec is not None and dn < spec.start and spec.error is None
 
 
 def _edge_only_at_n0():
-    """Stencil ids whose n = 0 records read no order >= 1 value outside a
-    product that also holds an edge zero."""
+    """Stencil ids with records at n = 0 that read no order >= 1 value
+    outside a product that also holds an edge zero."""
     return {ident for ident, spec in identities.IDENTITY_SPECS.items()
-            if spec.kind == "stencil"
-            and all(any(map(_edge_zero, reads)) or all(r[1] <= 0 for r in reads)
+            if spec.kind == "stencil" and spec.n_min == 0
+            and all(any(map(_edge_zero, reads))
+                    or all(r[1] <= 0 for r in reads if r[0] != "x")
                     for _, reads in spec.stencil)}
 
 
-def _bumps(value):
-    """value + 1, or for a polynomial one copy per coefficient plus 1."""
+def _bumps(value, bump):
+    """bump(value), or for a polynomial one copy per coefficient bumped."""
     if isinstance(value, list):
-        return [value[:k] + [c + 1] + value[k + 1:] for k, c in enumerate(value)]
-    return [value + 1]
+        return [value[:k] + [bump(c)] + value[k + 1:] for k, c in enumerate(value)]
+    return [bump(value)]
 
 
-def _corruption_sweep(monkeypatch, ns):
-    """Each gating record at the orders ns on exact structured data (seed 1,
-    (N, S, T) = (3, 1, 1)), re-evaluated under every +1 bump of an order >= 1
-    value it reads: record -> [(read, whether the bump fails it)], one entry
-    per bump."""
-    mode, (N, S, T) = "synthetic-structured", (3, 1, 1)
-    table = moments.build_base_table(mode, 0, 0, N + S + 3, seed=1, tmax=T)
+def _corruption_sweep(monkeypatch, ns, mode="synthetic-structured",
+                      bump=lambda v: v + 1):
+    """Each gating record at the orders ns on data of `mode` (seed 1 for
+    synthetic data, 120/40 digits for jacobi data; (N, S, T) = (3, 1, 1)),
+    re-evaluated under every bump of an order >= 1 value it reads: record ->
+    [(read, whether the bump fails it)], one entry per bump."""
+    N, S, T = 3, 1, 1
+    policy = TolerancePolicy(120, 40)
+    table = moments.build_base_table(mode, 0, 0, N + S + 3, policy=policy,
+                                     seed=1, tmax=T)
     ctx = detkit.DetContext(table, N + 1)
     reads = []
     family = ctx._family
@@ -173,9 +193,9 @@ def _corruption_sweep(monkeypatch, ns):
 
     monkeypatch.setattr(ctx, "_family", logged)
 
-    def residual(ident, n, s, t):
+    def passes(ident, n, s, t):
         ctx.derived.clear()
-        return identities.evaluate(ctx, ident, n, s, t)[0]
+        return identities.make_record(ctx, ident, n, s, t, policy).passed
 
     sweep = {}
     for ident, spec in identities.IDENTITY_SPECS.items():
@@ -185,13 +205,15 @@ def _corruption_sweep(monkeypatch, ns):
                     if n < spec.n_min or not identities.gates(mode, ident, t, 0):
                         continue
                     reads.clear()
-                    assert residual(ident, n, s, t) == 0, (ident, n, s, t)
+                    assert passes(ident, n, s, t), (ident, n, s, t)
                     bumps = sweep[(ident, n, s, t)] = []
                     for key in dict.fromkeys(r for r in reads if r[1] >= 1):
                         value = ctx.memo[key]
-                        for bumped in _bumps(value):
-                            ctx.memo[key] = bumped
-                            bumps.append((key, residual(ident, n, s, t) != 0))
+                        with ctx.wp():
+                            bumped = _bumps(value, bump)
+                        for v in bumped:
+                            ctx.memo[key] = v
+                            bumps.append((key, not passes(ident, n, s, t)))
                         ctx.memo[key] = value
     return sweep
 
@@ -224,6 +246,20 @@ def test_records_above_n0_fail_under_every_bump(monkeypatch):
     survivors = {(r, key) for r, bumps in sweep.items()
                  for key, fails in bumps if not fails}
     assert survivors == {(("4trr", 3, s, 0), ("tau", 1, s, 0)) for s in (0, 1)}
+
+
+def test_float_records_above_n0_fail_under_every_scaling(monkeypatch):
+    # the float twin on jacobi data at the CLI default 120/40 digits, each
+    # read scaled by 1 + 10^-5: every gating record fails, but 4trr at n = 3,
+    # here gating at every t, under a scaling of tau_1, as in exact mode
+    sweep = _corruption_sweep(monkeypatch, [1, 2, 3], "jacobi-float",
+                              lambda v: v * (1 + mp.mpf(10) ** -5))
+    assert len(sweep) == 300
+    assert sum(map(len, sweep.values())) == 2188
+    survivors = {(r, key) for r, bumps in sweep.items()
+                 for key, fails in bumps if not fails}
+    assert survivors == {(("4trr", 3, s, t), ("tau", 1, s, t))
+                         for s in (0, 1) for t in (0, 1)}
 
 
 # ---- Integer zero test ----
