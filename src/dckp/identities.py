@@ -396,19 +396,30 @@ def _with_relative(ctx, res_abs, scales):
         return res_abs, relative_residual(res_abs, scales)
 
 
-def make_record(ctx, identity_id, n, s, t, policy=None, variant="confirmed"):
-    policy = _policy_for(ctx, policy)
-    mode = ctx.base.mode
-    gate = gates(mode, identity_id, t, ctx.base.t0)
+def _outcome(ctx, identity_id, n, s, t, variant="confirmed"):
+    """(residual_abs, residual_rel, None) at one site, or (None, None, the
+    skip text) where it raises ExtentError or DegeneracyError."""
     try:
-        res_abs, res_rel = _with_relative(
-            ctx, *evaluate(ctx, identity_id, n, s, t, variant))
+        return (*_with_relative(ctx, *evaluate(ctx, identity_id, n, s, t,
+                                               variant)), None)
     except (ExtentError, DegeneracyError) as exc:
+        return None, None, type(exc).__name__ + ": " + str(exc)
+
+
+def _record(ctx, identity_id, n, s, t, policy, outcome):
+    res_abs, res_rel, skipped = outcome
+    mode = ctx.base.mode
+    if skipped is not None:
         return IdentityRecord(identity_id, n, s, t, None, None, None, mode,
-                              gating=False, skipped=type(exc).__name__ + ": " + str(exc))
+                              gating=False, skipped=skipped)
     return IdentityRecord(identity_id, n, s, t, res_abs, res_rel,
                           _passes(ctx, res_abs, res_rel, policy), mode,
-                          gating=gate)
+                          gating=gates(mode, identity_id, t, ctx.base.t0))
+
+
+def make_record(ctx, identity_id, n, s, t, policy=None, variant="confirmed"):
+    return _record(ctx, identity_id, n, s, t, _policy_for(ctx, policy),
+                   _outcome(ctx, identity_id, n, s, t, variant))
 
 
 # ---- Suite ----
@@ -418,10 +429,17 @@ def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
 
     Sites a mode cannot evaluate (missing singles, exhausted extent, degenerate
     denominators) yield skipped records; failures are recorded, never thrown.
+    Ids that share a stencil (eq1 and e1, 3.3a and fn-a, 3.3b and fn-b) share
+    its outcome at each site, evaluated once; each keeps its own gating.
     """
     chosen = [(ident, _spec(ident)) for ident in (ids or CATALOG_IDS)]
     mode = ctx.base.mode
     policy = _policy_for(ctx, policy)
+    # each id -> the first chosen id with its stencil, whose outcomes it reads
+    first = {}
+    same_as = {ident: first.setdefault(spec.stencil, ident)
+               if spec.stencil else ident for ident, spec in chosen}
+    outcomes = {}
     records = []
     for ident, spec in chosen:
         for n in range(spec.n_min, nmax + 1):
@@ -432,7 +450,11 @@ def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
                             ident, n, s, t, None, None, None, mode,
                             gating=False, skipped="mode"))
                         continue
-                    records.append(make_record(ctx, ident, n, s, t, policy))
+                    key = (same_as[ident], n, s, t)
+                    if key not in outcomes:
+                        outcomes[key] = _outcome(ctx, ident, n, s, t)
+                    records.append(_record(ctx, ident, n, s, t, policy,
+                                           outcomes[key]))
     records.sort(key=lambda r: (r.identity_id, r.n, r.s, r.t))
     return records
 

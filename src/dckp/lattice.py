@@ -20,7 +20,7 @@ import mpmath as mp
 
 from .numerics import (ConfigError, DegeneracyError, TolerancePolicy,
                        _integers, csv_text, fmt_scalar, relative_residual)
-from . import moments, quadrature, detkit
+from . import moments, detkit
 
 # sigma_row is an internal evaluator for the identity battery, not lattice data
 LATTICE_FAMILIES = tuple(f for f in detkit.FAMILIES if f != "sigma_row")
@@ -74,21 +74,40 @@ class TauLattice:
 
 # ---- Build ----
 
-def _cross_validate_t_evolution(ctx, policy):
-    """Rank-one t-evolved bimoments vs direct quadrature at 3 spot entries,
-    all three from one sweep."""
-    base = ctx.base
-    tb1 = ctx._table(base.t0 + 1)
-    spots = ((0, 0), (1, 1), (0, 2))
-    with mp.workdps(policy.working_dps):
-        direct = quadrature.bimoments(spots, base.s0, base.t0 + 1, policy)
-        for (i, j), d in zip(spots, direct):
-            rel = relative_residual(abs(tb1.m(i, j) - d), [abs(d)])
-            if rel >= policy.rel_tol():
+def _check_t_evolution(ctx, policy):
+    """The rank-one t-step of a jacobi table against the direct closed form
+    of m^{0,1} (`moments._t1_bimoment_triples`) at every entry.
+
+    Exactly first: m^{0,0}_ij - 2 phi'_i phi'_j, with phi' = phi/sqrt2 =
+    I(i, 0, 1), must equal the direct triple in Q + Q ln2 + Q ln^2 2.  Then
+    every float entry of the evolved table must lie within rel_tol of its
+    direct value rounded once.  Runs no quadrature.
+    """
+    K = ctx.base.K
+    direct = moments._t1_bimoment_triples(K)
+    phi = [moments._weight_integral(i, 0, 1) for i in range(K)]
+    for i, row in enumerate(moments._bimoment_pairs(K)):
+        a, b = phi[i]
+        for j, (p, q) in enumerate(row):
+            c, d = phi[j]
+            rank_one = (p - 2 * a * c, q - 2 * (a * d + b * c), -2 * b * d)
+            if rank_one != direct[i][j]:
                 raise ArithmeticError(
-                    "t-evolution cross-validation failed at entry (%d,%d): "
-                    "rank-one update and direct quadrature disagree (rel %s)"
-                    % (i, j, mp.nstr(rel, 8)))
+                    "t-evolution check failed at entry (%d,%d): the exact "
+                    "rank-one update differs from the direct t = 1 closed "
+                    "form" % (i, j))
+    tb1 = ctx._table(ctx.base.t0 + 1)
+    with mp.workdps(policy.working_dps):
+        prec = mp.mp.prec
+        for i in range(K):
+            for j in range(K):
+                d = moments._round_pair(direct[i][j], prec)
+                rel = relative_residual(abs(tb1.m(i, j) - d), [abs(d)])
+                if rel >= policy.rel_tol():
+                    raise ArithmeticError(
+                        "t-evolution check failed at entry (%d,%d): the float "
+                        "rank-one update is off the direct t = 1 closed form "
+                        "(rel %s)" % (i, j, mp.nstr(rel, 8)))
 
 
 def _family_available(ctx, family, t):
@@ -102,10 +121,11 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
 
     The config dict may set "precision", "guard" and "seed"; any other key is
     a ConfigError.  The base table extent K = Nmax + Smax + 3 covers every
-    column shift.  Jacobi tables are cross-validated: the rank-one
-    t-evolution is compared with direct quadrature at spot entries.  A float
-    pivot that fails its check raises DegeneracyError (see detkit), so every
-    float tau and xi of the lattice is positive.
+    column shift.  A jacobi build checks the rank-one t-evolution against
+    the direct closed form of the t = 1 table at every entry, exactly and
+    then on the float table (`_check_t_evolution`); it runs no quadrature.
+    A float pivot that fails its check raises DegeneracyError (see detkit),
+    so every float tau and xi of the lattice is positive.
     """
     cfg = config or {}
     unknown = sorted(set(cfg) - {"precision", "guard", "seed"})
@@ -119,7 +139,7 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     # the lattice reads orders up to Nmax; lax on lat.ctx at K = Nmax one more
     ctx = detkit.DetContext(table, Nmax + 1)
     if not table.exact and Tmax >= 1:
-        _cross_validate_t_evolution(ctx, policy)
+        _check_t_evolution(ctx, policy)
     lat = TauLattice(mode, Nmax, Smax, Tmax, ctx, prec)
     lat.families = tuple(f for f in LATTICE_FAMILIES
                          if _family_available(ctx, f, table.t0))

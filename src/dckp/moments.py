@@ -15,9 +15,12 @@ index i + ds of each.  No t-update law exists for either.  A jacobi table is
 built at (s0, t0) = (0, 0), where every entry is p + q ln2 (phi: sqrt2 times
 that) with p, q rational; it gets singles for t = 0..tmax+1 and phi for
 t = 0..tmax from these exact pairs, so neither the build nor evolve_t runs
-quadrature.  The quadrature sweep is the independent oracle of the closed
-forms.  Synthetic tables treat phi as free data; structured ones carry
-singles at the base t only, generic ones none.
+quadrature.  The t = 1 bimoments also have a direct closed form in
+Q + Q ln2 + Q ln^2 2 that makes no use of phi; a jacobi lattice build checks
+the rank-one t-step against it exactly, with no sweep.  The quadrature sweep
+is the independent oracle of every closed form.  Synthetic tables treat phi
+as free data; structured ones carry singles at the base t only, generic ones
+none.
 """
 
 import random
@@ -197,10 +200,15 @@ def synthetic_structured(seed, K, tmax=3, s0=0, t0=0):
 #   m_0j = 1/(j+1)^2 + (ln2 - F_{j+1})/(j+1),  F_k = int_0^1 y^k/(1+y) dy;
 #   m_{i+1,j} = u_i u_j - m_{i,j+1} with u_i = 1/(i+1), the Cauchy-kernel
 #   ladder (Bertola, Gekhtman & Szmigielski, J. Approx. Theory 162, 2010).
-# The tanh-sinh sweep of `quadrature` computes the same numbers independently
-# and serves as their oracle.
+# The bimoments at t = 1 have a direct closed form too, p + q ln2 + r ln^2 2,
+# held as the triple (p, q, r): partial fractions give row 0,
+#   m_0j^{0,1} = 1/(j+1)^2 + (ln2 - F_{j+1})/(j+1) - 2 ln2 F_j,
+# and the ladder, which holds at every t, the other rows with the t = 1
+# singles.  It makes no use of phi, so it checks the rank-one t-step exactly
+# (`lattice`).  The tanh-sinh sweep of `quadrature` computes the same numbers
+# independently and serves as the oracle of every closed form here.
 
-# Bits carried beyond the working precision and a pair's own cancellation:
+# Bits carried beyond the working precision and a value's own cancellation:
 # about 10 digits, so the once-rounded value is correctly rounded unless the
 # exact one lies within 2^-32 ulp of a rounding boundary.
 GUARD_BITS = 32
@@ -227,51 +235,88 @@ def _weight_integral(a, b, c):
     return Fraction(num, den), Fraction(q)
 
 
+def _f_pairs(count):
+    """[F_k]_{k<count} as exact pairs, F_k = (-1)^k (ln2 - sum_{i<=k}
+    (-1)^(i+1)/i)."""
+    out, h = [], Fraction(0)
+    for k in range(count):
+        if k:
+            h += Fraction((-1) ** (k + 1), k)
+        sign = (-1) ** k
+        out.append((-sign * h, Fraction(sign)))
+    return out
+
+
 def _bimoment_pairs(K):
     """K x K bimoments m_ij^{0,0} as exact pairs: row 0 out to j = 2K-2 from
-    F_k = (-1)^k (ln2 - sum_{i<=k} (-1)^(i+1)/i), the other rows by the
-    ladder."""
-    row, h = [], Fraction(0)
-    for k in range(1, 2 * K):
-        h += Fraction((-1) ** (k + 1), k)
-        sign = (-1) ** k
-        row.append((Fraction(1, k * k) + sign * h / k, Fraction(1 - sign, k)))
-    rows = [row]
+    the F_k, the other rows by the ladder."""
+    rows = [[(Fraction(1, k * k) - p / k, (1 - q) / k)
+             for k, (p, q) in enumerate(_f_pairs(2 * K)) if k]]
     for i in range(K - 1):
         rows.append([(Fraction(1, (i + 1) * (j + 1)) - p, -q)
                      for j, (p, q) in enumerate(rows[-1][1:])])
     return [r[:K] for r in rows]
 
 
+def _t1_bimoment_triples(K):
+    """K x K bimoments m_ij^{0,1} as exact triples (p, q, r), the value
+    p + q ln2 + r ln^2 2, from their direct closed form: row 0 out to
+    j = 2K-2 from the F_k, the other rows by the ladder with the t = 1
+    singles u_i = I(i, 1, 1).  Uses no phi and no t = 0 bimoment."""
+    F = _f_pairs(2 * K)
+    rows = [[(Fraction(1, (j + 1) ** 2) - F[j + 1][0] / (j + 1),
+              (1 - F[j + 1][1]) / (j + 1) - 2 * F[j][0], -2 * F[j][1])
+             for j in range(2 * K - 1)]]
+    u = [_weight_integral(i, 1, 1) for i in range(2 * K - 2)]
+    for a, b in u[:K - 1]:
+        rows.append([(a * c - p, a * d + b * c - q, b * d - r)
+                     for (c, d), (p, q, r) in zip(u, rows[-1][1:])])
+    return [r[:K] for r in rows]
+
+
 def _pair_terms(pair, prec):
-    """The two terms p and q ln2 of a pair as mpf tuples at prec bits."""
-    p, q = pair
-    return (from_rational(p.numerator, p.denominator, prec, round_nearest),
-            mpf_mul(from_rational(q.numerator, q.denominator, prec,
-                                  round_nearest),
-                    mpf_ln2(prec, round_nearest), prec, round_nearest))
+    """The terms c_k ln^k 2 of a pair (p, q) or triple (p, q, r) as mpf
+    tuples at prec bits."""
+    ln2 = mpf_ln2(prec, round_nearest)
+    terms, power = [], None
+    for c in pair:
+        v = from_rational(c.numerator, c.denominator, prec, round_nearest)
+        if terms:
+            power = ln2 if power is None else mpf_mul(power, ln2, prec,
+                                                      round_nearest)
+            v = mpf_mul(v, power, prec, round_nearest)
+        terms.append(v)
+    return terms
+
+
+def _add_terms(terms, prec):
+    v = terms[0]
+    for t in terms[1:]:
+        v = mpf_add(v, t, prec, round_nearest)
+    return v
 
 
 def _cancellation_bits(pair):
-    """log2(max(|p|, |q| ln2) / |p + q ln2|), read from an evaluation whose
-    precision exceeds it by at least 16 bits.  Every pair here is a positive
-    integral, so the doubling ends."""
+    """log2(max |term| / |value|) of a pair or triple, read from an
+    evaluation whose precision exceeds it by at least 16 bits.  Every value
+    rounded here is a positive integral, so the doubling ends."""
     prec = 64
     while True:
-        a, b = _pair_terms(pair, prec)
-        v = mpf_add(a, b, prec, round_nearest)
+        terms = _pair_terms(pair, prec)
+        v = _add_terms(terms, prec)
         if v[1]:
-            lost = max(t[2] + t[3] for t in (a, b) if t[1]) - (v[2] + v[3])
+            lost = max(t[2] + t[3] for t in terms if t[1]) - (v[2] + v[3])
             if lost < prec - 16:
                 return max(lost, 0)
         prec *= 2
 
 
 def _round_pair(pair, prec, root2=False):
-    """p + q ln2, times sqrt2 when root2, evaluated once at prec plus the
-    pair's cancellation plus GUARD_BITS and rounded to prec bits."""
+    """The value of a pair or triple, times sqrt2 when root2, evaluated once
+    at prec plus its cancellation plus GUARD_BITS and rounded to prec
+    bits."""
     wp = prec + _cancellation_bits(pair) + GUARD_BITS
-    v = mpf_add(*_pair_terms(pair, wp), wp, round_nearest)
+    v = _add_terms(_pair_terms(pair, wp), wp)
     if root2:
         v = mpf_mul(v, mpf_sqrt(from_int(2), wp, round_nearest), wp,
                     round_nearest)

@@ -21,9 +21,10 @@ quadrature error.  The absolute 2^-P error per node is enough because every
 weight carries a factor x(1-x).
 
 The moment tables the program uses come from closed forms (`moments`); no
-table build runs a sweep.  The sweeps are their independent oracle: the
-lattice's t-evolution cross-check, `selfcheck`, acceptance criterion 4 and
-the tests compare the two.
+table or lattice build runs a sweep (a jacobi lattice checks its t-evolution
+exactly, against the closed form of the t = 1 table).  The sweeps are the
+independent oracle of the closed forms: `selfcheck`, acceptance criterion 4
+and the tests compare the two.
 
 Every sweep runs one fixed schedule: it starts at START_LEVEL = 6 and doubles
 up to MAX_LEVEL = 13, working at the policy's working precision with a

@@ -97,12 +97,23 @@ def test_verify_jacobi_runs_no_quadrature(capsys, monkeypatch):
     assert "PASS" in capsys.readouterr().err
 
 
-def test_lattice_jacobi_unconverged_quadrature_exits_1(capsys, monkeypatch):
-    # the lattice's t-evolution cross-check still integrates
+def test_selfcheck_unconverged_quadrature_exits_1(capsys, monkeypatch):
+    # selfcheck sweeps as the oracle of the closed forms: a sweep that cannot
+    # converge is a verification failure, not a pass
     monkeypatch.setattr(cli.quadrature, "MAX_LEVEL", cli.quadrature.START_LEVEL)
-    assert cli.main(["lattice", "--mode", "jacobi", "--precision", "30",
-                     "--guard", "10"]) == 1
+    assert cli.main(["selfcheck", "--precision", "30", "--guard", "10"]) == 1
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_lattice_jacobi_runs_no_quadrature(capsys, monkeypatch):
+    # the t-evolution check is exact against a closed form: no sweep
+    def no_quadrature(*args):
+        raise AssertionError("lattice ran quadrature")
+
+    monkeypatch.setattr(cli.quadrature, "_nodes", no_quadrature)
+    assert cli.main(["lattice", "--mode", "jacobi", "--precision", "30",
+                     "--guard", "10"]) == 0
+    assert "sites (jacobi-float mode)" in capsys.readouterr().err
 
 
 def test_verify_chunk_uses_the_shipped_table(monkeypatch):

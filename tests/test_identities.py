@@ -380,3 +380,28 @@ def test_record_json_shape(structured_ctx):
         assert {"id", "n", "s", "t", "pass", "mode"} <= set(d)
         if "skipped" not in d:
             assert "residual_abs" in d and "residual_rel" in d
+
+
+def test_shared_stencils_evaluated_once_per_site(generic_ctx, monkeypatch):
+    # eq1/e1, 3.3a/fn-a and 3.3b/fn-b share a stencil: run_suite evaluates
+    # it once per site, skipped sites included, and each id keeps its own
+    # record and gating
+    ids = ["eq1", "e1", "3.3a", "fn-a", "3.3b", "fn-b"]
+    alone = [r for i in ids
+             for r in identities.run_suite(generic_ctx, 5, 3, 1, ids=[i])]
+    calls = []
+    evaluate = identities._ev_stencil
+
+    def counted(ctx, stencil, n, s, t):
+        calls.append((stencil, n, s, t))
+        return evaluate(ctx, stencil, n, s, t)
+
+    monkeypatch.setattr(identities, "_ev_stencil", counted)
+    together = identities.run_suite(generic_ctx, 5, 3, 1, ids=ids)
+    assert len(calls) == len(set(calls)) == len(together) // 2
+    assert any(r.skipped for r in together)
+    assert together == sorted(alone, key=lambda r: (r.identity_id, r.n,
+                                                     r.s, r.t))
+    gating = {r.identity_id: r.gating for r in together if not r.skipped}
+    assert gating == {"eq1": False, "e1": True, "3.3a": False, "fn-a": False,
+                      "3.3b": False, "fn-b": False}

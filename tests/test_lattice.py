@@ -9,8 +9,9 @@ import mpmath as mp
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dckp.numerics import WORKING_MARGIN, ConfigError, DegeneracyError
-from dckp import lattice, moments, detkit
+from dckp.numerics import (WORKING_MARGIN, ConfigError, DegeneracyError,
+                           TolerancePolicy)
+from dckp import lattice, lax, moments, detkit, quadrature
 
 # ---- Build ----
 
@@ -50,6 +51,58 @@ def test_build_jacobi_positive_and_cross_validated():
     for (f, n, s, t), v in lat.values.items():
         if f in ("tau", "xi"):
             assert v > 0, (f, n, s, t)
+
+
+def test_jacobi_library_path_runs_no_quadrature(monkeypatch):
+    # README's library path on a jacobi lattice: the t-evolution check is
+    # exact against a closed form, so nothing sweeps
+    def no_quadrature(*args):
+        raise AssertionError("a lattice build ran quadrature")
+
+    monkeypatch.setattr(quadrature, "_nodes", no_quadrature)
+    policy = TolerancePolicy(30, 10)
+    lat = lattice.build_lattice("jacobi-float", 5, 2, 3,
+                                {"precision": 30, "guard": 10})
+    rep = lattice.propagation_report(lattice.propagate(lat, 0, 3), lat)
+    assert rep["sites"] > 0 and rep["max_rel"] < policy.rel_tol()
+    assert lax.compat_residuals(lat.ctx, 5, 0, 0)
+    six = lax.verify_six_equations(lat.ctx, 4, 0, 0, policy=policy)
+    assert all(e["chosen"] for e in six["equations"].values())
+
+
+@pytest.mark.parametrize("bumped", [(3, 0, 1), (2, 1, 1)])
+def test_t_evolution_check_fails_on_a_bumped_pair(monkeypatch, bumped):
+    # a phi pair (3, 0, 1) feeds the rank-one side, a t = 1 single (2, 1, 1)
+    # the direct ladder: 10^-30 on either one's rational part fails the
+    # exact half, which runs first
+    pair = moments._weight_integral
+
+    def bumped_pair(a, b, c):
+        p, q = pair(a, b, c)
+        if (a, b, c) == bumped:
+            p += Fraction(1, 10 ** 30)
+        return p, q
+
+    monkeypatch.setattr(moments, "_weight_integral", bumped_pair)
+    with pytest.raises(ArithmeticError, match=r"entry \(\d+,\d+\): the exact"):
+        lattice.build_lattice("jacobi-float", 3, 1, 1, {"precision": 50})
+
+
+def test_t_evolution_check_fails_on_one_perturbed_float_entry(monkeypatch):
+    # the exact half cannot see the float evolve_t; the float half compares
+    # each evolved entry with its direct value rounded once
+    evolve = moments.MomentTable.evolve_t
+
+    def perturbed(self):
+        table = evolve(self)
+        if table.t0 == 1:
+            with mp.workdps(table.precision_digits + WORKING_MARGIN):
+                table.bimoments[2][4] *= 1 + mp.mpf(10) ** -30
+        return table
+
+    monkeypatch.setattr(moments.MomentTable, "evolve_t", perturbed)
+    with pytest.raises(ArithmeticError, match=r"entry \(2,4\): the float"):
+        lattice.build_lattice("jacobi-float", 3, 1, 1, {"precision": 50})
 
 
 def test_build_float_lattice_with_a_negative_tau_raises(monkeypatch):

@@ -180,6 +180,21 @@ def test_jacobi_table_is_correctly_rounded():
                                 for t, v in ph.items()}
 
 
+def test_jacobi_t1_closed_form_matches_quadrature():
+    # the direct closed form of m^{0,1}, which checks a lattice's rank-one
+    # t-step, against its oracle: one sweep of the whole t = 1 table
+    K = 6
+    direct = moments._t1_bimoment_triples(K)
+    assert [len(row) for row in direct] == [K] * K
+    assert all(len(x) == 3 for row in direct for x in row)
+    with mp.workdps(POL.working_dps):
+        swept = quadrature.bimoment_table(K, 0, 1, POL)
+        prec = mp.mp.prec
+        worst = min(digits_of_agreement(moments._round_pair(x, prec), y)
+                    for dr, sr in zip(direct, swept) for x, y in zip(dr, sr))
+    assert worst >= POL.precision_digits - 10
+
+
 def test_jacobi_t_step_single_invariant(jacobi_ctx):
     # u_i^{t+1} = sqrt2 phi_i^t - u_i^t follows from 2/(1+x) - 1 = (1-x)/(1+x)
     base = jacobi_ctx.base
