@@ -44,15 +44,22 @@ of x^k.  Rraw_n, whose minor holds two border columns, phi and e_k, in the
 frame's order, is one 2 x 2 Sylvester step on rows n-1, n and those columns
 after n-1 steps, divided by tau_{n-1}.
 
-Float mode eliminates in Schur-complement form at the working precision:
-after k steps the entry S^{(k)}_{ij} times prev, the product of the k pivots
-so far, is that same minor.  So tau_{k+1} = prev S_{k,k}, tautilde_{k+1} =
-prev S_{k+1,k}, a border family prev S_{k,phi}, a cofactor row prev S_{k,I},
-and Rraw_{k+1} = prev (S_{k,phi} S_{k+1,e} - S_{k+1,phi} S_{k,e}).  No
-pivoting is needed on these frames: with a positive weight the Cauchy-kernel
-bimoment matrix is totally positive (Bertola, Gekhtman & Szmigielski,
-J. Approx. Theory 162, 2010), where elimination without pivoting is backward
-stable (de Boor & Pinkus, Linear Algebra Appl. 17, 1977).
+Float mode eliminates in Schur-complement form on integers.  Each frame row
+is Python ints times one power of two of its own, 2^e_i, with W = working
+precision + GUARD_BITS bits at the row's largest entry; a step computes
+f = round(2^W a_ik / p_k) and a_ij -= round(f a_kj / 2^W), and a row that
+cancellation leaves more than SLACK_BITS below W is shifted left, exactly.
+After k steps the entry S^{(k)}_{ij} = a_ij 2^e_i times prev, the product of
+the k pivots so far, is that same minor.  So tau_{k+1} = prev S_{k,k},
+tautilde_{k+1} = prev S_{k+1,k}, a border family prev S_{k,phi}, a cofactor
+row prev S_{k,I}, and Rraw_{k+1} = prev (S_{k,phi} S_{k+1,e} - S_{k+1,phi}
+S_{k,e}), whose cross products are exact integers at exponent e_k + e_{k+1}.
+Each value is rounded to the working precision once, as prev (v 2^e), and
+prev once per step.  No pivoting is needed on these frames: with a positive
+weight the Cauchy-kernel bimoment matrix is totally positive (Bertola,
+Gekhtman & Szmigielski, J. Approx. Theory 162, 2010), where elimination
+without pivoting is backward stable (de Boor & Pinkus, Linear Algebra Appl.
+17, 1977).
 
 A context is built with `orders`, the highest family order its caller
 reads, and each sweep takes frame rows 0..orders only (fewer where the
@@ -102,6 +109,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath import libmp
 
 from .numerics import WORKING_MARGIN, DegeneracyError, ExtentError, _integers
 
@@ -161,6 +169,20 @@ _FRAMES = _frames()
 
 
 # ---- Determinants ----
+
+# Bits a float frame row carries below a working ulp of its largest entry.
+# A Schur step rounds each entry to 2^-GUARD_BITS of that ulp, so the
+# elimination's own rounding stays about 19 digits below the working
+# precision until cancellation has taken those digits, and each value the
+# sweep yields is rounded to the working precision once.  (With mpf steps,
+# each rounded at the working precision, the jacobi frame values at 120
+# digits, n <= 9, came out some 19 digits short of it.)
+GUARD_BITS = 64
+# The bits a row may lose to cancellation before it is renormalized: the
+# largest live entry of a row keeps at least working precision +
+# GUARD_BITS - SLACK_BITS bits.
+SLACK_BITS = 32
+
 
 def det_exact(rows):
     """Determinant of a square Fraction matrix by integer Bareiss elimination."""
@@ -224,12 +246,42 @@ def _bareiss_steps(M, C):
         prev = pk
 
 
-def _schur_steps(M, C):
-    """_bareiss_steps for mpf rows in Schur-complement form, one multiply
-    and one subtract per entry at the ambient precision.  prev is the product
-    of the pivots so far, and prev * M[i][j] the minor _bareiss_steps has in
-    M[i][j].  Step k runs only when the caller asks for the next value, so a
-    caller that stops at a failed pivot M[k][k] never divides by it."""
+def _fixed(values, bits):
+    """mpf values (or ints) as (integers, e), each value its integer times
+    2^e rounded to nearest, with e set so that the largest has `bits` bits."""
+    parts = [v._mpf_ if isinstance(v, mp.mpf) else libmp.from_int(v)
+             for v in values]
+    e = max((exp + bc for _, man, exp, bc in parts if man), default=bits) - bits
+    ints = []
+    for sign, man, exp, _ in parts:
+        sh = exp - e
+        v = man << sh if sh >= 0 else (man + (1 << (-sh - 1))) >> -sh
+        ints.append(-v if sign else v)
+    return ints, e
+
+
+def _scaled(prev, v, e):
+    """prev (v 2^e), rounded once to the ambient precision."""
+    return mp.make_mpf(libmp.mpf_mul(prev._mpf_, libmp.from_man_exp(v, e),
+                                     mp.mp.prec, libmp.round_nearest))
+
+
+def _schur_steps(M, ex, C):
+    """_bareiss_steps for float rows in Schur-complement form on integers:
+    frame row i is the integers M[i] times 2^ex[i], and has
+    W = ambient precision + GUARD_BITS bits at its largest entry.
+
+    A step computes f = round(2^W a_ik / p_k) and a_ij -= round(f a_kj / 2^W);
+    a_ik and a_ij share row i's exponent, and a_kj / p_k row k's, so no
+    exponent enters.  A row whose live entries (columns k+1 on) fall more
+    than SLACK_BITS below W is shifted left to W bits, exactly, and its
+    exponent lowered; the columns left of them are never read again and are
+    not shifted.  prev is the product of the pivots so far, rounded once per
+    step, and prev * M[i][j] 2^ex[i] the minor _bareiss_steps has in M[i][j].
+    Step k runs only when the caller asks for the next value, so a caller
+    that stops at a failed pivot M[k][k] never divides by it."""
+    W = mp.mp.prec + GUARD_BITS
+    half = 1 << (W - 1)
     prev = mp.mpf(1)
     for k in range(len(M)):
         yield k, prev
@@ -238,13 +290,19 @@ def _schur_steps(M, C):
         rk = M[k]
         pk = rk[k]
         width = len(rk)
+        tail = rk[k + 1:]
         for i in range(k + 1, len(M)):
             row = M[i]
-            f = row[k] / pk
-            M[i] = (row[:k + 1]
-                    + [a - f * b for a, b in zip(row[k + 1:width], rk[k + 1:])]
+            f = ((row[k] << (W + 1)) + pk) // (2 * pk)
+            live = ([a - ((f * b + half) >> W)
+                     for a, b in zip(row[k + 1:width], tail)]
                     + row[width:])
-        prev *= pk
+            top = max(map(int.bit_length, live), default=0)
+            if 0 < top < W - SLACK_BITS:
+                live = [a << (W - top) for a in live]
+                ex[i] -= W - top
+            M[i] = row[:k + 1] + live
+        prev = _scaled(prev, pk, ex[k])
 
 
 # ---- Context over a stack of t-evolved tables ----
@@ -365,10 +423,12 @@ class DetContext:
         family, tau, xi or tauhat, to one more), from frame rows
         0..self.orders inside the table.  Returns the float pivot that
         stopped it, as (step, pivot, floor), or None.
-        Only the elimination, the value of a swept entry and the pivot check
-        depend on the mode: an exact entry is a minor over its row scales, a
-        float one a Schur complement entry times prev, the product of the
-        pivots, and only a float pivot is checked against its floor."""
+        Only the integer rows, the elimination, the value of a swept entry
+        and the pivot check depend on the mode: exact rows are numerators
+        over a denominator per row, float rows ints times a power of two per
+        row; an exact entry is a minor over its row scales, a float one a
+        Schur complement entry times prev, the product of the pivots, and
+        only a float pivot is checked against its floor."""
         col, row, poly = frame
         names, borders = _FRAMES[frame]
         specs = [(name, FAMILY_SPECS[name]) for name in names]
@@ -376,9 +436,6 @@ class DetContext:
             empty = -1 + (spec.skip is not None)    # the order of a 0 x 0 minor
             if empty >= spec.start:
                 self.memo[(name, empty, s, t)] = [] if poly else self.one()
-        steps, value = ((_bareiss_steps, lambda v, prev, den: Fraction(v, den))
-                        if self.exact else
-                        (_schur_steps, lambda v, prev, den: prev * v))
         ds = s - self.s0
         tb = self.tables.get(t)
         if tb is None or ds < 0:
@@ -393,39 +450,62 @@ class DetContext:
                 at[b] = (C + len(vecs), min(len(vec) - top, R))
                 vecs.append(vec)
         ident = C + len(vecs)           # first column of the I block
-        M, d, scale = [], [], [1]       # row scales; scale[i]: rows 0..i-1
-        for i in range(R):
+        if self.exact:
+            convert = _integers
+        else:
+            convert = functools.partial(_fixed, bits=mp.mp.prec + GUARD_BITS)
+            # pivot k must exceed 10^-precision of its row's diagonal entry
+            eps = mp.mpf(10) ** (WORKING_MARGIN - self.dps)
+            floors = []
+        M, d = [], []       # integer rows; each row's denominator (exact)
+        for i in range(R):  # or exponent of two (float)
             r = top + i
             cells = ([tb.m(r, ds + col + j) for j in range(C)]
                      + [v[r] if r < len(v) else 0 for v in vecs])
-            ints, di = _integers(cells) if self.exact else (cells, 1)
+            if not self.exact and i < C:
+                floors.append(eps * abs(cells[i]))
+            ints, di = convert(cells + [1] if poly else cells)
             if poly:
-                ints += [0] * i + [di]      # I block up to its diagonal
+                ints[-1:-1] = [0] * i   # I block up to its diagonal, the 1
             M.append(ints)
             d.append(di)
-            scale.append(scale[-1] * di)
-        if not self.exact:
-            # pivot k must exceed 10^-precision of its row's diagonal entry
-            eps = mp.mpf(10) ** (WORKING_MARGIN - self.dps)
-            floors = [eps * abs(M[k][k]) for k in range(C)]
+        if self.exact:
+            steps = _bareiss_steps(M, C)
+            scale = [1]                 # scale[k]: the scales of rows 0..k-1
+            for di in d:
+                scale.append(scale[-1] * di)
+
+            def value(v, prev, k, *rows):
+                # a minor over the scales of rows 0..k-1 and `rows`, which
+                # are either rows k, k+1, .. or one row
+                den = (scale[k + len(rows)] if rows[0] == k
+                       else scale[k] * d[rows[0]])
+                return Fraction(v, den)
+        else:
+            steps = _schur_steps(M, d, C)
+
+            def value(v, prev, k, *rows):
+                # a product of entries of `rows` times prev
+                return _scaled(prev, v, sum(d[r] for r in rows))
         memo = self.memo
-        for k, prev in steps(M, C):
+        for k, prev in steps:
             rk = M[k]
-            trusted = self.exact or k >= C or rk[k] > floors[k]
+            pivot = (None if self.exact or k >= C
+                     else mp.make_mpf(libmp.from_man_exp(rk[k], d[k])))
+            trusted = pivot is None or pivot > floors[k]
             for name, spec in specs:
                 if spec.skip is not None:
                     # tau_{k+1} = a^{(k)}_{k,k}, the pivot (kept only if it
                     # passes), and tautilde_{k+1} = a^{(k)}_{k+1,k}
                     i = k + spec.skip
                     if k < C and i < R and (trusted or spec.skip):
-                        memo[(name, k + 1, s, t)] = value(M[i][k], prev,
-                                                          scale[k] * d[i])
+                        memo[(name, k + 1, s, t)] = value(M[i][k], prev, k, i)
                 elif not poly:
                     c, rows = at.get(spec.border, (None, 0))
                     if k < rows:
-                        memo[(name, k, s, t)] = value(rk[c], prev, scale[k + 1])
+                        memo[(name, k, s, t)] = value(rk[c], prev, k, k)
                 elif spec.border is None:
-                    memo[(name, k, s, t)] = [value(v, prev, scale[k + 1])
+                    memo[(name, k, s, t)] = [value(v, prev, k, k)
                                              for v in rk[ident:]]
                 else:
                     # Rraw_{k+1}: 2 x 2 Sylvester step on rows k, k+1 and
@@ -440,9 +520,9 @@ class DetContext:
                         if self.exact:
                             cross = [x // prev for x in cross]
                         memo[(name, k + 1, s, t)] = [
-                            value(x, prev, scale[k + 2]) for x in cross]
+                            value(x, prev, k, k, k + 1) for x in cross]
             if not trusted:
-                return k, rk[k], floors[k]
+                return k, pivot, floors[k]
 
     def _frame_value(self, family, n, s, t, stop):
         """A value the sweep of its frame did not reach, `stop` the failed

@@ -396,12 +396,13 @@ def _with_relative(ctx, res_abs, scales):
         return res_abs, relative_residual(res_abs, scales)
 
 
-def _outcome(ctx, identity_id, n, s, t, variant="confirmed"):
-    """(residual_abs, residual_rel, None) at one site, or (None, None, the
-    skip text) where it raises ExtentError or DegeneracyError."""
+def _outcome(ctx, identity_id, n, s, t):
+    """(residual_abs, residual_rel, None) of the confirmed variant at one
+    site, or (None, None, the skip text) where it raises ExtentError or
+    DegeneracyError."""
     try:
-        return (*_with_relative(ctx, *evaluate(ctx, identity_id, n, s, t,
-                                               variant)), None)
+        return (*_with_relative(ctx, *evaluate(ctx, identity_id, n, s, t)),
+                None)
     except (ExtentError, DegeneracyError) as exc:
         return None, None, type(exc).__name__ + ": " + str(exc)
 
@@ -415,11 +416,6 @@ def _record(ctx, identity_id, n, s, t, policy, outcome):
     return IdentityRecord(identity_id, n, s, t, res_abs, res_rel,
                           _passes(ctx, res_abs, res_rel, policy), mode,
                           gating=gates(mode, identity_id, t, ctx.base.t0))
-
-
-def make_record(ctx, identity_id, n, s, t, policy=None, variant="confirmed"):
-    return _record(ctx, identity_id, n, s, t, _policy_for(ctx, policy),
-                   _outcome(ctx, identity_id, n, s, t, variant))
 
 
 # ---- Suite ----

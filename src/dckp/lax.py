@@ -10,7 +10,8 @@ superdiagonal) and capital letters the diagonal coefficient matrices:
 
 The unit lower-bidiagonal inverses are applied by forward substitution, so a
 truncation defect lives only in the last row; products of two operators are
-then exact on the interior block [1, K-3] used for compatibility residuals.
+then exact on the interior block [1, K-3] used for compatibility residuals,
+and only that block of each product is formed.
 Each operator is built once per DetContext and (K, s, t) (detkit.derived)
 and shared by the compatibility and eigenfunction residuals; no caller
 mutates one.
@@ -35,19 +36,18 @@ def _zeros(K, zero):
     return [[zero for _ in range(K)] for _ in range(K)]
 
 
-def _matmul(A, B, zero):
-    K = len(A)
-    out = _zeros(K, zero)
-    for i in range(K):
-        Ai = A[i]
-        for k in range(K):
-            a = Ai[k]
+def _matmul(A, B, zero, lo, hi):
+    """Rows and columns lo..hi of A B, each entry summed over k in order."""
+    block = range(lo, hi + 1)
+    out = []
+    for i in block:
+        row = [zero] * len(block)
+        for a, Bk in zip(A[i], B):
             if a == 0:
                 continue
-            Bk = B[k]
-            row = out[i]
-            for j in range(K):
-                row[j] = row[j] + a * Bk[j]
+            for c, j in enumerate(block):
+                row[c] = row[c] + a * Bk[j]
+        out.append(row)
     return out
 
 
@@ -64,12 +64,12 @@ def _forward_solve(sub, T, zero):
     return X
 
 
-def _block_maxabs(R, lo, hi, zero):
+def _maxabs(R, zero):
     top = zero
-    for i in range(lo, hi + 1):
-        for j in range(lo, hi + 1):
-            if abs(R[i][j]) > top:
-                top = abs(R[i][j])
+    for row in R:
+        for v in row:
+            if abs(v) > top:
+                top = abs(v)
     return top
 
 
@@ -179,10 +179,10 @@ def compat_residuals(ctx, K, s, t):
             out[name + "_skipped"] = type(exc).__name__ + ": " + str(exc)
             continue
         with ctx.wp():
-            R1 = _matmul(P, Q, zero)
-            R2 = _matmul(Pb, Qb, zero)
-            R = [[R1[i][j] - R2[i][j] for j in range(K)] for i in range(K)]
-            out[name] = _block_maxabs(R, lo, hi, zero)
+            R1 = _matmul(P, Q, zero, lo, hi)
+            R2 = _matmul(Pb, Qb, zero, lo, hi)
+            out[name] = _maxabs([[a - b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(R1, R2)], zero)
     out["interior"] = [lo, hi]
     out["K"] = K
     return out

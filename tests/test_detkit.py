@@ -425,6 +425,37 @@ def test_families_match_literal_matrices_float(jacobi_ctx):
                                   agree=_within(bound)) > 250
 
 
+def test_float_sweep_matches_a_wide_sweep_of_the_same_tables():
+    # every value of the 11 families (n <= 9, s <= 2, t <= 3) at 120/40
+    # against the same sweep at 400 digits over the same mpf entries at every
+    # t (the reference reads the working context's evolved tables, so the
+    # rounding of the rank-one t-steps is left out), within
+    # 10^-(precision + 5) relative; for P, Q and R the worst coefficient
+    # error over the largest |coefficient|
+    tab = moments.build_jacobi(13, TolerancePolicy(120, 40), tmax=3)
+    ctx = detkit.DetContext(tab, 9)
+    ref = detkit.DetContext(dataclasses.replace(tab, precision_digits=385), 9)
+    ref.tables = {t: dataclasses.replace(tb, precision_digits=385)
+                  for t, tb in ctx.tables.items()}
+    assert ref.dps == 400
+    bound = mp.mpf(10) ** -125
+    checked = 0
+    with mp.workdps(ref.dps):
+        for family, spec in detkit.FAMILY_SPECS.items():
+            for n in range(max(spec.start, 0), 10):
+                for s in range(3):
+                    for t in range(4):
+                        got = detkit.eval_det(ctx, family, n, s, t)
+                        want = detkit.eval_det(ref, family, n, s, t)
+                        if spec.lead is None:
+                            got, want = [got], [want]
+                        err = max(abs(a - b) for a, b in zip(got, want))
+                        assert err <= bound * max(map(abs, want)), (
+                            family, n, s, t, mp.nstr(err, 5))
+                        checked += 1
+    assert checked == 12 * (11 * 10 - 2)    # tau_tilde and R start at 1
+
+
 def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx, jacobi_policy):
     # every float family comes from a frame sweep, and on jacobi data every
     # pivot of a lattice and a catalog run (on a cold context over the shared
@@ -499,14 +530,20 @@ TAU_PIVOTED = ("tau", "sigma", "sigma_tilde", "tau_tilde", "P", "R")
 @pytest.mark.parametrize("pivot", ["zero", "tiny", "negative"])
 def test_failed_float_pivot_raises_past_it(pivot):
     # m_11 set against m_00, m_01 and m_10 of a jacobi table makes the second
-    # pivot of the tau frames, m_11 - (m_10 / m_00) m_01, exactly 0, positive
-    # but 10^-35 of its diagonal (below the floor 10^-30), or negative
+    # pivot of the tau frames, m_11 - (m_10 / m_00) m_01, 0, positive but
+    # 10^-35 of its diagonal (below the floor 10^-30), or negative.  The zero
+    # case also sets m_10 = m_00, so that m_11 = m_01 makes that pivot 0 in
+    # any arithmetic; ref has every change but the one to m_11
     tab = moments.build_jacobi(8, TolerancePolicy(30, 10), tmax=1)
-    ref = detkit.DetContext(tab, tab.K)
     bm = [list(row) for row in tab.bimoments]
+    if pivot == "zero":
+        bm[1][0] = bm[0][0]
+    ref = detkit.DetContext(
+        dataclasses.replace(tab, bimoments=[list(row) for row in bm]), tab.K)
     with mp.workdps(ref.dps):
         first = bm[1][0] / bm[0][0] * bm[0][1]
-        bm[1][1] = {"zero": first, "tiny": first * (1 + mp.mpf(10) ** -35),
+        bm[1][1] = {"zero": bm[0][1],
+                    "tiny": first * (1 + mp.mpf(10) ** -35),
                     "negative": first / 2}[pivot]
         want = bm[1][1] - bm[1][0] / bm[0][0] * bm[0][1]
         floor = mp.mpf(10) ** -30 * bm[1][1]
@@ -515,8 +552,8 @@ def test_failed_float_pivot_raises_past_it(pivot):
             "negative": want < 0}[pivot]
     # the sweeps keep every value that does not read the pivot: tau_1 before
     # it, and tau_tilde_2, sigma_1, sigma_tilde_1, P_1 and R_2 of its step,
-    # bit for bit those of the unchanged table, which none of them reads
-    # m_11 from; every order above raises, naming the pivot
+    # bit for bit those of ref, which none of them reads m_11 from; every
+    # order above raises, naming the pivot
     last = {"tau": 1, "tau_tilde": 2, "sigma": 1, "sigma_tilde": 1, "P": 1,
             "R": 2}
     raised = 0

@@ -11,6 +11,14 @@ from hypothesis import given, settings, strategies as st
 from dckp import identities, moments, detkit
 from dckp.numerics import DegeneracyError, ExtentError, TolerancePolicy
 
+
+def make_record(ctx, identity_id, n, s, t, policy=None):
+    """The record run_suite makes for one id at one site."""
+    return identities._record(ctx, identity_id, n, s, t,
+                              identities._policy_for(ctx, policy),
+                              identities._outcome(ctx, identity_id, n, s, t))
+
+
 # ---- Gating ----
 
 def test_gates_per_mode():
@@ -135,7 +143,7 @@ def test_single_site_records(structured_ctx):
     for ident, n, s in (("4trr", 2, 0), ("prop2.5", 2, 1), ("prop2.6", 2, 1),
                         ("spec1", 2, 1), ("dt1", 2, 1), ("trans2", 2, 1),
                         ("dckp", 1, 0), ("tri2", 1, 0)):
-        rec = identities.make_record(c, ident, n, s, 0)
+        rec = make_record(c, ident, n, s, 0)
         assert rec.skipped is None and rec.gating, ident
         assert rec.residual_abs == 0 and rec.passed, ident
 
@@ -195,7 +203,7 @@ def _corruption_sweep(monkeypatch, ns, mode="synthetic-structured",
 
     def passes(ident, n, s, t):
         ctx.derived.clear()
-        return identities.make_record(ctx, ident, n, s, t, policy).passed
+        return make_record(ctx, ident, n, s, t, policy).passed
 
     sweep = {}
     for ident, spec in identities.IDENTITY_SPECS.items():
