@@ -292,7 +292,7 @@ def _verify_chunk(payload):
     ids, from one DetContext so both share its determinant memo."""
     # the built table arrives pickled, mpf and Fraction entries exactly
     table, policy, ids, nmax, smax, tmax = payload
-    ctx = detkit.DetContext(table, nmax + 1)
+    ctx = detkit.DetContext(table, identities.orders_read(ids, nmax))
     recs = identities.run_suite(ctx, nmax, smax, tmax, policy=policy, ids=ids)
     report = identities.variant_report(
         ctx, nmax, smax, tmax, policy=policy,

@@ -33,16 +33,23 @@ border columns appended after the bimoment columns,
   [m cols 1.. | I]         Qraw
 
 where I is the identity block, one column e_k per frame row.  Exact mode
-scales each frame row to integers once; after k Bareiss steps the entry
-a^{(k)}_{ij} (i >= k) is the minor on rows and columns 0..k-1 plus row i and
-column j (Sylvester's identity; Bareiss, Math. Comp. 22, 1968), divided by
-the scales of its rows.  So tau_n is the pivot a^{(n-1)}_{n-1,n-1},
-tautilde_n the entry a^{(n-1)}_{n,n-1} below it, sigma_n (psi, sigtilde,
-sigma_row alike) the border entry a^{(n)}_{n,phi}, and Praw_n (Qraw_n alike)
-row n of the I block after n steps: a^{(n)}_{n,e_k} is the Laplace cofactor
-of x^k.  Rraw_n, whose minor holds two border columns, phi and e_k, in the
-frame's order, is one 2 x 2 Sylvester step on rows n-1, n and those columns
-after n-1 steps, divided by tau_{n-1}.
+scales each frame row to integers once, by the lcm of its denominators, and
+then divides each column outside the I block by its content, the gcd of its
+entries (the rank-one t-steps leave common factors in the columns).  After k
+Bareiss steps the entry a^{(k)}_{ij} (i >= k) is the minor of these integers
+on rows and columns 0..k-1 plus row i and column j (Sylvester's identity;
+Bareiss, Math. Comp. 22, 1968); the value of that minor of m is a^{(k)}_{ij}
+times the contents of its columns over the scales of its rows.  So tau_n is
+the pivot a^{(n-1)}_{n-1,n-1}, tautilde_n the entry a^{(n-1)}_{n,n-1} below
+it, sigma_n (psi, sigtilde, sigma_row alike) the border entry
+a^{(n)}_{n,phi}, and Praw_n (Qraw_n alike) row n of the I block after n
+steps: a^{(n)}_{n,e_k} is the Laplace cofactor of x^k.  Rraw_n, whose minor
+holds two border columns, phi and e_k, in the frame's order, is one 2 x 2
+Sylvester step on rows n-1, n and those columns after n-1 steps, divided by
+tau_{n-1}.  An exact scalar is memoized as a canonical Fraction.  An exact
+cofactor vector is memoized as one pair (numerators, denominator) with no
+common factor, its coefficients a_k / den: the identity zero tests read
+the pair through `_family`, and Praw, Qraw and Rraw return the Fractions.
 
 Float mode eliminates in Schur-complement form on integers.  Each frame row
 is Python ints times one power of two of its own, 2^e_i, with W = working
@@ -61,12 +68,19 @@ Gekhtman & Szmigielski, J. Approx. Theory 162, 2010), where elimination
 without pivoting is backward stable (de Boor & Pinkus, Linear Algebra Appl.
 17, 1977).
 
-A context is built with `orders`, the highest family order its caller
-reads, and each sweep takes frame rows 0..orders only (fewer where the
-table ends).  By Sylvester's identity an entry after k steps depends only on
-rows 0..k-1, i and columns 0..k-1, j, so the rows and columns left out change
-no value that is read, in either mode; the orders above the bound are the
-costliest ones, with the most steps and, in exact mode, the largest integers.
+A context is built with `orders`, the highest family orders its caller
+reads: a dict gives each family's own (a family left out is never read
+above its edge values), an int o every family's, o + 1 for the pivot
+families tau, xi and tauhat.  A family's sweeps memoize it up to that
+order, its reach.  Order n of a pivot family is read from frame rows
+0..n-1, of any other family from rows 0..n, and each sweep takes the frame
+rows the reaches of its families need (fewer where the table ends): a
+catalog verify at n = 14 sweeps the tau and P frames on 16 rows, the xi, Q
+and sigma_row frames on 15 and tauhat's on 14.  By Sylvester's identity an
+entry after k steps depends only on rows 0..k-1, i and columns 0..k-1, j,
+so the rows and columns left out change no value that is read, in either
+mode; the orders above the bound are the costliest ones, with the most
+steps and, in exact mode, the largest integers.
 
 The float sweep checks each pivot before it divides by it.  Pivot k fails
 unless it exceeds 10^-(dps - WORKING_MARGIN), that is 10^-precision, times
@@ -78,13 +92,12 @@ zero, and on a totally positive frame every pivot is positive, so every swept
 tau, xi and tauhat is.  At a failed pivot the sweep keeps the values of that
 step that do not use it (all but the pivot family's next order) and stops.
 
-A sweep reaches order `orders` + 1 of the pivot families tau, xi and tauhat
-and `orders` of the others.  A read it does not reach raises ExtentError past
-the table's extent (the literal minor's rows do not exist); above the bound,
-a ValueError naming it, so a bound set too tight fails loudly rather than as
-a skipped site; past a failed float pivot, DegeneracyError naming the family,
-(n, s, t) and the pivot.  Past a zero divisor tau_k of the exact sweep it is
-det_exact of the literal minor.
+A read the sweeps do not reach raises ExtentError past the table's extent
+(the literal minor's rows do not exist); above its family's reach, a
+ValueError naming it, so a bound set too tight fails loudly rather than as
+a skipped site; past a failed float pivot, DegeneracyError naming the
+family, (n, s, t) and the pivot.  Past a zero divisor tau_k of the exact
+sweep it is det_exact of the literal minor.
 
 Edge conventions: tau_0 = xi_0 = tauhat_0 = 1 and sigtilde_{-1} = 1 (empty
 determinants); Praw_{-1} = Qraw_{-1} = [] (the zero polynomial); tau_{-1} =
@@ -107,6 +120,7 @@ import functools
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 from mpmath import libmp
@@ -246,6 +260,29 @@ def _bareiss_steps(M, C):
         prev = pk
 
 
+def _divide_content(M, width):
+    """Divide each of the first `width` columns of the integer rows M by its
+    content, the gcd of its entries (1 for a zero column), in place.  Returns
+    the contents."""
+    contents = []
+    for j in range(width):
+        c = gcd(*[r[j] for r in M]) or 1
+        if c > 1:
+            for r in M:
+                r[j] //= c
+        contents.append(c)
+    return contents
+
+
+def _pair(nums, num, den):
+    """The integers nums times num / den (num, den > 0) as one gcd-reduced
+    pair (numerators, denominator)."""
+    c = gcd(num, den)
+    num, den = num // c, den // c
+    c = gcd(den, *nums)
+    return tuple(v // c * num for v in nums), den // c
+
+
 def _fixed(values, bits):
     """mpf values (or ints) as (integers, e), each value its integer times
     2^e rounded to nearest, with e set so that the largest has `bits` bits."""
@@ -324,10 +361,19 @@ def derived(fn):
     return cached
 
 
+def _values(v):
+    """A memoized family value as its public one: an exact cofactor vector,
+    memoized as a pair (numerators, denominator), as a list of Fractions."""
+    if isinstance(v, tuple):
+        nums, den = v
+        return [Fraction(a, den) for a in nums]
+    return v
+
+
 def _family_method(family, doc=None):
     """A DetContext method delegating to the memoized family evaluator."""
     def method(self, n, s, t):
-        return self._family(family, n, s, t)
+        return _values(self._family(family, n, s, t))
     method.__name__ = FAMILY_SPECS[family].method
     method.__doc__ = doc
     return method
@@ -339,14 +385,19 @@ class DetContext:
     t moves through rank-one evolved copies of the base table, s through index
     shifts inside each copy.  All determinants are memoized in `memo`; one
     sweep per frame and (s, t) fills it up to `orders`, the highest family
-    order the caller reads (see the module doc).  Values derived from the
-    families (recurrence coefficients, monic polynomials, Lax operators) are
-    memoized apart, in `derived`, so `memo` holds families only.
+    orders the caller reads, an int or a dict by family (see the module
+    doc).  Values derived from the families (recurrence coefficients, monic
+    polynomials, Lax operators) are memoized apart, in `derived`, so `memo`
+    holds families only.
     """
 
     def __init__(self, base_table, orders):
         self.base = base_table
         self.orders = orders
+        # family -> the highest order its sweeps memoize
+        self.reach = {f: (orders + (spec.skip == 0) if isinstance(orders, int)
+                          else orders.get(f, -1))
+                      for f, spec in FAMILY_SPECS.items()}
         self.exact = base_table.exact
         self.dps = (None if self.exact
                     else base_table.precision_digits + WORKING_MARGIN)
@@ -419,29 +470,34 @@ class DetContext:
 
     def _sweep(self, frame, s, t):
         """Memoize every value of `frame` at (s, t) that one elimination
-        reaches: each of its families up to order self.orders (a pivot
-        family, tau, xi or tauhat, to one more), from frame rows
-        0..self.orders inside the table.  Returns the float pivot that
-        stopped it, as (step, pivot, floor), or None.
+        reaches, each family up to self.reach, from frame rows 0..r-1 inside
+        the table, r the most rows a family's reach needs: order n of a
+        pivot family, tau, xi or tauhat, is read from rows 0..n-1, of any
+        other family from rows 0..n.  Returns the float pivot that stopped
+        it, as (step, pivot, floor), or None.
         Only the integer rows, the elimination, the value of a swept entry
         and the pivot check depend on the mode: exact rows are numerators
-        over a denominator per row, float rows ints times a power of two per
-        row; an exact entry is a minor over its row scales, a float one a
-        Schur complement entry times prev, the product of the pivots, and
-        only a float pivot is checked against its floor."""
+        over a denominator per row, with each column's content divided out,
+        float rows ints times a power of two per row; an exact entry is a
+        minor times the contents of its columns over the scales of its rows,
+        a float one a Schur complement entry times prev, the product of the
+        pivots, and only a float pivot is checked against its floor."""
         col, row, poly = frame
         names, borders = _FRAMES[frame]
-        specs = [(name, FAMILY_SPECS[name]) for name in names]
-        for name, spec in specs:
+        specs = [(name, FAMILY_SPECS[name], self.reach[name])
+                 for name in names]
+        for name, spec, _ in specs:
             empty = -1 + (spec.skip is not None)    # the order of a 0 x 0 minor
             if empty >= spec.start:
-                self.memo[(name, empty, s, t)] = [] if poly else self.one()
+                self.memo[(name, empty, s, t)] = (
+                    self.one() if not poly else ((), 1) if self.exact else [])
         ds = s - self.s0
         tb = self.tables.get(t)
         if tb is None or ds < 0:
             return
         top = ds + row                  # table row of frame row 0
-        R = min(tb.K - top, self.orders + 1)    # frame rows
+        need = max(reach + (spec.skip != 0) for _, spec, reach in specs)
+        R = max(0, min(tb.K - top, need))       # frame rows
         C = max(0, min(tb.K - ds - col, R))    # bimoment columns
         vecs, at = [], {}               # border -> (frame column, rows it has)
         for b in borders:
@@ -470,57 +526,73 @@ class DetContext:
             M.append(ints)
             d.append(di)
         if self.exact:
-            steps = _bareiss_steps(M, C)
+            # each column's content, then the I block's first column's, 1
+            g = _divide_content(M, ident) + [1]
+            G = [1]                     # G[k]: the contents of columns 0..k-1
+            for gj in g[:C]:
+                G.append(G[-1] * gj)
             scale = [1]                 # scale[k]: the scales of rows 0..k-1
             for di in d:
                 scale.append(scale[-1] * di)
 
-            def value(v, prev, k, *rows):
-                # a minor over the scales of rows 0..k-1 and `rows`, which
-                # are either rows k, k+1, .. or one row
-                den = (scale[k + len(rows)] if rows[0] == k
-                       else scale[k] * d[rows[0]])
-                return Fraction(v, den)
-        else:
-            steps = _schur_steps(M, d, C)
+            def den(k, rows):
+                # the scales of rows 0..k-1 and `rows`, which are either rows
+                # k, k+1, .. or one row
+                return (scale[k + len(rows)] if rows[0] == k
+                        else scale[k] * d[rows[0]])
 
-            def value(v, prev, k, *rows):
+            def value(v, prev, k, rows, j):
+                # v a minor on rows 0..k-1 plus `rows` and columns 0..k-1
+                # plus j (and an I block column)
+                return Fraction(v * G[k] * g[j], den(k, rows))
+
+            def vector(vs, prev, k, rows, j):
+                return _pair(vs, G[k] * g[j], den(k, rows))
+            steps = _bareiss_steps(M, C)
+        else:
+            def value(v, prev, k, rows, j):
                 # a product of entries of `rows` times prev
                 return _scaled(prev, v, sum(d[r] for r in rows))
+
+            def vector(vs, prev, k, rows, j):
+                return [value(v, prev, k, rows, j) for v in vs]
+            steps = _schur_steps(M, d, C)
         memo = self.memo
         for k, prev in steps:
             rk = M[k]
             pivot = (None if self.exact or k >= C
                      else mp.make_mpf(libmp.from_man_exp(rk[k], d[k])))
             trusted = pivot is None or pivot > floors[k]
-            for name, spec in specs:
+            for name, spec, reach in specs:
                 if spec.skip is not None:
                     # tau_{k+1} = a^{(k)}_{k,k}, the pivot (kept only if it
                     # passes), and tautilde_{k+1} = a^{(k)}_{k+1,k}
                     i = k + spec.skip
-                    if k < C and i < R and (trusted or spec.skip):
-                        memo[(name, k + 1, s, t)] = value(M[i][k], prev, k, i)
+                    if k < min(C, reach) and i < R and (trusted or spec.skip):
+                        memo[(name, k + 1, s, t)] = value(M[i][k], prev, k,
+                                                          (i,), k)
                 elif not poly:
                     c, rows = at.get(spec.border, (None, 0))
-                    if k < rows:
-                        memo[(name, k, s, t)] = value(rk[c], prev, k, k)
+                    if k < rows and k <= reach:
+                        memo[(name, k, s, t)] = value(rk[c], prev, k, (k,), c)
                 elif spec.border is None:
-                    memo[(name, k, s, t)] = [value(v, prev, k, k)
-                                             for v in rk[ident:]]
+                    if k <= reach:
+                        memo[(name, k, s, t)] = vector(rk[ident:], prev, k,
+                                                       (k,), ident)
                 else:
                     # Rraw_{k+1}: 2 x 2 Sylvester step on rows k, k+1 and
                     # columns phi, e_j; an exact entry is a minor, so the
                     # step divides by tau_k
                     c, rows = at.get(spec.border, (None, 0))
-                    if k + 1 < rows and prev != 0:
+                    if k + 1 < rows and k < reach and prev != 0:
                         nxt = M[k + 1]
                         p, q = rk[c], nxt[c]
                         cross = [p * b - q * a
                                  for a, b in zip(rk[ident:] + [0], nxt[ident:])]
                         if self.exact:
                             cross = [x // prev for x in cross]
-                        memo[(name, k + 1, s, t)] = [
-                            value(x, prev, k, k, k + 1) for x in cross]
+                        memo[(name, k + 1, s, t)] = vector(cross, prev, k,
+                                                           (k, k + 1), c)
             if not trusted:
                 return k, pivot, floors[k]
 
@@ -540,11 +612,11 @@ class DetContext:
 
         drop = None if spec.skip is None else n - spec.skip
         rows = [line(i) for i in range(n + 1) if i != drop]   # or ExtentError
-        reach = self.orders + (spec.skip == 0)
+        reach = self.reach[family]
         if n > reach:
             raise ValueError("%s_%d^{%d,%d} is above the sweep bound of its "
-                             "context: orders = %d reaches %s to order %d"
-                             % (family, n, s, t, self.orders, family, reach))
+                             "context, which reaches %s to order %d"
+                             % (family, n, s, t, family, reach))
         if not self.exact:
             k, pivot, floor = stop
             raise DegeneracyError(
@@ -556,7 +628,9 @@ class DetContext:
             return det_exact(rows)
         # coeff of x^k = (-1)^{k+n} * minor over frame rows != k
         minors = [det_exact(rows[:k] + rows[k + 1:]) for k in range(n + 1)]
-        return [v if (k + n) % 2 == 0 else -v for k, v in enumerate(minors)]
+        ints, den = _integers([v if (k + n) % 2 == 0 else -v
+                               for k, v in enumerate(minors)])
+        return _pair(ints, 1, den)
 
     tau = _family_method("tau")
     xi = _family_method("xi")

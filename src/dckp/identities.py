@@ -14,6 +14,9 @@ evaluated by one function (a variant id also has its printed one).  In the
 linear ones (prop2.5, prop2.6, spec1, dt1 and trans2) each product ends in a
 P, Q or R cofactor vector, possibly times x, and the signed product of its
 scalar reads is the vector's coefficient.  So a stencil's reads are static.
+The other three kinds (4trr, propr, dckp) declare their highest read of each
+family, so `orders_read` bounds a verify context's sweeps by the reads of
+its ids.
 At n = 0 the records of 3.2b, 3.3b, 3.4a, 3.4b, e1-e4, eq1, fn-b,
 tau-hat-rel and tri2 read no order >= 1 value outside a product that also
 holds an edge zero (tau_{-1} = xi_{-1} = sigma_{-1} = psi_{-1} = 0): they
@@ -29,8 +32,11 @@ such a value fails its record likewise, with the same exception.
 Record semantics: exact mode passes iff residual_abs == 0; float mode iff
 residual_rel < rel_tol, with scale = max |individual product term| (floor 1).
 An exact residual is first zero-tested in integer arithmetic, on numerators
-over a common denominator (`_vanishes`); only a nonzero one is formed as a
-Fraction with its scale terms.  The values are the same either way.
+over a common denominator (`_vanishes`).  A P, Q or R read is the memo's
+pair (numerators, denominator), so a linear stencil or propr tests each
+coefficient on those integers, with no Fraction per coefficient.  Only a
+nonzero residual is formed as Fractions with its scale terms.  The values
+are the same either way.
 """
 
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ from typing import NamedTuple
 
 from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
                        _integers, fmt_scalar, relative_residual)
-from .detkit import FAMILY_SPECS
+from .detkit import FAMILY_SPECS, _values
 
 # the cofactor-vector families P, Q and R: a stencil product ending in one of
 # them is a vector
@@ -60,6 +66,8 @@ class Identity:
     stencil: tuple = ()         # signed products (sign, reads), each read
                                 # (family, dn, ds, dt): see _stencil
     printed: tuple = None       # the printed stencil of a variant id
+    reads: tuple = ()           # a kind without a stencil: its highest read
+                                # of each family, (family, dn, ds, dt)
 
 
 def _stencil(text):
@@ -81,6 +89,11 @@ def _stencil(text):
     return tuple((sign, tuple(reads)) for sign, reads in products)
 
 
+def _reads(text):
+    """Reads written as in a stencil, "tau[n+1] P" for tau_{n+1} and P_n."""
+    return _stencil("+ " + text)[0][1]
+
+
 def _by_stencil(text, printed=None, generic=False, n_min=0):
     return Identity("stencil", n_min=n_min, generic=generic,
                     stencil=_stencil(text), printed=printed and _stencil(printed))
@@ -91,7 +104,9 @@ _FN_A = "+ sigma[s+1] tau[n+1] - sigma[n+1] tau[s+1] - xi[n+1] psi"
 _FN_B = "+ sigma tau[s+1] - sigma[n-1,s+1] tau[n+1] - xi psi"
 
 IDENTITY_SPECS = {
-    "4trr": Identity("4trr", n_min=1, single=True),
+    # 4trr: a_n, b_n, c_n and P_{n+1} = Praw_{n+1} / tau_{n+1}
+    "4trr": Identity("4trr", n_min=1, single=True, reads=_reads(
+        "tau[n+1] tau_tilde[n+1] sigma_tilde P[n+1]")),
     "prop2.5": _by_stencil("+ tau[n+1] x P[s+1] - tau[s+1] P[n+1] - xi[n+1] Q"),
     "prop2.6": _by_stencil("+ tau[n-1,s+1] Q - xi x P[n-1,s+1] + tau[s+1] Q[n-1]",
                            n_min=1),
@@ -102,7 +117,7 @@ IDENTITY_SPECS = {
     "trans2": _by_stencil("+ sigma[n-1] tau P[t+1] - sigma tau P[n-1,t+1]"
                           " - sigma[n-1] tau[t+1] P + sigma tau[t+1] P[n-1]",
                           n_min=1),
-    "propr": Identity("propr", n_min=1),
+    "propr": Identity("propr", n_min=1, reads=_reads("R")),
     "eq1": _by_stencil(_E1),
     "3.2a": _by_stencil("+ tau[t+1] tau[n+1] - tau[n+1,t+1] tau - sigma sigma",
                         "+ tau[n+1,t+1] tau - tau[t+1] tau[n+1] - sigma sigma"),
@@ -132,7 +147,7 @@ IDENTITY_SPECS = {
                       " + psi[n-1] psi[n-1]", generic=True),
     "e4": _by_stencil("+ tau[t+1] xi[n-1] - tau xi[n-1,t+1] + psi[n-1] sigma[n-1]",
                       generic=True),
-    "dckp": Identity("dckp", generic=True),
+    "dckp": Identity("dckp", generic=True, reads=_reads("tau[n+1,t+1]")),
 }
 
 CATALOG_IDS = tuple(IDENTITY_SPECS)
@@ -142,6 +157,21 @@ VARIANT_IDS = tuple(i for i, spec in IDENTITY_SPECS.items() if spec.printed)
 
 # residuals quoted in summary reports are diagnostics, not table data
 REPORT_DIGITS = 12
+
+
+def orders_read(ids, nmax):
+    """The highest order of each family that the records and variant reports
+    of `ids` read at n <= nmax, from their stencils, both variants, and
+    declared reads: a DetContext's `orders`."""
+    orders = {}
+    for ident in ids:
+        spec = _spec(ident)
+        reads = [read for _, product in spec.stencil + (spec.printed or ())
+                 for read in product] + list(spec.reads)
+        for family, dn, _, _ in reads:
+            if family != "x":
+                orders[family] = max(orders.get(family, -1), nmax + dn)
+    return orders
 
 
 def _spec(identity_id):
@@ -211,28 +241,32 @@ class _Ratio(NamedTuple):
 # ---- Polynomial-combination helpers ----
 
 def _shift_x(ctx, vec):
+    """x times a memoized P, Q or R vector."""
+    if isinstance(vec, tuple):
+        nums, den = vec
+        return (0, *nums), den
     return [ctx.zero()] + list(vec)
 
 
 def _comb(ctx, pairs):
-    """sum coef*vec over (coef, vec) pairs; returns (max |residual coefficient|,
-    scale terms)."""
+    """sum coef*vec over (coef, vec) pairs, each vec a P, Q or R vector in
+    the memo's shape; returns (max |residual coefficient|, scale terms)."""
     if ctx.exact:
         # with vec_i = ints_i / den_i, coefficient k vanishes iff
         # sum_i w_i ints_i[k] does, w_i being coef_i / den_i over one
         # common denominator: one test per coefficient
-        rows = [_integers(vec) for _, vec in pairs]
         weights, _ = _integers([_Ratio(coef.numerator, coef.denominator * den)
-                                for (coef, _), (_, den) in zip(pairs, rows)])
-        width = max((len(ints) for ints, _ in rows), default=0)
-        if all(_vanishes([(w, (ints[k],)) for w, (ints, _) in zip(weights, rows)
+                                for coef, (_, den) in pairs])
+        rows = [ints for _, (ints, _) in pairs]
+        width = max(map(len, rows), default=0)
+        if all(_vanishes([(w, (ints[k],)) for w, ints in zip(weights, rows)
                           if k < len(ints)])
                for k in range(width)):
             return Fraction(0), []
     out = []
     scales = []
     for coef, vec in pairs:
-        terms = [coef * v for v in vec]
+        terms = [coef * v for v in _values(vec)]
         out.extend([ctx.zero()] * (len(terms) - len(out)))
         for k, term in enumerate(terms):
             out[k] = out[k] + term
@@ -308,14 +342,15 @@ def _ev_dckp(ctx, n, s, t):
 
 def _ev_propr(ctx, n, s, t):
     # R_n pairs to zero with the bimoment columns 0..n-2 and with phi
-    rv = ctx.Rraw(n, s, t)
+    rv = ctx._family("R", n, s, t)
     columns = [lambda k, i=i: ctx.m(k, i, s, t) for i in range(n - 1)]
     columns.append(lambda k: ctx.ph(k, s, t))
     if ctx.exact:
-        ints, _ = _integers(rv)
+        ints, _ = rv
         if all(_vanishes([(a, (col(k),)) for k, a in enumerate(ints) if a])
                for col in columns):
             return Fraction(0), []
+        rv = _values(rv)
     worst = ctx.zero()
     scales = []
     for col in columns:
@@ -338,9 +373,8 @@ def _ev_4trr(ctx, n, s, t):
     from .polyfam import poly
 
     def pvec(k):
-        if k < 0:
-            return []
-        return list(poly(ctx, "P", k, s, t).coeffs)
+        coeffs = list(poly(ctx, "P", k, s, t).coeffs) if k >= 0 else []
+        return _integers(coeffs) if ctx.exact else coeffs
 
     a_n = ctx.coeff_a(n, s, t)
     b_n = ctx.coeff_b(n, s, t)

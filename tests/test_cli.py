@@ -2,6 +2,7 @@
 layering.  Commands run in-process through cli.main."""
 
 import argparse
+import hashlib
 import json
 import os
 import pickle
@@ -180,6 +181,25 @@ def test_verify_jobs_deterministic(tmp_path):
         assert cli.main(args + ["--jobs", "1", "--out", p1]) == 0
         assert cli.main(args + ["--jobs", jobs, "--out", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read(), mode[0]
+
+
+# SHA-256 of an exact and a float verify artifact: any change to the bytes
+# verify writes fails here
+VERIFY_DIGESTS = {
+    "structured": (["--mode", "structured", "--n", "6", "--s", "1", "--t", "1",
+                    "--seed", "3"],
+                   "569fde81002e6c3f6ab4f1ed69d91262899098a5dd3d79dedf970ed0b88b1e5c"),
+    "jacobi": (["--mode", "jacobi", "--precision", "30", "--guard", "10"],
+               "cc17c21437b304294a4cd148ba69e6fe27af3aede52ff227d9de5170c495613f"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(VERIFY_DIGESTS))
+def test_verify_artifact_bytes_are_pinned(mode, tmp_path):
+    argv, digest = VERIFY_DIGESTS[mode]
+    path = tmp_path / "a.jsonl"
+    assert cli.main(["verify"] + argv + ["--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_verify_csv_format(tmp_path):

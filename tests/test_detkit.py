@@ -381,6 +381,33 @@ def test_exact_sweep_matches_literal_matrices(mode, seed, K, s0, t0):
                                   range(t0, t0 + 4), range(-2, K + 1)) > 0
 
 
+def test_exact_sweeps_divide_out_column_content(monkeypatch):
+    # the rank-one t-steps leave a common factor in frame columns, which the
+    # exact sweep divides out and puts back into each value: on structured
+    # data, seed 4, at s0 = 2 and t0 = 1, some column of a frame at t > t0
+    # has content > 1, and every family, P, Q and R included, still equals
+    # det_exact of its literal minor
+    contents, sweep = [], detkit.DetContext._sweep
+    divide = detkit._divide_content
+
+    def logged_sweep(ctx, frame, s, t):
+        contents.append((t, []))
+        return sweep(ctx, frame, s, t)
+
+    def logged_divide(M, width):
+        found = divide(M, width)
+        contents[-1][1].extend(found)
+        return found
+
+    monkeypatch.setattr(detkit.DetContext, "_sweep", logged_sweep)
+    monkeypatch.setattr(detkit, "_divide_content", logged_divide)
+    ctx = detkit.DetContext(moments.synthetic_structured(4, 9, tmax=2, s0=2,
+                                                         t0=1), 9)
+    assert _check_against_literal(ctx, detkit.det_exact, (2, 3), (1, 2, 3),
+                                  range(-2, 9)) > 400
+    assert max(c for t, cs in contents if t > 1 for c in cs) > 1
+
+
 def test_vanishing_leading_minor_falls_back_per_minor(monkeypatch):
     tab = moments.synthetic_generic(3, 8, tmax=2)
     m = tab.bimoments
@@ -469,18 +496,23 @@ def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx, jacobi_policy):
         assert len(c.swept) > 20 and set(c.swept.values()) == {None}
 
 
+_VERIFY = ["verify", "--jobs", "1", "--n", "3", "--s", "1", "--t", "1"]
+
+
 @pytest.mark.parametrize("mode", ["structured", "jacobi"])
 @pytest.mark.parametrize("argv", [
-    ["verify", "--jobs", "1", "--n", "3", "--s", "1", "--t", "1"],
+    _VERIFY,
     ["polys", "--n", "3", "--s", "1", "--t", "1"],
     ["lax", "--n", "4", "--s", "1", "--t", "1"],
     ["lattice", "--n", "3", "--s", "1", "--t", "1"],
-], ids=lambda argv: argv[0])
+] + [_VERIFY + ["--identities", ident] for ident in identities.CATALOG_IDS],
+    ids=lambda argv: "-".join(argv[:1] + argv[10:]))
 def test_commands_bound_sweeps_above_every_order_they_read(argv, mode, capsys,
                                                            monkeypatch):
     # each command bounds its contexts' sweeps by the highest order it reads:
     # a read above the bound raises, so the command would fail; and no exact
-    # value comes per minor
+    # value comes per minor.  verify bounds each family by the reads of its
+    # ids, so each id alone checks its own stencils and declared reads.
     calls = _count_calls(monkeypatch, "det_exact")
     assert cli.main(argv + ["--mode", mode, "--precision", "30",
                             "--guard", "10"]) == 0
@@ -577,12 +609,28 @@ def test_failed_float_pivot_raises_past_it(pivot):
     assert ctx.tau(3, 2, 0) > 0 and ctx.swept[((0, 0, False), 2, 0)] is None
 
 
+def _first_swept(spec):
+    """The lowest order of a family that a sweep computes; the orders below
+    are edge values, fixed whatever the bound."""
+    return max(spec.start, spec.skip is not None)
+
+
+def _reach(orders, family):
+    """The highest order of `family` that a context built with `orders`
+    sweeps: an int bounds every family, one more for a pivot family, and a
+    dict gives each family's highest order read, none for one left out."""
+    if isinstance(orders, int):
+        return orders + (detkit.FAMILY_SPECS[family].skip == 0)
+    return orders.get(family, -1)
+
+
 @pytest.mark.parametrize("mode", ["synthetic-structured", "jacobi-float"])
-def test_reads_above_the_sweep_bound_raise(mode):
+def test_reads_above_the_sweep_bound_raise(mode, monkeypatch):
     # orders = 3 sweeps the pivot families to order 4 and the others to 3;
     # a read above is neither a skip nor per minor, but an error naming it
     table = moments.build_base_table(mode, 0, 0, 8, seed=2, tmax=1,
                                      policy=TolerancePolicy(30, 10))
+    calls = _count_calls(monkeypatch, "det_exact")
     ctx = detkit.DetContext(table, 3)
     assert ctx.tau(4, 0, 0) and ctx.sigma(3, 0, 0) and ctx.tautilde(3, 0, 0)
     for family, n in (("tau", 5), ("xi", 5), ("tau_hat", 5), ("sigma", 4),
@@ -593,27 +641,46 @@ def test_reads_above_the_sweep_bound_raise(mode):
     # past the table's extent the minor's own ExtentError comes first
     with pytest.raises(ExtentError):
         ctx.tau(9, 0, 0)
+    # per-family bounds, as verify sets them: each family is swept to its own
+    # order and one above raises, in frames whose rows reach further for
+    # another family; a family left out raises above its edge values
+    orders = {"tau": 2, "sigma": 4, "tau_tilde": 3, "xi": 1, "psi": 3,
+              "tau_hat": 4, "P": 1, "R": 4, "Q": 0}
+    ctx = detkit.DetContext(table, orders)
+    for family, spec in detkit.FAMILY_SPECS.items():
+        top = max(_reach(orders, family), _first_swept(spec) - 1)
+        for n in range(-1, top + 1):
+            if n >= spec.start or not spec.error:
+                detkit.eval_det(ctx, family, n, 0, 0)
+        with pytest.raises(ValueError, match=r"^%s_%d\^\{0,0\} is above the "
+                           "sweep bound of its context, which reaches %s to "
+                           "order %d$" % (family, top + 1, family,
+                                          _reach(orders, family))):
+            detkit.eval_det(ctx, family, top + 1, 0, 0)
+    assert calls == []
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=16, deadline=None)
 @given(mode=st.sampled_from(["synthetic-structured", "synthetic-generic",
                              "jacobi-float"]),
        seed=st.integers(0, 10 ** 6), K=st.integers(4, 7),
-       orders=st.integers(0, 8))
+       orders=st.one_of(st.integers(0, 8), st.dictionaries(
+           st.sampled_from(sorted(detkit.FAMILY_SPECS)), st.integers(-1, 8))))
 def test_bounded_sweeps_read_the_full_sweeps_values(mode, seed, K, orders):
     # after k steps an entry depends on rows 0..k-1, i and columns 0..k-1, j
-    # only, so a context whose sweeps stop at frame row `orders` reads the
-    # values of one sweeping the whole table at every order it reaches
-    # (orders, and one more for a pivot family): equal Fractions,
-    # bit-identical mpf.  Above, it raises the bound error, unless the minor
-    # lies past the table's extent, where both raise its ExtentError.
+    # only, so a context whose sweeps stop at the frame row its families'
+    # bounds need reads the values of one sweeping the whole table at every
+    # order it reaches (an int `orders`, and one more for a pivot family, or
+    # each family's own order): equal Fractions, bit-identical mpf.  Above,
+    # it raises the bound error, unless the minor lies past the table's
+    # extent, where both raise its ExtentError.
     table = moments.build_base_table(
         mode, 0, 0, K, seed=seed, tmax=2,
         policy=TolerancePolicy(precision_digits=30, guard_digits=10))
     full = detkit.DetContext(table, table.K)
     bounded = detkit.DetContext(table, orders)
     for family, spec in detkit.FAMILY_SPECS.items():
-        reach = orders + (spec.skip == 0)
+        reach = max(_reach(orders, family), _first_swept(spec) - 1)
         for n in range(-2, K + 2):
             for s in range(3):
                 for t in range(4):

@@ -175,7 +175,14 @@ def _edge_only_at_n0():
 
 
 def _bumps(value, bump):
-    """bump(value), or for a polynomial one copy per coefficient bumped."""
+    """bump(value), or for a polynomial one copy per coefficient bumped.  An
+    exact cofactor vector is memoized as a pair (numerators, denominator),
+    where bump(c) of a coefficient c = a / den is the numerator
+    bump(c) * den: a +1 bump adds den to a."""
+    if isinstance(value, tuple):
+        nums, den = value
+        return [(nums[:k] + ((bump(Fraction(a, den)) * den).numerator,)
+                 + nums[k + 1:], den) for k, a in enumerate(nums)]
     if isinstance(value, list):
         return [value[:k] + [bump(c)] + value[k + 1:] for k, c in enumerate(value)]
     return [bump(value)]
@@ -303,9 +310,10 @@ def test_integer_zero_test_sees_a_wrong_value(monkeypatch):
     ctx.tau(3, 1, 1)
     ctx.memo[("tau", 3, 1, 1)] += Fraction(1, 7)
     for family, fn in (("P", ctx.Praw), ("R", ctx.Rraw)):
-        coeffs = list(fn(3, 1, 1))
-        coeffs[1] += 1
-        ctx.memo[(family, 3, 1, 1)] = coeffs
+        fn(3, 1, 1)
+        # coefficient 1 + 1
+        key = (family, 3, 1, 1)
+        ctx.memo[key] = _bumps(ctx.memo[key], lambda c: c + 1)[1]
     fast = _catalog_run(ctx)
     failing = {r[0] for r in fast[0] if r[6] is False}
     assert failing >= {"eq1", "tri1", "dckp", "prop2.5", "spec1", "dt1",
