@@ -56,7 +56,8 @@ OPTIONS = {
     "out": (str, None, _GRID, "output path (default: stdout)"),
     "format": (str, "json", ("lattice", "verify", "polys"),
                "artifact format: json | csv"),
-    "jobs": (int, 1, ("verify",), "worker processes"),
+    # verify runs in one process; perfbench/job.py still passes --jobs 1
+    "jobs": (int, 1, ("verify",), "must be 1 (verify runs in one process)"),
     "identities": (str, None, ("verify",), "comma-separated identity id filter"),
 }
 
@@ -73,7 +74,6 @@ class RunConfig:
     seed: int
     out: object
     format: str
-    jobs: int
     identities: object
 
     def policy(self):
@@ -149,8 +149,9 @@ def resolve_config(args):
     for key in ("n", "s", "t"):
         if merged[key] < 0:
             raise ConfigError("--%s must be nonnegative" % key)
-    if merged["jobs"] < 1:
-        raise ConfigError("--jobs must be at least 1")
+    if merged["jobs"] != 1:
+        raise ConfigError("--jobs must be 1: verify runs in one process, "
+                          "got %d" % merged["jobs"])
     if merged["format"] not in ("json", "csv"):
         raise ConfigError("format must be json or csv")
     ids = None
@@ -170,7 +171,7 @@ def resolve_config(args):
                               "could never fail" % (list(ids), mode))
     return RunConfig(args.command, mode, merged["precision"], guard,
                      merged["n"], merged["s"], merged["t"], merged["seed"],
-                     merged["out"], merged["format"], merged["jobs"], ids)
+                     merged["out"], merged["format"], ids)
 
 
 # ---- Shared plumbing ----
@@ -287,36 +288,18 @@ def cmd_lattice(cfg):
 
 # ---- verify ----
 
-def _verify_chunk(payload):
-    """Records of one chunk of ids and the variant report of its contested
-    ids, from one DetContext so both share its determinant memo."""
-    # the built table arrives pickled, mpf and Fraction entries exactly
-    table, policy, ids, nmax, smax, tmax = payload
-    ctx = detkit.DetContext(table, identities.orders_read(ids, nmax))
-    recs = identities.run_suite(ctx, nmax, smax, tmax, policy=policy, ids=ids)
-    report = identities.variant_report(
-        ctx, nmax, smax, tmax, policy=policy,
-        ids=[i for i in identities.VARIANT_IDS if i in ids], records=recs)
-    return recs, report
-
-
 def cmd_verify(cfg):
     K = cfg.Nmax + cfg.Smax + 3
-    ids = list(cfg.identities) if cfg.identities else list(identities.CATALOG_IDS)
-    jobs = min(cfg.jobs, len(ids))
-    table = _build_table(cfg, K, cfg.Tmax)
-    payloads = [(table, cfg.policy(), tuple(ids[i::jobs]),
-                 cfg.Nmax, cfg.Smax, cfg.Tmax) for i in range(jobs)]
-    if jobs == 1:
-        parts = [_verify_chunk(payloads[0])]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(_verify_chunk, payloads))
-    recs = sorted((r for part, _ in parts for r in part),
-                  key=lambda r: (r.identity_id, r.n, r.s, r.t))
-    adjud = {i: report[i] for i in identities.VARIANT_IDS
-             for _, report in parts if i in report}
+    ids = cfg.identities or identities.CATALOG_IDS
+    policy = cfg.policy()
+    # one context, so the records and the variant report share its memo
+    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax),
+                            identities.orders_read(ids, cfg.Nmax))
+    recs = identities.run_suite(ctx, cfg.Nmax, cfg.Smax, cfg.Tmax,
+                                policy=policy, ids=ids)
+    adjud = identities.variant_report(
+        ctx, cfg.Nmax, cfg.Smax, cfg.Tmax, policy=policy,
+        ids=[i for i in identities.VARIANT_IDS if i in ids], records=recs)
     summ = identities.suite_summary(recs)
     summ_line = {"summary": {k: summ[k] for k in ("records", "gating_failures",
                                                   "skipped", "all_gating_pass")},

@@ -318,17 +318,20 @@ def _ev_stencil(ctx, stencil, n, s, t):
     return abs(diff), terms
 
 
+# the quartic's eight tau reads (dn, ds, dt), in _dckp_parts' argument order:
+# tau_n^{s+1}, tau_n, tau_{n+1}, tau_{n-1}^{s+1} at t and then at t+1
+DCKP_SITES = ((0, 1, 0), (0, 0, 0), (1, 0, 0), (-1, 1, 0),
+              (0, 1, 1), (0, 0, 1), (1, 0, 1), (-1, 1, 1))
+
+
 def _dckp_parts(a, b, c, d, e, f, g, h):
-    """A_t, A_{t+1} and B of the quartic 4 A_t A_{t+1} = B^2, from tau_n^{s+1},
-    tau_n, tau_{n+1}, tau_{n-1}^{s+1} at t and then at t+1."""
+    """A_t, A_{t+1} and B of the quartic 4 A_t A_{t+1} = B^2, from the taus
+    at DCKP_SITES."""
     return a * b - c * d, e * f - g * h, a * f + e * b - g * d - c * h
 
 
 def _ev_dckp(ctx, n, s, t):
-    T = ctx.tau
-    taus = (T(n, s + 1, t), T(n, s, t), T(n + 1, s, t), T(n - 1, s + 1, t),
-            T(n, s + 1, t + 1), T(n, s, t + 1), T(n + 1, s, t + 1),
-            T(n - 1, s + 1, t + 1))
+    taus = [ctx.tau(n + dn, s + ds, t + dt) for dn, ds, dt in DCKP_SITES]
     if ctx.exact:
         # the quartic is homogeneous in tau, so over the integer taus its
         # residual is the true one times a power of their common denominator

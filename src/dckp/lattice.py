@@ -1,13 +1,15 @@
 """Tau-function lattice assembly, quartic corner solving, and t-propagation.
 
-The lattice stores the determinant families eagerly on the (n, s, t) grid so
-identity stencils are O(1) lookups.  The quartic lattice equation, read as a
-quadratic in one t-advanced corner, powers an initial-value propagation that
-rebuilds a t-slice from the previous slice plus an n <= 1 boundary staircase;
-of the two roots it keeps the one nearer the determinant oracle, and halts on
-an exact tie.  The quartic is homogeneous of degree four in the stencil, so
-an exact corner is solved on the integer numerators of its stencil over one
-common denominator, with no Fraction arithmetic until the two roots.
+The lattice stores the determinant families eagerly on the (n, s, t) grid
+for export.  The quartic lattice equation (identities.DCKP_SITES and
+_dckp_parts, the catalog's dckp), read as a quadratic in its corner
+tau_{n+1}^{s,t+1}, powers an initial-value propagation that rebuilds a
+t-slice from the previous slice plus an n <= 1 boundary staircase; of the
+two roots it keeps the one nearer the determinant oracle, and halts on an
+exact tie.  The quartic is homogeneous of degree four in its taus, so an
+exact corner is solved on the integer numerators of the seven known taus
+over one common denominator, with no Fraction arithmetic until the two
+roots.
 """
 
 import math
@@ -20,15 +22,14 @@ import mpmath as mp
 
 from .numerics import (ConfigError, DegeneracyError, TolerancePolicy,
                        _integers, csv_text, fmt_scalar, relative_residual)
+from .identities import DCKP_SITES, _dckp_parts
 from . import moments, detkit
 
 # sigma_row is an internal evaluator for the identity battery, not lattice data
 LATTICE_FAMILIES = tuple(f for f in detkit.FAMILIES if f != "sigma_row")
 
-STENCIL_SITES = ("n-1,s+1,t", "n,s,t", "n,s+1,t", "n+1,s,t",
-                 "n-1,s+1,t+1", "n,s,t+1", "n,s+1,t+1", "n+1,s,t+1")
-
-UNKNOWN_CORNERS = ("n-1,s+1,t+1", "n+1,s,t+1")
+# the quartic's read that propagation fills: tau_{n+1}^{s,t+1}
+_CORNER = (1, 0, 1)
 
 
 @dataclass
@@ -42,9 +43,6 @@ class TauLattice:
     values: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     families: tuple = LATTICE_FAMILIES
-
-    def get(self, family, n, s, t):
-        return self.values[(family, n, s, t)]
 
     def sites(self):
         return sorted(self.values.keys())
@@ -173,21 +171,14 @@ def _float_sqrt(q):
     return mp.sqrt(q)
 
 
-def _corner_roots(g, which_unknown, sqrt, over):
-    """Roots of 4 A (P - Q X) = (R - S X)^2 in the unknown corner X, with
-    g(site) the stencil, sqrt the discriminant's square root and over(num,
-    den) the division of the mode."""
-    A = g("n,s+1,t") * g("n,s,t") - g("n+1,s,t") * g("n-1,s+1,t")
-    P = g("n,s+1,t+1") * g("n,s,t+1")
-    R = g("n,s+1,t") * g("n,s,t+1") + g("n,s+1,t+1") * g("n,s,t")
-    if which_unknown == "n-1,s+1,t+1":
-        Q = g("n+1,s,t+1")
-        R = R - g("n+1,s,t+1") * g("n-1,s+1,t")
-        S = g("n+1,s,t")
-    else:
-        Q = g("n-1,s+1,t+1")
-        R = R - g("n+1,s,t") * g("n-1,s+1,t+1")
-        S = g("n-1,s+1,t")
+def _corner_roots(a, b, c, d, e, f, h, sqrt, over):
+    """Roots of 4 A (P - Q X) = (R - S X)^2 in X = tau_{n+1}^{s,t+1}, from
+    the quartic's seven other taus, with sqrt the discriminant's square root
+    and over(num, den) the division of the mode.  A, P and R are the
+    quartic's A_t, A_{t+1} and B at X = 0; X enters A_{t+1} with slope -Q
+    and B with slope -S."""
+    A, P, R = _dckp_parts(a, b, c, d, e, f, 0, h)
+    Q, S = h, d
     a2 = S * S
     a1 = 4 * A * Q - 2 * R * S
     a0 = R * R - 4 * A * P
@@ -202,48 +193,33 @@ def _corner_roots(g, which_unknown, sqrt, over):
     return (over(-mid + 2 * root, a2), over(-mid - 2 * root, a2))
 
 
-def solve_dckp_corner(stencil, which_unknown, dps=None):
-    """Two roots of the quartic lattice equation read as a quadratic in one
-    t-advanced corner.
+def solve_dckp_corner(taus, dps=None):
+    """Two roots of the quartic lattice equation read as a quadratic in its
+    corner tau_{n+1}^{s,t+1}.
 
-    `stencil` maps the other seven relative sites to values; the unknown is
-    one of the two admissible corners of the t+1 layer.  A vanishing quadratic
-    coefficient degrades to the linear case (returned as a double entry); a
-    fully degenerate equation is an error.
+    `taus` holds the quartic's eight taus in the order of
+    `identities.DCKP_SITES`; the corner's own slot is not read.  A vanishing
+    quadratic coefficient degrades to the linear case (returned as a double
+    entry); a fully degenerate equation is an error.
 
-    Exact stencils are solved in integers.  Every term of the quartic is a
-    product of four stencil values, so with the seven values written as
-    integers over their least common denominator D the unknown is X' / D,
-    X' the root of the same quadratic over the integers: one isqrt tests the
-    discriminant, and each root is one Fraction.  Float stencils are solved
-    at `dps` digits when given.
+    Exact taus are solved in integers.  Every term of the quartic is a
+    product of four taus, so with the seven known values written as integers
+    over their least common denominator D the corner is X' / D, X' the root
+    of the same quadratic over the integers: one isqrt tests the
+    discriminant, and each root is one Fraction.  Float taus are solved at
+    `dps` digits when given.
     """
-    if which_unknown not in UNKNOWN_CORNERS:
-        raise ConfigError("unknown corner id %r; expected one of %r"
-                          % (which_unknown, UNKNOWN_CORNERS))
-    known = [k for k in STENCIL_SITES if k != which_unknown]
-    missing = [k for k in known if k not in stencil]
-    if missing:
-        raise ConfigError("stencil missing sites: %r" % (missing,))
-    if isinstance(stencil["n,s,t"], (Fraction, int)):
-        nums, D = _integers([stencil[k] for k in known])
-        return _corner_roots(dict(zip(known, nums)).__getitem__, which_unknown,
-                             _integer_sqrt,
+    a, b, c, d, e, f, _, h = taus
+    known = (a, b, c, d, e, f, h)
+    if isinstance(a, (Fraction, int)):
+        nums, D = _integers(known)
+        return _corner_roots(*nums, _integer_sqrt,
                              lambda num, den: Fraction(num, den * D))
     with mp.workdps(dps) if dps is not None else nullcontext():
-        return _corner_roots(stencil.__getitem__, which_unknown, _float_sqrt,
-                             operator.truediv)
+        return _corner_roots(*known, _float_sqrt, operator.truediv)
 
 
 # ---- Propagation ----
-
-def _stencil_from(getter, n, s, t, skip=None):
-    rel = {"n-1,s+1,t": (n - 1, s + 1, t), "n,s,t": (n, s, t),
-           "n,s+1,t": (n, s + 1, t), "n+1,s,t": (n + 1, s, t),
-           "n-1,s+1,t+1": (n - 1, s + 1, t + 1), "n,s,t+1": (n, s, t + 1),
-           "n,s+1,t+1": (n, s + 1, t + 1), "n+1,s,t+1": (n + 1, s, t + 1)}
-    return {k: getter(*site) for k, site in rel.items() if k != skip}
-
 
 def propagate(lat, from_t, to_t):
     """Rebuild tau slices (from_t, to_t] from the quartic corner equation.
@@ -262,6 +238,7 @@ def propagate(lat, from_t, to_t):
                      lat.precision_digits, dict(lat.values),
                      dict(lat.provenance), lat.families)
     S1 = lat.Smax + lat.Nmax - 1
+    dps = None if ctx.exact else ctx.dps
     work = {}
 
     def val(n, s, t):
@@ -281,9 +258,10 @@ def propagate(lat, from_t, to_t):
             work[(1, s, t + 1)] = ctx.tau(1, s, t + 1)
         for n in range(1, lat.Nmax):
             for s in range(ctx.s0, S1 - (n - 1) + 1):
-                stn = _stencil_from(val, n, s, t, skip="n+1,s,t+1")
-                dps = None if ctx.exact else ctx.dps
-                r1, r2 = solve_dckp_corner(stn, "n+1,s,t+1", dps=dps)
+                taus = [None if site == _CORNER
+                        else val(n + site[0], s + site[1], t + site[2])
+                        for site in DCKP_SITES]
+                r1, r2 = solve_dckp_corner(taus, dps=dps)
                 ref = ctx.tau(n + 1, s, t + 1)
                 d1, d2 = abs(r1 - ref), abs(r2 - ref)
                 if r1 != r2 and d1 == d2:

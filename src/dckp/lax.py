@@ -19,7 +19,6 @@ The six scalar compatibility equations are evaluated per variant: the three
 that survive adjudication verbatim, and repaired forms for the other three.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
@@ -73,20 +72,6 @@ def _maxabs(R, zero):
     return top
 
 
-@dataclass
-class OperatorTruncation:
-    K: int
-    s: int
-    t: int
-    L: list
-    N: list
-    M: list
-
-    @property
-    def interior(self):
-        return (1, self.K - 3)
-
-
 # ---- Construction ----
 
 def _check_K(K):
@@ -135,14 +120,6 @@ def build_M(ctx, K, s, t):
         d = [ctx.coeff_d(n, s, t) for n in range(K)]
         e = [ctx.coeff_e(n, s, t) for n in range(K)]
         return _operator(ctx, e, {0: lambda i: ctx.one(), -1: lambda i: d[i]})
-
-
-def build_operators(ctx, K, s, t):
-    """L, N, M truncations at one site; K >= 5 so the interior is nonempty."""
-    return OperatorTruncation(K, s, t,
-                              build_L(ctx, K, s, t),
-                              build_N(ctx, K, s, t),
-                              build_M(ctx, K, s, t))
 
 
 # ---- Compatibility residuals ----
@@ -212,7 +189,7 @@ def eigen_residuals(ctx, K, s, t, xs=EIGEN_SAMPLES):
     are truncation-exact; row K-1 is excluded.
     """
     zero = ctx.zero()
-    op = build_operators(ctx, K, s, t)
+    L, N, M = (build(ctx, K, s, t) for build in (build_L, build_N, build_M))
     out = {"L_eigen": zero, "N_shift": zero, "M_shift": zero, "K": K}
     with ctx.wp():
         for x in xs:
@@ -221,9 +198,9 @@ def eigen_residuals(ctx, K, s, t, xs=EIGEN_SAMPLES):
             col10 = _poly_stack(ctx, K, s + 1, t, xv)
             col01 = _poly_stack(ctx, K, s, t + 1, xv)
             for name, Op, src, dst, fac in (
-                    ("L_eigen", op.L, col00, col00, xv),
-                    ("N_shift", op.N, col00, col10, xv),
-                    ("M_shift", op.M, col01, col00, ctx.one())):
+                    ("L_eigen", L, col00, col00, xv),
+                    ("N_shift", N, col00, col10, xv),
+                    ("M_shift", M, col01, col00, ctx.one())):
                 img = _apply(Op, src, zero)
                 for i in range(K - 1):
                     r = abs(img[i] - fac * dst[i])

@@ -5,15 +5,14 @@ import argparse
 import hashlib
 import json
 import os
-import pickle
 import subprocess
 import sys
 
 import mpmath as mp
 import pytest
 
-from dckp.numerics import TolerancePolicy, digits_of_agreement, parse_scalar
-from dckp import cli, detkit, identities, moments
+from dckp.numerics import digits_of_agreement, parse_scalar
+from dckp import cli
 
 # ---- selfcheck ----
 
@@ -42,13 +41,17 @@ def test_negative_guard_is_usage_error(capsys):
 
 
 def test_importing_the_cli_leaves_the_process_pool_unimported():
-    # verify imports concurrent.futures only when --jobs asks for workers;
-    # imported with the module, it and multiprocessing would slow the start
-    # of every command
+    # verify runs in one process: neither importing the CLI nor a verify run
+    # in exact or float mode loads a process pool or pickle
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    probe = ("import sys, dckp.cli; print(sorted(m for m in sys.modules if "
-             "m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    small = "'--n', '1', '--s', '1', '--t', '1', '--out', os.devnull"
+    probe = ("import os, sys, dckp.cli\n"
+             "for mode in ('structured', 'jacobi'):\n"
+             "    assert dckp.cli.main(['verify', '--mode', mode, "
+             "'--precision', '30', %s]) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('concurrent', 'multiprocessing', 'pickle', '_pickle')))" % small)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
@@ -117,27 +120,6 @@ def test_lattice_jacobi_runs_no_quadrature(capsys, monkeypatch):
     assert "sites (jacobi-float mode)" in capsys.readouterr().err
 
 
-def test_verify_chunk_uses_the_shipped_table(monkeypatch):
-    policy = TolerancePolicy(precision_digits=20)
-    table = moments.build_jacobi(5, policy, tmax=1)
-    ids = ("eq1", "dckp", "4trr", "3.2a")
-    ref = identities.run_suite(detkit.DetContext(table, table.K), 1, 1, 1,
-                               policy=policy, ids=ids)
-    ref_report = identities.variant_report(detkit.DetContext(table, table.K),
-                                           1, 1, 1, policy=policy, ids=["3.2a"])
-
-    def no_rebuild(*args, **kwargs):
-        raise AssertionError("a verify worker rebuilt the moment table")
-
-    monkeypatch.setattr(cli.moments, "build_jacobi", no_rebuild)
-    payload = pickle.loads(pickle.dumps((table, policy, ids, 1, 1, 1)))
-    recs, report = cli._verify_chunk(payload)
-    assert ([r.to_json_dict(20) for r in recs]
-            == [r.to_json_dict(20) for r in ref])
-    # the chunk adjudicates its own contested ids, and only those
-    assert report == ref_report and list(report) == ["3.2a"]
-
-
 def test_verify_structured_small(capsys):
     code = cli.main(["verify", "--mode", "structured", "--seed", "2",
                      "--n", "2", "--s", "1", "--t", "1"])
@@ -165,22 +147,24 @@ def test_verify_identity_filter_rules():
 
 def test_verify_rejects_repeated_identity(capsys):
     small = ["--mode", "structured", "--n", "1", "--s", "0", "--t", "0"]
-    for jobs in ("1", "2"):
-        assert cli.main(["verify", "--identities", "eq1,dckp, eq1", "--jobs",
-                         jobs] + small) == 2
-        assert "repeated identity ids: ['eq1']" in capsys.readouterr().err
+    assert cli.main(["verify", "--identities", "eq1,dckp, eq1"] + small) == 2
+    assert "repeated identity ids: ['eq1']" in capsys.readouterr().err
 
 
-def test_verify_jobs_deterministic(tmp_path):
-    # each worker sweeps its own frames over the shipped table: neither an
-    # exact nor a float artifact depends on how the ids are split
-    for mode, jobs in ((["generic", "--seed", "3"], "3"),
-                       (["jacobi", "--precision", "30", "--guard", "10"], "2")):
-        args = ["verify", "--mode"] + mode + ["--n", "2", "--s", "1", "--t", "1"]
-        p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        assert cli.main(args + ["--jobs", "1", "--out", p1]) == 0
-        assert cli.main(args + ["--jobs", jobs, "--out", p2]) == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read(), mode[0]
+def test_verify_jobs_accepts_only_one(tmp_path, capsys):
+    # verify runs in one process; --jobs stays only as the value 1
+    args = ["verify", "--mode", "generic", "--seed", "3",
+            "--n", "2", "--s", "1", "--t", "1"]
+    (tmp_path / "cfg.json").write_text(json.dumps({"jobs": 2}))
+    for extra, got in ((["--jobs", "0"], 0), (["--jobs", "2"], 2),
+                       (["--config", str(tmp_path / "cfg.json")], 2)):
+        assert cli.main(args + extra) == 2, extra
+        assert ("config error: --jobs must be 1: verify runs in one process, "
+                "got %d" % got) in capsys.readouterr().err
+    p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert cli.main(args + ["--out", str(p1)]) == 0
+    assert cli.main(args + ["--jobs", "1", "--out", str(p2)]) == 0
+    assert p1.read_bytes() == p2.read_bytes()
 
 
 # SHA-256 of an exact and a float verify artifact: any change to the bytes

@@ -1,6 +1,7 @@
 """Tau lattice: materialization, corner solve, propagation, degeneracy and
 configuration errors."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dckp.numerics import (WORKING_MARGIN, ConfigError, DegeneracyError,
-                           TolerancePolicy)
-from dckp import lattice, lax, moments, detkit, quadrature
+                           TolerancePolicy, fmt_scalar)
+from dckp import detkit, identities, lattice, lax, moments, quadrature
 
 # ---- Build ----
 
@@ -30,7 +31,7 @@ def test_build_structured_families_and_slices():
     assert ("sigma_tilde", 1, 0, 0) in lat.values
     assert ("sigma_tilde", 1, 0, 1) not in lat.values
     assert ("tau", 2, 1, 1) in lat.values
-    assert lat.get("tau", 0, 0, 1) == 1
+    assert lat.values[("tau", 0, 0, 1)] == 1
 
 
 def test_build_rejects_unknown_mode():
@@ -127,7 +128,7 @@ def test_build_float_lattice_with_a_negative_tau_raises(monkeypatch):
 def test_build_jacobi_default_guard_follows_precision():
     # no guard given: the policy default min(40, precision // 3), as in the CLI
     lat = lattice.build_lattice("jacobi-float", 2, 1, 1, {"precision": 30})
-    assert lat.precision_digits == 30 and lat.get("tau", 2, 1, 1) > 0
+    assert lat.precision_digits == 30 and lat.values[("tau", 2, 1, 1)] > 0
 
 
 def test_json_and_csv_export():
@@ -144,75 +145,69 @@ def test_json_and_csv_export():
 
 # ---- Corner solve ----
 
-def _tau_stencil(ctx, n, s, t, skip):
-    return lattice._stencil_from(ctx.tau, n, s, t, skip=skip)
+def _taus(ctx, n, s, t):
+    """The quartic's eight taus at (n, s, t), its corner tau_{n+1}^{s,t+1}
+    included."""
+    return [ctx.tau(n + dn, s + ds, t + dt)
+            for dn, ds, dt in identities.DCKP_SITES]
 
 
-def test_corner_solve_hits_oracle_both_corners(generic_ctx):
-    for n in range(1, 3):
-        for s in range(2):
-            for which in lattice.UNKNOWN_CORNERS:
-                stn = _tau_stencil(generic_ctx, n, s, 0, skip=which)
-                truth = {"n-1,s+1,t+1": generic_ctx.tau(n - 1, s + 1, 1),
-                         "n+1,s,t+1": generic_ctx.tau(n + 1, s, 1)}[which]
-                r1, r2 = lattice.solve_dckp_corner(stn, which)
-                assert truth in (r1, r2), (n, s, which)
+def _known(a, b, c, d, e, f, h):
+    """Seven taus in the order of DCKP_SITES, the corner's slot left empty:
+    tau_n^{s+1}, tau_n, tau_{n+1}, tau_{n-1}^{s+1} at t, then tau_n^{s+1},
+    tau_n, (corner), tau_{n-1}^{s+1} at t+1."""
+    return [a, b, c, d, e, f, None, h]
+
+
+def test_corner_solve_hits_oracle_and_both_roots_solve_the_quartic(
+        generic_ctx, structured_ctx):
+    # each root, put in the corner's slot, satisfies 4 A_t A_{t+1} = B^2
+    # exactly, and one of them is the determinant; the solve never reads
+    # the slot it fills
+    for name, ctx in (("generic", generic_ctx), ("structured", structured_ctx)):
+        for n in range(1, 6):
+            for s in range(8 - n):
+                for t in range(3):
+                    taus = _taus(ctx, n, s, t)
+                    roots = lattice.solve_dckp_corner(_known(*taus[:6], taus[7]))
+                    for r in roots:
+                        A0, A1, B = identities._dckp_parts(*taus[:6], r, taus[7])
+                        assert 4 * A0 * A1 == B * B, (name, n, s, t, r)
+                    assert taus[6] in roots, (name, n, s, t)
 
 
 def test_corner_solve_n0_degenerates_to_zero(generic_ctx):
-    stn = _tau_stencil(generic_ctx, 0, 0, 0, skip="n-1,s+1,t+1")
-    r1, r2 = lattice.solve_dckp_corner(stn, "n-1,s+1,t+1")
-    assert 0 in (r1, r2)
-
-
-def test_corner_solve_validation(generic_ctx):
-    stn = _tau_stencil(generic_ctx, 1, 0, 0, skip="n+1,s,t+1")
-    with pytest.raises(ConfigError):
-        lattice.solve_dckp_corner(stn, "n,s,t")
-    del stn["n,s+1,t"]
-    with pytest.raises(ConfigError):
-        lattice.solve_dckp_corner(stn, "n+1,s,t+1")
+    # at n = 0 both S and Q are tau_{-1} = 0 and the quartic is 4 * 1 * 1 =
+    # 2^2: the corner equation degenerates to 0 = 0 and leaves tau_1 free
+    with pytest.raises(DegeneracyError, match="fully degenerate"):
+        lattice.solve_dckp_corner(_taus(generic_ctx, 0, 0, 0))
 
 
 def test_corner_solve_linear_fallback():
-    # S = 0 turns the quadratic into a linear equation, returned doubled
-    stn = {"n-1,s+1,t": Fraction(0), "n,s,t": Fraction(1),
-           "n,s+1,t": Fraction(2), "n+1,s,t": Fraction(3),
-           "n-1,s+1,t+1": Fraction(1), "n,s,t+1": Fraction(1),
-           "n,s+1,t+1": Fraction(2)}
-    r1, r2 = lattice.solve_dckp_corner(stn, "n+1,s,t+1")
+    # S = tau_{n-1}^{s+1,t} = 0 turns the quadratic into a linear equation,
+    # returned doubled
+    r1, r2 = lattice.solve_dckp_corner(_known(*map(Fraction, (2, 1, 3, 0, 2, 1,
+                                                              1))))
     assert r1 == r2
 
 
 def test_corner_solve_degenerate_errors():
-    zero = {k: Fraction(0) for k in lattice.STENCIL_SITES
-            if k != "n+1,s,t+1"}
     with pytest.raises(DegeneracyError):
-        lattice.solve_dckp_corner(zero, "n+1,s,t+1")
+        lattice.solve_dckp_corner(_known(*[Fraction(0)] * 7))
     # discriminant 10 is not a rational square: no exact branch exists
-    stn = {"n-1,s+1,t": Fraction(1), "n,s,t": Fraction(1),
-           "n,s+1,t": Fraction(2), "n+1,s,t": Fraction(1),
-           "n-1,s+1,t+1": Fraction(3), "n,s,t+1": Fraction(1),
-           "n,s+1,t+1": Fraction(1)}
     with pytest.raises(DegeneracyError):
-        lattice.solve_dckp_corner(stn, "n+1,s,t+1")
+        lattice.solve_dckp_corner(_known(*map(Fraction, (2, 1, 1, 1, 1, 1, 3))))
 
 
-def _fraction_corner(stencil, which_unknown):
+def _fraction_corner(taus):
     """The exact corner solve in Fraction arithmetic, reducing at every step:
-    the reference the integer solve must reproduce."""
-    g = stencil.__getitem__
-    A = g("n,s+1,t") * g("n,s,t") - g("n+1,s,t") * g("n-1,s+1,t")
-    P = g("n,s+1,t+1") * g("n,s,t+1")
-    R = g("n,s+1,t") * g("n,s,t+1") + g("n,s+1,t+1") * g("n,s,t")
-    if which_unknown == "n-1,s+1,t+1":
-        Q = g("n+1,s,t+1")
-        R = R - g("n+1,s,t+1") * g("n-1,s+1,t")
-        S = g("n+1,s,t")
-    else:
-        Q = g("n-1,s+1,t+1")
-        R = R - g("n+1,s,t") * g("n-1,s+1,t+1")
-        S = g("n-1,s+1,t")
+    the reference the integer solve must reproduce.  It writes the quartic
+    out itself, not through identities._dckp_parts."""
+    a, b, c, d, e, f, _, h = taus
+    A = a * b - c * d
+    P = e * f
+    R = a * f + e * b - c * h
+    Q, S = h, d
     a2 = S * S
     a1 = 4 * A * Q - 2 * R * S
     a0 = R * R - 4 * A * P
@@ -234,9 +229,9 @@ def _fraction_corner(stencil, which_unknown):
     return ((-mid + 2 * root) / a2, (-mid - 2 * root) / a2)
 
 
-def _outcome(solve, stencil, which):
+def _outcome(solve, taus):
     try:
-        return solve(stencil, which)
+        return solve(taus)
     except DegeneracyError as exc:
         return type(exc), str(exc)
 
@@ -246,40 +241,34 @@ _LATTICE = detkit.DetContext(moments.synthetic_generic(1, 9, tmax=1), 9)
 
 
 @st.composite
-def _stencils(draw):
-    """Seven stencil values: small rationals (zeros, vanishing S, negative
-    and non-square discriminants are frequent), all zeros, or a tau stencil
-    of an exact lattice, where the discriminant is a square, times a
-    rational."""
-    which = draw(st.sampled_from(lattice.UNKNOWN_CORNERS))
+def _corners(draw):
+    """Seven known taus: small rationals (zeros, vanishing S, negative and
+    non-square discriminants are frequent), all zeros, or the taus of an
+    exact lattice, where the discriminant is a square, times a rational."""
     kind = draw(st.sampled_from(("random", "zero", "lattice")))
-    known = [k for k in lattice.STENCIL_SITES if k != which]
     if kind == "random":
-        return which, {k: draw(_small) for k in known}
+        return _known(*[draw(_small) for _ in range(7)])
     if kind == "zero":
-        return which, {k: Fraction(0) for k in known}
+        return _known(*[Fraction(0)] * 7)
     n, s = draw(st.integers(1, 3)), draw(st.integers(0, 1))
     scale = draw(_small.filter(lambda v: v != 0))
-    stn = lattice._stencil_from(_LATTICE.tau, n, s, 0, skip=which)
-    return which, {k: scale * v for k, v in stn.items()}
+    taus = [scale * v for v in _taus(_LATTICE, n, s, 0)]
+    return _known(*taus[:6], taus[7])
 
 
-_LINEAR = {"n-1,s+1,t": Fraction(0), "n,s,t": Fraction(1, 3),
-           "n,s+1,t": Fraction(2), "n+1,s,t": Fraction(3, 2),
-           "n-1,s+1,t+1": Fraction(1), "n,s,t+1": Fraction(-1, 4),
-           "n,s+1,t+1": Fraction(2, 5)}
+_LINEAR = (Fraction(2), Fraction(1, 3), Fraction(3, 2), Fraction(0),
+           Fraction(2, 5), Fraction(-1, 4), Fraction(1))
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_stencils())
-@example(case=("n+1,s,t+1", _LINEAR))
-@example(case=("n+1,s,t+1", {k: Fraction(0) for k in _LINEAR}))
-@example(case=("n+1,s,t+1", dict(_LINEAR, **{"n-1,s+1,t": Fraction(1, 2)})))
-def test_integer_corner_solve_matches_fraction_solve(case):
+@given(taus=_corners())
+@example(taus=_known(*_LINEAR))
+@example(taus=_known(*[Fraction(0)] * 7))
+@example(taus=_known(*_LINEAR[:3], Fraction(1, 2), *_LINEAR[4:]))
+def test_integer_corner_solve_matches_fraction_solve(taus):
     # equal roots, or the same error with the same message
-    which, stn = case
-    assert (_outcome(lattice.solve_dckp_corner, stn, which)
-            == _outcome(_fraction_corner, stn, which))
+    assert (_outcome(lattice.solve_dckp_corner, taus)
+            == _outcome(_fraction_corner, taus))
 
 
 # ---- Propagation ----
@@ -351,6 +340,31 @@ def test_propagate_exact_at_base_offsets(mode, seed, K, s0, t0):
     assert len(sites) > 0
     for key in sites:
         assert out.values[key] == ctx.tau(*key[1:]), key
+
+
+# SHA-256 of a propagated exact and float lattice, exported with its
+# propagation report as the benchmark's lattice workload writes it: any
+# change to the bytes propagation gives fails here
+PROPAGATION_DIGESTS = {
+    "structured": (("synthetic-structured", 6, 2, 3, {"seed": 3}),
+                   "a37faf62aba04a8014dee587fd9df8b643581f81a576cf29458d1b74c781d416"),
+    "jacobi": (("jacobi-float", 5, 2, 3, {"precision": 30, "guard": 10}),
+               "8df9272b9f53846cc593430defcba18117d57e33537ff1848388cb13d0535cab"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PROPAGATION_DIGESTS))
+def test_propagation_export_bytes_are_pinned(mode):
+    (kind, n, s, t, config), digest = PROPAGATION_DIGESTS[mode]
+    lat = lattice.build_lattice(kind, n, s, t, config)
+    prop = lattice.propagate(lat, 0, t)
+    rep = lattice.propagation_report(prop, lat)
+    doc = prop.to_json_dict()
+    doc["propagation"] = {"sites": rep["sites"]}
+    for key in ("max_abs", "max_rel"):
+        doc["propagation"][key] = fmt_scalar(rep[key], identities.REPORT_DIGITS)
+    text = json.dumps(doc, indent=1) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_propagate_validation():

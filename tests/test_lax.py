@@ -12,23 +12,23 @@ from dckp import detkit, lax, polyfam
 # ---- Operator structure ----
 
 def test_operator_truncation_requires_k5(generic_ctx, structured_ctx):
-    with pytest.raises(ConfigError):
-        lax.build_operators(generic_ctx, 4, 0, 0)
-    op = lax.build_operators(structured_ctx, 5, 0, 0)
-    assert op.interior == (1, 2)
-    assert len(op.L) == len(op.N) == len(op.M) == 5
+    for build in (lax.build_L, lax.build_N, lax.build_M):
+        with pytest.raises(ConfigError, match="needs K >= 5, got 4"):
+            build(generic_ctx, 4, 0, 0)
+        op = build(structured_ctx, 5, 0, 0)
+        assert len(op) == 5 and all(len(row) == 5 for row in op)
 
 
 def test_n_operator_maps_p_column(structured_ctx):
     # row i of N applied to [P_k(x)] equals x P_i^{s+1}(x) off the last row
     c = structured_ctx
     K = 5
-    op = lax.build_operators(c, K, 0, 0)
+    N = lax.build_N(c, K, 0, 0)
     x = Fraction(1, 3)
     p0 = [polyfam.eval_poly(polyfam.poly(c, "P", k, 0, 0), x) for k in range(K)]
     p1 = [polyfam.eval_poly(polyfam.poly(c, "P", k, 1, 0), x) for k in range(K)]
     for i in range(K - 1):
-        img = sum(op.N[i][k] * p0[k] for k in range(K))
+        img = sum(N[i][k] * p0[k] for k in range(K))
         assert img == x * p1[i], i
 
 
