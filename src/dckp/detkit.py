@@ -345,10 +345,11 @@ def _schur_steps(M, ex, C):
 # ---- Context over a stack of t-evolved tables ----
 
 def derived(fn):
-    """fn(ctx, *args), a value built from ctx's families, memoized per
-    context in ctx.derived under (fn's name, *args).  A call that raises
-    stores nothing, so a repeated call raises again.  Callers must not
-    mutate a value they are given."""
+    """fn(ctx, *args), a value built from ctx's families under ctx.wp(), the
+    context's working precision, and memoized per context in ctx.derived
+    under (fn's name, *args).  A call that raises stores nothing, so a
+    repeated call raises again.  Callers must not mutate a value they are
+    given."""
     name = fn.__qualname__
 
     @functools.wraps(fn)
@@ -356,7 +357,8 @@ def derived(fn):
         key = (name,) + args
         v = ctx.derived.get(key)
         if v is None:
-            v = ctx.derived[key] = fn(ctx, *args)
+            with ctx.wp():
+                v = ctx.derived[key] = fn(ctx, *args)
         return v
     return cached
 
@@ -663,54 +665,47 @@ class DetContext:
     @derived
     def norm(self, n, s, t):
         """h_n = tau_{n+1}/tau_n, the squared biorthogonal norm."""
-        with self.wp():
-            return self._div(self.tau(n + 1, s, t), self.tau(n, s, t),
-                             "norm h_%d" % n)
+        return self._div(self.tau(n + 1, s, t), self.tau(n, s, t),
+                         "norm h_%d" % n)
 
     @derived
     def psub(self, n, s, t):
         """Subleading coefficient p_n of P_n: -tautilde_n/tau_n."""
-        with self.wp():
-            return self._div(-self.tautilde(n, s, t), self.tau(n, s, t), "p_%d" % n)
+        return self._div(-self.tautilde(n, s, t), self.tau(n, s, t), "p_%d" % n)
 
     @derived
     def coeff_a(self, n, s, t):
         if n == 0:
             return self.zero()
-        with self.wp():
-            return self._div(-self.sigtilde(n, s, t) * self.tau(n - 1, s, t),
-                             self.sigtilde(n - 1, s, t) * self.tau(n, s, t),
-                             "a_%d" % n)
+        return self._div(-self.sigtilde(n, s, t) * self.tau(n - 1, s, t),
+                         self.sigtilde(n - 1, s, t) * self.tau(n, s, t),
+                         "a_%d" % n)
 
     @derived
     def coeff_b(self, n, s, t):
-        with self.wp():
-            return self.psub(n + 1, s, t) - self.psub(n, s, t)
+        return self.psub(n + 1, s, t) - self.psub(n, s, t)
 
     @derived
     def coeff_c(self, n, s, t):
         if n == 0:
             return self.zero()
-        with self.wp():
-            return self._div(self.tau(n - 1, s, t) * self.tau(n + 1, s, t),
-                             self.tau(n, s, t) ** 2, "c_%d" % n)
+        return self._div(self.tau(n - 1, s, t) * self.tau(n + 1, s, t),
+                         self.tau(n, s, t) ** 2, "c_%d" % n)
 
     @derived
     def coeff_beta(self, n, s, t):
-        with self.wp():
-            return self._div(self.xi(n + 1, s, t) * self.tau(n, s, t),
-                             self.tau(n + 1, s, t) * self.xi(n, s, t),
-                             "beta_%d" % n)
+        return self._div(self.xi(n + 1, s, t) * self.tau(n, s, t),
+                         self.tau(n + 1, s, t) * self.xi(n, s, t),
+                         "beta_%d" % n)
 
     @derived
     def coeff_alpha(self, n, s, t):
         """alpha_n = xi_{n+1} tau_{n-1}^{s+1} / (xi_n tau_n^{s+1})."""
         if n == 0:
             return self.zero()
-        with self.wp():
-            return self._div(self.xi(n + 1, s, t) * self.tau(n - 1, s + 1, t),
-                             self.xi(n, s, t) * self.tau(n, s + 1, t),
-                             "alpha_%d" % n)
+        return self._div(self.xi(n + 1, s, t) * self.tau(n - 1, s + 1, t),
+                         self.xi(n, s, t) * self.tau(n, s + 1, t),
+                         "alpha_%d" % n)
 
     def _phi_all_zero(self, s, t):
         tb = self._table(t)
@@ -730,34 +725,31 @@ class DetContext:
     def _sigma_ratio(self, name, n, s, t, dt):
         # d_n (dt = 1) and e_n (dt = 0): -sigma_n tau_{n-1}^{t+dt} /
         # (sigma_{n-1} tau_n^{t+dt}), 0 when phi vanishes from s on; d_0 and
-        # e_0 are 0, like a_0 and c_0
+        # e_0 are 0, like a_0 and c_0.  Read through the derived coeff_d and
+        # coeff_e, so under self.wp()
         if n == 0:
             return self.zero()
-        with self.wp():
-            num = -self.sigma(n, s, t) * self.tau(n - 1, s, t + dt)
-            den = self.sigma(n - 1, s, t) * self.tau(n, s, t + dt)
-            if den == 0 and self._phi_all_zero(s, t):
-                return self.zero()
-            return self._div(num, den, "%s_%d" % (name, n))
+        num = -self.sigma(n, s, t) * self.tau(n - 1, s, t + dt)
+        den = self.sigma(n - 1, s, t) * self.tau(n, s, t + dt)
+        if den == 0 and self._phi_all_zero(s, t):
+            return self.zero()
+        return self._div(num, den, "%s_%d" % (name, n))
 
     @derived
     def coeff_f(self, n, s, t):
-        with self.wp():
-            return self.coeff_beta(n, s, t) - self.coeff_alpha(n, s, t)
+        return self.coeff_beta(n, s, t) - self.coeff_alpha(n, s, t)
 
     @derived
     def coeff_g(self, n, s, t):
-        with self.wp():
-            return self.coeff_d(n, s, t) - self.coeff_e(n, s, t)
+        return self.coeff_d(n, s, t) - self.coeff_e(n, s, t)
 
     @derived
     def coeff_chat(self, n, s, t):
         """chat_n = c_n - 2 a_n b_{n-1}, the corrected bilinear combination."""
         if n == 0:
             return self.zero()
-        with self.wp():
-            return (self.coeff_c(n, s, t)
-                    - 2 * self.coeff_a(n, s, t) * self.coeff_b(n - 1, s, t))
+        return (self.coeff_c(n, s, t)
+                - 2 * self.coeff_a(n, s, t) * self.coeff_b(n - 1, s, t))
 
 
 # ---- Module-level operation wrappers ----

@@ -31,12 +31,18 @@ such a value fails its record likewise, with the same exception.
 
 Record semantics: exact mode passes iff residual_abs == 0; float mode iff
 residual_rel < rel_tol, with scale = max |individual product term| (floor 1).
-An exact residual is first zero-tested in integer arithmetic, on numerators
-over a common denominator (`_vanishes`).  A P, Q or R read is the memo's
-pair (numerators, denominator), so a linear stencil or propr tests each
-coefficient on those integers, with no Fraction per coefficient.  Only a
-nonzero residual is formed as Fractions with its scale terms.  The values
-are the same either way.
+Every evaluator only builds its residual's parts, each a list of signed
+products that must sum to zero: a scalar stencil and the quartic one part,
+a linear stencil and 4trr one per coefficient, propr one per column.  One
+reducer, `_residual`, turns them into (residual_abs, scale terms): the
+largest |sum| of a part and every |product|.  An exact residual is first
+zero-tested on those same products, in integer arithmetic over one
+unreduced common denominator (`_vanishes`); only a nonzero one is summed.
+A P, Q or R read is the memo's pair (numerators, denominator), and the
+quartic reads its taus as integers over their common denominator D: those
+parts carry integer coefficients, with no Fraction per coefficient, and
+the reducer divides the sums and products by the denominator (D^4 for the
+quartic).
 """
 
 from dataclasses import dataclass
@@ -45,7 +51,7 @@ from typing import NamedTuple
 
 from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
                        _integers, fmt_scalar, relative_residual)
-from .detkit import FAMILY_SPECS, _values
+from .detkit import FAMILY_SPECS
 
 # the cofactor-vector families P, Q and R: a stencil product ending in one of
 # them is a vector
@@ -214,7 +220,7 @@ class IdentityRecord:
                 "pass": bool(self.passed), "mode": self.mode}
 
 
-# ---- Exact zero tests ----
+# ---- Residual reduction ----
 
 def _vanishes(products):
     """Whether sum sign * prod(factors) over (sign, factors) pairs of exact
@@ -230,6 +236,33 @@ def _vanishes(products):
             num = num * q + p * den
             den *= q
     return num == 0
+
+
+def _residual(ctx, parts, den=None):
+    """(residual_abs, scale terms) of `parts`, lists of signed products
+    (sign, factors) that must each sum to zero: the largest |sum| of a part
+    and every |product|, each over `den` if given, the common denominator
+    of exact integer products.  An exact residual whose parts all
+    `_vanishes` is 0 with no scale terms.  Products multiply their factors
+    left to right, and sums add products in order."""
+    if ctx.exact and all(map(_vanishes, parts)):
+        return Fraction(0), []
+    sums = []
+    scales = []
+    for part in parts:
+        signed = []
+        for sign, factors in part:
+            prod = factors[0]
+            for f in factors[1:]:
+                prod = prod * f
+            scales.append(abs(prod))
+            signed.append(prod if sign > 0 else -prod)
+        if signed:
+            sums.append(abs(sum(signed[1:], signed[0])))
+    worst = max(sums, default=ctx.zero())
+    if den is not None:
+        return Fraction(worst, den), [Fraction(v, den) for v in scales]
+    return worst, scales
 
 
 class _Ratio(NamedTuple):
@@ -248,74 +281,44 @@ def _shift_x(ctx, vec):
     return [ctx.zero()] + list(vec)
 
 
-def _comb(ctx, pairs):
-    """sum coef*vec over (coef, vec) pairs, each vec a P, Q or R vector in
-    the memo's shape; returns (max |residual coefficient|, scale terms)."""
+def _comb(ctx, terms):
+    """The residual of sum sign*coef*vec over (sign, coef, vec) terms, each
+    vec a P, Q or R vector in the memo's shape, one part per coefficient.
+    An exact vec is a pair (integers, den): with coef_i / den_i = w_i / D
+    over one common denominator, coefficient k is the integer sum of
+    sign_i w_i integers_i[k] over D."""
+    den = None
     if ctx.exact:
-        # with vec_i = ints_i / den_i, coefficient k vanishes iff
-        # sum_i w_i ints_i[k] does, w_i being coef_i / den_i over one
-        # common denominator: one test per coefficient
-        weights, _ = _integers([_Ratio(coef.numerator, coef.denominator * den)
-                                for coef, (_, den) in pairs])
-        rows = [ints for _, (ints, _) in pairs]
-        width = max(map(len, rows), default=0)
-        if all(_vanishes([(w, (ints[k],)) for w, ints in zip(weights, rows)
-                          if k < len(ints)])
-               for k in range(width)):
-            return Fraction(0), []
-    out = []
-    scales = []
-    for coef, vec in pairs:
-        terms = [coef * v for v in _values(vec)]
-        out.extend([ctx.zero()] * (len(terms) - len(out)))
-        for k, term in enumerate(terms):
-            out[k] = out[k] + term
-        scales.append(_maxabs(ctx, terms))
-    return _maxabs(ctx, out), scales
-
-
-def _maxabs(ctx, vec):
-    return max((abs(v) for v in vec), default=ctx.zero())
-
-
-def _sum_terms(pairs):
-    """(sum of products, list of individual product magnitudes)."""
-    total = None
-    terms = []
-    for sign, factors in pairs:
-        prod = None
-        for f in factors:
-            prod = f if prod is None else prod * f
-        terms.append(abs(prod))
-        prod = prod if sign > 0 else -prod
-        total = prod if total is None else total + prod
-    return total, terms
+        weights, den = _integers([_Ratio(coef.numerator, coef.denominator * d)
+                                  for _, coef, (_, d) in terms])
+        terms = [(sign, w, ints)
+                 for (sign, _, (ints, _)), w in zip(terms, weights)]
+    width = max((len(vec) for _, _, vec in terms), default=0)
+    return _residual(ctx, [[(sign, (coef, vec[k])) for sign, coef, vec in terms
+                            if k < len(vec)] for k in range(width)], den)
 
 
 # ---- Identity evaluators, one per kind: -> (residual_abs, scales) ----
 
 def _ev_stencil(ctx, stencil, n, s, t):
     read = ctx._family
-    pairs = [(sign, [read(f, n + dn, s + ds, t + dt)
-                     for f, dn, ds, dt in reads if f != "x"])
-             for sign, reads in stencil]
-    if stencil[0][1][-1][0] in _VECTORS:
-        # each product is a coefficient, the signed product of its scalar
-        # reads in written order, times its vector
-        terms = []
-        for (sign, values), (_, reads) in zip(pairs, stencil):
-            *scalars, vec = values
-            coef = scalars[0]
-            for v in scalars[1:]:
-                coef = coef * v
-            if ("x", 0, 0, 0) in reads:
-                vec = _shift_x(ctx, vec)
-            terms.append((coef if sign > 0 else -coef, vec))
-        return _comb(ctx, terms)
-    if ctx.exact and _vanishes(pairs):
-        return Fraction(0), []
-    diff, terms = _sum_terms(pairs)
-    return abs(diff), terms
+    products = [(sign, [read(f, n + dn, s + ds, t + dt)
+                        for f, dn, ds, dt in reads if f != "x"])
+                for sign, reads in stencil]
+    if stencil[0][1][-1][0] not in _VECTORS:
+        return _residual(ctx, [products])
+    # each product is a coefficient, the product of its scalar reads in
+    # written order, times its vector
+    terms = []
+    for (sign, values), (_, reads) in zip(products, stencil):
+        *scalars, vec = values
+        coef = scalars[0]
+        for v in scalars[1:]:
+            coef = coef * v
+        if ("x", 0, 0, 0) in reads:
+            vec = _shift_x(ctx, vec)
+        terms.append((sign, coef, vec))
+    return _comb(ctx, terms)
 
 
 # the quartic's eight tau reads (dn, ds, dt), in _dckp_parts' argument order:
@@ -332,44 +335,25 @@ def _dckp_parts(a, b, c, d, e, f, g, h):
 
 def _ev_dckp(ctx, n, s, t):
     taus = [ctx.tau(n + dn, s + ds, t + dt) for dn, ds, dt in DCKP_SITES]
+    den = None
     if ctx.exact:
         # the quartic is homogeneous in tau, so over the integer taus its
-        # residual is the true one times a power of their common denominator
-        A0, A1, B = _dckp_parts(*_integers(taus)[0])
-        if _vanishes([(4, (A0, A1)), (-1, (B, B))]):
-            return Fraction(0), []
+        # residual is the true one times D^4, D their common denominator
+        taus, D = _integers(taus)
+        den = D ** 4
     A0, A1, B = _dckp_parts(*taus)
-    diff = 4 * A0 * A1 - B * B
-    return abs(diff), [abs(4 * A0 * A1), abs(B * B)]
+    return _residual(ctx, [[(1, (4, A0, A1)), (-1, (B, B))]], den)
 
 
 def _ev_propr(ctx, n, s, t):
     # R_n pairs to zero with the bimoment columns 0..n-2 and with phi
-    rv = ctx._family("R", n, s, t)
+    rv, den = ctx._family("R", n, s, t), None
+    if ctx.exact:
+        rv, den = rv
     columns = [lambda k, i=i: ctx.m(k, i, s, t) for i in range(n - 1)]
     columns.append(lambda k: ctx.ph(k, s, t))
-    if ctx.exact:
-        ints, _ = rv
-        if all(_vanishes([(a, (col(k),)) for k, a in enumerate(ints) if a])
-               for col in columns):
-            return Fraction(0), []
-        rv = _values(rv)
-    worst = ctx.zero()
-    scales = []
-    for col in columns:
-        tot = ctx.zero()
-        top = ctx.zero()
-        for k, c in enumerate(rv):
-            if c == 0:
-                continue
-            term = c * col(k)
-            tot += term
-            if abs(term) > top:
-                top = abs(term)
-        if abs(tot) > worst:
-            worst = abs(tot)
-        scales.append(top)
-    return worst, scales
+    return _residual(ctx, [[(1, (c, col(k))) for k, c in enumerate(rv) if c]
+                           for col in columns], den)
 
 
 def _ev_4trr(ctx, n, s, t):
@@ -385,13 +369,12 @@ def _ev_4trr(ctx, n, s, t):
     c_n = ctx.coeff_c(n, s, t)
     c_nm1 = ctx.coeff_c(n - 1, s, t)
     one = ctx.one()
-    pairs = [(one, _shift_x(ctx, pvec(n))),
-             (a_n, _shift_x(ctx, pvec(n - 1))),
-             (-one, pvec(n + 1)),
-             (-(a_n - b_n), pvec(n)),
-             (-(a_n * b_nm1 - c_n), pvec(n - 1)),
-             (a_n * c_nm1, pvec(n - 2))]
-    return _comb(ctx, pairs)
+    return _comb(ctx, [(1, one, _shift_x(ctx, pvec(n))),
+                       (1, a_n, _shift_x(ctx, pvec(n - 1))),
+                       (-1, one, pvec(n + 1)),
+                       (-1, a_n - b_n, pvec(n)),
+                       (-1, a_n * b_nm1 - c_n, pvec(n - 1)),
+                       (1, a_n * c_nm1, pvec(n - 2))])
 
 
 def evaluate(ctx, identity_id, n, s, t, variant="confirmed"):

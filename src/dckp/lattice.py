@@ -14,7 +14,6 @@ roots.
 
 import math
 import operator
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -193,7 +192,7 @@ def _corner_roots(a, b, c, d, e, f, h, sqrt, over):
     return (over(-mid + 2 * root, a2), over(-mid - 2 * root, a2))
 
 
-def solve_dckp_corner(taus, dps=None):
+def solve_dckp_corner(taus):
     """Two roots of the quartic lattice equation read as a quadratic in its
     corner tau_{n+1}^{s,t+1}.
 
@@ -207,7 +206,7 @@ def solve_dckp_corner(taus, dps=None):
     over their least common denominator D the corner is X' / D, X' the root
     of the same quadratic over the integers: one isqrt tests the
     discriminant, and each root is one Fraction.  Float taus are solved at
-    `dps` digits when given.
+    the caller's working precision (`propagate` runs under ctx.wp()).
     """
     a, b, c, d, e, f, _, h = taus
     known = (a, b, c, d, e, f, h)
@@ -215,8 +214,7 @@ def solve_dckp_corner(taus, dps=None):
         nums, D = _integers(known)
         return _corner_roots(*nums, _integer_sqrt,
                              lambda num, den: Fraction(num, den * D))
-    with mp.workdps(dps) if dps is not None else nullcontext():
-        return _corner_roots(*known, _float_sqrt, operator.truediv)
+    return _corner_roots(*known, _float_sqrt, operator.truediv)
 
 
 # ---- Propagation ----
@@ -238,7 +236,6 @@ def propagate(lat, from_t, to_t):
                      lat.precision_digits, dict(lat.values),
                      dict(lat.provenance), lat.families)
     S1 = lat.Smax + lat.Nmax - 1
-    dps = None if ctx.exact else ctx.dps
     work = {}
 
     def val(n, s, t):
@@ -261,7 +258,8 @@ def propagate(lat, from_t, to_t):
                 taus = [None if site == _CORNER
                         else val(n + site[0], s + site[1], t + site[2])
                         for site in DCKP_SITES]
-                r1, r2 = solve_dckp_corner(taus, dps=dps)
+                with ctx.wp():
+                    r1, r2 = solve_dckp_corner(taus)
                 ref = ctx.tau(n + 1, s, t + 1)
                 d1, d2 = abs(r1 - ref), abs(r2 - ref)
                 if r1 != r2 and d1 == d2:

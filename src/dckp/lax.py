@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
 from . import detkit, polyfam
-from .identities import _adjudicate, _policy_for, _sum_terms, _with_relative
+from .identities import _adjudicate, _policy_for, _with_relative
 
 EIGEN_SAMPLES = (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
                  Fraction(1, 2), Fraction(2, 3))
@@ -81,7 +81,8 @@ def _check_K(K):
 
 def _operator(ctx, sub, bands):
     """(I + diag(sub) Lam^-1)^-1 T, T the K x K band matrix whose entry (i,
-    i + o) is bands[o](i); call under ctx.wp()."""
+    i + o) is bands[o](i); its callers are derived, so it runs under
+    ctx.wp()."""
     K, zero = len(sub), ctx.zero()
     T = _zeros(K, zero)
     for o, band in bands.items():
@@ -93,33 +94,30 @@ def _operator(ctx, sub, bands):
 @detkit.derived
 def build_L(ctx, K, s, t):
     _check_K(K)
-    with ctx.wp():
-        a = [ctx.coeff_a(n, s, t) for n in range(K)]
-        b = [ctx.coeff_b(n, s, t) for n in range(K)]
-        c = [ctx.coeff_c(n, s, t) for n in range(K)]
-        return _operator(ctx, a, {1: lambda i: ctx.one(),
-                                  0: lambda i: a[i] - b[i],
-                                  -1: lambda i: a[i] * b[i - 1] - c[i],
-                                  -2: lambda i: -a[i] * c[i - 1]})
+    a = [ctx.coeff_a(n, s, t) for n in range(K)]
+    b = [ctx.coeff_b(n, s, t) for n in range(K)]
+    c = [ctx.coeff_c(n, s, t) for n in range(K)]
+    return _operator(ctx, a, {1: lambda i: ctx.one(),
+                              0: lambda i: a[i] - b[i],
+                              -1: lambda i: a[i] * b[i - 1] - c[i],
+                              -2: lambda i: -a[i] * c[i - 1]})
 
 
 @detkit.derived
 def build_N(ctx, K, s, t):
     _check_K(K)
-    with ctx.wp():
-        alpha = [ctx.coeff_alpha(n, s, t) for n in range(K)]
-        beta = [ctx.coeff_beta(n, s, t) for n in range(K)]
-        return _operator(ctx, alpha, {1: lambda i: ctx.one(),
-                                      0: lambda i: beta[i]})
+    alpha = [ctx.coeff_alpha(n, s, t) for n in range(K)]
+    beta = [ctx.coeff_beta(n, s, t) for n in range(K)]
+    return _operator(ctx, alpha, {1: lambda i: ctx.one(),
+                                  0: lambda i: beta[i]})
 
 
 @detkit.derived
 def build_M(ctx, K, s, t):
     _check_K(K)
-    with ctx.wp():
-        d = [ctx.coeff_d(n, s, t) for n in range(K)]
-        e = [ctx.coeff_e(n, s, t) for n in range(K)]
-        return _operator(ctx, e, {0: lambda i: ctx.one(), -1: lambda i: d[i]})
+    d = [ctx.coeff_d(n, s, t) for n in range(K)]
+    e = [ctx.coeff_e(n, s, t) for n in range(K)]
+    return _operator(ctx, e, {0: lambda i: ctx.one(), -1: lambda i: d[i]})
 
 
 # ---- Compatibility residuals ----
@@ -181,8 +179,8 @@ def _apply(Op, vec, zero):
             for i in range(K)]
 
 
-def eigen_residuals(ctx, K, s, t, xs=EIGEN_SAMPLES):
-    """Pointwise operator action on the polynomial column at sample points.
+def eigen_residuals(ctx, K, s, t):
+    """Pointwise operator action on the polynomial column at EIGEN_SAMPLES.
 
     L is an eigenvalue relation at the base site, N maps the site to (s+1,t)
     scaled by x, and M pulls the (s,t+1) column back to (s,t).  Rows 0..K-2
@@ -192,7 +190,7 @@ def eigen_residuals(ctx, K, s, t, xs=EIGEN_SAMPLES):
     L, N, M = (build(ctx, K, s, t) for build in (build_L, build_N, build_M))
     out = {"L_eigen": zero, "N_shift": zero, "M_shift": zero, "K": K}
     with ctx.wp():
-        for x in xs:
+        for x in EIGEN_SAMPLES:
             xv = x if ctx.exact else ctx.one() * x
             col00 = _poly_stack(ctx, K, s, t, xv)
             col10 = _poly_stack(ctx, K, s + 1, t, xv)
@@ -270,9 +268,8 @@ def _eq_terms(ctx, eq, n, s, t, variant):
 def evaluate_equation(ctx, eq, n, s, t, variant="repaired"):
     """(residual_abs, scale terms) of one compatibility equation at one site."""
     with ctx.wp():
-        total, scales = _sum_terms([(1, (v,)) for v in
-                                    _eq_terms(ctx, eq, n, s, t, variant)])
-        return abs(total), scales
+        terms = _eq_terms(ctx, eq, n, s, t, variant)
+        return abs(sum(terms[1:], terms[0])), [abs(v) for v in terms]
 
 
 def verify_six_equations(ctx, nmax, s, t, policy=None):

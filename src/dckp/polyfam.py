@@ -67,6 +67,4 @@ def poly(ctx, family, n, s, t):
     if den == 0:
         raise DegeneracyError("normalizer of %s_%d vanishes at (s=%d,t=%d)"
                               % (family, n, s, t))
-    with ctx.wp():
-        coeffs = tuple(c / den for c in raw)
-    return PolyCoeffs(family, n, s, t, coeffs)
+    return PolyCoeffs(family, n, s, t, tuple(c / den for c in raw))

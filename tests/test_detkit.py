@@ -506,7 +506,8 @@ _VERIFY = ["verify", "--jobs", "1", "--n", "3", "--s", "1", "--t", "1"]
     ["lax", "--n", "4", "--s", "1", "--t", "1"],
     ["lattice", "--n", "3", "--s", "1", "--t", "1"],
 ] + [_VERIFY + ["--identities", ident] for ident in identities.CATALOG_IDS],
-    ids=lambda argv: "-".join(argv[:1] + argv[10:]))
+    ids=lambda argv: "-".join(argv[:1] + [v for k, v in zip(argv, argv[1:])
+                                          if k == "--identities"]))
 def test_commands_bound_sweeps_above_every_order_they_read(argv, mode, capsys,
                                                            monkeypatch):
     # each command bounds its contexts' sweeps by the highest order it reads:

@@ -1,6 +1,7 @@
 """Identity catalog: exact suites per mode, gating, variant adjudication,
 shift-closure link, report serialization."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dckp import identities, moments, detkit
-from dckp.numerics import DegeneracyError, ExtentError, TolerancePolicy
+from dckp import identities, lax, moments, detkit
+from dckp.numerics import (DegeneracyError, ExtentError, TolerancePolicy,
+                           fmt_scalar)
 
 
 def make_record(ctx, identity_id, n, s, t, policy=None):
@@ -320,6 +322,92 @@ def test_integer_zero_test_sees_a_wrong_value(monkeypatch):
                        "trans2", "propr"}
     monkeypatch.setattr(identities, "_vanishes", lambda products: False)
     assert _catalog_run(ctx) == fast
+
+
+# ---- Nonzero residuals pinned ----
+
+# memo values bumped one at a time, each a scalar (k None) or coefficient k
+# of a P, Q or R vector; a value the context never read is left out
+_PIN_BUMPS = ((("tau", 2, 1, 1), None), (("xi", 2, 1, 0), None),
+              (("sigma", 1, 0, 1), None), (("psi", 2, 0, 0), None),
+              (("tau_tilde", 2, 0, 0), None), (("sigma_tilde", 2, 0, 0), None),
+              (("P", 2, 1, 0), 1), (("Q", 2, 0, 0), 0), (("R", 2, 0, 1), 1))
+
+# SHA-256 of each mode's _pinned_lines
+_PIN_DIGESTS = {
+    "structured":
+        "d814018f456be58cc49ccb50078989633084ce31c6176dcd5586b64abfbe1b68",
+    "generic":
+        "eeecf9909f67b0c8e3e6dfeadc13b737f2f7a48d9c527ee4512f427bedcdd50e",
+    "jacobi":
+        "0ff2a1bce449ef0906446808dd7988bb40cf9776988c1270c10ea33a6e5368a4",
+}
+
+
+def _residual_lines(ctx):
+    """The formatted (residual_abs, residual_rel) of every catalog id, both
+    variants, and every variant of the six Lax equations at n <= 3 and
+    s, t <= 1, or the error it raises."""
+    digits = None if ctx.exact else ctx.dps
+    ctx.derived.clear()
+
+    def outcome(evaluate, *args):
+        try:
+            res = identities._with_relative(ctx, *evaluate(ctx, *args))
+        except (ExtentError, DegeneracyError) as exc:
+            return type(exc).__name__
+        return " ".join(fmt_scalar(v, digits) for v in res)
+
+    cases = [("id", identities.evaluate, ident, variant, spec.n_min)
+             for ident, spec in identities.IDENTITY_SPECS.items()
+             for variant in ("confirmed", "printed")[:1 + bool(spec.printed)]]
+    cases += [("lax", lax.evaluate_equation, eq, variant, n_min)
+              for eq, (n_min, variants) in lax.SIX_EQUATIONS.items()
+              for variant in variants]
+    return ["%s %s %s %d %d %d %s" % (what, ident, variant, n, s, t,
+                                      outcome(evaluate, ident, n, s, t, variant))
+            for what, evaluate, ident, variant, n_min in cases
+            for n in range(n_min, 4) for s in (0, 1) for t in (0, 1)]
+
+
+def _pinned_lines(ctx):
+    """_residual_lines on ctx as built, then under each bump of _PIN_BUMPS:
+    +1 in exact mode, a 1 + 10^-5 scaling in float mode."""
+    lines = _residual_lines(ctx)
+    up = ((lambda v: v + 1) if ctx.exact
+          else (lambda v: v * (1 + mp.mpf(10) ** -5)))
+    for key, k in _PIN_BUMPS:
+        value = ctx.memo.get(key)
+        if value is None:
+            continue
+        with ctx.wp():
+            bumped = _bumps(value, up)[k or 0]
+        ctx.memo[key] = bumped
+        lines.append("bump %s %s" % (key, k))
+        lines += _residual_lines(ctx)
+        ctx.memo[key] = value
+    return lines
+
+
+@pytest.mark.parametrize("mode, build", [
+    ("structured", lambda: moments.synthetic_structured(1, 9, tmax=2)),
+    ("generic", lambda: moments.synthetic_generic(1, 9, tmax=2)),
+    ("jacobi", lambda: moments.build_jacobi(9, TolerancePolicy(40, 10), tmax=2)),
+])
+def test_nonzero_residuals_are_pinned(mode, build):
+    # the residuals and relative residuals of every evaluator kind and of
+    # lax's equations, pinned where they fail: under a +1 bump of one memo
+    # value (exact), or its 1 + 10^-5 scaling (float, 40/10 digits)
+    lines = _pinned_lines(detkit.DetContext(build(), 6))
+    tol = Fraction(0) if mode != "jacobi" else Fraction(1, 10 ** 30)
+    failing = {tuple(line.split()[:2]) for line in lines
+               if not line.startswith("bump") and not line.endswith("Error")
+               and Fraction(line.split()[-1]) > tol}
+    ids = {("id", i) for i in identities.CATALOG_IDS
+           if i != "4trr" or mode != "generic"}
+    assert failing == ids | {("lax", eq) for eq in lax.SIX_EQUATIONS}
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _PIN_DIGESTS[mode]
 
 
 # ---- Float suite ----
