@@ -292,9 +292,10 @@ def cmd_verify(cfg):
     K = cfg.Nmax + cfg.Smax + 3
     ids = cfg.identities or identities.CATALOG_IDS
     policy = cfg.policy()
+    table = _build_table(cfg, K, cfg.Tmax)
     # one context, so the records and the variant report share its memo
-    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax),
-                            identities.orders_read(ids, cfg.Nmax))
+    ctx = detkit.DetContext(table, identities.orders_read(
+        ids, cfg.Nmax, cfg.Smax, cfg.Tmax, table.single_by_t))
     recs = identities.run_suite(ctx, cfg.Nmax, cfg.Smax, cfg.Tmax,
                                 policy=policy, ids=ids)
     adjud = identities.variant_report(
@@ -362,7 +363,9 @@ def cmd_lax(cfg):
     if Kop < 5:
         raise ConfigError("lax needs --n >= 4 (operator truncation K = n+1 >= 5)")
     K = Kop + cfg.Smax + 4
-    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax + 1), Kop + 1)
+    reads = lax.family_reads(Kop, cfg.Smax, cfg.Tmax)
+    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax + 1),
+                            detkit.orders_of(reads))
     policy = cfg.policy()
     doc = {"meta": {"mode": cfg.mode, "K": Kop,
                     "ranges": {"Smax": cfg.Smax, "Tmax": cfg.Tmax},

@@ -69,18 +69,22 @@ without pivoting is backward stable (de Boor & Pinkus, Linear Algebra Appl.
 17, 1977).
 
 A context is built with `orders`, the highest family orders its caller
-reads: a dict gives each family's own (a family left out is never read
-above its edge values), an int o every family's, o + 1 for the pivot
-families tau, xi and tauhat.  A family's sweeps memoize it up to that
-order, its reach.  Order n of a pivot family is read from frame rows
-0..n-1, of any other family from rows 0..n, and each sweep takes the frame
-rows the reaches of its families need (fewer where the table ends): a
-catalog verify at n = 14 sweeps the tau and P frames on 16 rows, the xi, Q
-and sigma_row frames on 15 and tauhat's on 14.  By Sylvester's identity an
-entry after k steps depends only on rows 0..k-1, i and columns 0..k-1, j,
-so the rows and columns left out change no value that is read, in either
-mode; the orders above the bound are the costliest ones, with the most
-steps and, in exact mode, the largest integers.
+reads: a dict maps (family, s, t) to the highest order read at that site
+(a family left out at a site is never read there above its edge values;
+`orders_of` builds it from a caller's reads), an int o gives every family
+o at every site, o + 1 for the pivot families tau, xi and tauhat.  The
+sweep at (s, t) memoizes each family up to that order, its reach there.
+Order n of a pivot family is read from frame rows 0..n-1 and bimoment
+columns 0..n-1, of any other family from rows 0..n and columns 0..n-1,
+but Rraw_n, whose phi column stands in for column n-1, from columns
+0..n-2.  So each sweep takes only the frame rows and bimoment columns the
+reaches of its families need at its site (fewer where the table ends), and
+only the border columns of families read there above their edge values: a
+frame read only at edge values eliminates nothing.  By Sylvester's
+identity an entry after k steps depends only on rows 0..k-1, i and columns
+0..k-1, j, so the rows and columns left out change no value that is read;
+the orders above the bound are the costliest ones, with the most steps
+and, in exact mode, the largest integers.
 
 The float sweep checks each pivot before it divides by it.  Pivot k fails
 unless it exceeds 10^-(dps - WORKING_MARGIN), that is 10^-precision, times
@@ -93,11 +97,12 @@ tau, xi and tauhat is.  At a failed pivot the sweep keeps the values of that
 step that do not use it (all but the pivot family's next order) and stops.
 
 A read the sweeps do not reach raises ExtentError past the table's extent
-(the literal minor's rows do not exist); above its family's reach, a
-ValueError naming it, so a bound set too tight fails loudly rather than as
-a skipped site; past a failed float pivot, DegeneracyError naming the
-family, (n, s, t) and the pivot.  Past a zero divisor tau_k of the exact
-sweep it is det_exact of the literal minor.
+(the literal minor's rows do not exist); above its family's reach at its
+site, a ValueError naming it, the site and that reach, so a bound set too
+tight fails loudly rather than as a skipped site; past a failed float
+pivot, DegeneracyError naming the family, (n, s, t) and the pivot.  Past a
+zero divisor tau_k of the exact sweep it is det_exact of the literal
+minor.
 
 Edge conventions: tau_0 = xi_0 = tauhat_0 = 1 and sigtilde_{-1} = 1 (empty
 determinants); Praw_{-1} = Qraw_{-1} = [] (the zero polynomial); tau_{-1} =
@@ -180,6 +185,16 @@ def _frames():
 
 
 _FRAMES = _frames()
+
+
+def orders_of(reads):
+    """A DetContext's `orders` from the reads (family, n, s, t) of its
+    caller: the highest n read of each family at each (s, t)."""
+    orders = {}
+    for family, n, s, t in reads:
+        key = (family, s, t)
+        orders[key] = max(orders.get(key, n), n)
+    return orders
 
 
 # ---- Determinants ----
@@ -387,19 +402,15 @@ class DetContext:
     t moves through rank-one evolved copies of the base table, s through index
     shifts inside each copy.  All determinants are memoized in `memo`; one
     sweep per frame and (s, t) fills it up to `orders`, the highest family
-    orders the caller reads, an int or a dict by family (see the module
-    doc).  Values derived from the families (recurrence coefficients, monic
-    polynomials, Lax operators) are memoized apart, in `derived`, so `memo`
-    holds families only.
+    orders the caller reads, an int or a dict by (family, s, t) (see the
+    module doc).  Values derived from the families (recurrence
+    coefficients, monic polynomials, Lax operators) are memoized apart, in
+    `derived`, so `memo` holds families only.
     """
 
     def __init__(self, base_table, orders):
         self.base = base_table
         self.orders = orders
-        # family -> the highest order its sweeps memoize
-        self.reach = {f: (orders + (spec.skip == 0) if isinstance(orders, int)
-                          else orders.get(f, -1))
-                      for f, spec in FAMILY_SPECS.items()}
         self.exact = base_table.exact
         self.dps = (None if self.exact
                     else base_table.precision_digits + WORKING_MARGIN)
@@ -445,11 +456,13 @@ class DetContext:
         tb = self.tables.get(t)
         return tb is not None and tb.has_single()
 
-    def has_phi(self, t):
-        tb = self.tables.get(t)
-        return tb is not None and tb.has_phi()
-
     # -- determinant families: one memoized evaluator over FAMILY_SPECS --
+
+    def _reach(self, family, s, t):
+        """The highest order of `family` the sweep at (s, t) memoizes."""
+        if isinstance(self.orders, int):
+            return self.orders + (FAMILY_SPECS[family].skip == 0)
+        return self.orders.get((family, s, t), -1)
 
     def _family(self, family, n, s, t):
         spec = FAMILY_SPECS[family]
@@ -472,10 +485,9 @@ class DetContext:
 
     def _sweep(self, frame, s, t):
         """Memoize every value of `frame` at (s, t) that one elimination
-        reaches, each family up to self.reach, from frame rows 0..r-1 inside
-        the table, r the most rows a family's reach needs: order n of a
-        pivot family, tau, xi or tauhat, is read from rows 0..n-1, of any
-        other family from rows 0..n.  Returns the float pivot that stopped
+        reaches, each family up to its reach there, from the frame rows,
+        bimoment columns and border columns those reaches need inside the
+        table (see the module doc).  Returns the float pivot that stopped
         it, as (step, pivot, floor), or None.
         Only the integer rows, the elimination, the value of a swept entry
         and the pivot check depend on the mode: exact rows are numerators
@@ -486,7 +498,7 @@ class DetContext:
         pivots, and only a float pivot is checked against its floor."""
         col, row, poly = frame
         names, borders = _FRAMES[frame]
-        specs = [(name, FAMILY_SPECS[name], self.reach[name])
+        specs = [(name, FAMILY_SPECS[name], self._reach(name, s, t))
                  for name in names]
         for name, spec, _ in specs:
             empty = -1 + (spec.skip is not None)    # the order of a 0 x 0 minor
@@ -497,14 +509,21 @@ class DetContext:
         tb = self.tables.get(t)
         if tb is None or ds < 0:
             return
+        # the families read here above their edge values: order n needs
+        # frame rows 0..n-1 (pivot family) or 0..n, and bimoment columns
+        # 0..n-1, 0..n-2 for Rraw
+        read = [(spec, reach) for _, spec, reach in specs
+                if reach >= max(spec.start, spec.skip is not None)]
+        rows = max([0] + [reach + (spec.skip != 0) for spec, reach in read])
+        cols = max([0] + [reach - (poly and spec.border is not None)
+                          for spec, reach in read])
         top = ds + row                  # table row of frame row 0
-        need = max(reach + (spec.skip != 0) for _, spec, reach in specs)
-        R = max(0, min(tb.K - top, need))       # frame rows
-        C = max(0, min(tb.K - ds - col, R))    # bimoment columns
+        R = max(0, min(tb.K - top, rows))           # frame rows
+        C = max(0, min(tb.K - ds - col, R, cols))   # bimoment columns
         vecs, at = [], {}               # border -> (frame column, rows it has)
         for b in borders:
             vec = tb.phi_by_t.get(t) if b == "phi" else tb.single
-            if vec is not None:
+            if vec is not None and any(spec.border == b for spec, _ in read):
                 at[b] = (C + len(vecs), min(len(vec) - top, R))
                 vecs.append(vec)
         ident = C + len(vecs)           # first column of the I block
@@ -614,11 +633,12 @@ class DetContext:
 
         drop = None if spec.skip is None else n - spec.skip
         rows = [line(i) for i in range(n + 1) if i != drop]   # or ExtentError
-        reach = self.reach[family]
+        reach = self._reach(family, s, t)
         if n > reach:
             raise ValueError("%s_%d^{%d,%d} is above the sweep bound of its "
-                             "context, which reaches %s to order %d"
-                             % (family, n, s, t, family, reach))
+                             "context, which reaches %s to order %d at "
+                             "(s, t) = (%d, %d)"
+                             % (family, n, s, t, family, reach, s, t))
         if not self.exact:
             k, pivot, floor = stop
             raise DegeneracyError(

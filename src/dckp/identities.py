@@ -15,8 +15,8 @@ linear ones (prop2.5, prop2.6, spec1, dt1 and trans2) each product ends in a
 P, Q or R cofactor vector, possibly times x, and the signed product of its
 scalar reads is the vector's coefficient.  So a stencil's reads are static.
 The other three kinds (4trr, propr, dckp) declare their highest read of each
-family, so `orders_read` bounds a verify context's sweeps by the reads of
-its ids.
+family at each shift of (s, t), so `orders_read` bounds a verify context's
+sweeps at each site by the reads of its ids there.
 At n = 0 the records of 3.2b, 3.3b, 3.4a, 3.4b, e1-e4, eq1, fn-b,
 tau-hat-rel and tri2 read no order >= 1 value outside a product that also
 holds an edge zero (tau_{-1} = xi_{-1} = sigma_{-1} = psi_{-1} = 0): they
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
                        _integers, fmt_scalar, relative_residual)
-from .detkit import FAMILY_SPECS
+from .detkit import FAMILY_SPECS, orders_of
 
 # the cofactor-vector families P, Q and R: a stencil product ending in one of
 # them is a vector
@@ -73,7 +73,8 @@ class Identity:
                                 # (family, dn, ds, dt): see _stencil
     printed: tuple = None       # the printed stencil of a variant id
     reads: tuple = ()           # a kind without a stencil: its highest read
-                                # of each family, (family, dn, ds, dt)
+                                # of each family at each (ds, dt), as
+                                # (family, dn, ds, dt)
 
 
 def _stencil(text):
@@ -153,7 +154,8 @@ IDENTITY_SPECS = {
                       " + psi[n-1] psi[n-1]", generic=True),
     "e4": _by_stencil("+ tau[t+1] xi[n-1] - tau xi[n-1,t+1] + psi[n-1] sigma[n-1]",
                       generic=True),
-    "dckp": Identity("dckp", generic=True, reads=_reads("tau[n+1,t+1]")),
+    "dckp": Identity("dckp", generic=True, reads=_reads(
+        "tau[n+1] tau[s+1] tau[n+1,t+1] tau[s+1,t+1]")),
 }
 
 CATALOG_IDS = tuple(IDENTITY_SPECS)
@@ -165,19 +167,25 @@ VARIANT_IDS = tuple(i for i, spec in IDENTITY_SPECS.items() if spec.printed)
 REPORT_DIGITS = 12
 
 
-def orders_read(ids, nmax):
+def orders_read(ids, nmax, smax, tmax, singles):
     """The highest order of each family that the records and variant reports
-    of `ids` read at n <= nmax, from their stencils, both variants, and
-    declared reads: a DetContext's `orders`."""
-    orders = {}
+    of `ids` on the site grid n <= nmax, s <= smax, t <= tmax read at each
+    (s, t), from their stencils, both variants, and declared reads: a
+    DetContext's `orders`.  An id that needs singles is read only at the t
+    in `singles`, those of the table (its `single_by_t`), as run_suite
+    skips it elsewhere."""
+    reads = []
     for ident in ids:
         spec = _spec(ident)
-        reads = [read for _, product in spec.stencil + (spec.printed or ())
-                 for read in product] + list(spec.reads)
-        for family, dn, _, _ in reads:
-            if family != "x":
-                orders[family] = max(orders.get(family, -1), nmax + dn)
-    return orders
+        if nmax < spec.n_min:
+            continue
+        shifts = [read for _, product in spec.stencil + (spec.printed or ())
+                  for read in product if read[0] != "x"] + list(spec.reads)
+        reads += [(family, nmax + dn, s + ds, t + dt)
+                  for s in range(smax + 1) for t in range(tmax + 1)
+                  if t in singles or not spec.single
+                  for family, dn, ds, dt in shifts]
+    return orders_of(reads)
 
 
 def _spec(identity_id):

@@ -22,7 +22,7 @@ import mpmath as mp
 from .numerics import (ConfigError, DegeneracyError, TolerancePolicy,
                        _integers, csv_text, fmt_scalar, relative_residual)
 from .identities import DCKP_SITES, _dckp_parts
-from . import moments, detkit
+from . import moments, detkit, lax
 
 # sigma_row is an internal evaluator for the identity battery, not lattice data
 LATTICE_FAMILIES = tuple(f for f in detkit.FAMILIES if f != "sigma_row")
@@ -107,10 +107,12 @@ def _check_t_evolution(ctx, policy):
                         "(rel %s)" % (i, j, mp.nstr(rel, 8)))
 
 
-def _family_available(ctx, family, t):
+def _family_available(table, family, t):
+    """Whether the t-evolved tables of `table` carry the border of `family`
+    at t."""
     border = detkit.FAMILY_SPECS[family].border
-    return border is None or (ctx.has_phi(t) if border == "phi"
-                              else ctx.has_single(t))
+    return border is None or t in (table.phi_by_t if border == "phi"
+                                   else table.single_by_t)
 
 
 def build_lattice(mode, Nmax, Smax, Tmax, config=None):
@@ -132,23 +134,33 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     table = moments.build_base_table(mode, 0, 0, Nmax + Smax + 3,
                                      policy=policy, seed=cfg.get("seed", 0),
                                      tmax=Tmax)
-    prec = table.precision_digits
-    # the lattice reads orders up to Nmax; lax on lat.ctx at K = Nmax one more
-    ctx = detkit.DetContext(table, Nmax + 1)
+    families = tuple(f for f in LATTICE_FAMILIES
+                     if _family_available(table, f, table.t0))
+    sites = [(f, n, s, t) for f in families for t in range(Tmax + 1)
+             if _family_available(table, f, t)
+             for n in range(Nmax + 1) for s in range(Smax + 1)]
+    ctx = detkit.DetContext(table, _orders_read(sites, Nmax, Smax, Tmax))
     if not table.exact and Tmax >= 1:
         _check_t_evolution(ctx, policy)
-    lat = TauLattice(mode, Nmax, Smax, Tmax, ctx, prec)
-    lat.families = tuple(f for f in LATTICE_FAMILIES
-                         if _family_available(ctx, f, table.t0))
-    for f in lat.families:
-        for t in range(Tmax + 1):
-            if not _family_available(ctx, f, t):
-                continue
-            for n in range(Nmax + 1):
-                for s in range(Smax + 1):
-                    lat.values[(f, n, s, t)] = detkit.eval_det(ctx, f, n, s, t)
-                    lat.provenance[(f, n, s, t)] = "determinant"
+    lat = TauLattice(mode, Nmax, Smax, Tmax, ctx, table.precision_digits,
+                     families=families)
+    for site in sites:
+        lat.values[site] = detkit.eval_det(ctx, *site)
+        lat.provenance[site] = "determinant"
     return lat
+
+
+def _orders_read(sites, Nmax, Smax, Tmax):
+    """The orders a lattice context declares: its own `sites`; Lax at
+    K = Nmax at s <= Smax, t < Tmax, with the six equations at n < Nmax at
+    (0, 0) (lax.family_reads); and tau alone on the propagation staircase,
+    to Nmax + Smax + 1 - s at s <= Smax + Nmax, where `propagate` reads the
+    corner oracle tau_{n+1}^{s,t+1} at s <= Smax + Nmax - n and the
+    quartic's tau_1^{s+1,t} up to s + 1 = Smax + Nmax."""
+    reads = sites + lax.family_reads(Nmax, Smax, Tmax - 1)
+    reads += [("tau", min(Nmax, Nmax + Smax + 1 - s), s, t)
+              for s in range(Smax + Nmax + 1) for t in range(Tmax + 1)]
+    return detkit.orders_of(reads)
 
 
 # ---- Quartic corner solve ----

@@ -79,6 +79,38 @@ def _check_K(K):
         raise ConfigError("operator truncation needs K >= 5, got %d" % K)
 
 
+def family_reads(K, smax, tmax):
+    """The family reads (family, n, s, t), each at its highest n, of
+    compat_residuals and eigen_residuals at K at every s <= smax, t <= tmax
+    and of verify_six_equations at n <= K - 1 at (0, 0): what a context
+    serving them declares (detkit.orders_of).  At K < 5, or on an empty
+    grid, they read nothing.
+
+    L at a site reads a_k, b_k, c_k for k < K (tau and tau_tilde to K,
+    sigma_tilde to K - 1), N alpha_k and beta_k (xi and tau to K, tau at
+    s+1 to K - 1), M d_k and e_k (sigma and tau to K - 1, tau at t+1 to
+    K - 1), and an eigen column P_k and its tau_k for k < K.  The six
+    equations read the coefficients at (0, 0) up to k = K, one order more
+    there, and at the neighbouring sites no more than Lax at (0, 0) does."""
+    if K < 5 or smax < 0 or tmax < 0:
+        return []
+    reads = [(f, K + 1, 0, 0) for f in ("tau", "xi", "tau_tilde")]
+    reads += [(f, K, 0, 0) for f in ("sigma", "sigma_tilde")]
+    for s in range(smax + 1):
+        for t in range(tmax + 1):
+            # L at (s, t), (s+1, t), (s, t+1), with the P columns there
+            for u, v in ((s, t), (s + 1, t), (s, t + 1)):
+                reads += [("tau", K, u, v), ("tau_tilde", K, u, v),
+                          ("sigma_tilde", K - 1, u, v), ("P", K - 1, u, v)]
+            for v in (t, t + 1):            # N at (s, t), (s, t+1)
+                reads += [("xi", K, s, v), ("tau", K, s, v),
+                          ("tau", K - 1, s + 1, v)]
+            for u in (s, s + 1):            # M at (s, t), (s+1, t)
+                reads += [("sigma", K - 1, u, t), ("tau", K - 1, u, t),
+                          ("tau", K - 1, u, t + 1)]
+    return reads
+
+
 def _operator(ctx, sub, bands):
     """(I + diag(sub) Lam^-1)^-1 T, T the K x K band matrix whose entry (i,
     i + o) is bands[o](i); its callers are derived, so it runs under

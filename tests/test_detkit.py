@@ -538,6 +538,92 @@ def test_lattice_context_serves_lax_at_its_order(monkeypatch):
     assert calls == []
 
 
+def _log_sweeps(monkeypatch):
+    """From now on: the highest n of every family read, by (context,
+    family, s, t), and the shape of every frame sweep, by (context, frame,
+    s, t): its frame rows, bimoment columns and border columns."""
+    reads, shapes, sweeping = {}, {}, []
+    family, sweep = detkit.DetContext._family, detkit.DetContext._sweep
+
+    def read(ctx, f, n, s, t):
+        key = (id(ctx), f, s, t)
+        reads[key] = max(reads.get(key, n), n)
+        return family(ctx, f, n, s, t)
+
+    def swept(ctx, frame, s, t):
+        sweeping.append((id(ctx), frame, s, t))
+        try:
+            return sweep(ctx, frame, s, t)
+        finally:
+            sweeping.pop()
+
+    def shaped(steps):
+        def run(M, *args):
+            C, key = args[-1], sweeping[-1]
+            # row 0 holds the bimoment and border columns, then the I
+            # block's one entry of a cofactor frame
+            shapes[key] = (len(M), C, len(M[0]) - C - key[1][2] if M else 0)
+            return steps(M, *args)
+        return run
+
+    monkeypatch.setattr(detkit.DetContext, "_family", read)
+    monkeypatch.setattr(detkit.DetContext, "_sweep", swept)
+    for name in ("_bareiss_steps", "_schur_steps"):
+        monkeypatch.setattr(detkit, name, shaped(getattr(detkit, name)))
+    return reads, shapes
+
+
+def _loose_sweeps(reads, shapes):
+    """The sweeps, with what they took and needed, that take a frame row,
+    bimoment column or border column beyond what the reads of their site
+    need: order n of a pivot family needs rows 0..n-1, of any other family
+    rows 0..n, and columns 0..n-1 (0..n-2 for R, whose phi column stands
+    in for column n-1); an edge value needs none."""
+    loose = []
+    for (ctx, frame, s, t), took in shapes.items():
+        rows = cols = 0
+        borders = set()
+        for family in detkit._FRAMES[frame][0]:
+            spec = detkit.FAMILY_SPECS[family]
+            n = reads.get((ctx, family, s, t), -2)
+            if n >= _first_swept(spec):
+                rows = max(rows, n + (spec.skip != 0))
+                cols = max(cols, n - (spec.lead is not None
+                                      and spec.border is not None))
+                borders |= {spec.border} - {None}
+        need = (rows, cols, len(borders))
+        if any(a > b for a, b in zip(took, need)):
+            loose.append((frame, s, t, took, need))
+    return loose
+
+
+@pytest.mark.parametrize("mode", ["structured", "jacobi"])
+def test_sweeps_take_only_what_their_site_reads(mode, monkeypatch):
+    # every frame sweep of a tiny verify, and of a lattice build, its
+    # propagation and the Lax residuals and six equations on its context,
+    # takes no frame row, bimoment column or border column beyond what the
+    # reads at its (s, t) need
+    reads, shapes = _log_sweeps(monkeypatch)
+    assert cli.main(_VERIFY + ["--mode", mode, "--precision", "30",
+                               "--guard", "10"]) == 0
+    assert len(shapes) > 30 and _loose_sweeps(reads, shapes) == []
+    reads.clear()
+    shapes.clear()
+    # (structured tables carry singles at their base t only, so Lax runs
+    # there at t = 0 alone)
+    kind, config, T = {
+        "structured": ("synthetic-structured", {"seed": 1}, 1),
+        "jacobi": ("jacobi-float", {"precision": 30, "guard": 10}, 2)}[mode]
+    lat = lattice.build_lattice(kind, 5, 1, T, config)
+    lattice.propagate(lat, 0, T)
+    for s in (0, 1):
+        for t in range(T):
+            lax.compat_residuals(lat.ctx, 5, s, t)
+            lax.eigen_residuals(lat.ctx, 5, s, t)
+    lax.verify_six_equations(lat.ctx, 4, 0, 0)
+    assert len(shapes) > 20 and _loose_sweeps(reads, shapes) == []
+
+
 def _outcome(ctx, family, n, s, t):
     try:
         return detkit.eval_det(ctx, family, n, s, t)
@@ -616,19 +702,21 @@ def _first_swept(spec):
     return max(spec.start, spec.skip is not None)
 
 
-def _reach(orders, family):
+def _reach(orders, family, s, t):
     """The highest order of `family` that a context built with `orders`
-    sweeps: an int bounds every family, one more for a pivot family, and a
-    dict gives each family's highest order read, none for one left out."""
+    sweeps at (s, t): an int bounds every family, one more for a pivot
+    family, and a dict gives each family's highest order read at each site,
+    none for one left out there."""
     if isinstance(orders, int):
         return orders + (detkit.FAMILY_SPECS[family].skip == 0)
-    return orders.get(family, -1)
+    return orders.get((family, s, t), -1)
 
 
 @pytest.mark.parametrize("mode", ["synthetic-structured", "jacobi-float"])
 def test_reads_above_the_sweep_bound_raise(mode, monkeypatch):
     # orders = 3 sweeps the pivot families to order 4 and the others to 3;
-    # a read above is neither a skip nor per minor, but an error naming it
+    # a read above is neither a skip nor per minor, but an error naming it,
+    # its site and the family's reach there
     table = moments.build_base_table(mode, 0, 0, 8, seed=2, tmax=1,
                                      policy=TolerancePolicy(30, 10))
     calls = _count_calls(monkeypatch, "det_exact")
@@ -637,27 +725,41 @@ def test_reads_above_the_sweep_bound_raise(mode, monkeypatch):
     for family, n in (("tau", 5), ("xi", 5), ("tau_hat", 5), ("sigma", 4),
                       ("tau_tilde", 4), ("P", 4), ("R", 4)):
         with pytest.raises(ValueError, match=r"^%s_%d\^\{0,0\} is above the "
-                           "sweep bound" % (family, n)):
+                           r"sweep bound of its context, which reaches %s to "
+                           r"order %d at \(s, t\) = \(0, 0\)$"
+                           % (family, n, family, n - 1)):
             detkit.eval_det(ctx, family, n, 0, 0)
     # past the table's extent the minor's own ExtentError comes first
     with pytest.raises(ExtentError):
         ctx.tau(9, 0, 0)
-    # per-family bounds, as verify sets them: each family is swept to its own
-    # order and one above raises, in frames whose rows reach further for
-    # another family; a family left out raises above its edge values
-    orders = {"tau": 2, "sigma": 4, "tau_tilde": 3, "xi": 1, "psi": 3,
-              "tau_hat": 4, "P": 1, "R": 4, "Q": 0}
+    # per-site bounds, as verify and the lattice set them: at each (s, t)
+    # each family is swept to its own order there and one above raises, in
+    # frames whose rows reach further for another family; a family left out
+    # at a site raises above its edge values, and at a site read only at
+    # edge values no sweep memoizes anything above them
+    at = {(0, 0): {"tau": 2, "sigma": 4, "tau_tilde": 3, "xi": 1, "psi": 3,
+                   "tau_hat": 4, "P": 1, "R": 4, "Q": 0, "sigma_tilde": 2},
+          (1, 1): {"tau": 4, "sigma_row": 3, "P": 3, "R": 1, "xi": 0},
+          (2, 0): {}}
+    orders = {(family, s, t): n for (s, t), reads in at.items()
+              for family, n in reads.items()}
     ctx = detkit.DetContext(table, orders)
-    for family, spec in detkit.FAMILY_SPECS.items():
-        top = max(_reach(orders, family), _first_swept(spec) - 1)
-        for n in range(-1, top + 1):
-            if n >= spec.start or not spec.error:
-                detkit.eval_det(ctx, family, n, 0, 0)
-        with pytest.raises(ValueError, match=r"^%s_%d\^\{0,0\} is above the "
-                           "sweep bound of its context, which reaches %s to "
-                           "order %d$" % (family, top + 1, family,
-                                          _reach(orders, family))):
-            detkit.eval_det(ctx, family, top + 1, 0, 0)
+    for s, t in at:
+        for family, spec in detkit.FAMILY_SPECS.items():
+            if spec.border == "u" and not ctx.has_single(t):
+                continue        # no minor of it exists: ExtentError
+            reach = _reach(orders, family, s, t)
+            top = max(reach, _first_swept(spec) - 1)
+            for n in range(-1, top + 1):
+                if n >= spec.start or not spec.error:
+                    detkit.eval_det(ctx, family, n, s, t)
+            with pytest.raises(ValueError, match=(
+                    r"^%s_%d\^\{%d,%d\} is above the sweep bound of its "
+                    r"context, which reaches %s to order %d at \(s, t\) = "
+                    r"\(%d, %d\)$" % (family, top + 1, s, t, family, reach,
+                                      s, t))):
+                detkit.eval_det(ctx, family, top + 1, s, t)
+    assert {n for _, n, s, t in ctx.memo if (s, t) == (2, 0)} == {-1, 0}
     assert calls == []
 
 
@@ -666,14 +768,17 @@ def test_reads_above_the_sweep_bound_raise(mode, monkeypatch):
                              "jacobi-float"]),
        seed=st.integers(0, 10 ** 6), K=st.integers(4, 7),
        orders=st.one_of(st.integers(0, 8), st.dictionaries(
-           st.sampled_from(sorted(detkit.FAMILY_SPECS)), st.integers(-1, 8))))
+           st.tuples(st.sampled_from(sorted(detkit.FAMILY_SPECS)),
+                     st.integers(0, 2), st.integers(0, 3)),
+           st.integers(-1, 8), max_size=40)))
 def test_bounded_sweeps_read_the_full_sweeps_values(mode, seed, K, orders):
     # after k steps an entry depends on rows 0..k-1, i and columns 0..k-1, j
-    # only, so a context whose sweeps stop at the frame row its families'
-    # bounds need reads the values of one sweeping the whole table at every
-    # order it reaches (an int `orders`, and one more for a pivot family, or
-    # each family's own order): equal Fractions, bit-identical mpf.  Above,
-    # it raises the bound error, unless the minor lies past the table's
+    # only, so a context whose sweep at each (s, t) stops at the frame row,
+    # bimoment column and border its families' bounds there need reads the
+    # values of one sweeping the whole table at every order it reaches (an
+    # int `orders`, and one more for a pivot family, or each family's own
+    # order at the site): equal Fractions, bit-identical mpf.  Above, it
+    # raises the bound error, unless the minor lies past the table's
     # extent, where both raise its ExtentError.
     table = moments.build_base_table(
         mode, 0, 0, K, seed=seed, tmax=2,
@@ -681,10 +786,10 @@ def test_bounded_sweeps_read_the_full_sweeps_values(mode, seed, K, orders):
     full = detkit.DetContext(table, table.K)
     bounded = detkit.DetContext(table, orders)
     for family, spec in detkit.FAMILY_SPECS.items():
-        reach = max(_reach(orders, family), _first_swept(spec) - 1)
-        for n in range(-2, K + 2):
-            for s in range(3):
-                for t in range(4):
+        for s in range(3):
+            for t in range(4):
+                reach = max(_reach(orders, family, s, t), _first_swept(spec) - 1)
+                for n in range(-2, K + 2):
                     want = _outcome(full, family, n, s, t)
                     if n <= reach or isinstance(want, ExtentError):
                         got = _outcome(bounded, family, n, s, t)

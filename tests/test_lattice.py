@@ -342,6 +342,22 @@ def test_propagate_exact_at_base_offsets(mode, seed, K, s0, t0):
         assert out.values[key] == ctx.tau(*key[1:]), key
 
 
+def _export(lat, t):
+    """A lattice propagated over (0, t] with its propagation report, as the
+    benchmark's lattice workload exports it."""
+    prop = lattice.propagate(lat, 0, t)
+    rep = lattice.propagation_report(prop, lat)
+    doc = prop.to_json_dict()
+    doc["propagation"] = {"sites": rep["sites"]}
+    for key in ("max_abs", "max_rel"):
+        doc["propagation"][key] = fmt_scalar(rep[key], identities.REPORT_DIGITS)
+    return doc
+
+
+def _digest(doc):
+    return hashlib.sha256((json.dumps(doc, indent=1) + "\n").encode()).hexdigest()
+
+
 # SHA-256 of a propagated exact and float lattice, exported with its
 # propagation report as the benchmark's lattice workload writes it: any
 # change to the bytes propagation gives fails here
@@ -356,15 +372,43 @@ PROPAGATION_DIGESTS = {
 @pytest.mark.parametrize("mode", sorted(PROPAGATION_DIGESTS))
 def test_propagation_export_bytes_are_pinned(mode):
     (kind, n, s, t, config), digest = PROPAGATION_DIGESTS[mode]
-    lat = lattice.build_lattice(kind, n, s, t, config)
-    prop = lattice.propagate(lat, 0, t)
-    rep = lattice.propagation_report(prop, lat)
-    doc = prop.to_json_dict()
-    doc["propagation"] = {"sites": rep["sites"]}
-    for key in ("max_abs", "max_rel"):
-        doc["propagation"][key] = fmt_scalar(rep[key], identities.REPORT_DIGITS)
-    text = json.dumps(doc, indent=1) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert _digest(_export(lattice.build_lattice(kind, n, s, t, config), t)) \
+        == digest
+
+
+# SHA-256 of the two documents of the benchmark's lattice workload at its
+# tiny size, data seed 3: the propagated jacobi lattice (30/10, n 5, s 2,
+# t 3) with its Lax residuals at K = 5 on s, t <= 1 and its six equations
+# at n <= 4, all on the lattice's own context, and the propagated
+# structured lattice (n 4).  A float frame that drops a border or column
+# some printed digit depends on fails here
+LATTICE_LAX_DIGESTS = (
+    "6128cc08352e8b8c61b56778c1023504f4861f6a329b7be806f62bf434eb79b8",
+    "e383becc4aa2a70da3610556b2f789238a13d8c5b3c5857f9aa4ad7de68d3d8a")
+
+
+def test_lattice_lax_documents_are_pinned():
+    digits = identities.REPORT_DIGITS
+    lat = lattice.build_lattice("jacobi-float", 5, 2, 3,
+                                {"precision": 30, "guard": 10})
+    doc = _export(lat, 3)
+    doc["lax"] = []
+    for s in (0, 1):
+        for t in (0, 1):
+            comp = lax.compat_residuals(lat.ctx, 5, s, t)
+            eig = lax.eigen_residuals(lat.ctx, 5, s, t)
+            doc["lax"].append({
+                "s": s, "t": t,
+                "compat": {k: fmt_scalar(v, digits) for k, v in comp.items()
+                           if k.startswith("compat")},
+                "eigen": {k: fmt_scalar(v, digits) for k, v in eig.items()
+                          if k != "K"}})
+    doc["six_equations"] = lax.verify_six_equations(
+        lat.ctx, 4, 0, 0, policy=TolerancePolicy(30, 10))
+    structured = lattice.build_lattice("synthetic-structured", 4, 2, 3,
+                                       {"seed": 3})
+    assert (_digest(doc), _digest(_export(structured, 3))) \
+        == LATTICE_LAX_DIGESTS
 
 
 def test_propagate_validation():
