@@ -363,9 +363,9 @@ def cmd_lax(cfg):
     if Kop < 5:
         raise ConfigError("lax needs --n >= 4 (operator truncation K = n+1 >= 5)")
     K = Kop + cfg.Smax + 4
-    reads = lax.family_reads(Kop, cfg.Smax, cfg.Tmax)
-    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax + 1),
-                            detkit.orders_of(reads))
+    table = _build_table(cfg, K, cfg.Tmax + 1)
+    ctx = detkit.DetContext(table, detkit.orders_of(lax.family_reads(
+        Kop, cfg.Smax, cfg.Tmax, table.single_by_t)))
     policy = cfg.policy()
     doc = {"meta": {"mode": cfg.mode, "K": Kop,
                     "ranges": {"Smax": cfg.Smax, "Tmax": cfg.Tmax},

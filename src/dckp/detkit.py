@@ -110,8 +110,12 @@ xi_{-1} = 0; sigma_{-1} = psi_{-1} = 0; tautilde_{n<=0} = 0; Rraw needs
 n >= 1.  Shifts in s reindex into the same table; shifts in t use the
 rank-one evolved tables.
 
-Recurrence coefficients are ratios of these determinants; a vanishing exact
-denominator raises DegeneracyError.
+The recurrence coefficients are ratios of these determinants: COEFFICIENTS
+gives each as a numerator stencil (signed products of reads at shifts of
+(n, s, t), parsed by `stencil` like the catalog's identities and lax's
+equations), a denominator product and a lowest n, below which it is 0.  One
+memoized `DetContext.coeff` reads them all through `DetContext.terms`, and
+`stencil_reads` derives the family reads a stencil makes from the same tables.
 
 Beside the family memo each context keeps a memo of derived values: the
 recurrence coefficients here, polyfam's monic vectors and lax's operators,
@@ -197,6 +201,83 @@ def orders_of(reads):
     return orders
 
 
+# ---- Stencils ----
+
+@functools.lru_cache(maxsize=None)
+def stencil(text):
+    """Signed products from text such as "+ tau[n+1] xi[n-1,s+1] - 2 a b[n-1]",
+    parsed once per text as (sign, factors).  A factor is an integer
+    constant, a parenthesised group "( + g - alpha )", itself a stencil, or
+    a read, which names a family, a coefficient of COEFFICIENTS or x, and
+    its shifts of (n, s, t): tau[n-1,s+1] is tau_{n-1}^{s+1,t}, a bare xi is
+    xi_n^{s,t}.  The read x multiplies a catalog product's P, Q or R vector
+    by x."""
+    def products(tokens):               # up to the ")" closing a group
+        out = []
+        for token in tokens:
+            if token == ")":
+                break
+            if token in ("+", "-"):
+                out.append((1 if token == "+" else -1, []))
+            elif token == "(":
+                out[-1][1].append(products(tokens))
+            elif token.isdigit():
+                out[-1][1].append(int(token))
+            else:
+                name, _, shifts = token.rstrip("]").partition("[")
+                d = [0, 0, 0]
+                for shift in filter(None, shifts.split(",")):
+                    d["nst".index(shift[0])] = int(shift[1:])
+                out[-1][1].append((name, *d))
+        return tuple((sign, tuple(factors)) for sign, factors in out)
+    return products(iter(text.split()))
+
+
+# Each coefficient's numerator, its denominator (None for a combination of
+# coefficients) and its lowest n: the squared norm h_n, the subleading p_n
+# of P_n, the recurrence's a, b, c, the s-step's beta, alpha, the t-step's
+# d, e, then f = beta - alpha, g = d - e and the corrected chat.
+COEFFICIENTS = {
+    "h": ("+ tau[n+1]", "tau", 0),
+    "p": ("- tau_tilde", "tau", 0),
+    "a": ("- sigma_tilde tau[n-1]", "sigma_tilde[n-1] tau", 1),
+    "b": ("+ p[n+1] - p", None, 0),
+    "c": ("+ tau[n-1] tau[n+1]", "tau tau", 1),
+    "beta": ("+ xi[n+1] tau", "tau[n+1] xi", 0),
+    "alpha": ("+ xi[n+1] tau[n-1,s+1]", "xi tau[s+1]", 1),
+    "d": ("- sigma tau[n-1,t+1]", "sigma[n-1] tau[t+1]", 1),
+    "e": ("- sigma tau[n-1]", "sigma[n-1] tau", 1),
+    "f": ("+ beta - alpha", None, 0),
+    "g": ("+ d - e", None, 0),
+    "chat": ("+ c - 2 a b[n-1]", None, 1),
+}
+
+
+def stencil_reads(products, n, s, t):
+    """The family reads (family, n, s, t) that evaluating the stencil
+    `products` at (n, s, t) makes, in the order it makes them: a
+    coefficient reads those of its numerator and then of its denominator,
+    and none below its lowest n; a constant and x read none."""
+    reads = []
+    for _, factors in products:
+        for f in factors:
+            if isinstance(f, int):
+                continue
+            if not isinstance(f[0], str):
+                reads += stencil_reads(f, n, s, t)
+                continue
+            name, dn, ds, dt = f
+            at = (n + dn, s + ds, t + dt)
+            if name in COEFFICIENTS:
+                num, den, low = COEFFICIENTS[name]
+                if at[0] >= low:
+                    reads += stencil_reads(
+                        stencil(num + " + " + den if den else num), *at)
+            elif name != "x":
+                reads.append((name, *at))
+    return reads
+
+
 # ---- Determinants ----
 
 # Bits a float frame row carries below a working ulp of its largest entry.
@@ -214,7 +295,9 @@ SLACK_BITS = 32
 
 
 def det_exact(rows):
-    """Determinant of a square Fraction matrix by integer Bareiss elimination."""
+    """Determinant of a square Fraction matrix by integer Bareiss elimination
+    (`_bareiss_steps`), swapping in a row below with a nonzero pivot where
+    one is zero."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -225,25 +308,13 @@ def det_exact(rows):
         scale *= d
         M.append(ints)
     sign = 1
-    prev = 1
-    for k in range(n - 1):
+    for k, _ in _bareiss_steps(M, n):
         if M[k][k] == 0:
-            for r in range(k + 1, n):
-                if M[r][k] != 0:
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
+            r = next((r for r in range(k + 1, n) if M[r][k] != 0), None)
+            if r is None:
                 return Fraction(0)
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            mik = M[i][k]
-            row = M[i]
-            rk = M[k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pk - mik * rk[j]) // prev
-            row[k] = 0
-        prev = pk
+            M[k], M[r] = M[r], M[k]
+            sign = -sign
     return Fraction(sign * M[n - 1][n - 1], scale)
 
 
@@ -671,7 +742,7 @@ class DetContext:
     Rraw = _family_method("R", "Border [m cols 0..n-2 | phi | x^i]; "
                                "defined for n >= 1.")
 
-    # -- recurrence coefficients --
+    # -- stencils: the recurrence coefficients and their combinations --
 
     def wp(self):
         """Working-precision context for scalar arithmetic on family values."""
@@ -682,94 +753,46 @@ class DetContext:
             raise DegeneracyError("vanishing denominator in %s" % what)
         return num / den
 
-    @derived
-    def norm(self, n, s, t):
-        """h_n = tau_{n+1}/tau_n, the squared biorthogonal norm."""
-        return self._div(self.tau(n + 1, s, t), self.tau(n, s, t),
-                         "norm h_%d" % n)
+    def terms(self, products, n, s, t):
+        """The values of a stencil's signed products at (n, s, t): factors
+        multiplied left to right, the sign applied to the whole product, and
+        a group the sum of its own products in written order."""
+        out = []
+        for sign, factors in products:
+            prod = None
+            for f in factors:
+                if isinstance(f, int):
+                    v = f
+                elif not isinstance(f[0], str):
+                    v = self._sum(f, n, s, t)
+                else:
+                    name, dn, ds, dt = f
+                    read = self.coeff if name in COEFFICIENTS else self._family
+                    v = read(name, n + dn, s + ds, t + dt)
+                prod = v if prod is None else prod * v
+            out.append(prod if sign > 0 else -prod)
+        return out
+
+    def _sum(self, products, n, s, t):
+        values = self.terms(products, n, s, t)
+        return sum(values[1:], values[0])
 
     @derived
-    def psub(self, n, s, t):
-        """Subleading coefficient p_n of P_n: -tautilde_n/tau_n."""
-        return self._div(-self.tautilde(n, s, t), self.tau(n, s, t), "p_%d" % n)
-
-    @derived
-    def coeff_a(self, n, s, t):
-        if n == 0:
+    def coeff(self, name, n, s, t):
+        """Coefficient `name` of COEFFICIENTS at (n, s, t).  A vanishing exact
+        denominator raises DegeneracyError, but d and e, over sigma_{n-1},
+        are 0 where phi vanishes from s on."""
+        num, den, low = COEFFICIENTS[name]
+        if n < low:
             return self.zero()
-        return self._div(-self.sigtilde(n, s, t) * self.tau(n - 1, s, t),
-                         self.sigtilde(n - 1, s, t) * self.tau(n, s, t),
-                         "a_%d" % n)
-
-    @derived
-    def coeff_b(self, n, s, t):
-        return self.psub(n + 1, s, t) - self.psub(n, s, t)
-
-    @derived
-    def coeff_c(self, n, s, t):
-        if n == 0:
+        v = self._sum(stencil(num), n, s, t)
+        if den is None:
+            return v
+        d, = self.terms(stencil("+ " + den), n, s, t)
+        if d == 0 and name in ("d", "e") and not any(
+                self._table(t).phi_by_t[t][s - self.s0:]):   # read by sigma
             return self.zero()
-        return self._div(self.tau(n - 1, s, t) * self.tau(n + 1, s, t),
-                         self.tau(n, s, t) ** 2, "c_%d" % n)
-
-    @derived
-    def coeff_beta(self, n, s, t):
-        return self._div(self.xi(n + 1, s, t) * self.tau(n, s, t),
-                         self.tau(n + 1, s, t) * self.xi(n, s, t),
-                         "beta_%d" % n)
-
-    @derived
-    def coeff_alpha(self, n, s, t):
-        """alpha_n = xi_{n+1} tau_{n-1}^{s+1} / (xi_n tau_n^{s+1})."""
-        if n == 0:
-            return self.zero()
-        return self._div(self.xi(n + 1, s, t) * self.tau(n - 1, s + 1, t),
-                         self.xi(n, s, t) * self.tau(n, s + 1, t),
-                         "alpha_%d" % n)
-
-    def _phi_all_zero(self, s, t):
-        tb = self._table(t)
-        vec = tb.phi_by_t.get(t)
-        if vec is None:
-            return False
-        return all(v == 0 for v in vec[s - self.s0:])
-
-    @derived
-    def coeff_d(self, n, s, t):
-        return self._sigma_ratio("d", n, s, t, 1)
-
-    @derived
-    def coeff_e(self, n, s, t):
-        return self._sigma_ratio("e", n, s, t, 0)
-
-    def _sigma_ratio(self, name, n, s, t, dt):
-        # d_n (dt = 1) and e_n (dt = 0): -sigma_n tau_{n-1}^{t+dt} /
-        # (sigma_{n-1} tau_n^{t+dt}), 0 when phi vanishes from s on; d_0 and
-        # e_0 are 0, like a_0 and c_0.  Read through the derived coeff_d and
-        # coeff_e, so under self.wp()
-        if n == 0:
-            return self.zero()
-        num = -self.sigma(n, s, t) * self.tau(n - 1, s, t + dt)
-        den = self.sigma(n - 1, s, t) * self.tau(n, s, t + dt)
-        if den == 0 and self._phi_all_zero(s, t):
-            return self.zero()
-        return self._div(num, den, "%s_%d" % (name, n))
-
-    @derived
-    def coeff_f(self, n, s, t):
-        return self.coeff_beta(n, s, t) - self.coeff_alpha(n, s, t)
-
-    @derived
-    def coeff_g(self, n, s, t):
-        return self.coeff_d(n, s, t) - self.coeff_e(n, s, t)
-
-    @derived
-    def coeff_chat(self, n, s, t):
-        """chat_n = c_n - 2 a_n b_{n-1}, the corrected bilinear combination."""
-        if n == 0:
-            return self.zero()
-        return (self.coeff_c(n, s, t)
-                - 2 * self.coeff_a(n, s, t) * self.coeff_b(n - 1, s, t))
+        return self._div(v, d, "%s_%d" % ("norm h" if name == "h" else name, n))
 
 
 # ---- Module-level operation wrappers ----

@@ -14,9 +14,11 @@ evaluated by one function (a variant id also has its printed one).  In the
 linear ones (prop2.5, prop2.6, spec1, dt1 and trans2) each product ends in a
 P, Q or R cofactor vector, possibly times x, and the signed product of its
 scalar reads is the vector's coefficient.  So a stencil's reads are static.
-The other three kinds (4trr, propr, dckp) declare their highest read of each
-family at each shift of (s, t), so `orders_read` bounds a verify context's
-sweeps at each site by the reads of its ids there.
+The other three kinds (4trr, propr, dckp) declare their highest reads as a
+stencil of one product, 4trr its recurrence coefficients a, b, c and
+P_{n+1}.  `orders_read` expands every stencil into family reads
+(detkit.stencil_reads), so it bounds a verify context's sweeps at each
+site by the reads of its ids there.
 At n = 0 the records of 3.2b, 3.3b, 3.4a, 3.4b, e1-e4, eq1, fn-b,
 tau-hat-rel and tri2 read no order >= 1 value outside a product that also
 holds an edge zero (tau_{-1} = xi_{-1} = sigma_{-1} = psi_{-1} = 0): they
@@ -51,7 +53,7 @@ from typing import NamedTuple
 
 from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
                        _integers, fmt_scalar, relative_residual)
-from .detkit import FAMILY_SPECS, orders_of
+from .detkit import FAMILY_SPECS, orders_of, stencil, stencil_reads
 
 # the cofactor-vector families P, Q and R: a stencil product ending in one of
 # them is a vector
@@ -70,40 +72,15 @@ class Identity:
     single: bool = False        # needs singles: on structured data it gates
                                 # only at the base t
     stencil: tuple = ()         # signed products (sign, reads), each read
-                                # (family, dn, ds, dt): see _stencil
+                                # (family, dn, ds, dt): see detkit.stencil
     printed: tuple = None       # the printed stencil of a variant id
-    reads: tuple = ()           # a kind without a stencil: its highest read
-                                # of each family at each (ds, dt), as
-                                # (family, dn, ds, dt)
-
-
-def _stencil(text):
-    """Signed products from text such as "+ tau[n+1] xi[n-1,s+1] - ...", stored
-    pre-split as (sign, reads).  A read names its family and its shifts of
-    (n, s, t): tau[n-1,s+1] is tau_{n-1}^{s+1,t}, a bare xi is xi_n^{s,t}.
-    The token x, a read of family "x", multiplies the product's P, Q or R
-    vector by x."""
-    products = []
-    for token in text.split():
-        if token in ("+", "-"):
-            products.append((1 if token == "+" else -1, []))
-            continue
-        family, _, shifts = token.rstrip("]").partition("[")
-        d = [0, 0, 0]
-        for shift in filter(None, shifts.split(",")):
-            d["nst".index(shift[0])] = int(shift[1:])
-        products[-1][1].append((family, *d))
-    return tuple((sign, tuple(reads)) for sign, reads in products)
-
-
-def _reads(text):
-    """Reads written as in a stencil, "tau[n+1] P" for tau_{n+1} and P_n."""
-    return _stencil("+ " + text)[0][1]
+    reads: tuple = ()           # a kind without a stencil: its highest reads,
+                                # as a stencil of one product
 
 
 def _by_stencil(text, printed=None, generic=False, n_min=0):
     return Identity("stencil", n_min=n_min, generic=generic,
-                    stencil=_stencil(text), printed=printed and _stencil(printed))
+                    stencil=stencil(text), printed=printed and stencil(printed))
 
 
 _E1 = "+ tau[n+1] tau[n-1,s+1] - tau tau[s+1] + xi xi"
@@ -112,8 +89,8 @@ _FN_B = "+ sigma tau[s+1] - sigma[n-1,s+1] tau[n+1] - xi psi"
 
 IDENTITY_SPECS = {
     # 4trr: a_n, b_n, c_n and P_{n+1} = Praw_{n+1} / tau_{n+1}
-    "4trr": Identity("4trr", n_min=1, single=True, reads=_reads(
-        "tau[n+1] tau_tilde[n+1] sigma_tilde P[n+1]")),
+    "4trr": Identity("4trr", n_min=1, single=True,
+                     reads=stencil("+ a b c P[n+1]")),
     "prop2.5": _by_stencil("+ tau[n+1] x P[s+1] - tau[s+1] P[n+1] - xi[n+1] Q"),
     "prop2.6": _by_stencil("+ tau[n-1,s+1] Q - xi x P[n-1,s+1] + tau[s+1] Q[n-1]",
                            n_min=1),
@@ -124,7 +101,7 @@ IDENTITY_SPECS = {
     "trans2": _by_stencil("+ sigma[n-1] tau P[t+1] - sigma tau P[n-1,t+1]"
                           " - sigma[n-1] tau[t+1] P + sigma tau[t+1] P[n-1]",
                           n_min=1),
-    "propr": Identity("propr", n_min=1, reads=_reads("R")),
+    "propr": Identity("propr", n_min=1, reads=stencil("+ R")),
     "eq1": _by_stencil(_E1),
     "3.2a": _by_stencil("+ tau[t+1] tau[n+1] - tau[n+1,t+1] tau - sigma sigma",
                         "+ tau[n+1,t+1] tau - tau[t+1] tau[n+1] - sigma sigma"),
@@ -154,8 +131,8 @@ IDENTITY_SPECS = {
                       " + psi[n-1] psi[n-1]", generic=True),
     "e4": _by_stencil("+ tau[t+1] xi[n-1] - tau xi[n-1,t+1] + psi[n-1] sigma[n-1]",
                       generic=True),
-    "dckp": Identity("dckp", generic=True, reads=_reads(
-        "tau[n+1] tau[s+1] tau[n+1,t+1] tau[s+1,t+1]")),
+    "dckp": Identity("dckp", generic=True, reads=stencil(
+        "+ tau[n+1] tau[s+1] tau[n+1,t+1] tau[s+1,t+1]")),
 }
 
 CATALOG_IDS = tuple(IDENTITY_SPECS)
@@ -179,12 +156,10 @@ def orders_read(ids, nmax, smax, tmax, singles):
         spec = _spec(ident)
         if nmax < spec.n_min:
             continue
-        shifts = [read for _, product in spec.stencil + (spec.printed or ())
-                  for read in product if read[0] != "x"] + list(spec.reads)
-        reads += [(family, nmax + dn, s + ds, t + dt)
-                  for s in range(smax + 1) for t in range(tmax + 1)
+        products = spec.stencil + (spec.printed or ()) + spec.reads
+        reads += [read for s in range(smax + 1) for t in range(tmax + 1)
                   if t in singles or not spec.single
-                  for family, dn, ds, dt in shifts]
+                  for read in stencil_reads(products, nmax, s, t)]
     return orders_of(reads)
 
 
@@ -371,11 +346,11 @@ def _ev_4trr(ctx, n, s, t):
         coeffs = list(poly(ctx, "P", k, s, t).coeffs) if k >= 0 else []
         return _integers(coeffs) if ctx.exact else coeffs
 
-    a_n = ctx.coeff_a(n, s, t)
-    b_n = ctx.coeff_b(n, s, t)
-    b_nm1 = ctx.coeff_b(n - 1, s, t)
-    c_n = ctx.coeff_c(n, s, t)
-    c_nm1 = ctx.coeff_c(n - 1, s, t)
+    a_n = ctx.coeff("a", n, s, t)
+    b_n = ctx.coeff("b", n, s, t)
+    b_nm1 = ctx.coeff("b", n - 1, s, t)
+    c_n = ctx.coeff("c", n, s, t)
+    c_nm1 = ctx.coeff("c", n - 1, s, t)
     one = ctx.one()
     return _comb(ctx, [(1, one, _shift_x(ctx, pvec(n))),
                        (1, a_n, _shift_x(ctx, pvec(n - 1))),

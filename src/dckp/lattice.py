@@ -139,7 +139,7 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     sites = [(f, n, s, t) for f in families for t in range(Tmax + 1)
              if _family_available(table, f, t)
              for n in range(Nmax + 1) for s in range(Smax + 1)]
-    ctx = detkit.DetContext(table, _orders_read(sites, Nmax, Smax, Tmax))
+    ctx = detkit.DetContext(table, _orders_read(table, sites, Nmax, Smax, Tmax))
     if not table.exact and Tmax >= 1:
         _check_t_evolution(ctx, policy)
     lat = TauLattice(mode, Nmax, Smax, Tmax, ctx, table.precision_digits,
@@ -150,14 +150,14 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     return lat
 
 
-def _orders_read(sites, Nmax, Smax, Tmax):
-    """The orders a lattice context declares: its own `sites`; Lax at
-    K = Nmax at s <= Smax, t < Tmax, with the six equations at n < Nmax at
-    (0, 0) (lax.family_reads); and tau alone on the propagation staircase,
-    to Nmax + Smax + 1 - s at s <= Smax + Nmax, where `propagate` reads the
-    corner oracle tau_{n+1}^{s,t+1} at s <= Smax + Nmax - n and the
-    quartic's tau_1^{s+1,t} up to s + 1 = Smax + Nmax."""
-    reads = sites + lax.family_reads(Nmax, Smax, Tmax - 1)
+def _orders_read(table, sites, Nmax, Smax, Tmax):
+    """The orders a lattice context on `table` declares: its own `sites`;
+    Lax at K = Nmax at s <= Smax, t < Tmax, with the six equations at
+    n < Nmax at (0, 0) (lax.family_reads); and tau alone on the propagation
+    staircase, to Nmax + Smax + 1 - s at s <= Smax + Nmax, where `propagate`
+    reads the corner oracle tau_{n+1}^{s,t+1} at s <= Smax + Nmax - n and
+    the quartic's tau_1^{s+1,t} up to s + 1 = Smax + Nmax."""
+    reads = sites + lax.family_reads(Nmax, Smax, Tmax - 1, table.single_by_t)
     reads += [("tau", min(Nmax, Nmax + Smax + 1 - s), s, t)
               for s in range(Smax + Nmax + 1) for t in range(Tmax + 1)]
     return detkit.orders_of(reads)

@@ -13,10 +13,12 @@ truncation defect lives only in the last row; products of two operators are
 then exact on the interior block [1, K-3] used for compatibility residuals,
 and only that block of each product is formed.
 Each operator is built once per DetContext and (K, s, t) (detkit.derived)
-and shared by the compatibility and eigenfunction residuals; no caller
-mutates one.
+from the coefficients OPERATORS names and shared by the compatibility and
+eigenfunction residuals; no caller mutates one.
 The six scalar compatibility equations are evaluated per variant: the three
-that survive adjudication verbatim, and repaired forms for the other three.
+that survive adjudication verbatim, and repaired forms for the other three,
+each a stencil over the coefficients (EQUATION_FORMS, DetContext.terms);
+`family_reads` derives the family reads from the same stencils.
 """
 
 from fractions import Fraction
@@ -79,38 +81,6 @@ def _check_K(K):
         raise ConfigError("operator truncation needs K >= 5, got %d" % K)
 
 
-def family_reads(K, smax, tmax):
-    """The family reads (family, n, s, t), each at its highest n, of
-    compat_residuals and eigen_residuals at K at every s <= smax, t <= tmax
-    and of verify_six_equations at n <= K - 1 at (0, 0): what a context
-    serving them declares (detkit.orders_of).  At K < 5, or on an empty
-    grid, they read nothing.
-
-    L at a site reads a_k, b_k, c_k for k < K (tau and tau_tilde to K,
-    sigma_tilde to K - 1), N alpha_k and beta_k (xi and tau to K, tau at
-    s+1 to K - 1), M d_k and e_k (sigma and tau to K - 1, tau at t+1 to
-    K - 1), and an eigen column P_k and its tau_k for k < K.  The six
-    equations read the coefficients at (0, 0) up to k = K, one order more
-    there, and at the neighbouring sites no more than Lax at (0, 0) does."""
-    if K < 5 or smax < 0 or tmax < 0:
-        return []
-    reads = [(f, K + 1, 0, 0) for f in ("tau", "xi", "tau_tilde")]
-    reads += [(f, K, 0, 0) for f in ("sigma", "sigma_tilde")]
-    for s in range(smax + 1):
-        for t in range(tmax + 1):
-            # L at (s, t), (s+1, t), (s, t+1), with the P columns there
-            for u, v in ((s, t), (s + 1, t), (s, t + 1)):
-                reads += [("tau", K, u, v), ("tau_tilde", K, u, v),
-                          ("sigma_tilde", K - 1, u, v), ("P", K - 1, u, v)]
-            for v in (t, t + 1):            # N at (s, t), (s, t+1)
-                reads += [("xi", K, s, v), ("tau", K, s, v),
-                          ("tau", K - 1, s + 1, v)]
-            for u in (s, s + 1):            # M at (s, t), (s+1, t)
-                reads += [("sigma", K - 1, u, t), ("tau", K - 1, u, t),
-                          ("tau", K - 1, u, t + 1)]
-    return reads
-
-
 def _operator(ctx, sub, bands):
     """(I + diag(sub) Lam^-1)^-1 T, T the K x K band matrix whose entry (i,
     i + o) is bands[o](i); its callers are derived, so it runs under
@@ -123,12 +93,19 @@ def _operator(ctx, sub, bands):
     return _forward_solve(sub, T, zero)
 
 
+# the coefficients each operator is built from, in the order it reads them
+OPERATORS = {"L": ("a", "b", "c"), "N": ("alpha", "beta"), "M": ("d", "e")}
+
+
+def _coefficients(ctx, op, K, s, t):
+    return [[ctx.coeff(name, n, s, t) for n in range(K)]
+            for name in OPERATORS[op]]
+
+
 @detkit.derived
 def build_L(ctx, K, s, t):
     _check_K(K)
-    a = [ctx.coeff_a(n, s, t) for n in range(K)]
-    b = [ctx.coeff_b(n, s, t) for n in range(K)]
-    c = [ctx.coeff_c(n, s, t) for n in range(K)]
+    a, b, c = _coefficients(ctx, "L", K, s, t)
     return _operator(ctx, a, {1: lambda i: ctx.one(),
                               0: lambda i: a[i] - b[i],
                               -1: lambda i: a[i] * b[i - 1] - c[i],
@@ -138,8 +115,7 @@ def build_L(ctx, K, s, t):
 @detkit.derived
 def build_N(ctx, K, s, t):
     _check_K(K)
-    alpha = [ctx.coeff_alpha(n, s, t) for n in range(K)]
-    beta = [ctx.coeff_beta(n, s, t) for n in range(K)]
+    alpha, beta = _coefficients(ctx, "N", K, s, t)
     return _operator(ctx, alpha, {1: lambda i: ctx.one(),
                                   0: lambda i: beta[i]})
 
@@ -147,12 +123,25 @@ def build_N(ctx, K, s, t):
 @detkit.derived
 def build_M(ctx, K, s, t):
     _check_K(K)
-    d = [ctx.coeff_d(n, s, t) for n in range(K)]
-    e = [ctx.coeff_e(n, s, t) for n in range(K)]
+    d, e = _coefficients(ctx, "M", K, s, t)
     return _operator(ctx, e, {0: lambda i: ctx.one(), -1: lambda i: d[i]})
 
 
+_BUILD = {"L": build_L, "N": build_N, "M": build_M}
+
+
 # ---- Compatibility residuals ----
+
+def _products(s, t):
+    """The operators (op, s, t) of each product P Q - Pb Qb of
+    compat_residuals at (s, t), as (P, Q, Pb, Qb)."""
+    return {"compat_MN": (("M", s + 1, t), ("N", s, t + 1), ("N", s, t),
+                          ("M", s, t)),
+            "compat_LN": (("L", s + 1, t), ("N", s, t), ("N", s, t),
+                          ("L", s, t)),
+            "compat_ML": (("M", s, t), ("L", s, t + 1), ("L", s, t),
+                          ("M", s, t))}
+
 
 def compat_residuals(ctx, K, s, t):
     """Max-abs interior residuals of the three discrete zero-curvature products.
@@ -169,18 +158,10 @@ def compat_residuals(ctx, K, s, t):
     _check_K(K)
     zero = ctx.zero()
     lo, hi = 1, K - 3
-    parts = {
-        "compat_MN": ((build_M, s + 1, t), (build_N, s, t + 1),
-                      (build_N, s, t), (build_M, s, t)),
-        "compat_LN": ((build_L, s + 1, t), (build_N, s, t),
-                      (build_N, s, t), (build_L, s, t)),
-        "compat_ML": ((build_M, s, t), (build_L, s, t + 1),
-                      (build_L, s, t), (build_M, s, t)),
-    }
     out = {}
-    for name, ops in parts.items():
+    for name, ops in _products(s, t).items():
         try:
-            P, Q, Pb, Qb = [build(ctx, K, *site) for build, *site in ops]
+            P, Q, Pb, Qb = [_BUILD[op](ctx, K, *site) for op, *site in ops]
         except (ExtentError, DegeneracyError) as exc:
             out[name] = None
             out[name + "_skipped"] = type(exc).__name__ + ": " + str(exc)
@@ -247,60 +228,37 @@ SIX_EQUATIONS = {"eq1": (0, ("printed",)), "eq2": (0, ("printed",)),
                  "eq5": (0, ("printed", "repaired")),
                  "eq6": (1, ("printed", "repaired"))}
 
-
-def _eq_terms(ctx, eq, n, s, t, variant):
-    """Signed product terms of one scalar compatibility equation."""
-    def f0(k): return ctx.coeff_f(k, s, t)
-    def f2(k): return ctx.coeff_f(k, s, t + 1)
-    def g0(k): return ctx.coeff_g(k, s, t)
-    def g1(k): return ctx.coeff_g(k, s + 1, t)
-    def b0(k): return ctx.coeff_b(k, s, t)
-    def b1(k): return ctx.coeff_b(k, s + 1, t)
-    def b2(k): return ctx.coeff_b(k, s, t + 1)
-    def al0(k): return ctx.coeff_alpha(k, s, t)
-    def al2(k): return ctx.coeff_alpha(k, s, t + 1)
-    def e0(k): return ctx.coeff_e(k, s, t)
-    def e1(k): return ctx.coeff_e(k, s + 1, t)
-    def c0c(k): return ctx.coeff_c(k, s, t)
-    def c1c(k): return ctx.coeff_c(k, s + 1, t)
-    def c2c(k): return ctx.coeff_c(k, s, t + 1)
-    def ch0(k): return ctx.coeff_chat(k, s, t)
-    def ch1(k): return ctx.coeff_chat(k, s + 1, t)
-    def ch2(k): return ctx.coeff_chat(k, s, t + 1)
-    zero = ctx.zero()
-
-    if eq == "eq1":
-        return [g1(n), f2(n), -f0(n), -g0(n + 1)]
-    if eq == "eq2":
-        return [f0(n + 1), -b1(n), -f0(n), b0(n + 1)]
-    if eq == "eq3":
-        return [g0(n), -b2(n), -g0(n + 1), b0(n)]
-    if eq == "eq4":
-        if variant == "printed":
-            return [(g1(n) - al2(n)) * f2(n - 1), -e1(n) * g1(n - 1),
-                    -(g0(n - 1) - al0(n)) * f0(n - 1), e0(n) * g0(n - 1)]
-        return [(g1(n) - al2(n)) * f2(n - 1), -e1(n) * g1(n - 1),
-                -(f0(n) - e0(n + 1)) * g0(n), al0(n) * f0(n - 1)]
-    if eq == "eq5":
-        tail = al0(n) * f0(n - 1) if n >= 1 else zero
-        if variant == "printed":
-            return [c1c(n), b1(n) * f0(n), -al0(n + 1) * f0(n), -c0c(n + 1),
-                    f0(n) * b0(n), tail]
-        return [ch1(n), b1(n) * f0(n), al0(n + 1) * f0(n), -ch0(n + 1),
-                -f0(n) * b0(n), -tail]
-    if eq == "eq6":
-        if variant == "printed":
-            return [c2c(n - 1), -g0(n) * b2(n - 1), e0(n) * g0(n - 1),
-                    -c0c(n - 1), g0(n - 1) * b0(n - 1), -e0(n - 1) * g0(n - 1)]
-        return [ch2(n), g0(n) * b2(n - 1), e0(n) * g0(n - 1),
-                -ch0(n), -e0(n + 1) * g0(n), -b0(n) * g0(n)]
-    raise ValueError("unknown equation id: %r" % (eq,))
+# each variant's form, a stencil over the recurrence coefficients whose
+# signed products must sum to zero
+_EQ4 = "+ ( + g[s+1] - alpha[t+1] ) f[n-1,t+1] - e[s+1] g[n-1,s+1]"
+EQUATION_FORMS = {
+    "eq1": {"printed": "+ g[s+1] + f[t+1] - f - g[n+1]"},
+    "eq2": {"printed": "+ f[n+1] - b[s+1] - f + b[n+1]"},
+    "eq3": {"printed": "+ g - b[t+1] - g[n+1] + b"},
+    "eq4": {"printed": _EQ4 + " - ( + g[n-1] - alpha ) f[n-1] + e g[n-1]",
+            "repaired": _EQ4 + " - ( + f - e[n+1] ) g + alpha f[n-1]"},
+    "eq5": {"printed": "+ c[s+1] + b[s+1] f - alpha[n+1] f - c[n+1] + f b"
+                       " + alpha f[n-1]",
+            "repaired": "+ chat[s+1] + b[s+1] f + alpha[n+1] f - chat[n+1]"
+                        " - f b - alpha f[n-1]"},
+    "eq6": {"printed": "+ c[n-1,t+1] - g b[n-1,t+1] + e g[n-1] - c[n-1]"
+                       " + g[n-1] b[n-1] - e[n-1] g[n-1]",
+            "repaired": "+ chat[t+1] + g b[n-1,t+1] + e g[n-1] - chat"
+                        " - e[n+1] g - b g"},
+}
 
 
 def evaluate_equation(ctx, eq, n, s, t, variant="repaired"):
-    """(residual_abs, scale terms) of one compatibility equation at one site."""
+    """(residual_abs, scale terms) of one compatibility equation at one site;
+    an equation with one form serves it for every variant."""
+    forms = EQUATION_FORMS.get(eq)
+    if forms is None:
+        raise ValueError("unknown equation id: %r" % (eq,))
+    form = forms["printed"] if len(forms) == 1 else forms.get(variant)
+    if form is None:
+        raise ValueError("equation %r has no variant %r" % (eq, variant))
     with ctx.wp():
-        terms = _eq_terms(ctx, eq, n, s, t, variant)
+        terms = ctx.terms(detkit.stencil(form), n, s, t)
         return abs(sum(terms[1:], terms[0])), [abs(v) for v in terms]
 
 
@@ -323,3 +281,48 @@ def verify_six_equations(ctx, nmax, s, t, policy=None):
             variants, [(n, s, t) for n in range(n_min, nmax + 1)], policy,
             ("max_residual_abs", "max_residual_rel", "sites", "skipped", "passes"))
     return report
+
+
+# ---- Reads ----
+
+# the reads of each operator, its coefficients in the builder's order, and
+# of an eigen column's P_n, its normalizer tau_n and Praw_n, as stencils
+_READS = {op: "+ " + " ".join(names) for op, names in OPERATORS.items()}
+_READS["P"] = "+ tau P"
+
+
+def family_reads(K, smax, tmax, singles):
+    """The family reads (family, n, s, t) of compat_residuals and
+    eigen_residuals at K at s <= smax, t <= tmax and of verify_six_equations
+    at n < K at (0, 0), derived by detkit.stencil_reads from the forms and
+    from _READS at n = K - 1, their highest reads.  An evaluation (a
+    product, eigen_residuals at a site, a form at an n) stops at its first
+    read of sigma_tilde at a t not in `singles` (the table's single_by_t),
+    where it raises ExtentError, and so do its reads.  At K < 5, or on an
+    empty grid, they read nothing."""
+    if K < 5 or smax < 0 or tmax < 0:
+        return []
+
+    def served(evaluation):
+        reads = [read for text, n, s, t in evaluation for read in
+                 detkit.stencil_reads(detkit.stencil(text), n, s, t)]
+        for i, (family, _, _, t) in enumerate(reads):
+            if family == "sigma_tilde" and t not in singles:
+                return reads[:i]
+        return reads
+
+    evaluations = [[(form, n, 0, 0)] for eq, (n_min, _) in SIX_EQUATIONS.items()
+                   for form in EQUATION_FORMS[eq].values()
+                   for n in range(n_min, K)]
+    for s in range(smax + 1):
+        for t in range(tmax + 1):
+            # compat_residuals' products; eigen_residuals builds L, N and M
+            # at (s, t), then reads the P columns at (s, t), (s+1, t) and
+            # (s, t+1)
+            for ops in list(_products(s, t).values()) + [(
+                    ("L", s, t), ("N", s, t), ("M", s, t), ("P", s, t),
+                    ("P", s + 1, t), ("P", s, t + 1))]:
+                evaluations.append([(_READS[op], K - 1, u, v)
+                                    for op, u, v in ops])
+    return list(dict.fromkeys(read for evaluation in evaluations  # once each
+                              for read in served(evaluation)))

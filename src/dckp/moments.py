@@ -81,9 +81,6 @@ class MomentTable:
             raise ExtentError("phi index %d outside extent %d" % (i, len(vec)))
         return vec[i]
 
-    def has_phi(self):
-        return self.t0 in self.phi_by_t
-
     def has_single(self):
         return self.single is not None
 

@@ -168,7 +168,7 @@ def test_criterion_5_orthogonality(jac_ctx):
             for t in (0, 1, 2):
                 polys = {n: polyfam.poly(jac_ctx, "P", n, s, t) for n in range(5)}
                 for n in range(5):
-                    h = jac_ctx.norm(n, s, t)
+                    h = jac_ctx.coeff("h", n, s, t)
                     for m in range(n):
                         v = _inner(jac_ctx, polys[n].coeffs,
                                    polys[m].coeffs, s, t)

@@ -127,18 +127,13 @@ def test_family_edge_conventions(generic_ctx):
 
 def test_coefficient_edges(structured_ctx):
     c = structured_ctx
-    assert c.coeff_a(0, 0, 0) == 0
-    assert c.coeff_c(0, 0, 0) == 0
-    assert c.coeff_alpha(0, 0, 0) == 0
-    assert c.psub(0, 0, 0) == 0
-    assert c.coeff_d(0, 0, 0) == 0
-    assert c.coeff_e(0, 0, 0) == 0
-    assert c.coeff_g(0, 0, 0) == 0
-
-
-COEFFICIENTS = ("norm", "psub", "coeff_a", "coeff_b", "coeff_c", "coeff_beta",
-                "coeff_alpha", "coeff_d", "coeff_e", "coeff_f", "coeff_g",
-                "coeff_chat")
+    assert c.coeff("a", 0, 0, 0) == 0
+    assert c.coeff("c", 0, 0, 0) == 0
+    assert c.coeff("alpha", 0, 0, 0) == 0
+    assert c.coeff("p", 0, 0, 0) == 0
+    assert c.coeff("d", 0, 0, 0) == 0
+    assert c.coeff("e", 0, 0, 0) == 0
+    assert c.coeff("g", 0, 0, 0) == 0
 
 
 class _CountingDict(dict):
@@ -164,12 +159,12 @@ def test_coefficients_evaluated_once_per_context():
         return div(num, den, what)
 
     ctx._div = counting
-    values = [[getattr(ctx, name)(n, 1, 0) for name in COEFFICIENTS
+    values = [[ctx.coeff(name, n, 1, 0) for name in detkit.COEFFICIENTS
                for n in range(4)] for _ in range(2)]
     assert values[0] == values[1]
     # b_n reads p_{n+1}, so a few more values than were asked for are kept
-    assert set(ctx.derived.stores) >= {("DetContext." + name, n, 1, 0)
-                                       for name in COEFFICIENTS
+    assert set(ctx.derived.stores) >= {("DetContext.coeff", name, n, 1, 0)
+                                       for name in detkit.COEFFICIENTS
                                        for n in range(4)}
     assert set(ctx.derived.stores.values()) == {1}
     assert divisions and set(divisions.values()) == {1}
@@ -181,8 +176,8 @@ def test_degenerate_coefficient_raises_every_time():
     ctx = detkit.DetContext(tab, tab.K)
     for _ in range(2):
         with pytest.raises(DegeneracyError, match="c_1"):
-            ctx.coeff_c(1, 0, 0)
-    assert ("DetContext.coeff_c", 1, 0, 0) not in ctx.derived
+            ctx.coeff("c", 1, 0, 0)
+    assert ("DetContext.coeff", "c", 1, 0, 0) not in ctx.derived
 
 
 def test_extent_errors(generic_ctx):
@@ -207,8 +202,8 @@ def test_jacobi_family_closed_forms(jacobi_ctx, jacobi_policy):
             (c.tau(1, 0, 0), 2 * L),
             (c.tau(2, 0, 0), mp.mpf(4) / 3 * L * (1 - L) - mp.mpf(1) / 4),
             (c.sigma(0, 0, 0), mp.sqrt(2) * L),
-            (c.psub(1, 0, 0), -1 / (4 * L)),
-            (c.coeff_c(1, 0, 0),
+            (c.coeff("p", 1, 0, 0), -1 / (4 * L)),
+            (c.coeff("c", 1, 0, 0),
              (mp.mpf(4) / 3 * L * (1 - L) - mp.mpf(1) / 4) / (4 * L ** 2)),
         )
         worst = min(digits_of_agreement(a, b) for a, b in checks)
@@ -229,8 +224,9 @@ def test_jacobi_positivity_small_grid(jacobi_ctx):
 
 def _alpha_difference(c, n, s, t):
     """alpha_n as beta_n - xi_{n+1} xi_n / (tau_{n+1} tau_n^{s+1})."""
-    return c.coeff_beta(n, s, t) - (c.xi(n + 1, s, t) * c.xi(n, s, t)
-                                    / (c.tau(n + 1, s, t) * c.tau(n, s + 1, t)))
+    return c.coeff("beta", n, s, t) - (c.xi(n + 1, s, t) * c.xi(n, s, t)
+                                       / (c.tau(n + 1, s, t)
+                                          * c.tau(n, s + 1, t)))
 
 
 def test_alpha_forms_agree_exactly(generic_ctx, structured_ctx):
@@ -239,23 +235,69 @@ def test_alpha_forms_agree_exactly(generic_ctx, structured_ctx):
     for c in (generic_ctx, structured_ctx):
         for n in range(1, 4):
             for s in range(2):
-                assert c.coeff_alpha(n, s, 0) == _alpha_difference(c, n, s, 0), \
-                    (n, s)
+                assert (c.coeff("alpha", n, s, 0)
+                        == _alpha_difference(c, n, s, 0)), (n, s)
 
 
 def test_chat_definition(structured_ctx):
     c = structured_ctx
     for n in range(1, 4):
-        assert c.coeff_chat(n, 0, 0) == (c.coeff_c(n, 0, 0)
-                                         - 2 * c.coeff_a(n, 0, 0)
-                                         * c.coeff_b(n - 1, 0, 0))
-    assert c.coeff_chat(0, 0, 0) == 0
+        assert c.coeff("chat", n, 0, 0) == (c.coeff("c", n, 0, 0)
+                                            - 2 * c.coeff("a", n, 0, 0)
+                                            * c.coeff("b", n - 1, 0, 0))
+    assert c.coeff("chat", 0, 0, 0) == 0
 
 
 def test_norm_is_tau_ratio(generic_ctx):
     c = generic_ctx
     for n in range(3):
-        assert c.norm(n, 0, 0) == c.tau(n + 1, 0, 0) / c.tau(n, 0, 0)
+        assert c.coeff("h", n, 0, 0) == c.tau(n + 1, 0, 0) / c.tau(n, 0, 0)
+
+
+@pytest.mark.parametrize("mode", ["structured", "jacobi"])
+def test_stencil_reads_are_the_reads_evaluation_makes(mode, monkeypatch):
+    # every coefficient and every form of the six equations, evaluated at
+    # n <= 4 and s, t <= 1 with the coefficient memo cleared, reads each
+    # family at each site up to the order detkit.stencil_reads derives.  An
+    # evaluation that raises ExtentError stops at the first read of
+    # sigma_tilde at a t without singles (structured data past its base t),
+    # and the derivation up to that read holds.
+    table = {"structured": lambda: moments.synthetic_structured(1, 9, tmax=2),
+             "jacobi": lambda: moments.build_jacobi(
+                 9, TolerancePolicy(30, 10), tmax=2)}[mode]()
+    ctx = detkit.DetContext(table, 9)
+    logged, family = {}, detkit.DetContext._family
+
+    def read(ctx, f, n, s, t):
+        logged[(f, s, t)] = max(logged.get((f, s, t), n), n)
+        return family(ctx, f, n, s, t)
+
+    monkeypatch.setattr(detkit.DetContext, "_family", read)
+    cases = [(detkit.stencil("+ " + name),
+              lambda n, s, t, name=name: ctx.coeff(name, n, s, t))
+             for name in detkit.COEFFICIENTS]
+    cases += [(detkit.stencil(form), lambda n, s, t, eq=eq, v=variant:
+               lax.evaluate_equation(ctx, eq, n, s, t, v))
+              for eq, forms in lax.EQUATION_FORMS.items()
+              for variant, form in forms.items()]
+    stopped = 0
+    for form, evaluate in cases:
+        for n in range(5):
+            for s in range(2):
+                for t in range(2):
+                    ctx.derived.clear()
+                    logged.clear()
+                    reads = detkit.stencil_reads(form, n, s, t)
+                    try:
+                        evaluate(n, s, t)
+                    except ExtentError:
+                        stop = next(i for i, (f, _, _, u) in enumerate(reads)
+                                    if f == "sigma_tilde"
+                                    and not ctx.has_single(u))
+                        reads = reads[:stop + 1]
+                        stopped += 1
+                    assert logged == detkit.orders_of(reads), (form, n, s, t)
+    assert stopped > 0 if mode == "structured" else stopped == 0
 
 
 # ---- Literal-matrix oracle for every family ----
@@ -559,10 +601,12 @@ def _log_sweeps(monkeypatch):
 
     def shaped(steps):
         def run(M, *args):
-            C, key = args[-1], sweeping[-1]
-            # row 0 holds the bimoment and border columns, then the I
-            # block's one entry of a cofactor frame
-            shapes[key] = (len(M), C, len(M[0]) - C - key[1][2] if M else 0)
+            if sweeping:        # not det_exact on one minor
+                C, key = args[-1], sweeping[-1]
+                # row 0 holds the bimoment and border columns, then the I
+                # block's one entry of a cofactor frame
+                shapes[key] = (len(M), C,
+                               len(M[0]) - C - key[1][2] if M else 0)
             return steps(M, *args)
         return run
 
@@ -597,29 +641,33 @@ def _loose_sweeps(reads, shapes):
     return loose
 
 
-@pytest.mark.parametrize("mode", ["structured", "jacobi"])
+@pytest.mark.parametrize("mode", ["structured", "generic", "jacobi"])
 def test_sweeps_take_only_what_their_site_reads(mode, monkeypatch):
-    # every frame sweep of a tiny verify, and of a lattice build, its
+    # every frame sweep of a tiny verify and lax, and of a lattice build, its
     # propagation and the Lax residuals and six equations on its context,
     # takes no frame row, bimoment column or border column beyond what the
-    # reads at its (s, t) need
+    # reads at its (s, t) need.  Where the table has no singles at t (on
+    # structured tables past their base t, on generic ones at every t), L
+    # raises at its first read, so no read of L there is declared.
     reads, shapes = _log_sweeps(monkeypatch)
-    assert cli.main(_VERIFY + ["--mode", mode, "--precision", "30",
-                               "--guard", "10"]) == 0
-    assert len(shapes) > 30 and _loose_sweeps(reads, shapes) == []
-    reads.clear()
-    shapes.clear()
-    # (structured tables carry singles at their base t only, so Lax runs
-    # there at t = 0 alone)
+    for argv, sweeps in ((_VERIFY, 30),
+                         (["lax", "--n", "4", "--s", "1", "--t", "1"], 10)):
+        assert cli.main(argv + ["--mode", mode, "--precision", "30",
+                                "--guard", "10"]) == 0
+        assert len(shapes) > sweeps and _loose_sweeps(reads, shapes) == []
+        reads.clear()
+        shapes.clear()
     kind, config, T = {
         "structured": ("synthetic-structured", {"seed": 1}, 1),
+        "generic": ("synthetic-generic", {"seed": 1}, 1),
         "jacobi": ("jacobi-float", {"precision": 30, "guard": 10}, 2)}[mode]
     lat = lattice.build_lattice(kind, 5, 1, T, config)
     lattice.propagate(lat, 0, T)
     for s in (0, 1):
         for t in range(T):
             lax.compat_residuals(lat.ctx, 5, s, t)
-            lax.eigen_residuals(lat.ctx, 5, s, t)
+            if lat.ctx.has_single(t):
+                lax.eigen_residuals(lat.ctx, 5, s, t)
     lax.verify_six_equations(lat.ctx, 4, 0, 0)
     assert len(shapes) > 20 and _loose_sweeps(reads, shapes) == []
 

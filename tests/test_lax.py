@@ -148,3 +148,13 @@ def test_equation_n_minimums(structured_ctx):
     assert res == 0 and scales
     with pytest.raises(ValueError):
         lax.evaluate_equation(structured_ctx, "eq9", 1, 0, 0)
+
+
+def test_equation_variants_are_those_of_the_table(structured_ctx):
+    # an equation with one form serves it for every variant; one with two
+    # forms knows only their names
+    c = structured_ctx
+    assert (lax.evaluate_equation(c, "eq1", 2, 0, 0, "repaired")
+            == lax.evaluate_equation(c, "eq1", 2, 0, 0, "printed"))
+    with pytest.raises(ValueError, match="no variant 'confirmed'"):
+        lax.evaluate_equation(c, "eq4", 1, 0, 0, "confirmed")

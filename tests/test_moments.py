@@ -268,7 +268,7 @@ def test_jacobi_evolve_t_runs_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_nodes", no_quadrature)
     ev = tab.evolve_t().evolve_t()
-    assert ev.t0 == 2 and ev.has_single() and ev.has_phi()
+    assert ev.t0 == 2 and ev.has_single()
     assert ev.single == tab.single_by_t[2]
 
 

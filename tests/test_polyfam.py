@@ -111,8 +111,8 @@ def test_p_orthogonality_and_norm(generic_ctx):
         P = polyfam.poly(c, "P", n, 0, 0)
         for j in range(n):
             assert _inner(c, P, _unit(j), 0, 0) == 0, (n, j)
-        assert _inner(c, P, _unit(n), 0, 0) == c.norm(n, 0, 0)
-        assert _inner(c, P, P, 0, 0) == c.norm(n, 0, 0)
+        assert _inner(c, P, _unit(n), 0, 0) == c.coeff("h", n, 0, 0)
+        assert _inner(c, P, P, 0, 0) == c.coeff("h", n, 0, 0)
 
 
 def test_q_orthogonality_shifted_slots(generic_ctx):
@@ -140,7 +140,7 @@ def test_r_is_p_plus_e_times_previous(generic_ctx):
         R = polyfam.poly(c, "R", n, 0, 0)
         P = polyfam.poly(c, "P", n, 0, 0)
         Pm = list(polyfam.poly(c, "P", n - 1, 0, 0).coeffs) + [Fraction(0)]
-        e = c.coeff_e(n, 0, 0)
+        e = c.coeff("e", n, 0, 0)
         assert tuple(a + e * b for a, b in zip(P.coeffs, Pm)) == R.coeffs
 
 
@@ -183,7 +183,7 @@ def test_jacobi_orthogonality_float(jacobi_ctx, jacobi_policy):
     with c.wp():
         for n in range(4):
             P = polyfam.poly(c, "P", n, 1, 1)
-            h = c.norm(n, 1, 1)
+            h = c.coeff("h", n, 1, 1)
             for m in range(n):
                 Pm = polyfam.poly(c, "P", m, 1, 1)
                 assert abs(_inner(c, P, Pm, 1, 1)) / h < tol, (n, m)
