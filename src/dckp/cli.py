@@ -291,15 +291,13 @@ def cmd_lattice(cfg):
 def cmd_verify(cfg):
     K = cfg.Nmax + cfg.Smax + 3
     ids = cfg.identities or identities.CATALOG_IDS
-    policy = cfg.policy()
     table = _build_table(cfg, K, cfg.Tmax)
     # one context, so the records and the variant report share its memo
     ctx = detkit.DetContext(table, identities.orders_read(
         ids, cfg.Nmax, cfg.Smax, cfg.Tmax, table.single_by_t))
-    recs = identities.run_suite(ctx, cfg.Nmax, cfg.Smax, cfg.Tmax,
-                                policy=policy, ids=ids)
+    recs = identities.run_suite(ctx, cfg.Nmax, cfg.Smax, cfg.Tmax, ids=ids)
     adjud = identities.variant_report(
-        ctx, cfg.Nmax, cfg.Smax, cfg.Tmax, policy=policy,
+        ctx, cfg.Nmax, cfg.Smax, cfg.Tmax,
         ids=[i for i in identities.VARIANT_IDS if i in ids], records=recs)
     summ = identities.suite_summary(recs)
     summ_line = {"summary": {k: summ[k] for k in ("records", "gating_failures",
@@ -366,10 +364,9 @@ def cmd_lax(cfg):
     table = _build_table(cfg, K, cfg.Tmax + 1)
     ctx = detkit.DetContext(table, detkit.orders_of(lax.family_reads(
         Kop, cfg.Smax, cfg.Tmax, table.single_by_t)))
-    policy = cfg.policy()
     doc = {"meta": {"mode": cfg.mode, "K": Kop,
                     "ranges": {"Smax": cfg.Smax, "Tmax": cfg.Tmax},
-                    "precision": None if ctx.exact else cfg.precision},
+                    "precision": table.precision_digits},
            "sites": []}
     for s in range(cfg.Smax + 1):
         for t in range(cfg.Tmax + 1):
@@ -389,8 +386,7 @@ def cmd_lax(cfg):
             except (DegeneracyError, ExtentError) as exc:
                 entry["eigen"] = {"skipped": str(exc)}
             doc["sites"].append(entry)
-    doc["six_equations"] = lax.verify_six_equations(ctx, cfg.Nmax, 0, 0,
-                                                    policy=policy)
+    doc["six_equations"] = lax.verify_six_equations(ctx, cfg.Nmax, 0, 0)
     _emit(json.dumps(doc, indent=1) + "\n", cfg.out)
     chosen = {eq: e["chosen"] for eq, e in doc["six_equations"]["equations"].items()}
     bad = [eq for eq, ch in chosen.items() if ch is None and not ctx.exact]

@@ -134,7 +134,7 @@ from math import gcd
 import mpmath as mp
 from mpmath import libmp
 
-from .numerics import WORKING_MARGIN, DegeneracyError, ExtentError, _integers
+from .numerics import DegeneracyError, ExtentError, _integers
 
 # ---- Family table ----
 
@@ -483,8 +483,7 @@ class DetContext:
         self.base = base_table
         self.orders = orders
         self.exact = base_table.exact
-        self.dps = (None if self.exact
-                    else base_table.precision_digits + WORKING_MARGIN)
+        self.dps = None if self.exact else base_table.policy.working_dps
         self.s0 = base_table.s0
         self.tables = {base_table.t0: base_table}
         top = max(base_table.phi_by_t.keys(), default=base_table.t0 - 1)
@@ -603,7 +602,7 @@ class DetContext:
         else:
             convert = functools.partial(_fixed, bits=mp.mp.prec + GUARD_BITS)
             # pivot k must exceed 10^-precision of its row's diagonal entry
-            eps = mp.mpf(10) ** (WORKING_MARGIN - self.dps)
+            eps = mp.mpf(10) ** -self.base.precision_digits
             floors = []
         M, d = [], []       # integer rows; each row's denominator (exact)
         for i in range(R):  # or exponent of two (float)
@@ -716,7 +715,7 @@ class DetContext:
                 "%s_%d^{%d,%d} lies past float pivot %d of its frame, %s, "
                 "not above its floor %s (10^-%d of its diagonal entry)"
                 % (family, n, s, t, k, mp.nstr(pivot, 5), mp.nstr(floor, 5),
-                   self.dps - WORKING_MARGIN))
+                   self.base.precision_digits))
         if not poly:
             return det_exact(rows)
         # coeff of x^k = (-1)^{k+n} * minor over frame rows != k

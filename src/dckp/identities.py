@@ -32,7 +32,9 @@ cancels.  On jacobi data at the default precision a 1 + 10^-5 scaling of
 such a value fails its record likewise, with the same exception.
 
 Record semantics: exact mode passes iff residual_abs == 0; float mode iff
-residual_rel < rel_tol, with scale = max |individual product term| (floor 1).
+residual_rel < rel_tol, with scale = max |individual product term| (floor 1)
+and rel_tol that of the TolerancePolicy the table was built at (its
+`policy`), so no check takes a policy of its own.
 Every evaluator only builds its residual's parts, each a list of signed
 products that must sum to zero: a scalar stencil and the quartic one part,
 a linear stencil and 4trr one per coefficient, propr one per column.  One
@@ -51,8 +53,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .numerics import (TolerancePolicy, DegeneracyError, ExtentError,
-                       _integers, fmt_scalar, relative_residual)
+from .numerics import (DegeneracyError, ExtentError, _integers, fmt_scalar,
+                       relative_residual)
 from .detkit import FAMILY_SPECS, orders_of, stencil, stencil_reads
 
 # the cofactor-vector families P, Q and R: a stencil product ending in one of
@@ -379,18 +381,10 @@ def evaluate(ctx, identity_id, n, s, t, variant="confirmed"):
 
 # ---- Records ----
 
-def _policy_for(ctx, policy):
-    if policy is not None:
-        return policy
-    if ctx.exact:
-        return TolerancePolicy()
-    return TolerancePolicy(precision_digits=ctx.base.precision_digits)
-
-
-def _passes(ctx, res_abs, res_rel, policy):
+def _passes(ctx, res_abs, res_rel):
     """The verdict rule: exact residuals must vanish, float ones must stay
-    below rel_tol."""
-    return res_abs == 0 if ctx.exact else res_rel < policy.rel_tol()
+    below the rel_tol of the policy the table was built at."""
+    return res_abs == 0 if ctx.exact else res_rel < ctx.base.policy.rel_tol()
 
 
 def _with_relative(ctx, res_abs, scales):
@@ -410,20 +404,20 @@ def _outcome(ctx, identity_id, n, s, t):
         return None, None, type(exc).__name__ + ": " + str(exc)
 
 
-def _record(ctx, identity_id, n, s, t, policy, outcome):
+def _record(ctx, identity_id, n, s, t, outcome):
     res_abs, res_rel, skipped = outcome
     mode = ctx.base.mode
     if skipped is not None:
         return IdentityRecord(identity_id, n, s, t, None, None, None, mode,
                               gating=False, skipped=skipped)
     return IdentityRecord(identity_id, n, s, t, res_abs, res_rel,
-                          _passes(ctx, res_abs, res_rel, policy), mode,
+                          _passes(ctx, res_abs, res_rel), mode,
                           gating=gates(mode, identity_id, t, ctx.base.t0))
 
 
 # ---- Suite ----
 
-def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
+def run_suite(ctx, nmax, smax, tmax, ids=None):
     """All catalog identities on the site grid, sorted by (id, n, s, t).
 
     Sites a mode cannot evaluate (missing singles, exhausted extent, degenerate
@@ -433,7 +427,6 @@ def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
     """
     chosen = [(ident, _spec(ident)) for ident in (ids or CATALOG_IDS)]
     mode = ctx.base.mode
-    policy = _policy_for(ctx, policy)
     # each id -> the first chosen id with its stencil, whose outcomes it reads
     first = {}
     same_as = {ident: first.setdefault(spec.stencil, ident)
@@ -452,8 +445,7 @@ def run_suite(ctx, nmax, smax, tmax, policy=None, ids=None):
                     key = (same_as[ident], n, s, t)
                     if key not in outcomes:
                         outcomes[key] = _outcome(ctx, ident, n, s, t)
-                    records.append(_record(ctx, ident, n, s, t, policy,
-                                           outcomes[key]))
+                    records.append(_record(ctx, ident, n, s, t, outcomes[key]))
     records.sort(key=lambda r: (r.identity_id, r.n, r.s, r.t))
     return records
 
@@ -481,7 +473,7 @@ def suite_summary(records):
 
 # ---- Adjudication artifacts ----
 
-def _adjudicate(ctx, residual, variants, sites, policy, keys):
+def _adjudicate(ctx, residual, variants, sites, keys):
     """Worst residual(variant, n, s, t) = (residual_abs, residual_rel) of
     each variant over `sites`, and the chosen variant: the first one that
     reached a site and whose worst residual is zero (exact) or below rel_tol
@@ -504,7 +496,7 @@ def _adjudicate(ctx, residual, variants, sites, policy, keys):
             count += 1
             if worst_rel is None or rel > worst_rel:
                 worst_abs, worst_rel = res_abs, rel
-        ok = count > 0 and _passes(ctx, worst_abs, worst_rel, policy)
+        ok = count > 0 and _passes(ctx, worst_abs, worst_rel)
         stats = {"max_residual_abs": fmt(worst_abs),
                  "max_residual_rel": fmt(worst_rel),
                  "sites": count, "skipped": skipped, "passes": ok}
@@ -514,8 +506,7 @@ def _adjudicate(ctx, residual, variants, sites, policy, keys):
     return entry
 
 
-def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS,
-                   records=()):
+def variant_report(ctx, nmax, smax, tmax, ids=VARIANT_IDS, records=()):
     """Per-variant residuals for the sign-contested identities.
 
     For each id the printed and confirmed forms are evaluated across the grid;
@@ -523,7 +514,6 @@ def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS,
     A confirmed residual that `records` (run_suite's, on the same ctx)
     already holds is read from its record instead of evaluated again.
     """
-    policy = _policy_for(ctx, policy)
     done = {(r.identity_id, r.n, r.s, r.t): r for r in records
             if r.identity_id in ids and r.skipped is None}
 
@@ -540,6 +530,6 @@ def variant_report(ctx, nmax, smax, tmax, policy=None, ids=VARIANT_IDS,
             ("printed", "confirmed"),
             [(n, s, t) for n in range(_spec(ident).n_min, nmax + 1)
              for s in range(smax + 1) for t in range(tmax + 1)],
-            policy, ("max_residual_rel", "max_residual_abs", "sites", "passes"))
+            ("max_residual_rel", "max_residual_abs", "sites", "passes"))
     return report
 

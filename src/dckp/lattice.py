@@ -33,12 +33,11 @@ _CORNER = (1, 0, 1)
 
 @dataclass
 class TauLattice:
-    mode: str
+    """Family values on the grid; `ctx.base` gives mode and precision."""
     Nmax: int
     Smax: int
     Tmax: int
     ctx: object
-    precision_digits: object
     values: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     families: tuple = LATTICE_FAMILIES
@@ -47,38 +46,38 @@ class TauLattice:
         return sorted(self.values.keys())
 
     def to_json_dict(self):
+        digits = self.ctx.base.precision_digits
         return {
-            "meta": {"mode": self.mode,
+            "meta": {"mode": self.ctx.base.mode,
                      "ranges": {"Nmax": self.Nmax, "Smax": self.Smax,
                                 "Tmax": self.Tmax},
-                     "precision": self.precision_digits,
+                     "precision": digits,
                      "families": list(self.families)},
             "sites": [{"family": f, "n": n, "s": s, "t": t,
-                       "value": fmt_scalar(self.values[(f, n, s, t)],
-                                           self.precision_digits),
+                       "value": fmt_scalar(self.values[(f, n, s, t)], digits),
                        "provenance": self.provenance[(f, n, s, t)]}
                       for (f, n, s, t) in self.sites()],
         }
 
     def csv_text(self):
+        digits = self.ctx.base.precision_digits
         return csv_text(["family", "n", "s", "t", "value", "provenance"],
                         [[f, n, s, t,
-                          fmt_scalar(self.values[(f, n, s, t)],
-                                     self.precision_digits),
+                          fmt_scalar(self.values[(f, n, s, t)], digits),
                           self.provenance[(f, n, s, t)]]
                          for (f, n, s, t) in self.sites()])
 
 
 # ---- Build ----
 
-def _check_t_evolution(ctx, policy):
+def _check_t_evolution(ctx):
     """The rank-one t-step of a jacobi table against the direct closed form
     of m^{0,1} (`moments._t1_bimoment_triples`) at every entry.
 
     Exactly first: m^{0,0}_ij - 2 phi'_i phi'_j, with phi' = phi/sqrt2 =
     I(i, 0, 1), must equal the direct triple in Q + Q ln2 + Q ln^2 2.  Then
-    every float entry of the evolved table must lie within rel_tol of its
-    direct value rounded once.  Runs no quadrature.
+    every float entry of the evolved table must lie within the table's
+    rel_tol of its direct value rounded once.  Runs no quadrature.
     """
     K = ctx.base.K
     direct = moments._t1_bimoment_triples(K)
@@ -94,13 +93,14 @@ def _check_t_evolution(ctx, policy):
                     "rank-one update differs from the direct t = 1 closed "
                     "form" % (i, j))
     tb1 = ctx._table(ctx.base.t0 + 1)
-    with mp.workdps(policy.working_dps):
+    tol = ctx.base.policy.rel_tol()
+    with ctx.wp():
         prec = mp.mp.prec
         for i in range(K):
             for j in range(K):
                 d = moments._round_pair(direct[i][j], prec)
                 rel = relative_residual(abs(tb1.m(i, j) - d), [abs(d)])
-                if rel >= policy.rel_tol():
+                if rel >= tol:
                     raise ArithmeticError(
                         "t-evolution check failed at entry (%d,%d): the float "
                         "rank-one update is off the direct t = 1 closed form "
@@ -141,9 +141,8 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
              for n in range(Nmax + 1) for s in range(Smax + 1)]
     ctx = detkit.DetContext(table, _orders_read(table, sites, Nmax, Smax, Tmax))
     if not table.exact and Tmax >= 1:
-        _check_t_evolution(ctx, policy)
-    lat = TauLattice(mode, Nmax, Smax, Tmax, ctx, table.precision_digits,
-                     families=families)
+        _check_t_evolution(ctx)
+    lat = TauLattice(Nmax, Smax, Tmax, ctx, families=families)
     for site in sites:
         lat.values[site] = detkit.eval_det(ctx, *site)
         lat.provenance[site] = "determinant"
@@ -244,8 +243,7 @@ def propagate(lat, from_t, to_t):
         raise ConfigError("propagation range (%d, %d] outside lattice t-range"
                           % (from_t, to_t))
     ctx = lat.ctx
-    out = TauLattice(lat.mode, lat.Nmax, lat.Smax, lat.Tmax, ctx,
-                     lat.precision_digits, dict(lat.values),
+    out = TauLattice(lat.Nmax, lat.Smax, lat.Tmax, ctx, dict(lat.values),
                      dict(lat.provenance), lat.families)
     S1 = lat.Smax + lat.Nmax - 1
     work = {}

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
 from . import detkit, polyfam
-from .identities import _adjudicate, _policy_for, _with_relative
+from .identities import _adjudicate, _with_relative
 
 EIGEN_SAMPLES = (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
                  Fraction(1, 2), Fraction(2, 3))
@@ -204,7 +204,7 @@ def eigen_residuals(ctx, K, s, t):
     out = {"L_eigen": zero, "N_shift": zero, "M_shift": zero, "K": K}
     with ctx.wp():
         for x in EIGEN_SAMPLES:
-            xv = x if ctx.exact else ctx.one() * x
+            xv = ctx.one() * x
             col00 = _poly_stack(ctx, K, s, t, xv)
             col10 = _poly_stack(ctx, K, s + 1, t, xv)
             col01 = _poly_stack(ctx, K, s, t + 1, xv)
@@ -269,16 +269,21 @@ def verify_six_equations(ctx, nmax, s, t, policy=None):
     repaired form that survives adjudication, with the chosen variant in the
     metadata.  The repaired eq6 reaches the t-advanced recurrence data, which
     exists only where singles are recomputable (weight-backed tables).
+    Verdicts and the printed rel_tol are those of the table's policy; a
+    `policy` given must be that one (perfbench/job.py passes it).
     """
-    policy = _policy_for(ctx, policy)
+    own = ctx.base.policy
+    if policy is not None and policy != own:
+        raise ValueError("policy %r is not the one the table was built at, %r"
+                         % (policy, own))
     report = {"site": {"s": s, "t": t, "nmax": nmax, "mode": ctx.base.mode,
-                       "rel_tol": None if ctx.exact else fmt_scalar(policy.rel_tol(), 8)},
+                       "rel_tol": None if ctx.exact else fmt_scalar(own.rel_tol(), 8)},
               "equations": {}}
     for eq, (n_min, variants) in SIX_EQUATIONS.items():
         report["equations"][eq] = _adjudicate(
             ctx, lambda v, n, s, t: _with_relative(
                 ctx, *evaluate_equation(ctx, eq, n, s, t, v)),
-            variants, [(n, s, t) for n in range(n_min, nmax + 1)], policy,
+            variants, [(n, s, t) for n in range(n_min, nmax + 1)],
             ("max_residual_abs", "max_residual_rel", "sites", "skipped", "passes"))
     return report
 

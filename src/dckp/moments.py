@@ -15,15 +15,18 @@ index i + ds of each.  No t-update law exists for either.  A jacobi table is
 built at (s0, t0) = (0, 0), where every entry is p + q ln2 (phi: sqrt2 times
 that) with p, q rational; it gets singles for t = 0..tmax+1 and phi for
 t = 0..tmax from these exact pairs, so neither the build nor evolve_t runs
-quadrature.  The t = 1 bimoments also have a direct closed form in
-Q + Q ln2 + Q ln^2 2 that makes no use of phi; a jacobi lattice build checks
-the rank-one t-step against it exactly, with no sweep.  The quadrature sweep
-is the independent oracle of every closed form.  Synthetic tables treat phi
-as free data; structured ones carry singles at the base t only, generic ones
-none.
+quadrature.  A jacobi table carries the TolerancePolicy it is rounded at
+(`policy`; None in the exact modes), and its t-steps, contexts and checks
+take their working precision and rel_tol from it alone.  The t = 1
+bimoments also have a direct closed form in Q + Q ln2 + Q ln^2 2 that makes
+no use of phi; a jacobi lattice build checks the rank-one t-step against it
+exactly, with no sweep.  The quadrature sweep is the independent oracle of
+every closed form.  Synthetic tables treat phi as free data; structured ones
+carry singles at the base t only, generic ones none.
 """
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
@@ -32,7 +35,7 @@ import mpmath as mp
 from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_ln2, mpf_mul,
                           mpf_pos, mpf_sqrt, round_nearest)
 
-from .numerics import WORKING_MARGIN, ExtentError, ConfigError
+from .numerics import ExtentError, ConfigError
 
 MODES = ("jacobi-float", "synthetic-generic", "synthetic-structured")
 
@@ -46,14 +49,19 @@ class MomentTable:
     s0: int
     t0: int
     K: int
-    precision_digits: object        # int for jacobi-float, None for exact modes
+    policy: object                  # the TolerancePolicy it was rounded at
+                                    # (jacobi-float), None for exact modes
     bimoments: list
     single_by_t: dict = field(default_factory=dict)
     phi_by_t: dict = field(default_factory=dict)
 
     @property
     def exact(self):
-        return self.precision_digits is None
+        return self.policy is None
+
+    @property
+    def precision_digits(self):
+        return None if self.exact else self.policy.precision_digits
 
     @property
     def single(self):
@@ -94,17 +102,14 @@ class MomentTable:
         if len(vec) < self.K:
             raise ExtentError("phi vector shorter than table extent")
         K = self.K
-        if self.exact:
+        with (nullcontext() if self.exact
+              else mp.workdps(self.policy.working_dps)):
             bm = [[self.bimoments[i][j] - vec[i] * vec[j] for j in range(K)]
                   for i in range(K)]
-        else:
-            with mp.workdps(self.precision_digits + WORKING_MARGIN):
-                bm = [[self.bimoments[i][j] - vec[i] * vec[j] for j in range(K)]
-                      for i in range(K)]
         sg = {t: v for t, v in self.single_by_t.items() if t > self.t0}
         ph = {t: v for t, v in self.phi_by_t.items() if t > self.t0}
-        return MomentTable(self.mode, self.s0, self.t0 + 1, K,
-                           self.precision_digits, bm, sg, ph)
+        return MomentTable(self.mode, self.s0, self.t0 + 1, K, self.policy,
+                           bm, sg, ph)
 
 
 # ---- Builders ----
@@ -342,5 +347,4 @@ def build_jacobi(K, policy, tmax=3):
         sg = {t: [_round_pair(x, prec) for x in v] for t, v in sg.items()}
         ph = {t: [_round_pair(x, prec, root2=True) for x in v]
               for t, v in ph.items()}
-    return MomentTable("jacobi-float", 0, 0, K, policy.precision_digits,
-                       bm, sg, ph)
+    return MomentTable("jacobi-float", 0, 0, K, policy, bm, sg, ph)

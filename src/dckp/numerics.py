@@ -3,7 +3,8 @@
 Two scalar regimes coexist:
   - exact mode: fractions.Fraction, residuals compared to literal zero;
   - float mode: mpmath.mpf at a working precision of precision_digits plus an
-    internal engine margin, residuals compared to rel_tol = 10^-(precision-guard).
+    internal engine margin, residuals compared to rel_tol = 10^-(precision-guard),
+    both from the TolerancePolicy that a moment table is built at and carries.
 No interval arithmetic and no symbolic constants anywhere.
 """
 

@@ -104,7 +104,7 @@ def test_criterion_2_structured_recurrence():
 
 def test_criterion_3_jacobi_full_catalog(jac_ctx):
     start = time.perf_counter()
-    recs = identities.run_suite(jac_ctx, 4, 2, 2, policy=POLICY)
+    recs = identities.run_suite(jac_ctx, 4, 2, 2)
     elapsed = time.perf_counter() - start
     live = [r for r in recs if r.skipped is None]
     skipped = [r for r in recs if r.skipped is not None]
@@ -273,7 +273,7 @@ def test_criterion_9_adjudication(jac_ctx):
             best = r if best is None else min(best, r)
         ok &= best is not None and best < tol and entry["chosen"] is not None
         details.append("%s:%s" % (eq, entry["chosen"]))
-    sign = identities.variant_report(jac_ctx, 4, 2, 2, policy=POLICY,
+    sign = identities.variant_report(jac_ctx, 4, 2, 2,
                                      ids=("tau-hat-rel",))["tau-hat-rel"]
     conf = _parse_residual(sign["variants"]["confirmed"]["max_residual_rel"])
     ok &= conf < tol and sign["chosen"] == "confirmed"

@@ -186,6 +186,31 @@ def test_verify_artifact_bytes_are_pinned(mode, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# artifacts whose precision and rel_tol come from the table's policy: the lax
+# meta and six-equation report, and the lattice values
+_SMALL = ["--n", "4", "--s", "1", "--t", "1", "--precision", "30", "--guard", "10"]
+EXPORT_DIGESTS = {
+    "lax-jacobi": (["lax", "--mode", "jacobi"] + _SMALL,
+                   "31ca9dec029b477fa66ea8004fdc2ca5b4e947a913c1b41d0f957bb8935e98be"),
+    "lax-structured": (["lax", "--mode", "structured"] + _SMALL,
+                       "98809db5a74c4a9cc6cc203c55c657880bbf41e1a66a0fba74201b76c8cba5d4"),
+    "lax-generic": (["lax", "--mode", "generic"] + _SMALL,
+                    "c8cae672fee7dfec31e5fe38a9f200c7251601a99bc57ff4a274516956158283"),
+    "lattice-jacobi-csv": (["lattice", "--mode", "jacobi", "--n", "5", "--s", "2",
+                            "--t", "3", "--precision", "30", "--guard", "10",
+                            "--format", "csv"],
+                           "fcc58dd3c68a0529814ef76fb40bc1e403dbf93be79cc3445702b62ad1949a4a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+def test_export_artifact_bytes_are_pinned(name, tmp_path):
+    argv, digest = EXPORT_DIGESTS[name]
+    path = tmp_path / "a.out"
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_verify_csv_format(tmp_path):
     path = str(tmp_path / "r.csv")
     assert cli.main(["verify", "--mode", "generic", "--seed", "1",

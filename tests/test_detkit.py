@@ -503,8 +503,9 @@ def test_float_sweep_matches_a_wide_sweep_of_the_same_tables():
     # error over the largest |coefficient|
     tab = moments.build_jacobi(13, TolerancePolicy(120, 40), tmax=3)
     ctx = detkit.DetContext(tab, 9)
-    ref = detkit.DetContext(dataclasses.replace(tab, precision_digits=385), 9)
-    ref.tables = {t: dataclasses.replace(tb, precision_digits=385)
+    wide = TolerancePolicy(385)
+    ref = detkit.DetContext(dataclasses.replace(tab, policy=wide), 9)
+    ref.tables = {t: dataclasses.replace(tb, policy=wide)
                   for t, tb in ctx.tables.items()}
     assert ref.dps == 400
     bound = mp.mpf(10) ** -125
@@ -525,14 +526,14 @@ def test_float_sweep_matches_a_wide_sweep_of_the_same_tables():
     assert checked == 12 * (11 * 10 - 2)    # tau_tilde and R start at 1
 
 
-def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx, jacobi_policy):
+def test_float_mode_makes_no_per_minor_determinants(jacobi_ctx):
     # every float family comes from a frame sweep, and on jacobi data every
     # pivot of a lattice and a catalog run (on a cold context over the shared
     # table) passes its check: no sweep stops early and no record is skipped
     lat = lattice.build_lattice("jacobi-float", 5, 2, 2,
                                 {"precision": 60, "guard": 20})
     ctx = detkit.DetContext(jacobi_ctx.base, 9)
-    records = identities.run_suite(ctx, 4, 2, 2, policy=jacobi_policy)
+    records = identities.run_suite(ctx, 4, 2, 2)
     assert all(r.skipped is None for r in records)
     for c in (lat.ctx, ctx):
         assert len(c.swept) > 20 and set(c.swept.values()) == {None}

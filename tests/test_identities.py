@@ -14,10 +14,9 @@ from dckp.numerics import (DegeneracyError, ExtentError, TolerancePolicy,
                            fmt_scalar)
 
 
-def make_record(ctx, identity_id, n, s, t, policy=None):
+def make_record(ctx, identity_id, n, s, t):
     """The record run_suite makes for one id at one site."""
     return identities._record(ctx, identity_id, n, s, t,
-                              identities._policy_for(ctx, policy),
                               identities._outcome(ctx, identity_id, n, s, t))
 
 
@@ -212,7 +211,7 @@ def _corruption_sweep(monkeypatch, ns, mode="synthetic-structured",
 
     def passes(ident, n, s, t):
         ctx.derived.clear()
-        return make_record(ctx, ident, n, s, t, policy).passed
+        return make_record(ctx, ident, n, s, t).passed
 
     sweep = {}
     for ident, spec in identities.IDENTITY_SPECS.items():
@@ -413,11 +412,38 @@ def test_nonzero_residuals_are_pinned(mode, build):
 # ---- Float suite ----
 
 def test_jacobi_suite_passes(jacobi_ctx, jacobi_policy):
-    recs = identities.run_suite(jacobi_ctx, 3, 1, 1, policy=jacobi_policy)
+    recs = identities.run_suite(jacobi_ctx, 3, 1, 1)
     live = [r for r in recs if r.skipped is None]
     assert live and all(r.passed for r in live)
     tol = jacobi_policy.rel_tol()
     assert all(r.residual_rel < tol for r in live)
+
+
+def test_verdicts_take_the_tolerance_the_table_was_built_at(structured_ctx):
+    # a guard of 5, not the default 20: rel_tol 1e-55, not 1e-40.  A
+    # symmetric 1e-48 bump of m_12 breaks the antidiagonal coupling, so
+    # some 4trr records land between the two and fail
+    policy = TolerancePolicy(60, 5)
+    tab = moments.build_jacobi(9, policy, tmax=3)
+    with mp.workdps(policy.working_dps):
+        tab.bimoments[1][2] *= 1 + mp.mpf(10) ** -48
+        tab.bimoments[2][1] = tab.bimoments[1][2]
+    ctx = detkit.DetContext(tab, 9)
+    tol, default = tab.policy.rel_tol(), TolerancePolicy(60).rel_tol()
+    assert tab.policy == policy and tol < default
+
+    live = [r for r in identities.run_suite(ctx, 3, 1, 1) if r.skipped is None]
+    assert all(r.passed == (r.residual_rel < tol) for r in live)
+    assert any(tol <= r.residual_rel < default for r in live)
+
+    rep = lax.verify_six_equations(ctx, 3, 0, 0)
+    assert rep["site"]["rel_tol"] == fmt_scalar(tol, 8) == "1.0000000e-55"
+    assert lax.verify_six_equations(ctx, 3, 0, 0, policy=policy) == rep
+    for other in (TolerancePolicy(60), TolerancePolicy(120, 5)):
+        with pytest.raises(ValueError):
+            lax.verify_six_equations(ctx, 3, 0, 0, policy=other)
+    with pytest.raises(ValueError):
+        lax.verify_six_equations(structured_ctx, 3, 0, 0, policy=policy)
 
 
 # ---- Variant adjudication ----
@@ -432,8 +458,8 @@ def test_variant_report_printed_fails_confirmed_passes(generic_ctx):
         assert entry["variants"]["printed"]["sites"] > 0
 
 
-def test_variant_report_jacobi(jacobi_ctx, jacobi_policy):
-    rep = identities.variant_report(jacobi_ctx, 2, 1, 1, policy=jacobi_policy,
+def test_variant_report_jacobi(jacobi_ctx):
+    rep = identities.variant_report(jacobi_ctx, 2, 1, 1,
                                     ids=("tau-hat-rel", "xi-psi-sq"))
     for ident in ("tau-hat-rel", "xi-psi-sq"):
         assert rep[ident]["chosen"] == "confirmed"

@@ -128,7 +128,7 @@ def test_build_float_lattice_with_a_negative_tau_raises(monkeypatch):
 def test_build_jacobi_default_guard_follows_precision():
     # no guard given: the policy default min(40, precision // 3), as in the CLI
     lat = lattice.build_lattice("jacobi-float", 2, 1, 1, {"precision": 30})
-    assert lat.precision_digits == 30 and lat.values[("tau", 2, 1, 1)] > 0
+    assert lat.ctx.base.precision_digits == 30 and lat.values[("tau", 2, 1, 1)] > 0
 
 
 def test_json_and_csv_export():
@@ -290,7 +290,7 @@ def test_propagate_trivial_phi_reproduces_base_slice():
     tab = moments.synthetic_generic(3, 9, tmax=2)
     tab.phi_by_t = {t: [Fraction(0)] * 9 for t in tab.phi_by_t}
     ctx = detkit.DetContext(tab, tab.K)
-    lat = lattice.TauLattice("synthetic-generic", 3, 2, 2, ctx, None)
+    lat = lattice.TauLattice(3, 2, 2, ctx)
     for t in range(3):
         for n in range(4):
             for s in range(3):
@@ -322,7 +322,7 @@ def test_propagate_exact_at_base_offsets(mode, seed, K, s0, t0):
     ctx = detkit.DetContext(moments.build_base_table(mode, s0, t0, K,
                                                      seed=seed, tmax=2), K)
     nmax, smax, tmax = K - 4, s0 + 1, t0 + 2
-    lat = lattice.TauLattice(mode, nmax, smax, tmax, ctx, None)
+    lat = lattice.TauLattice(nmax, smax, tmax, ctx)
     for n in range(nmax + 1):
         for s in range(s0, smax + 1):
             for t in range(t0, tmax + 1):

@@ -67,7 +67,7 @@ def _shift_s(tab):
     """The table at (s0+1, t0): every index advances by one, extent shrinks."""
     K = tab.K - 1
     return moments.MomentTable(
-        tab.mode, tab.s0 + 1, tab.t0, K, tab.precision_digits,
+        tab.mode, tab.s0 + 1, tab.t0, K, tab.policy,
         [[tab.bimoments[i + 1][j + 1] for j in range(K)] for i in range(K)],
         {t: v[1:] for t, v in tab.single_by_t.items()},
         {t: v[1:] for t, v in tab.phi_by_t.items()})
