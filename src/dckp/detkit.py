@@ -113,9 +113,11 @@ rank-one evolved tables.
 The recurrence coefficients are ratios of these determinants: COEFFICIENTS
 gives each as a numerator stencil (signed products of reads at shifts of
 (n, s, t), parsed by `stencil` like the catalog's identities and lax's
-equations), a denominator product and a lowest n, below which it is 0.  One
-memoized `DetContext.coeff` reads them all through `DetContext.terms`, and
-`stencil_reads` derives the family reads a stencil makes from the same tables.
+equations and operators), a denominator product and a lowest n, below which
+it is 0.  One memoized `DetContext.coeff` reads them all through
+`DetContext.terms`, the signed products of `DetContext.factors`, which reads
+every stencil, and `stencil_reads` derives the family reads a stencil makes
+from the same tables.
 
 Beside the family memo each context keeps a memo of derived values: the
 recurrence coefficients here, polyfam's monic vectors and lax's operators,
@@ -449,6 +451,14 @@ def derived(fn):
     return cached
 
 
+def _product(factors):
+    """The product of `factors`, multiplied left to right."""
+    prod = factors[0]
+    for f in factors[1:]:
+        prod = prod * f
+    return prod
+
+
 def _values(v):
     """A memoized family value as its public one: an exact cofactor vector,
     memoized as a pair (numerators, denominator), as a list of Fractions."""
@@ -752,25 +762,32 @@ class DetContext:
             raise DegeneracyError("vanishing denominator in %s" % what)
         return num / den
 
-    def terms(self, products, n, s, t):
-        """The values of a stencil's signed products at (n, s, t): factors
-        multiplied left to right, the sign applied to the whole product, and
-        a group the sum of its own products in written order."""
+    def factors(self, products, n, s, t):
+        """The (sign, factor values) of a stencil's products at (n, s, t), in
+        written order: a constant is itself, a group the sum of its own
+        products in written order, and a family read its memoized value (an
+        exact P, Q or R the memo's pair); x is skipped."""
+        family = self._family
         out = []
         for sign, factors in products:
-            prod = None
+            values = []
             for f in factors:
                 if isinstance(f, int):
-                    v = f
+                    values.append(f)
                 elif not isinstance(f[0], str):
-                    v = self._sum(f, n, s, t)
-                else:
+                    values.append(self._sum(f, n, s, t))
+                elif f[0] != "x":
                     name, dn, ds, dt = f
-                    read = self.coeff if name in COEFFICIENTS else self._family
-                    v = read(name, n + dn, s + ds, t + dt)
-                prod = v if prod is None else prod * v
-            out.append(prod if sign > 0 else -prod)
+                    read = self.coeff if name in COEFFICIENTS else family
+                    values.append(read(name, n + dn, s + ds, t + dt))
+            out.append((sign, values))
         return out
+
+    def terms(self, products, n, s, t):
+        """The values of a stencil's signed products at (n, s, t): factors
+        multiplied left to right, the sign applied to the whole product."""
+        return [_product(values) if sign > 0 else -_product(values)
+                for sign, values in self.factors(products, n, s, t)]
 
     def _sum(self, products, n, s, t):
         values = self.terms(products, n, s, t)

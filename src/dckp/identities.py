@@ -16,7 +16,9 @@ P, Q or R cofactor vector, possibly times x, and the signed product of its
 scalar reads is the vector's coefficient.  So a stencil's reads are static.
 The other three kinds (4trr, propr, dckp) declare their highest reads as a
 stencil of one product, 4trr its recurrence coefficients a, b, c and
-P_{n+1}.  `orders_read` expands every stencil into family reads
+P_{n+1}.  4trr's terms come from RECURRENCE, the four-term recurrence as a
+subdiagonal coefficient and bands, stencils: the table lax builds L from.
+`orders_read` expands every stencil into family reads
 (detkit.stencil_reads), so it bounds a verify context's sweeps at each
 site by the reads of its ids there.
 At n = 0 the records of 3.2b, 3.3b, 3.4a, 3.4b, e1-e4, eq1, fn-b,
@@ -37,11 +39,14 @@ and rel_tol that of the TolerancePolicy the table was built at (its
 `policy`), so no check takes a policy of its own.
 Every evaluator only builds its residual's parts, each a list of signed
 products that must sum to zero: a scalar stencil and the quartic one part,
-a linear stencil and 4trr one per coefficient, propr one per column.  One
-reducer, `_residual`, turns them into (residual_abs, scale terms): the
-largest |sum| of a part and every |product|.  An exact residual is first
-zero-tested on those same products, in integer arithmetic over one
-unreduced common denominator (`_vanishes`); only a nonzero one is summed.
+a linear stencil and 4trr one per coefficient, propr one per column.  A
+stencil's products are read by DetContext.factors, which reads every
+stencil, the coefficients' and lax's too.  One reducer, `_residual`, which
+also reduces lax's six equations, turns them into (residual_abs, scale
+terms): the largest |sum| of a part and every |product|.  An exact
+residual is first zero-tested on those same products, in integer
+arithmetic over one unreduced common denominator (`_vanishes`); only a
+nonzero one is summed.
 A P, Q or R read is the memo's pair (numerators, denominator), and the
 quartic reads its taus as integers over their common denominator D: those
 parts carry integer coefficients, with no Fraction per coefficient, and
@@ -55,7 +60,8 @@ from typing import NamedTuple
 
 from .numerics import (DegeneracyError, ExtentError, _integers, fmt_scalar,
                        relative_residual)
-from .detkit import FAMILY_SPECS, orders_of, stencil, stencil_reads
+from .detkit import FAMILY_SPECS, _product, orders_of, stencil, stencil_reads
+from .polyfam import poly
 
 # the cofactor-vector families P, Q and R: a stencil product ending in one of
 # them is a vector
@@ -237,9 +243,7 @@ def _residual(ctx, parts, den=None):
     for part in parts:
         signed = []
         for sign, factors in part:
-            prod = factors[0]
-            for f in factors[1:]:
-                prod = prod * f
+            prod = _product(factors)
             scales.append(abs(prod))
             signed.append(prod if sign > 0 else -prod)
         if signed:
@@ -286,10 +290,7 @@ def _comb(ctx, terms):
 # ---- Identity evaluators, one per kind: -> (residual_abs, scales) ----
 
 def _ev_stencil(ctx, stencil, n, s, t):
-    read = ctx._family
-    products = [(sign, [read(f, n + dn, s + ds, t + dt)
-                        for f, dn, ds, dt in reads if f != "x"])
-                for sign, reads in stencil]
+    products = ctx.factors(stencil, n, s, t)
     if stencil[0][1][-1][0] not in _VECTORS:
         return _residual(ctx, [products])
     # each product is a coefficient, the product of its scalar reads in
@@ -297,14 +298,17 @@ def _ev_stencil(ctx, stencil, n, s, t):
     terms = []
     for (sign, values), (_, reads) in zip(products, stencil):
         *scalars, vec = values
-        coef = scalars[0]
-        for v in scalars[1:]:
-            coef = coef * v
         if ("x", 0, 0, 0) in reads:
             vec = _shift_x(ctx, vec)
-        terms.append((sign, coef, vec))
+        terms.append((sign, _product(scalars), vec))
     return _comb(ctx, terms)
 
+
+# the four-term recurrence x (P_n + a_n P_{n-1}) = sum over the bands o of
+# band_o(n) P_{n+o}, as its subdiagonal coefficient and its bands, stencils
+# (Bertola, Gekhtman & Szmigielski, J. Approx. Theory 162, 2010): lax's L
+RECURRENCE = ("a", {1: "+ 1", 0: "+ a - b", -1: "+ a b[n-1] - c",
+                    -2: "- a c[n-1]"})
 
 # the quartic's eight tau reads (dn, ds, dt), in _dckp_parts' argument order:
 # tau_n^{s+1}, tau_n, tau_{n+1}, tau_{n-1}^{s+1} at t and then at t+1
@@ -342,24 +346,18 @@ def _ev_propr(ctx, n, s, t):
 
 
 def _ev_4trr(ctx, n, s, t):
-    from .polyfam import poly
-
     def pvec(k):
         coeffs = list(poly(ctx, "P", k, s, t).coeffs) if k >= 0 else []
         return _integers(coeffs) if ctx.exact else coeffs
 
-    a_n = ctx.coeff("a", n, s, t)
-    b_n = ctx.coeff("b", n, s, t)
-    b_nm1 = ctx.coeff("b", n - 1, s, t)
-    c_n = ctx.coeff("c", n, s, t)
-    c_nm1 = ctx.coeff("c", n - 1, s, t)
-    one = ctx.one()
-    return _comb(ctx, [(1, one, _shift_x(ctx, pvec(n))),
-                       (1, a_n, _shift_x(ctx, pvec(n - 1))),
-                       (-1, one, pvec(n + 1)),
-                       (-1, a_n - b_n, pvec(n)),
-                       (-1, a_n * b_nm1 - c_n, pvec(n - 1)),
-                       (1, a_n * c_nm1, pvec(n - 2))])
+    # x P_n + a_n x P_{n-1} - sum over the bands o of band_o(n) P_{n+o}, all
+    # coefficients read before any P
+    sub, bands = RECURRENCE
+    a = ctx.coeff(sub, n, s, t)
+    coefs = [ctx._sum(stencil(band), n, s, t) for band in bands.values()]
+    return _comb(ctx, [(1, ctx.one(), _shift_x(ctx, pvec(n))),
+                       (1, a, _shift_x(ctx, pvec(n - 1)))]
+                 + [(-1, coef, pvec(n + o)) for o, coef in zip(bands, coefs)])
 
 
 def evaluate(ctx, identity_id, n, s, t, variant="confirmed"):

@@ -12,20 +12,24 @@ The unit lower-bidiagonal inverses are applied by forward substitution, so a
 truncation defect lives only in the last row; products of two operators are
 then exact on the interior block [1, K-3] used for compatibility residuals,
 and only that block of each product is formed.
-Each operator is built once per DetContext and (K, s, t) (detkit.derived)
-from the coefficients OPERATORS names and shared by the compatibility and
-eigenfunction residuals; no caller mutates one.
+OPERATORS gives each operator as data: its subdiagonal coefficient and the
+bands of its band matrix, stencils over the recurrence coefficients.  L's
+entry is the four-term recurrence itself, identities.RECURRENCE, which the
+catalog's 4trr reads too.  One `build` evaluates the table, once per
+DetContext and (op, K, s, t) (detkit.derived), and the compatibility and
+eigenfunction residuals share each operator; no caller mutates one.
 The six scalar compatibility equations are evaluated per variant: the three
 that survive adjudication verbatim, and repaired forms for the other three,
-each a stencil over the coefficients (EQUATION_FORMS, DetContext.terms);
-`family_reads` derives the family reads from the same stencils.
+each a stencil over the coefficients (EQUATION_FORMS) whose signed products
+(DetContext.factors) go to the catalog's one reducer, identities._residual.
+`family_reads` derives the family reads from the same stencils and tables.
 """
 
 from fractions import Fraction
 
 from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
 from . import detkit, polyfam
-from .identities import _adjudicate, _with_relative
+from .identities import RECURRENCE, _adjudicate, _residual, _with_relative
 
 EIGEN_SAMPLES = (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
                  Fraction(1, 2), Fraction(2, 3))
@@ -81,53 +85,26 @@ def _check_K(K):
         raise ConfigError("operator truncation needs K >= 5, got %d" % K)
 
 
-def _operator(ctx, sub, bands):
-    """(I + diag(sub) Lam^-1)^-1 T, T the K x K band matrix whose entry (i,
-    i + o) is bands[o](i); its callers are derived, so it runs under
-    ctx.wp()."""
-    K, zero = len(sub), ctx.zero()
+# each operator (I + diag(sub) Lam^-1)^-1 T as its subdiagonal coefficient
+# sub and the bands of T, stencils: T[i][i + o] is bands[o] at n = i
+OPERATORS = {"L": RECURRENCE, "N": ("alpha", {1: "+ 1", 0: "+ beta"}),
+             "M": ("e", {-1: "+ d", 0: "+ 1"})}
+
+
+@detkit.derived
+def build(ctx, op, K, s, t):
+    """Operator `op` of OPERATORS truncated to K x K at (s, t).  It reads
+    its subdiagonal coefficient over all n first, then its bands in order,
+    the order family_reads assumes where it cuts L's reads at sigma_tilde."""
+    _check_K(K)
+    name, bands = OPERATORS[op]
+    sub = [ctx.coeff(name, n, s, t) for n in range(K)]
+    zero = ctx.zero()
     T = _zeros(K, zero)
     for o, band in bands.items():
         for i in range(max(0, -o), K - max(0, o)):
-            T[i][i + o] = band(i)
+            T[i][i + o] = ctx._sum(detkit.stencil(band), i, s, t)
     return _forward_solve(sub, T, zero)
-
-
-# the coefficients each operator is built from, in the order it reads them
-OPERATORS = {"L": ("a", "b", "c"), "N": ("alpha", "beta"), "M": ("d", "e")}
-
-
-def _coefficients(ctx, op, K, s, t):
-    return [[ctx.coeff(name, n, s, t) for n in range(K)]
-            for name in OPERATORS[op]]
-
-
-@detkit.derived
-def build_L(ctx, K, s, t):
-    _check_K(K)
-    a, b, c = _coefficients(ctx, "L", K, s, t)
-    return _operator(ctx, a, {1: lambda i: ctx.one(),
-                              0: lambda i: a[i] - b[i],
-                              -1: lambda i: a[i] * b[i - 1] - c[i],
-                              -2: lambda i: -a[i] * c[i - 1]})
-
-
-@detkit.derived
-def build_N(ctx, K, s, t):
-    _check_K(K)
-    alpha, beta = _coefficients(ctx, "N", K, s, t)
-    return _operator(ctx, alpha, {1: lambda i: ctx.one(),
-                                  0: lambda i: beta[i]})
-
-
-@detkit.derived
-def build_M(ctx, K, s, t):
-    _check_K(K)
-    d, e = _coefficients(ctx, "M", K, s, t)
-    return _operator(ctx, e, {0: lambda i: ctx.one(), -1: lambda i: d[i]})
-
-
-_BUILD = {"L": build_L, "N": build_N, "M": build_M}
 
 
 # ---- Compatibility residuals ----
@@ -161,7 +138,7 @@ def compat_residuals(ctx, K, s, t):
     out = {}
     for name, ops in _products(s, t).items():
         try:
-            P, Q, Pb, Qb = [_BUILD[op](ctx, K, *site) for op, *site in ops]
+            P, Q, Pb, Qb = [build(ctx, op, K, *site) for op, *site in ops]
         except (ExtentError, DegeneracyError) as exc:
             out[name] = None
             out[name + "_skipped"] = type(exc).__name__ + ": " + str(exc)
@@ -200,7 +177,7 @@ def eigen_residuals(ctx, K, s, t):
     are truncation-exact; row K-1 is excluded.
     """
     zero = ctx.zero()
-    L, N, M = (build(ctx, K, s, t) for build in (build_L, build_N, build_M))
+    L, N, M = (build(ctx, op, K, s, t) for op in "LNM")
     out = {"L_eigen": zero, "N_shift": zero, "M_shift": zero, "K": K}
     with ctx.wp():
         for x in EIGEN_SAMPLES:
@@ -258,8 +235,7 @@ def evaluate_equation(ctx, eq, n, s, t, variant="repaired"):
     if form is None:
         raise ValueError("equation %r has no variant %r" % (eq, variant))
     with ctx.wp():
-        terms = ctx.terms(detkit.stencil(form), n, s, t)
-        return abs(sum(terms[1:], terms[0])), [abs(v) for v in terms]
+        return _residual(ctx, [ctx.factors(detkit.stencil(form), n, s, t)])
 
 
 def verify_six_equations(ctx, nmax, s, t, policy=None):
@@ -290,9 +266,10 @@ def verify_six_equations(ctx, nmax, s, t, policy=None):
 
 # ---- Reads ----
 
-# the reads of each operator, its coefficients in the builder's order, and
-# of an eigen column's P_n, its normalizer tau_n and Praw_n, as stencils
-_READS = {op: "+ " + " ".join(names) for op, names in OPERATORS.items()}
+# the reads of each operator, in build's order, and of an eigen column's P_n,
+# its normalizer tau_n and Praw_n, as stencils
+_READS = {op: " ".join(["+ " + sub, *bands.values()])
+          for op, (sub, bands) in OPERATORS.items()}
 _READS["P"] = "+ tau P"
 
 

@@ -127,13 +127,12 @@ def fmt_scalar(x, precision_digits=None):
 
 
 def parse_scalar(s, exact, precision_digits=None):
-    """Inverse of fmt_scalar for the given regime."""
+    """Inverse of fmt_scalar for the given regime: a float at the working
+    precision of precision_digits."""
     if exact:
         return Fraction(s)
-    if precision_digits:
-        with mp.workdps(precision_digits + WORKING_MARGIN):
-            return mp.mpf(s)
-    return mp.mpf(s)
+    with mp.workdps(precision_digits + WORKING_MARGIN):
+        return mp.mpf(s)
 
 
 def csv_text(header, rows):

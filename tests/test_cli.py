@@ -12,7 +12,7 @@ import mpmath as mp
 import pytest
 
 from dckp.numerics import digits_of_agreement, parse_scalar
-from dckp import cli
+from dckp import cli, detkit, identities, moments
 
 # ---- selfcheck ----
 
@@ -126,6 +126,29 @@ def test_verify_structured_small(capsys):
     assert code == 0
     tail = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
     assert tail["summary"]["skipped"] > 0   # 4trr off the base t
+
+
+def test_verify_fails_on_data_that_breaks_an_identity(capsys, monkeypatch):
+    # m_23 = m_32 bumped by 1 breaks the structured ladder m_{i+1,j} +
+    # m_{i,j+1} = u_i u_j that the recurrence rests on: 4trr fails
+    table = moments.synthetic_structured(0, 9, tmax=2)
+    table.bimoments[2][3] += 1
+    table.bimoments[3][2] += 1
+    ids = identities.CATALOG_IDS
+    ctx = detkit.DetContext(table, identities.orders_read(
+        ids, 4, 2, 2, table.single_by_t))
+    recs = identities.run_suite(ctx, 4, 2, 2)
+    summary = identities.suite_summary(recs)
+    assert summary["gating_failures"] == 9 and not summary["all_gating_pass"]
+    assert {r.identity_id for r in recs if r.gating and not r.passed} \
+        == {"4trr"}
+
+    monkeypatch.setattr(cli, "_build_table", lambda cfg, K, tmax: table)
+    code = cli.main(["verify", "--mode", "structured", "--n", "4", "--s", "2",
+                     "--t", "2"])
+    assert code == 1
+    assert "verify: FAIL (1080 records, 9 gating failures, 24 skipped)" \
+        in capsys.readouterr().err
 
 
 def test_verify_identity_filter_rules():

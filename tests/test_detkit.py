@@ -180,6 +180,17 @@ def test_degenerate_coefficient_raises_every_time():
     assert ("DetContext.coeff", "c", 1, 0, 0) not in ctx.derived
 
 
+def test_flow_coefficients_vanish_with_phi():
+    # d and e divide by sigma_{n-1}; where phi is 0 from s on, sigma_0^{s} =
+    # phi_s = 0 and they read 0 rather than raise, while below s they do not
+    tab = moments.synthetic_generic(1, 9, tmax=1)
+    tab.phi_by_t[0][4:] = [Fraction(0)] * (tab.K - 4)
+    ctx = detkit.DetContext(tab, 9)
+    assert ctx.sigma(0, 4, 0) == 0
+    assert ctx.coeff("e", 1, 4, 0) == ctx.coeff("d", 1, 4, 0) == 0
+    assert ctx.coeff("e", 1, 3, 0) == Fraction(57, 16)
+
+
 def test_extent_errors(generic_ctx):
     c = generic_ctx
     with pytest.raises(ExtentError):

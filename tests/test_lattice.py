@@ -197,6 +197,10 @@ def test_corner_solve_degenerate_errors():
     # discriminant 10 is not a rational square: no exact branch exists
     with pytest.raises(DegeneracyError):
         lattice.solve_dckp_corner(_known(*map(Fraction, (2, 1, 1, 1, 1, 1, 3))))
+    # a negative discriminant has no real root in float mode either
+    with pytest.raises(DegeneracyError, match="negative discriminant in float "
+                                              "corner solve: -2.0"):
+        lattice.solve_dckp_corner(_known(*map(mp.mpf, (2, 1, 1, 3, 1, 1, 1))))
 
 
 def _fraction_corner(taus):

@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from dckp.numerics import ConfigError, ExtentError
-from dckp import detkit, lax, polyfam
+from dckp.numerics import ConfigError, ExtentError, _integers
+from dckp import detkit, identities, lax, polyfam
 
 # ---- Operator structure ----
 
 def test_operator_truncation_requires_k5(generic_ctx, structured_ctx):
-    for build in (lax.build_L, lax.build_N, lax.build_M):
+    for name in lax.OPERATORS:
         with pytest.raises(ConfigError, match="needs K >= 5, got 4"):
-            build(generic_ctx, 4, 0, 0)
-        op = build(structured_ctx, 5, 0, 0)
+            lax.build(generic_ctx, name, 4, 0, 0)
+        op = lax.build(structured_ctx, name, 5, 0, 0)
         assert len(op) == 5 and all(len(row) == 5 for row in op)
 
 
@@ -23,13 +23,101 @@ def test_n_operator_maps_p_column(structured_ctx):
     # row i of N applied to [P_k(x)] equals x P_i^{s+1}(x) off the last row
     c = structured_ctx
     K = 5
-    N = lax.build_N(c, K, 0, 0)
+    N = lax.build(c, "N", K, 0, 0)
     x = Fraction(1, 3)
     p0 = [polyfam.eval_poly(polyfam.poly(c, "P", k, 0, 0), x) for k in range(K)]
     p1 = [polyfam.eval_poly(polyfam.poly(c, "P", k, 1, 0), x) for k in range(K)]
     for i in range(K - 1):
         img = sum(N[i][k] * p0[k] for k in range(K))
         assert img == x * p1[i], i
+
+
+# ---- The recurrence written once ----
+
+def _hand_operator(ctx, op, K, s, t):
+    """L, N or M at (s, t) from its bands written out by hand."""
+    def coeffs(*names):
+        return [[ctx.coeff(name, n, s, t) for n in range(K)] for name in names]
+
+    one, zero = ctx.one(), ctx.zero()
+    if op == "L":
+        a, b, c = coeffs("a", "b", "c")
+        sub, bands = a, {1: lambda i: one, 0: lambda i: a[i] - b[i],
+                         -1: lambda i: a[i] * b[i - 1] - c[i],
+                         -2: lambda i: -a[i] * c[i - 1]}
+    elif op == "N":
+        alpha, beta = coeffs("alpha", "beta")
+        sub, bands = alpha, {1: lambda i: one, 0: lambda i: beta[i]}
+    else:
+        d, e = coeffs("d", "e")
+        sub, bands = e, {0: lambda i: one, -1: lambda i: d[i]}
+    T = [[zero] * K for _ in range(K)]
+    with ctx.wp():
+        for o, band in bands.items():
+            for i in range(max(0, -o), K - max(0, o)):
+                T[i][i + o] = band(i)
+        return lax._forward_solve(sub, T, zero)
+
+
+def _hand_4trr(ctx, n, s, t):
+    """4trr's (sign, coefficient, vector) terms written out by hand."""
+    def pvec(k):
+        coeffs = list(polyfam.poly(ctx, "P", k, s, t).coeffs) if k >= 0 else []
+        return _integers(coeffs) if ctx.exact else coeffs
+
+    a_n, b_n, b_nm1, c_n, c_nm1 = (
+        ctx.coeff(name, m, s, t) for name, m in (
+            ("a", n), ("b", n), ("b", n - 1), ("c", n), ("c", n - 1)))
+    one, x = ctx.one(), lambda vec: identities._shift_x(ctx, vec)
+    return [(1, one, x(pvec(n))), (1, a_n, x(pvec(n - 1))),
+            (-1, one, pvec(n + 1)), (-1, a_n - b_n, pvec(n)),
+            (-1, a_n * b_nm1 - c_n, pvec(n - 1)),
+            (1, a_n * c_nm1, pvec(n - 2))]
+
+
+def _reads_known(products):
+    """Whether every factor of a stencil is an integer, a group of known
+    reads, or a read of a family, a coefficient or x."""
+    return all(isinstance(f, int)
+               or (_reads_known(f) if not isinstance(f[0], str)
+                   else f[0] in detkit.FAMILY_SPECS
+                   or f[0] in detkit.COEFFICIENTS or f[0] == "x")
+               for _, factors in products for f in factors)
+
+
+@pytest.mark.parametrize("fixture, sites", [
+    ("structured_ctx", {"L": [(0, 0), (1, 0)], "N": [(0, 0), (1, 1)],
+                        "M": [(0, 0), (1, 1)]}),
+    ("jacobi_ctx", {op: [(0, 0), (1, 1)] for op in "LNM"})])
+def test_recurrence_and_operators_match_the_hand_formulas(
+        request, monkeypatch, fixture, sites):
+    # OPERATORS and identities.RECURRENCE against the band formulas they
+    # replaced: equal on exact data, bit-equal on float data, where mpf
+    # equality compares exact values
+    ctx = request.getfixturevalue(fixture)
+    for op, at in sites.items():
+        for s, t in at:
+            assert (lax.build(ctx, op, 6, s, t)
+                    == _hand_operator(ctx, op, 6, s, t))
+    seen = []
+    comb = identities._comb
+    monkeypatch.setattr(identities, "_comb", lambda ctx, terms:
+                        seen.append(terms) or comb(ctx, terms))
+    for n in range(1, 4):
+        for s in range(2):
+            with ctx.wp():
+                got = identities._ev_4trr(ctx, n, s, 0)
+                hand = _hand_4trr(ctx, n, s, 0)
+                assert [(sign * coef, vec) for sign, coef, vec in seen.pop()] \
+                    == [(sign * coef, vec) for sign, coef, vec in hand]
+                assert got == comb(ctx, hand)
+    texts = [num + (" + " + den if den else "")
+             for num, den, _ in detkit.COEFFICIENTS.values()]
+    texts += [form for forms in lax.EQUATION_FORMS.values()
+              for form in forms.values()]
+    texts += ["+ " + sub + " " + " ".join(bands.values())
+              for sub, bands in lax.OPERATORS.values()]
+    assert all(_reads_known(detkit.stencil(text)) for text in texts)
 
 
 # ---- Compatibility products ----
@@ -62,16 +150,14 @@ def test_operators_built_once_per_context(jacobi_ctx, monkeypatch):
     # each operator: L at (s, t), (s+1, t), (s, t+1), N at (s, t), (s, t+1)
     # and M at (s, t), (s+1, t), however often they are called
     ctx = detkit.DetContext(jacobi_ctx.base, jacobi_ctx.orders)
-    kind = {frozenset((1, 0, -1, -2)): "L", frozenset((1, 0)): "N",
-            frozenset((0, -1)): "M"}
     built = Counter()
-    build = lax._operator
 
-    def counting(ctx, sub, bands):
-        built[kind[frozenset(bands)]] += 1
-        return build(ctx, sub, bands)
+    class Counting(dict):       # each build looks its operator up once
+        def __getitem__(self, op):
+            built[op] += 1
+            return dict.__getitem__(self, op)
 
-    monkeypatch.setattr(lax, "_operator", counting)
+    monkeypatch.setattr(lax, "OPERATORS", Counting(lax.OPERATORS))
     for _ in range(2):
         lax.compat_residuals(ctx, 5, 0, 0)
         lax.eigen_residuals(ctx, 5, 0, 0)
@@ -84,7 +170,7 @@ def test_unbuildable_operator_is_skipped_every_time(structured_ctx):
         out = lax.compat_residuals(structured_ctx, 6, 0, 0)
         assert out["compat_ML"] is None and "compat_ML_skipped" in out
         with pytest.raises(ExtentError):
-            lax.build_L(structured_ctx, 6, 0, 1)
+            lax.build(structured_ctx, "L", 6, 0, 1)
 
 
 # ---- Eigen relations ----
@@ -145,7 +231,8 @@ def test_equation_n_minimums(structured_ctx):
             if variants == ("printed",)} == {"eq1", "eq2", "eq3"}
     res, scales = lax.evaluate_equation(structured_ctx, "eq5", 0, 0, 0,
                                         variant="repaired")
-    assert res == 0 and scales
+    # an exact zero carries no scale terms, as in every catalog residual
+    assert res == 0 and scales == []
     with pytest.raises(ValueError):
         lax.evaluate_equation(structured_ctx, "eq9", 1, 0, 0)
 
