@@ -3,7 +3,8 @@ polynomial dumps, and Lax-system reports.
 
 Configuration comes from flags, optionally layered over a JSON config file
 (flags win).  Each subcommand takes only the options it reads, as flags and
-as config keys alike; both come from one table, OPTIONS.  Outputs are
+as config keys alike; both come from one table, OPTIONS, and so does the run
+config a subcommand reads, a namespace of every OPTIONS key.  Outputs are
 byte-identical for identical configs; diagnostics go to standard error.  Exit
 codes: 0 success, 1 verification failure, 2 usage or configuration error.
 """
@@ -11,7 +12,6 @@ codes: 0 success, 1 verification failure, 2 usage or configuration error.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
@@ -62,25 +62,6 @@ OPTIONS = {
 }
 
 
-@dataclass
-class RunConfig:
-    command: str
-    mode: str
-    precision: int
-    guard: int
-    Nmax: int
-    Smax: int
-    Tmax: int
-    seed: int
-    out: object
-    format: str
-    identities: object
-
-    def policy(self):
-        return TolerancePolicy(precision_digits=self.precision,
-                               guard_digits=self.guard)
-
-
 # ---- Config resolution ----
 
 def _options(command):
@@ -115,6 +96,9 @@ def _build_parser():
 
 
 def resolve_config(args):
+    """The run config: every OPTIONS key under its own name (flags over the
+    config file over the defaults), the mode, guard and identity filter
+    resolved, and the command."""
     keys = _options(args.command)
     merged = {key: default for key, (_, default, _, _) in OPTIONS.items()}
     if args.config:
@@ -169,15 +153,18 @@ def resolve_config(args):
         if not any(identities.gates(mode, x, 0, 0) for x in ids):
             raise ConfigError("no identity in %s gates in %s mode, so verify "
                               "could never fail" % (list(ids), mode))
-    return RunConfig(args.command, mode, merged["precision"], guard,
-                     merged["n"], merged["s"], merged["t"], merged["seed"],
-                     merged["out"], merged["format"], ids)
+    merged.update(mode=mode, guard=guard, identities=ids)
+    return argparse.Namespace(command=args.command, **merged)
 
 
 # ---- Shared plumbing ----
 
+def _policy(cfg):
+    return TolerancePolicy(cfg.precision, cfg.guard)
+
+
 def _build_table(cfg, K, tmax):
-    return moments.build_base_table(cfg.mode, 0, 0, K, policy=cfg.policy(),
+    return moments.build_base_table(cfg.mode, 0, 0, K, policy=_policy(cfg),
                                     seed=cfg.seed, tmax=tmax)
 
 
@@ -199,7 +186,7 @@ def _diag(msg):
 # ---- selfcheck ----
 
 def cmd_selfcheck(cfg):
-    policy = cfg.policy()
+    policy = _policy(cfg)
     dps = policy.working_dps
     need = cfg.precision - 20
     lines = []
@@ -274,7 +261,7 @@ def cmd_selfcheck(cfg):
 # ---- lattice ----
 
 def cmd_lattice(cfg):
-    lat = lattice.build_lattice(cfg.mode, cfg.Nmax, cfg.Smax, cfg.Tmax,
+    lat = lattice.build_lattice(cfg.mode, cfg.n, cfg.s, cfg.t,
                                 {"precision": cfg.precision, "guard": cfg.guard,
                                  "seed": cfg.seed})
     if cfg.format == "json":
@@ -289,33 +276,28 @@ def cmd_lattice(cfg):
 # ---- verify ----
 
 def cmd_verify(cfg):
-    K = cfg.Nmax + cfg.Smax + 3
+    K = cfg.n + cfg.s + 3
     ids = cfg.identities or identities.CATALOG_IDS
-    table = _build_table(cfg, K, cfg.Tmax)
+    table = _build_table(cfg, K, cfg.t)
     # one context, so the records and the variant report share its memo
     ctx = detkit.DetContext(table, identities.orders_read(
-        ids, cfg.Nmax, cfg.Smax, cfg.Tmax, table.single_by_t))
-    recs = identities.run_suite(ctx, cfg.Nmax, cfg.Smax, cfg.Tmax, ids=ids)
+        ids, cfg.n, cfg.s, cfg.t, table.single_by_t))
+    recs = identities.run_suite(ctx, cfg.n, cfg.s, cfg.t, ids=ids)
     adjud = identities.variant_report(
-        ctx, cfg.Nmax, cfg.Smax, cfg.Tmax,
+        ctx, cfg.n, cfg.s, cfg.t,
         ids=[i for i in identities.VARIANT_IDS if i in ids], records=recs)
     summ = identities.suite_summary(recs)
-    summ_line = {"summary": {k: summ[k] for k in ("records", "gating_failures",
-                                                  "skipped", "all_gating_pass")},
-                 "adjudication": adjud}
+    summ_line = {"summary": summ, "adjudication": adjud}
 
     if cfg.format == "json":
         out_lines = [json.dumps(r.to_json_dict(cfg.precision)) for r in recs]
         out_lines.append(json.dumps(summ_line))
         text = "\n".join(out_lines) + "\n"
     else:
-        dicts = [r.to_json_dict(cfg.precision) for r in recs]
-        text = csv_text(["id", "n", "s", "t", "residual_abs", "residual_rel",
-                         "pass", "mode", "skipped"],
-                        [[d["id"], d["n"], d["s"], d["t"],
-                          d.get("residual_abs", ""), d.get("residual_rel", ""),
-                          d["pass"], d["mode"], d.get("skipped", "")]
-                         for d in dicts])
+        columns = ["id", "n", "s", "t", "residual_abs", "residual_rel", "pass",
+                   "mode", "skipped"]
+        text = csv_text(columns, [[d.get(k, "") for k in columns] for d in
+                                  (r.to_json_dict(cfg.precision) for r in recs)])
         _diag(json.dumps(summ_line))
     _emit(text, cfg.out)
     verdict = "PASS" if summ["all_gating_pass"] else "FAIL"
@@ -327,22 +309,22 @@ def cmd_verify(cfg):
 # ---- polys ----
 
 def cmd_polys(cfg):
-    K = cfg.Nmax + cfg.Smax + 3
-    ctx = detkit.DetContext(_build_table(cfg, K, cfg.Tmax), cfg.Nmax)
+    K = cfg.n + cfg.s + 3
+    ctx = detkit.DetContext(_build_table(cfg, K, cfg.t), cfg.n)
     rows = []
     for fam, low in polyfam.LOWEST_ORDER.items():
-        for n in range(low, cfg.Nmax + 1):
-            for s in range(cfg.Smax + 1):
-                for t in range(cfg.Tmax + 1):
+        for n in range(low, cfg.n + 1):
+            for s in range(cfg.s + 1):
+                for t in range(cfg.t + 1):
                     try:
-                        pc = polyfam.poly(ctx, fam, n, s, t)
+                        coeffs = polyfam.poly(ctx, fam, n, s, t)
                     except (DegeneracyError, ExtentError) as exc:
                         rows.append({"family": fam, "n": n, "s": s, "t": t,
                                      "skipped": str(exc)})
                         continue
                     rows.append({"family": fam, "n": n, "s": s, "t": t,
                                  "coeffs": [fmt_scalar(c, cfg.precision)
-                                            for c in pc.coeffs]})
+                                            for c in coeffs]})
     if cfg.format == "json":
         text = "\n".join(json.dumps(r) for r in rows) + "\n"
     else:
@@ -357,19 +339,19 @@ def cmd_polys(cfg):
 # ---- lax ----
 
 def cmd_lax(cfg):
-    Kop = cfg.Nmax + 1
+    Kop = cfg.n + 1
     if Kop < 5:
         raise ConfigError("lax needs --n >= 4 (operator truncation K = n+1 >= 5)")
-    K = Kop + cfg.Smax + 4
-    table = _build_table(cfg, K, cfg.Tmax + 1)
+    K = Kop + cfg.s + 4
+    table = _build_table(cfg, K, cfg.t + 1)
     ctx = detkit.DetContext(table, detkit.orders_of(lax.family_reads(
-        Kop, cfg.Smax, cfg.Tmax, table.single_by_t)))
+        Kop, cfg.s, cfg.t, table.single_by_t)))
     doc = {"meta": {"mode": cfg.mode, "K": Kop,
-                    "ranges": {"Smax": cfg.Smax, "Tmax": cfg.Tmax},
+                    "ranges": {"Smax": cfg.s, "Tmax": cfg.t},
                     "precision": table.precision_digits},
            "sites": []}
-    for s in range(cfg.Smax + 1):
-        for t in range(cfg.Tmax + 1):
+    for s in range(cfg.s + 1):
+        for t in range(cfg.t + 1):
             entry = {"s": s, "t": t}
             try:
                 comp = lax.compat_residuals(ctx, Kop, s, t)
@@ -386,7 +368,7 @@ def cmd_lax(cfg):
             except (DegeneracyError, ExtentError) as exc:
                 entry["eigen"] = {"skipped": str(exc)}
             doc["sites"].append(entry)
-    doc["six_equations"] = lax.verify_six_equations(ctx, cfg.Nmax, 0, 0)
+    doc["six_equations"] = lax.verify_six_equations(ctx, cfg.n, 0, 0)
     _emit(json.dumps(doc, indent=1) + "\n", cfg.out)
     chosen = {eq: e["chosen"] for eq, e in doc["six_equations"]["equations"].items()}
     bad = [eq for eq, ch in chosen.items() if ch is None and not ctx.exact]

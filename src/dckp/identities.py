@@ -14,10 +14,10 @@ evaluated by one function (a variant id also has its printed one).  In the
 linear ones (prop2.5, prop2.6, spec1, dt1 and trans2) each product ends in a
 P, Q or R cofactor vector, possibly times x, and the signed product of its
 scalar reads is the vector's coefficient.  So a stencil's reads are static.
-The other three kinds (4trr, propr, dckp) declare their highest reads as a
-stencil of one product, 4trr its recurrence coefficients a, b, c and
-P_{n+1}.  4trr's terms come from RECURRENCE, the four-term recurrence as a
-subdiagonal coefficient and bands, stencils: the table lax builds L from.
+The other three kinds (4trr, propr, dckp) carry the reads their evaluation
+makes as a stencil.  4trr's terms and reads come from RECURRENCE, the
+four-term recurrence as a subdiagonal coefficient and bands, stencils: the
+table lax builds L from.  dckp's come from DCKP_SITES, and propr reads R.
 `orders_read` expands every stencil into family reads
 (detkit.stencil_reads), so it bounds a verify context's sweeps at each
 site by the reads of its ids there.
@@ -82,8 +82,8 @@ class Identity:
     stencil: tuple = ()         # signed products (sign, reads), each read
                                 # (family, dn, ds, dt): see detkit.stencil
     printed: tuple = None       # the printed stencil of a variant id
-    reads: tuple = ()           # a kind without a stencil: its highest reads,
-                                # as a stencil of one product
+    reads: tuple = ()           # a kind without a stencil: the reads its
+                                # evaluation makes, as a stencil
 
 
 def _by_stencil(text, printed=None, generic=False, n_min=0):
@@ -91,14 +91,33 @@ def _by_stencil(text, printed=None, generic=False, n_min=0):
                     stencil=stencil(text), printed=printed and stencil(printed))
 
 
+# the four-term recurrence x (P_n + a_n P_{n-1}) = sum over the bands o of
+# band_o(n) P_{n+o}, as its subdiagonal coefficient and its bands, stencils
+# (Bertola, Gekhtman & Szmigielski, J. Approx. Theory 162, 2010): lax's L
+RECURRENCE = ("a", {1: "+ 1", 0: "+ a - b", -1: "+ a b[n-1] - c",
+                    -2: "- a c[n-1]"})
+
+# the quartic's eight tau reads (dn, ds, dt), in _dckp_parts' argument order:
+# tau_n^{s+1}, tau_n, tau_{n+1}, tau_{n-1}^{s+1} at t and then at t+1
+DCKP_SITES = ((0, 1, 0), (0, 0, 0), (1, 0, 0), (-1, 1, 0),
+              (0, 1, 1), (0, 0, 1), (1, 0, 1), (-1, 1, 1))
+
+
+def _4trr_reads():
+    """4trr's reads: its coefficients, then tau_k and P_k (the monic P_k is
+    Praw_k / tau_k) for each order k = n + o it combines."""
+    sub, bands = RECURRENCE
+    pairs = ["tau[n%+d] P[n%+d]" % (o, o) for o in sorted({0, -1, *bands})]
+    return (stencil("+ " + sub) + sum(map(stencil, bands.values()), ())
+            + stencil("+ " + " ".join(pairs)))
+
+
 _E1 = "+ tau[n+1] tau[n-1,s+1] - tau tau[s+1] + xi xi"
 _FN_A = "+ sigma[s+1] tau[n+1] - sigma[n+1] tau[s+1] - xi[n+1] psi"
 _FN_B = "+ sigma tau[s+1] - sigma[n-1,s+1] tau[n+1] - xi psi"
 
 IDENTITY_SPECS = {
-    # 4trr: a_n, b_n, c_n and P_{n+1} = Praw_{n+1} / tau_{n+1}
-    "4trr": Identity("4trr", n_min=1, single=True,
-                     reads=stencil("+ a b c P[n+1]")),
+    "4trr": Identity("4trr", n_min=1, single=True, reads=_4trr_reads()),
     "prop2.5": _by_stencil("+ tau[n+1] x P[s+1] - tau[s+1] P[n+1] - xi[n+1] Q"),
     "prop2.6": _by_stencil("+ tau[n-1,s+1] Q - xi x P[n-1,s+1] + tau[s+1] Q[n-1]",
                            n_min=1),
@@ -139,8 +158,8 @@ IDENTITY_SPECS = {
                       " + psi[n-1] psi[n-1]", generic=True),
     "e4": _by_stencil("+ tau[t+1] xi[n-1] - tau xi[n-1,t+1] + psi[n-1] sigma[n-1]",
                       generic=True),
-    "dckp": Identity("dckp", generic=True, reads=stencil(
-        "+ tau[n+1] tau[s+1] tau[n+1,t+1] tau[s+1,t+1]")),
+    "dckp": Identity("dckp", generic=True, reads=stencil("+ " + " ".join(
+        "tau[n%+d,s%+d,t%+d]" % site for site in DCKP_SITES))),
 }
 
 CATALOG_IDS = tuple(IDENTITY_SPECS)
@@ -155,10 +174,10 @@ REPORT_DIGITS = 12
 def orders_read(ids, nmax, smax, tmax, singles):
     """The highest order of each family that the records and variant reports
     of `ids` on the site grid n <= nmax, s <= smax, t <= tmax read at each
-    (s, t), from their stencils, both variants, and declared reads: a
-    DetContext's `orders`.  An id that needs singles is read only at the t
-    in `singles`, those of the table (its `single_by_t`), as run_suite
-    skips it elsewhere."""
+    (s, t), from their stencils, both variants, and the reads of the kinds
+    without one: a DetContext's `orders`.  An id that needs singles is read
+    only at the t in `singles`, those of the table (its `single_by_t`), as
+    run_suite skips it elsewhere."""
     reads = []
     for ident in ids:
         spec = _spec(ident)
@@ -304,18 +323,6 @@ def _ev_stencil(ctx, stencil, n, s, t):
     return _comb(ctx, terms)
 
 
-# the four-term recurrence x (P_n + a_n P_{n-1}) = sum over the bands o of
-# band_o(n) P_{n+o}, as its subdiagonal coefficient and its bands, stencils
-# (Bertola, Gekhtman & Szmigielski, J. Approx. Theory 162, 2010): lax's L
-RECURRENCE = ("a", {1: "+ 1", 0: "+ a - b", -1: "+ a b[n-1] - c",
-                    -2: "- a c[n-1]"})
-
-# the quartic's eight tau reads (dn, ds, dt), in _dckp_parts' argument order:
-# tau_n^{s+1}, tau_n, tau_{n+1}, tau_{n-1}^{s+1} at t and then at t+1
-DCKP_SITES = ((0, 1, 0), (0, 0, 0), (1, 0, 0), (-1, 1, 0),
-              (0, 1, 1), (0, 0, 1), (1, 0, 1), (-1, 1, 1))
-
-
 def _dckp_parts(a, b, c, d, e, f, g, h):
     """A_t, A_{t+1} and B of the quartic 4 A_t A_{t+1} = B^2, from the taus
     at DCKP_SITES."""
@@ -347,7 +354,7 @@ def _ev_propr(ctx, n, s, t):
 
 def _ev_4trr(ctx, n, s, t):
     def pvec(k):
-        coeffs = list(poly(ctx, "P", k, s, t).coeffs) if k >= 0 else []
+        coeffs = list(poly(ctx, "P", k, s, t)) if k >= 0 else []
         return _integers(coeffs) if ctx.exact else coeffs
 
     # x P_n + a_n x P_{n-1} - sum over the bands o of band_o(n) P_{n+o}, all
@@ -449,24 +456,13 @@ def run_suite(ctx, nmax, smax, tmax, ids=None):
 
 
 def suite_summary(records):
-    """Record, gating-failure and skip counts, the overall gating verdict and
-    the max residual per identity."""
-    worst = {}
-    failures = skipped = 0
-    for r in records:
-        if r.skipped is not None:
-            skipped += 1
-            continue
-        key = r.identity_id
-        cur = worst.get(key)
-        val = r.residual_rel
-        if cur is None or val > cur:
-            worst[key] = val
-        if r.gating and not r.passed:
-            failures += 1
+    """Record, gating-failure and skip counts and the overall gating
+    verdict, in the order verify prints them."""
+    skipped = sum(r.skipped is not None for r in records)
+    failures = sum(r.skipped is None and r.gating and not r.passed
+                   for r in records)
     return {"records": len(records), "gating_failures": failures,
-            "skipped": skipped, "all_gating_pass": failures == 0,
-            "max_residual_rel": worst}
+            "skipped": skipped, "all_gating_pass": failures == 0}
 
 
 # ---- Adjudication artifacts ----

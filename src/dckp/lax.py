@@ -20,8 +20,9 @@ DetContext and (op, K, s, t) (detkit.derived), and the compatibility and
 eigenfunction residuals share each operator; no caller mutates one.
 The six scalar compatibility equations are evaluated per variant: the three
 that survive adjudication verbatim, and repaired forms for the other three,
-each a stencil over the coefficients (EQUATION_FORMS) whose signed products
-(DetContext.factors) go to the catalog's one reducer, identities._residual.
+each a stencil over the coefficients, held with the equation's lowest n in
+one table (SIX_EQUATIONS), whose signed products (DetContext.factors) go to
+the catalog's one reducer, identities._residual.
 `family_reads` derives the family reads from the same stencils and tables.
 """
 
@@ -199,38 +200,33 @@ def eigen_residuals(ctx, K, s, t):
 
 # ---- Six compatibility equations ----
 
-# each equation's lowest n (eq4 and eq6 read index n-1) and its variants
-SIX_EQUATIONS = {"eq1": (0, ("printed",)), "eq2": (0, ("printed",)),
-                 "eq3": (0, ("printed",)), "eq4": (1, ("printed", "repaired")),
-                 "eq5": (0, ("printed", "repaired")),
-                 "eq6": (1, ("printed", "repaired"))}
-
-# each variant's form, a stencil over the recurrence coefficients whose
-# signed products must sum to zero
+# each equation's lowest n (eq4 and eq6 read index n-1) and the form of each
+# of its variants, a stencil over the recurrence coefficients whose signed
+# products must sum to zero
 _EQ4 = "+ ( + g[s+1] - alpha[t+1] ) f[n-1,t+1] - e[s+1] g[n-1,s+1]"
-EQUATION_FORMS = {
-    "eq1": {"printed": "+ g[s+1] + f[t+1] - f - g[n+1]"},
-    "eq2": {"printed": "+ f[n+1] - b[s+1] - f + b[n+1]"},
-    "eq3": {"printed": "+ g - b[t+1] - g[n+1] + b"},
-    "eq4": {"printed": _EQ4 + " - ( + g[n-1] - alpha ) f[n-1] + e g[n-1]",
-            "repaired": _EQ4 + " - ( + f - e[n+1] ) g + alpha f[n-1]"},
-    "eq5": {"printed": "+ c[s+1] + b[s+1] f - alpha[n+1] f - c[n+1] + f b"
-                       " + alpha f[n-1]",
-            "repaired": "+ chat[s+1] + b[s+1] f + alpha[n+1] f - chat[n+1]"
-                        " - f b - alpha f[n-1]"},
-    "eq6": {"printed": "+ c[n-1,t+1] - g b[n-1,t+1] + e g[n-1] - c[n-1]"
-                       " + g[n-1] b[n-1] - e[n-1] g[n-1]",
-            "repaired": "+ chat[t+1] + g b[n-1,t+1] + e g[n-1] - chat"
-                        " - e[n+1] g - b g"},
+SIX_EQUATIONS = {
+    "eq1": (0, {"printed": "+ g[s+1] + f[t+1] - f - g[n+1]"}),
+    "eq2": (0, {"printed": "+ f[n+1] - b[s+1] - f + b[n+1]"}),
+    "eq3": (0, {"printed": "+ g - b[t+1] - g[n+1] + b"}),
+    "eq4": (1, {"printed": _EQ4 + " - ( + g[n-1] - alpha ) f[n-1] + e g[n-1]",
+                "repaired": _EQ4 + " - ( + f - e[n+1] ) g + alpha f[n-1]"}),
+    "eq5": (0, {"printed": "+ c[s+1] + b[s+1] f - alpha[n+1] f - c[n+1] + f b"
+                           " + alpha f[n-1]",
+                "repaired": "+ chat[s+1] + b[s+1] f + alpha[n+1] f - chat[n+1]"
+                            " - f b - alpha f[n-1]"}),
+    "eq6": (1, {"printed": "+ c[n-1,t+1] - g b[n-1,t+1] + e g[n-1] - c[n-1]"
+                           " + g[n-1] b[n-1] - e[n-1] g[n-1]",
+                "repaired": "+ chat[t+1] + g b[n-1,t+1] + e g[n-1] - chat"
+                            " - e[n+1] g - b g"}),
 }
 
 
 def evaluate_equation(ctx, eq, n, s, t, variant="repaired"):
     """(residual_abs, scale terms) of one compatibility equation at one site;
     an equation with one form serves it for every variant."""
-    forms = EQUATION_FORMS.get(eq)
-    if forms is None:
+    if eq not in SIX_EQUATIONS:
         raise ValueError("unknown equation id: %r" % (eq,))
+    _, forms = SIX_EQUATIONS[eq]
     form = forms["printed"] if len(forms) == 1 else forms.get(variant)
     if form is None:
         raise ValueError("equation %r has no variant %r" % (eq, variant))
@@ -293,9 +289,8 @@ def family_reads(K, smax, tmax, singles):
                 return reads[:i]
         return reads
 
-    evaluations = [[(form, n, 0, 0)] for eq, (n_min, _) in SIX_EQUATIONS.items()
-                   for form in EQUATION_FORMS[eq].values()
-                   for n in range(n_min, K)]
+    evaluations = [[(form, n, 0, 0)] for n_min, forms in SIX_EQUATIONS.values()
+                   for form in forms.values() for n in range(n_min, K)]
     for s in range(smax + 1):
         for t in range(tmax + 1):
             # compat_residuals' products; eigen_residuals builds L, N and M

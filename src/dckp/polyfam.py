@@ -1,37 +1,18 @@
 """Polynomial families P, Q, R as monic coefficient vectors from determinant
 cofactors.
 
-Coefficient vectors are low-to-high degree with coeffs[n] = 1, each built
-once per DetContext (detkit.derived).
+A polynomial is the tuple of its coefficients, low-to-high degree with
+coeffs[n] = 1, each built once per DetContext (detkit.derived).
 """
-
-from dataclasses import dataclass
 
 from .numerics import DegeneracyError, ExtentError
 from . import detkit
 
-# ---- Coefficient container ----
 
-@dataclass(frozen=True)
-class PolyCoeffs:
-    family: str                 # P | Q | R
-    n: int
-    s: int
-    t: int
-    coeffs: tuple               # low -> high, length n+1, monic
-
-
-def _vec(f):
-    """Accept PolyCoeffs, or any sequence of coefficients."""
-    if isinstance(f, PolyCoeffs):
-        return f.coeffs
-    return list(f)
-
-
-def eval_poly(f, x):
-    c = _vec(f)
+def eval_poly(coeffs, x):
+    """The polynomial with coefficients `coeffs`, low to high, at x (Horner)."""
     acc = 0
-    for v in reversed(c):
+    for v in reversed(coeffs):
         acc = acc * x + v
     return acc
 
@@ -47,7 +28,8 @@ LOWEST_ORDER = {fam: max(spec.start, 0)
 
 @detkit.derived
 def poly(ctx, family, n, s, t):
-    """Monic member of family P, Q or R at (n, s, t), built once per context.
+    """Coefficients of the monic member of family P, Q or R at (n, s, t),
+    low to high, built once per context.
 
     P_n = tau_n^{-1} det[m cols 0..n-1 | x^i]; Q_n the same on the column-
     shifted table; R_n = sigma_{n-1}^{-1} det[m cols 0..n-2 | phi | x^i]
@@ -67,4 +49,4 @@ def poly(ctx, family, n, s, t):
     if den == 0:
         raise DegeneracyError("normalizer of %s_%d vanishes at (s=%d,t=%d)"
                               % (family, n, s, t))
-    return PolyCoeffs(family, n, s, t, tuple(c / den for c in raw))
+    return tuple(c / den for c in raw)

@@ -170,11 +170,9 @@ def test_criterion_5_orthogonality(jac_ctx):
                 for n in range(5):
                     h = jac_ctx.coeff("h", n, s, t)
                     for m in range(n):
-                        v = _inner(jac_ctx, polys[n].coeffs,
-                                   polys[m].coeffs, s, t)
+                        v = _inner(jac_ctx, polys[n], polys[m], s, t)
                         worst_off = max(worst_off, abs(v / h))
-                    v = _inner(jac_ctx, polys[n].coeffs,
-                               polys[n].coeffs, s, t)
+                    v = _inner(jac_ctx, polys[n], polys[n], s, t)
                     worst_diag = max(worst_diag, abs(v / h - 1))
     ok = worst_off < tol and worst_diag < tol
     _report(5, ok, "off-diagonal = %s, diagonal = %s"

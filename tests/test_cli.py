@@ -265,6 +265,20 @@ def test_config_file_unknown_key(tmp_path):
     assert cli.main(["selfcheck", "--config", cfgp]) == 2
 
 
+def test_a_new_option_reaches_every_run_config(monkeypatch):
+    # one table: a row added to OPTIONS is a flag, a config key and a
+    # run-config field under its own name, with no other edit
+    monkeypatch.setitem(cli.OPTIONS, "extra",
+                        (int, 7, ("verify",), "an option only this test has"))
+    parse = cli._build_parser().parse_args
+    assert cli.resolve_config(parse(["verify", "--extra", "3"])).extra == 3
+    assert cli.resolve_config(parse(["verify"])).extra == 7
+    for name, _ in cli.SUBCOMMANDS:
+        cfg = cli.resolve_config(parse([name]))
+        assert cfg.command == name
+        assert set(cli.OPTIONS) <= set(vars(cfg)), name
+
+
 # ---- lattice ----
 
 def test_lattice_jacobi_order_zero(capsys):

@@ -267,12 +267,14 @@ def test_norm_is_tau_ratio(generic_ctx):
 
 @pytest.mark.parametrize("mode", ["structured", "jacobi"])
 def test_stencil_reads_are_the_reads_evaluation_makes(mode, monkeypatch):
-    # every coefficient and every form of the six equations, evaluated at
-    # n <= 4 and s, t <= 1 with the coefficient memo cleared, reads each
-    # family at each site up to the order detkit.stencil_reads derives.  An
-    # evaluation that raises ExtentError stops at the first read of
-    # sigma_tilde at a t without singles (structured data past its base t),
-    # and the derivation up to that read holds.
+    # every coefficient, every form of the six equations and every catalog
+    # id, evaluated at n <= 4 and s, t <= 1 with the memo cleared, reads
+    # each family at each site up to the order detkit.stencil_reads derives.
+    # A catalog id is checked in its confirmed and any printed form from its
+    # n_min on; 4trr, propr and dckp, which have no stencil, through their
+    # reads.  An evaluation that raises ExtentError stops at the first read
+    # of sigma_tilde at a t without singles (structured data past its base
+    # t), and the derivation up to that read holds.
     table = {"structured": lambda: moments.synthetic_structured(1, 9, tmax=2),
              "jacobi": lambda: moments.build_jacobi(
                  9, TolerancePolicy(30, 10), tmax=2)}[mode]()
@@ -284,16 +286,21 @@ def test_stencil_reads_are_the_reads_evaluation_makes(mode, monkeypatch):
         return family(ctx, f, n, s, t)
 
     monkeypatch.setattr(detkit.DetContext, "_family", read)
-    cases = [(detkit.stencil("+ " + name),
+    cases = [(detkit.stencil("+ " + name), 0,
               lambda n, s, t, name=name: ctx.coeff(name, n, s, t))
              for name in detkit.COEFFICIENTS]
-    cases += [(detkit.stencil(form), lambda n, s, t, eq=eq, v=variant:
+    cases += [(detkit.stencil(form), 0, lambda n, s, t, eq=eq, v=variant:
                lax.evaluate_equation(ctx, eq, n, s, t, v))
-              for eq, forms in lax.EQUATION_FORMS.items()
+              for eq, (_, forms) in lax.SIX_EQUATIONS.items()
               for variant, form in forms.items()]
+    cases += [(form, spec.n_min, lambda n, s, t, i=ident, v=variant:
+               identities.evaluate(ctx, i, n, s, t, v))
+              for ident, spec in identities.IDENTITY_SPECS.items()
+              for variant, form in (("confirmed", spec.stencil or spec.reads),
+                                    ("printed", spec.printed)) if form]
     stopped = 0
-    for form, evaluate in cases:
-        for n in range(5):
+    for form, n_min, evaluate in cases:
+        for n in range(n_min, 5):
             for s in range(2):
                 for t in range(2):
                     ctx.derived.clear()

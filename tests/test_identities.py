@@ -92,7 +92,7 @@ def test_generic_suite_all_exact(generic_ctx):
     assert live and all(r.residual_abs == 0 and r.passed for r in live)
     summ = identities.suite_summary(recs)
     assert summ["all_gating_pass"]
-    assert summ["max_residual_rel"]["dckp"] == 0
+    assert max(r.residual_rel for r in live if r.identity_id == "dckp") == 0
 
 
 def test_structured_suite_all_exact(structured_ctx):

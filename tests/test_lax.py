@@ -62,7 +62,7 @@ def _hand_operator(ctx, op, K, s, t):
 def _hand_4trr(ctx, n, s, t):
     """4trr's (sign, coefficient, vector) terms written out by hand."""
     def pvec(k):
-        coeffs = list(polyfam.poly(ctx, "P", k, s, t).coeffs) if k >= 0 else []
+        coeffs = list(polyfam.poly(ctx, "P", k, s, t)) if k >= 0 else []
         return _integers(coeffs) if ctx.exact else coeffs
 
     a_n, b_n, b_nm1, c_n, c_nm1 = (
@@ -113,7 +113,7 @@ def test_recurrence_and_operators_match_the_hand_formulas(
                 assert got == comb(ctx, hand)
     texts = [num + (" + " + den if den else "")
              for num, den, _ in detkit.COEFFICIENTS.values()]
-    texts += [form for forms in lax.EQUATION_FORMS.values()
+    texts += [form for _, forms in lax.SIX_EQUATIONS.values()
               for form in forms.values()]
     texts += ["+ " + sub + " " + " ".join(bands.values())
               for sub, bands in lax.OPERATORS.values()]
@@ -228,7 +228,7 @@ def test_equation_n_minimums(structured_ctx):
     assert {eq: n_min for eq, (n_min, _) in lax.SIX_EQUATIONS.items()} \
         == {"eq1": 0, "eq2": 0, "eq3": 0, "eq4": 1, "eq5": 0, "eq6": 1}
     assert {eq for eq, (_, variants) in lax.SIX_EQUATIONS.items()
-            if variants == ("printed",)} == {"eq1", "eq2", "eq3"}
+            if list(variants) == ["printed"]} == {"eq1", "eq2", "eq3"}
     res, scales = lax.evaluate_equation(structured_ctx, "eq5", 0, 0, 0,
                                         variant="repaired")
     # an exact zero carries no scale terms, as in every catalog residual
