@@ -353,14 +353,11 @@ def cmd_lax(cfg):
     for s in range(cfg.s + 1):
         for t in range(cfg.t + 1):
             entry = {"s": s, "t": t}
-            try:
-                comp = lax.compat_residuals(ctx, Kop, s, t)
-                entry["compat"] = {
-                    k: (v if v is None or isinstance(v, str)
-                        else fmt_scalar(v, identities.REPORT_DIGITS))
-                    for k, v in comp.items() if k.startswith("compat")}
-            except (DegeneracyError, ExtentError) as exc:
-                entry["compat"] = {"skipped": str(exc)}
+            comp = lax.compat_residuals(ctx, Kop, s, t)
+            entry["compat"] = {
+                k: (v if v is None or isinstance(v, str)
+                    else fmt_scalar(v, identities.REPORT_DIGITS))
+                for k, v in comp.items() if k.startswith("compat")}
             try:
                 eig = lax.eigen_residuals(ctx, Kop, s, t)
                 entry["eigen"] = {k: fmt_scalar(v, identities.REPORT_DIGITS)

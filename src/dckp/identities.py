@@ -34,16 +34,18 @@ cancels.  On jacobi data at the default precision a 1 + 10^-5 scaling of
 such a value fails its record likewise, with the same exception.
 
 Record semantics: exact mode passes iff residual_abs == 0; float mode iff
-residual_rel < rel_tol, with scale = max |individual product term| (floor 1)
-and rel_tol that of the TolerancePolicy the table was built at (its
-`policy`), so no check takes a policy of its own.
+residual_rel < rel_tol, with residual_rel = residual_abs / max(1, the
+largest |product| of any part) (numerics.relative_residual) and rel_tol
+that of the TolerancePolicy the table was built at (its `policy`), so no
+check takes a policy of its own.
 Every evaluator only builds its residual's parts, each a list of signed
 products that must sum to zero: a scalar stencil and the quartic one part,
 a linear stencil and 4trr one per coefficient, propr one per column.  A
 stencil's products are read by DetContext.factors, which reads every
 stencil, the coefficients' and lax's too.  One reducer, `_residual`, which
-also reduces lax's six equations, turns them into (residual_abs, scale
-terms): the largest |sum| of a part and every |product|.  An exact
+also reduces lax's six equations, turns them into (residual_abs,
+residual_rel): the largest |sum| of a part, and that over the largest
+|product|, both under the evaluator's working precision.  An exact
 residual is first zero-tested on those same products, in integer
 arithmetic over one unreduced common denominator (`_vanishes`); only a
 nonzero one is summed.
@@ -249,28 +251,27 @@ def _vanishes(products):
 
 
 def _residual(ctx, parts, den=None):
-    """(residual_abs, scale terms) of `parts`, lists of signed products
-    (sign, factors) that must each sum to zero: the largest |sum| of a part
-    and every |product|, each over `den` if given, the common denominator
-    of exact integer products.  An exact residual whose parts all
-    `_vanishes` is 0 with no scale terms.  Products multiply their factors
-    left to right, and sums add products in order."""
+    """(residual_abs, residual_rel) of `parts`, lists of signed products
+    (sign, factors) that must each sum to zero: the largest |sum| of a part,
+    and that over the largest |product| of any part (relative_residual),
+    both over `den` if given, the common denominator of exact integer
+    products.  An exact residual whose parts all `_vanishes` is (0, 0).
+    Products multiply their factors left to right, and sums add products in
+    order."""
     if ctx.exact and all(map(_vanishes, parts)):
-        return Fraction(0), []
-    sums = []
-    scales = []
+        return Fraction(0), Fraction(0)
+    worst = scale = ctx.zero()
     for part in parts:
         signed = []
         for sign, factors in part:
             prod = _product(factors)
-            scales.append(abs(prod))
+            scale = max(scale, abs(prod))
             signed.append(prod if sign > 0 else -prod)
         if signed:
-            sums.append(abs(sum(signed[1:], signed[0])))
-    worst = max(sums, default=ctx.zero())
+            worst = max(worst, abs(sum(signed[1:], signed[0])))
     if den is not None:
-        return Fraction(worst, den), [Fraction(v, den) for v in scales]
-    return worst, scales
+        worst, scale = Fraction(worst, den), Fraction(scale, den)
+    return worst, relative_residual(worst, scale)
 
 
 class _Ratio(NamedTuple):
@@ -306,7 +307,7 @@ def _comb(ctx, terms):
                             if k < len(vec)] for k in range(width)], den)
 
 
-# ---- Identity evaluators, one per kind: -> (residual_abs, scales) ----
+# ---- Identity evaluators, one per kind: -> (residual_abs, residual_rel) ----
 
 def _ev_stencil(ctx, stencil, n, s, t):
     products = ctx.factors(stencil, n, s, t)
@@ -368,7 +369,7 @@ def _ev_4trr(ctx, n, s, t):
 
 
 def evaluate(ctx, identity_id, n, s, t, variant="confirmed"):
-    """(residual_abs, scale_terms) for one identity at one site.  Only the
+    """(residual_abs, residual_rel) for one identity at one site.  Only the
     variant ids have a "printed" variant."""
     spec = _spec(identity_id)
     stencil = {"confirmed": spec.stencil, "printed": spec.printed}.get(variant)
@@ -392,19 +393,12 @@ def _passes(ctx, res_abs, res_rel):
     return res_abs == 0 if ctx.exact else res_rel < ctx.base.policy.rel_tol()
 
 
-def _with_relative(ctx, res_abs, scales):
-    """(residual_abs, residual_rel) from evaluate's (residual_abs, scales)."""
-    with ctx.wp():
-        return res_abs, relative_residual(res_abs, scales)
-
-
 def _outcome(ctx, identity_id, n, s, t):
     """(residual_abs, residual_rel, None) of the confirmed variant at one
     site, or (None, None, the skip text) where it raises ExtentError or
     DegeneracyError."""
     try:
-        return (*_with_relative(ctx, *evaluate(ctx, identity_id, n, s, t)),
-                None)
+        return (*evaluate(ctx, identity_id, n, s, t), None)
     except (ExtentError, DegeneracyError) as exc:
         return None, None, type(exc).__name__ + ": " + str(exc)
 
@@ -431,7 +425,6 @@ def run_suite(ctx, nmax, smax, tmax, ids=None):
     its outcome at each site, evaluated once; each keeps its own gating.
     """
     chosen = [(ident, _spec(ident)) for ident in (ids or CATALOG_IDS)]
-    mode = ctx.base.mode
     # each id -> the first chosen id with its stencil, whose outcomes it reads
     first = {}
     same_as = {ident: first.setdefault(spec.stencil, ident)
@@ -442,15 +435,14 @@ def run_suite(ctx, nmax, smax, tmax, ids=None):
         for n in range(spec.n_min, nmax + 1):
             for s in range(smax + 1):
                 for t in range(tmax + 1):
-                    if spec.single and not ctx.has_single(t):
-                        records.append(IdentityRecord(
-                            ident, n, s, t, None, None, None, mode,
-                            gating=False, skipped="mode"))
-                        continue
                     key = (same_as[ident], n, s, t)
-                    if key not in outcomes:
-                        outcomes[key] = _outcome(ctx, ident, n, s, t)
-                    records.append(_record(ctx, ident, n, s, t, outcomes[key]))
+                    if spec.single and not ctx.has_single(t):
+                        outcome = None, None, "mode"
+                    elif key in outcomes:
+                        outcome = outcomes[key]
+                    else:
+                        outcome = outcomes[key] = _outcome(ctx, ident, n, s, t)
+                    records.append(_record(ctx, ident, n, s, t, outcome))
     records.sort(key=lambda r: (r.identity_id, r.n, r.s, r.t))
     return records
 
@@ -515,7 +507,7 @@ def variant_report(ctx, nmax, smax, tmax, ids=VARIANT_IDS, records=()):
         rec = done.get((ident, n, s, t)) if variant == "confirmed" else None
         if rec is not None:
             return rec.residual_abs, rec.residual_rel
-        return _with_relative(ctx, *evaluate(ctx, ident, n, s, t, variant))
+        return evaluate(ctx, ident, n, s, t, variant)
 
     report = {}
     for ident in ids:

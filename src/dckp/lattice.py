@@ -99,7 +99,7 @@ def _check_t_evolution(ctx):
         for i in range(K):
             for j in range(K):
                 d = moments._round_pair(direct[i][j], prec)
-                rel = relative_residual(abs(tb1.m(i, j) - d), [abs(d)])
+                rel = relative_residual(tb1.m(i, j) - d, abs(d))
                 if rel >= tol:
                     raise ArithmeticError(
                         "t-evolution check failed at entry (%d,%d): the float "
@@ -297,7 +297,7 @@ def propagation_report(lat, base):
             f, n, s, t = key
             oracle = base.ctx.tau(n, s, t)
             diff = abs(lat.values[key] - oracle)
-            rel = relative_residual(diff, [abs(oracle)])
+            rel = relative_residual(diff, abs(oracle))
             count += 1
             if worst_abs is None or diff > worst_abs:
                 worst_abs = diff

@@ -22,7 +22,8 @@ The six scalar compatibility equations are evaluated per variant: the three
 that survive adjudication verbatim, and repaired forms for the other three,
 each a stencil over the coefficients, held with the equation's lowest n in
 one table (SIX_EQUATIONS), whose signed products (DetContext.factors) go to
-the catalog's one reducer, identities._residual.
+the catalog's one reducer, identities._residual, which returns each
+equation's (residual_abs, residual_rel) as it does a catalog record's.
 `family_reads` derives the family reads from the same stencils and tables.
 """
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from .numerics import ConfigError, DegeneracyError, ExtentError, fmt_scalar
 from . import detkit, polyfam
-from .identities import RECURRENCE, _adjudicate, _residual, _with_relative
+from .identities import RECURRENCE, _adjudicate, _residual
 
 EIGEN_SAMPLES = (Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
                  Fraction(1, 2), Fraction(2, 3))
@@ -222,8 +223,9 @@ SIX_EQUATIONS = {
 
 
 def evaluate_equation(ctx, eq, n, s, t, variant="repaired"):
-    """(residual_abs, scale terms) of one compatibility equation at one site;
-    an equation with one form serves it for every variant."""
+    """(residual_abs, residual_rel) of one compatibility equation at one
+    site, from the catalog's reducer; an equation with one form serves it
+    for every variant."""
     if eq not in SIX_EQUATIONS:
         raise ValueError("unknown equation id: %r" % (eq,))
     _, forms = SIX_EQUATIONS[eq]
@@ -253,8 +255,7 @@ def verify_six_equations(ctx, nmax, s, t, policy=None):
               "equations": {}}
     for eq, (n_min, variants) in SIX_EQUATIONS.items():
         report["equations"][eq] = _adjudicate(
-            ctx, lambda v, n, s, t: _with_relative(
-                ctx, *evaluate_equation(ctx, eq, n, s, t, v)),
+            ctx, lambda v, n, s, t: evaluate_equation(ctx, eq, n, s, t, v),
             variants, [(n, s, t) for n in range(n_min, nmax + 1)],
             ("max_residual_abs", "max_residual_rel", "sites", "skipped", "passes"))
     return report

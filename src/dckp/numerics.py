@@ -90,25 +90,22 @@ def _integers(values):
 
 # ---- Residuals ----
 
-def relative_residual(diff, scale_terms):
-    """|diff| / max(1, max|scale_terms|); exact in, exact out."""
-    if isinstance(diff, Fraction):
-        if diff == 0:
-            return Fraction(0)
-        scale = max([Fraction(1)] + [abs(Fraction(x)) for x in scale_terms])
-        return abs(diff) / scale
-    scale = max([mp.mpf(1)] + [abs(x) for x in scale_terms])
-    return abs(diff) / scale
+def relative_residual(diff, scale):
+    """|diff| / max(1, scale), scale a magnitude: the one floor rule of every
+    relative residual (the catalog's, the six equations', the lattice's two
+    checks and digits_of_agreement).  Exact in, exact out; a float one is
+    rounded at the caller's working precision."""
+    return abs(diff) / max(1, scale)
 
 
 def digits_of_agreement(a, b):
     """Common decimal digits of a and b relative to max(1,|b|); large when equal."""
     av = a if isinstance(a, mp.mpf) else mp.mpf(a)
     bv = b if isinstance(b, mp.mpf) else mp.mpf(b)
-    diff = abs(av - bv)
+    diff = av - bv
     if diff == 0:
         return mp.inf
-    return float(-mp.log10(diff / max(mp.mpf(1), abs(bv))))
+    return float(-mp.log10(relative_residual(diff, abs(bv))))
 
 
 # ---- Serialization ----
@@ -117,13 +114,7 @@ def fmt_scalar(x, precision_digits=None):
     """Fraction -> "p/q" (denominator always explicit); mpf -> fixed-length decimal."""
     if isinstance(x, Fraction):
         return "%d/%d" % (x.numerator, x.denominator)
-    if isinstance(x, int):
-        return "%d/1" % x
-    digits = precision_digits if precision_digits else mp.mp.dps
-    if isinstance(x, mp.mpf):
-        return mp.nstr(x, digits, strip_zeros=False)
-    with mp.workdps(digits + 5):
-        return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
+    return mp.nstr(x, precision_digits or mp.mp.dps, strip_zeros=False)
 
 
 def parse_scalar(s, exact, precision_digits=None):

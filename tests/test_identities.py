@@ -323,6 +323,27 @@ def test_integer_zero_test_sees_a_wrong_value(monkeypatch):
     assert _catalog_run(ctx) == fast
 
 
+# ---- Reducer ----
+
+def test_residual_is_the_worst_part_over_the_largest_product(structured_ctx,
+                                                             jacobi_ctx):
+    # the largest |sum| of a part over max(1, the largest |product| of any
+    # part): the 3s of the vanishing part set the scale of the other one
+    def parts(v):
+        return [[(1, (v(3),)), (-1, (v(3),))], [(1, (v(1),)), (-1, (v(2),))]]
+
+    exact = identities._residual(structured_ctx, parts(Fraction))
+    assert exact == (1, Fraction(1, 3))
+    over_den = identities._residual(structured_ctx, parts(int), den=4)
+    assert over_den == (Fraction(1, 4), Fraction(1, 4))
+    zero = identities._residual(structured_ctx, parts(Fraction)[:1])
+    assert zero == (0, 0)
+    assert all(type(v) is Fraction for v in exact + over_den + zero)
+    with jacobi_ctx.wp():
+        assert identities._residual(jacobi_ctx, parts(mp.mpf)) \
+            == (1, mp.mpf(1) / 3)
+
+
 # ---- Nonzero residuals pinned ----
 
 # memo values bumped one at a time, each a scalar (k None) or coefficient k
@@ -352,7 +373,7 @@ def _residual_lines(ctx):
 
     def outcome(evaluate, *args):
         try:
-            res = identities._with_relative(ctx, *evaluate(ctx, *args))
+            res = evaluate(ctx, *args)
         except (ExtentError, DegeneracyError) as exc:
             return type(exc).__name__
         return " ".join(fmt_scalar(v, digits) for v in res)

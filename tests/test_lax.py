@@ -229,10 +229,9 @@ def test_equation_n_minimums(structured_ctx):
         == {"eq1": 0, "eq2": 0, "eq3": 0, "eq4": 1, "eq5": 0, "eq6": 1}
     assert {eq for eq, (_, variants) in lax.SIX_EQUATIONS.items()
             if list(variants) == ["printed"]} == {"eq1", "eq2", "eq3"}
-    res, scales = lax.evaluate_equation(structured_ctx, "eq5", 0, 0, 0,
-                                        variant="repaired")
-    # an exact zero carries no scale terms, as in every catalog residual
-    assert res == 0 and scales == []
+    res, rel = lax.evaluate_equation(structured_ctx, "eq5", 0, 0, 0,
+                                     variant="repaired")
+    assert res == 0 and rel == 0
     with pytest.raises(ValueError):
         lax.evaluate_equation(structured_ctx, "eq9", 1, 0, 0)
 
