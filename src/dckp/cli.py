@@ -280,8 +280,8 @@ def cmd_verify(cfg):
     ids = cfg.identities or identities.CATALOG_IDS
     table = _build_table(cfg, K, cfg.t)
     # one context, so the records and the variant report share its memo
-    ctx = detkit.DetContext(table, identities.orders_read(
-        ids, cfg.n, cfg.s, cfg.t, table.single_by_t))
+    ctx = detkit.DetContext(table, detkit.orders_read(
+        identities.evaluations(ids, cfg.n, cfg.s, cfg.t), table))
     recs = identities.run_suite(ctx, cfg.n, cfg.s, cfg.t, ids=ids)
     adjud = identities.variant_report(
         ctx, cfg.n, cfg.s, cfg.t,
@@ -344,8 +344,8 @@ def cmd_lax(cfg):
         raise ConfigError("lax needs --n >= 4 (operator truncation K = n+1 >= 5)")
     K = Kop + cfg.s + 4
     table = _build_table(cfg, K, cfg.t + 1)
-    ctx = detkit.DetContext(table, detkit.orders_of(lax.family_reads(
-        Kop, cfg.s, cfg.t, table.single_by_t)))
+    ctx = detkit.DetContext(table, detkit.orders_read(
+        lax.evaluations(Kop, cfg.s, cfg.t), table))
     doc = {"meta": {"mode": cfg.mode, "K": Kop,
                     "ranges": {"Smax": cfg.s, "Tmax": cfg.t},
                     "precision": table.precision_digits},

@@ -2,35 +2,37 @@
 table: one no-pivot elimination per frame (fraction-free Bareiss for exact
 entries, Schur complements for floats, whose pivots it checks), exact
 determinants of single minors as the fallback, and one memoized evaluator for
-every family
+every family, read by `eval_det` under its name in FAMILY_SPECS
 
-  tau_n      = det(m_{ij})                     n x n
-  xi_n       = det(m_{i,j+1})
-  tauhat_n   = det(m_{i,j+2})
-  sigma_n    = det[m cols 0..n-1 | phi_i]      (n+1) x (n+1)
-  psi_n      = det[m cols 1..n   | phi_i]
-  sigma_row_n= det[m_{i+1,j} cols 0..n-1 | phi_{i+1}]
-  sigtilde_n = det[m cols 0..n-1 | u_i]
-  tautilde_n = det(m rows 0..n-2,n, cols 0..n-1)
-  Praw_n     = det[m cols 0..n-1 | x^i]         (n+1) x (n+1), rows 0..n,
-  Qraw_n     = det[m cols 1..n   | x^i]         as the coefficient vector
-  Rraw_n     = det[m cols 0..n-2 | phi_i | x^i] of x^0..x^n (cofactors)
+  tau_n         = det(m_{ij})                     n x n
+  xi_n          = det(m_{i,j+1})
+  tau_hat_n     = det(m_{i,j+2})
+  sigma_n       = det[m cols 0..n-1 | phi_i]      (n+1) x (n+1)
+  psi_n         = det[m cols 1..n   | phi_i]
+  sigma_row_n   = det[m_{i+1,j} cols 0..n-1 | phi_{i+1}]
+  sigma_tilde_n = det[m cols 0..n-1 | u_i]
+  tau_tilde_n   = det(m rows 0..n-2,n, cols 0..n-1)
+  P_n           = det[m cols 0..n-1 | x^i]         (n+1) x (n+1), rows 0..n,
+  Q_n           = det[m cols 1..n   | x^i]         as the coefficient vector
+  R_n           = det[m cols 0..n-2 | phi_i | x^i] of x^0..x^n (cofactors)
 
-Each is a minor of one frame, rows 0..n of the moment matrix, with its
-border columns after the m columns: FAMILY_SPECS gives the row and column
-offsets, the border vector, the frame row left out and the edges.
+P, Q and R are the raw cofactor vectors; polyfam divides each by its x^n
+coefficient for the monic polynomial.  Each family is a minor of one
+frame, rows 0..n of the moment matrix, with its border columns after the
+m columns: FAMILY_SPECS gives the row and column offsets, the border
+vector, the frame row left out and the edges.
 
 Both modes read every family from one elimination per frame and (s, t),
 without pivoting.  The frames come from FAMILY_SPECS: families sharing a
 column offset, a row offset and scalar-or-polynomial share one, with their
 border columns appended after the bimoment columns,
 
-  [m cols 0.. | phi | u]   tau, sigma, sigtilde, tautilde
+  [m cols 0.. | phi | u]   tau, sigma, sigma_tilde, tau_tilde
   [m cols 1.. | phi]       xi, psi
-  [m cols 2..]             tauhat
+  [m cols 2..]             tau_hat
   [m rows 1.. | phi]       sigma_row
-  [m cols 0.. | phi | I]   Praw, Rraw    (swept only when asked for)
-  [m cols 1.. | I]         Qraw
+  [m cols 0.. | phi | I]   P, R    (swept only when asked for)
+  [m cols 1.. | I]         Q
 
 where I is the identity block, one column e_k per frame row.  Exact mode
 scales each frame row to integers once, by the lcm of its denominators, and
@@ -40,16 +42,16 @@ Bareiss steps the entry a^{(k)}_{ij} (i >= k) is the minor of these integers
 on rows and columns 0..k-1 plus row i and column j (Sylvester's identity;
 Bareiss, Math. Comp. 22, 1968); the value of that minor of m is a^{(k)}_{ij}
 times the contents of its columns over the scales of its rows.  So tau_n is
-the pivot a^{(n-1)}_{n-1,n-1}, tautilde_n the entry a^{(n-1)}_{n,n-1} below
-it, sigma_n (psi, sigtilde, sigma_row alike) the border entry
-a^{(n)}_{n,phi}, and Praw_n (Qraw_n alike) row n of the I block after n
-steps: a^{(n)}_{n,e_k} is the Laplace cofactor of x^k.  Rraw_n, whose minor
+the pivot a^{(n-1)}_{n-1,n-1}, tau_tilde_n the entry a^{(n-1)}_{n,n-1} below
+it, sigma_n (psi, sigma_tilde, sigma_row alike) the border entry
+a^{(n)}_{n,phi}, and P_n (Q_n alike) row n of the I block after n
+steps: a^{(n)}_{n,e_k} is the Laplace cofactor of x^k.  R_n, whose minor
 holds two border columns, phi and e_k, in the frame's order, is one 2 x 2
 Sylvester step on rows n-1, n and those columns after n-1 steps, divided by
 tau_{n-1}.  An exact scalar is memoized as a canonical Fraction.  An exact
 cofactor vector is memoized as one pair (numerators, denominator) with no
 common factor, its coefficients a_k / den: the identity zero tests read
-the pair through `_family`, and Praw, Qraw and Rraw return the Fractions.
+the pair through `_family`, and `eval_det` returns the Fractions.
 
 Float mode eliminates in Schur-complement form on integers.  Each frame row
 is Python ints times one power of two of its own, 2^e_i, with W = working
@@ -58,8 +60,8 @@ f = round(2^W a_ik / p_k) and a_ij -= round(f a_kj / 2^W), and a row that
 cancellation leaves more than SLACK_BITS below W is shifted left, exactly.
 After k steps the entry S^{(k)}_{ij} = a_ij 2^e_i times prev, the product of
 the k pivots so far, is that same minor.  So tau_{k+1} = prev S_{k,k},
-tautilde_{k+1} = prev S_{k+1,k}, a border family prev S_{k,phi}, a cofactor
-row prev S_{k,I}, and Rraw_{k+1} = prev (S_{k,phi} S_{k+1,e} - S_{k+1,phi}
+tau_tilde_{k+1} = prev S_{k+1,k}, a border family prev S_{k,phi}, a cofactor
+row prev S_{k,I}, and R_{k+1} = prev (S_{k,phi} S_{k+1,e} - S_{k+1,phi}
 S_{k,e}), whose cross products are exact integers at exponent e_k + e_{k+1}.
 Each value is rounded to the working precision once, as prev (v 2^e), and
 prev once per step.  No pivoting is needed on these frames: with a positive
@@ -71,20 +73,20 @@ without pivoting is backward stable (de Boor & Pinkus, Linear Algebra Appl.
 A context is built with `orders`, the highest family orders its caller
 reads: a dict maps (family, s, t) to the highest order read at that site
 (a family left out at a site is never read there above its edge values;
-`orders_of` builds it from a caller's reads), an int o gives every family
-o at every site, o + 1 for the pivot families tau, xi and tauhat.  The
-sweep at (s, t) memoizes each family up to that order, its reach there.
-Order n of a pivot family is read from frame rows 0..n-1 and bimoment
-columns 0..n-1, of any other family from rows 0..n and columns 0..n-1,
-but Rraw_n, whose phi column stands in for column n-1, from columns
-0..n-2.  So each sweep takes only the frame rows and bimoment columns the
-reaches of its families need at its site (fewer where the table ends), and
-only the border columns of families read there above their edge values: a
-frame read only at edge values eliminates nothing.  By Sylvester's
-identity an entry after k steps depends only on rows 0..k-1, i and columns
-0..k-1, j, so the rows and columns left out change no value that is read;
-the orders above the bound are the costliest ones, with the most steps
-and, in exact mode, the largest integers.
+`orders_read` derives it from what the caller evaluates), an int o gives
+every family o at every site, o + 1 for the pivot families tau, xi and
+tau_hat.  The sweep at (s, t) memoizes each family up to that order, its
+reach there.  Order n of a pivot family is read from frame rows 0..n-1
+and bimoment columns 0..n-1, of any other family from rows 0..n and
+columns 0..n-1, but R_n, whose phi column stands in for column n-1, from
+columns 0..n-2.  So each sweep takes only the frame rows and bimoment
+columns the reaches of its families need at its site (fewer where the
+table ends), and only the border columns of families read there above
+their edge values: a frame read only at edge values eliminates nothing.
+By Sylvester's identity an entry after k steps depends only on rows
+0..k-1, i and columns 0..k-1, j, so the rows and columns left out change
+no value that is read; the orders above the bound are the costliest
+ones, with the most steps and, in exact mode, the largest integers.
 
 The float sweep checks each pivot before it divides by it.  Pivot k fails
 unless it exceeds 10^-(dps - WORKING_MARGIN), that is 10^-precision, times
@@ -93,7 +95,7 @@ a rounding error of about 10^-dps of its row's scale, so a pivot within
 WORKING_MARGIN digits of that level has no digit the margin can vouch for.  A
 zero or negative pivot fails too: the float path never proves a determinant
 zero, and on a totally positive frame every pivot is positive, so every swept
-tau, xi and tauhat is.  At a failed pivot the sweep keeps the values of that
+tau, xi and tau_hat is.  At a failed pivot the sweep keeps the values of that
 step that do not use it (all but the pivot family's next order) and stops.
 
 A read the sweeps do not reach raises ExtentError past the table's extent
@@ -104,9 +106,9 @@ pivot, DegeneracyError naming the family, (n, s, t) and the pivot.  Past a
 zero divisor tau_k of the exact sweep it is det_exact of the literal
 minor.
 
-Edge conventions: tau_0 = xi_0 = tauhat_0 = 1 and sigtilde_{-1} = 1 (empty
-determinants); Praw_{-1} = Qraw_{-1} = [] (the zero polynomial); tau_{-1} =
-xi_{-1} = 0; sigma_{-1} = psi_{-1} = 0; tautilde_{n<=0} = 0; Rraw needs
+Edge conventions: tau_0 = xi_0 = tau_hat_0 = 1 and sigma_tilde_{-1} = 1
+(empty determinants); P_{-1} = Q_{-1} = [] (the zero polynomial); tau_{-1}
+= xi_{-1} = 0; sigma_{-1} = psi_{-1} = 0; tau_tilde_{n<=0} = 0; R needs
 n >= 1.  Shifts in s reindex into the same table; shifts in t use the
 rank-one evolved tables.
 
@@ -116,8 +118,12 @@ gives each as a numerator stencil (signed products of reads at shifts of
 equations and operators), a denominator product and a lowest n, below which
 it is 0.  One memoized `DetContext.coeff` reads them all through
 `DetContext.terms`, the signed products of `DetContext.factors`, which reads
-every stencil, and `stencil_reads` derives the family reads a stencil makes
-from the same tables.
+every stencil.  `stencil_reads` derives the family reads a stencil makes
+from the same tables, and `orders_read` a context's `orders` from the
+stencils its caller evaluates, each evaluation up to its first read of a
+family whose border the table does not carry at that t (`carries`), where
+it raises ExtentError: the one rule for a missing border, so every bound is
+derived, verify's, lax's and the lattice's.
 
 Beside the family memo each context keeps a memo of derived values: the
 recurrence coefficients here, polyfam's monic vectors and lax's operators,
@@ -143,7 +149,6 @@ from .numerics import DegeneracyError, ExtentError, _integers
 @dataclass(frozen=True)
 class Family:
     """A family as a minor of the frame rows 0..n of m (see the module doc)."""
-    method: str                 # the DetContext method evaluating it
     col: int = 0                # column offset into m
     row: int = 0                # row offset of the frame
     border: str = None          # "phi" or "u": a column after the m columns
@@ -155,19 +160,18 @@ class Family:
 
 
 FAMILY_SPECS = {
-    "tau": Family("tau", skip=0),
-    "xi": Family("xi", col=1, skip=0),
-    "tau_hat": Family("tauhat", col=2, skip=0),
-    "sigma": Family("sigma", border="phi"),
-    "psi": Family("psi", col=1, border="phi"),
-    "sigma_row": Family("sigma_row", row=1, border="phi"),
-    "sigma_tilde": Family("sigtilde", border="u", start=-1),
-    "tau_tilde": Family("tautilde", skip=1, start=1),
-    "P": Family("Praw", lead=("tau", 0), start=-1,
+    "tau": Family(skip=0),
+    "xi": Family(col=1, skip=0),
+    "tau_hat": Family(col=2, skip=0),
+    "sigma": Family(border="phi"),
+    "psi": Family(col=1, border="phi"),
+    "sigma_row": Family(row=1, border="phi"),
+    "sigma_tilde": Family(border="u", start=-1),
+    "tau_tilde": Family(skip=1, start=1),
+    "P": Family(lead=("tau", 0), start=-1, error="polynomial order below -1"),
+    "Q": Family(col=1, lead=("xi", 0), start=-1,
                 error="polynomial order below -1"),
-    "Q": Family("Qraw", col=1, lead=("xi", 0), start=-1,
-                error="polynomial order below -1"),
-    "R": Family("Rraw", border="phi", lead=("sigma", -1), start=1,
+    "R": Family(border="phi", lead=("sigma", -1), start=1,
                 error="third-family polynomial needs order >= 1"),
 }
 
@@ -193,14 +197,14 @@ def _frames():
 _FRAMES = _frames()
 
 
-def orders_of(reads):
-    """A DetContext's `orders` from the reads (family, n, s, t) of its
-    caller: the highest n read of each family at each (s, t)."""
-    orders = {}
-    for family, n, s, t in reads:
-        key = (family, s, t)
-        orders[key] = max(orders.get(key, n), n)
-    return orders
+def carries(table, family, t):
+    """Whether the t-evolved tables of `table` carry the border of `family`
+    at t: a family without one always, one with phi or u where the table
+    has that vector at t.  A read of a family above its edge values where
+    it is not carried raises ExtentError."""
+    border = FAMILY_SPECS[family].border
+    return border is None or t in (table.phi_by_t if border == "phi"
+                                   else table.single_by_t)
 
 
 # ---- Stencils ----
@@ -255,29 +259,53 @@ COEFFICIENTS = {
 }
 
 
-def stencil_reads(products, n, s, t):
+def stencil_reads(products, n, s, t, memo=None):
     """The family reads (family, n, s, t) that evaluating the stencil
     `products` at (n, s, t) makes, in the order it makes them: a
     coefficient reads those of its numerator and then of its denominator,
-    and none below its lowest n; a constant and x read none."""
+    and none below its lowest n; a constant and x read none.  A dict
+    `memo` keeps each coefficient's reads by (name, n, s, t) across calls."""
+    memo = {} if memo is None else memo
     reads = []
     for _, factors in products:
         for f in factors:
             if isinstance(f, int):
                 continue
             if not isinstance(f[0], str):
-                reads += stencil_reads(f, n, s, t)
+                reads += stencil_reads(f, n, s, t, memo)
                 continue
             name, dn, ds, dt = f
             at = (n + dn, s + ds, t + dt)
             if name in COEFFICIENTS:
-                num, den, low = COEFFICIENTS[name]
-                if at[0] >= low:
-                    reads += stencil_reads(
-                        stencil(num + " + " + den if den else num), *at)
+                key = (name, *at)
+                if key not in memo:
+                    num, den, low = COEFFICIENTS[name]
+                    memo[key] = [] if at[0] < low else stencil_reads(
+                        stencil(num + " + " + den if den else num), *at, memo)
+                reads += memo[key]
             elif name != "x":
                 reads.append((name, *at))
     return reads
+
+
+def orders_read(evaluations, table):
+    """A DetContext's `orders` on `table`: the highest order of each family
+    read at each (s, t) by `evaluations`.  An evaluation is the sequence of
+    (stencil products, n, s, t) its caller reads, in its caller's order; it
+    stops at its first read of a family that `table` does not carry at
+    that t, where evaluating it raises ExtentError."""
+    memo, orders = {}, {}
+    carried = functools.cache(functools.partial(carries, table))
+    for evaluation in evaluations:
+        reads = [read for products, n, s, t in evaluation
+                 for read in stencil_reads(products, n, s, t, memo)]
+        for family, n, s, t in reads:
+            if not carried(family, t):
+                break
+            key = (family, s, t)
+            if n > orders.get(key, n - 1):
+                orders[key] = n
+    return orders
 
 
 # ---- Determinants ----
@@ -459,26 +487,9 @@ def _product(factors):
     return prod
 
 
-def _values(v):
-    """A memoized family value as its public one: an exact cofactor vector,
-    memoized as a pair (numerators, denominator), as a list of Fractions."""
-    if isinstance(v, tuple):
-        nums, den = v
-        return [Fraction(a, den) for a in nums]
-    return v
-
-
-def _family_method(family, doc=None):
-    """A DetContext method delegating to the memoized family evaluator."""
-    def method(self, n, s, t):
-        return _values(self._family(family, n, s, t))
-    method.__name__ = FAMILY_SPECS[family].method
-    method.__doc__ = doc
-    return method
-
-
 class DetContext:
-    """Family evaluators at absolute (n, s, t) over one base moment table.
+    """The families at absolute (n, s, t) over one base moment table, read
+    through `eval_det` (or `_family`, the memo's own value).
 
     t moves through rank-one evolved copies of the base table, s through index
     shifts inside each copy.  All determinants are memoized in `memo`; one
@@ -531,10 +542,6 @@ class DetContext:
 
     def ph(self, i, s, t):
         return self._table(t).phi(i + (s - self.s0))
-
-    def has_single(self, t):
-        tb = self.tables.get(t)
-        return tb is not None and tb.has_single()
 
     # -- determinant families: one memoized evaluator over FAMILY_SPECS --
 
@@ -591,7 +598,7 @@ class DetContext:
             return
         # the families read here above their edge values: order n needs
         # frame rows 0..n-1 (pivot family) or 0..n, and bimoment columns
-        # 0..n-1, 0..n-2 for Rraw
+        # 0..n-1, 0..n-2 for R
         read = [(spec, reach) for _, spec, reach in specs
                 if reach >= max(spec.start, spec.skip is not None)]
         rows = max([0] + [reach + (spec.skip != 0) for spec, reach in read])
@@ -667,7 +674,7 @@ class DetContext:
             for name, spec, reach in specs:
                 if spec.skip is not None:
                     # tau_{k+1} = a^{(k)}_{k,k}, the pivot (kept only if it
-                    # passes), and tautilde_{k+1} = a^{(k)}_{k+1,k}
+                    # passes), and tau_tilde_{k+1} = a^{(k)}_{k+1,k}
                     i = k + spec.skip
                     if k < min(C, reach) and i < R and (trusted or spec.skip):
                         memo[(name, k + 1, s, t)] = value(M[i][k], prev, k,
@@ -681,7 +688,7 @@ class DetContext:
                         memo[(name, k, s, t)] = vector(rk[ident:], prev, k,
                                                        (k,), ident)
                 else:
-                    # Rraw_{k+1}: 2 x 2 Sylvester step on rows k, k+1 and
+                    # R_{k+1}: 2 x 2 Sylvester step on rows k, k+1 and
                     # columns phi, e_j; an exact entry is a minor, so the
                     # step divides by tau_k
                     c, rows = at.get(spec.border, (None, 0))
@@ -733,23 +740,6 @@ class DetContext:
         ints, den = _integers([v if (k + n) % 2 == 0 else -v
                                for k, v in enumerate(minors)])
         return _pair(ints, 1, den)
-
-    tau = _family_method("tau")
-    xi = _family_method("xi")
-    tauhat = _family_method("tau_hat")
-    sigma = _family_method("sigma")
-    psi = _family_method("psi")
-    sigma_row = _family_method("sigma_row")
-    sigtilde = _family_method("sigma_tilde")
-    tautilde = _family_method("tau_tilde")
-
-    # -- unnormalized polynomial coefficient vectors (degree-ordered) --
-
-    Praw = _family_method("P", "Cofactor coefficients of tau_n P_n; "
-                               "Praw(-1) is the zero polynomial.")
-    Qraw = _family_method("Q")
-    Rraw = _family_method("R", "Border [m cols 0..n-2 | phi | x^i]; "
-                               "defined for n >= 1.")
 
     # -- stencils: the recurrence coefficients and their combinations --
 
@@ -814,10 +804,14 @@ class DetContext:
 # ---- Module-level operation wrappers ----
 
 def eval_det(ctx, family, n, s, t):
-    """Evaluate one family of FAMILY_SPECS at (n, s, t) with its edge values."""
-    spec = FAMILY_SPECS.get(family)
-    if spec is None:
+    """Family `family` of FAMILY_SPECS at (n, s, t) with its edge values: a
+    scalar, or a P, Q or R cofactor vector as its list of coefficients."""
+    if family not in FAMILY_SPECS:
         raise ValueError("unknown family %r (one of %s)"
                          % (family, ", ".join(FAMILY_SPECS)))
-    return getattr(ctx, spec.method)(n, s, t)
+    v = ctx._family(family, n, s, t)
+    if isinstance(v, tuple):    # an exact vector, memoized as a pair
+        nums, den = v
+        return [Fraction(a, den) for a in nums]
+    return v
 

@@ -18,9 +18,10 @@ The other three kinds (4trr, propr, dckp) carry the reads their evaluation
 makes as a stencil.  4trr's terms and reads come from RECURRENCE, the
 four-term recurrence as a subdiagonal coefficient and bands, stencils: the
 table lax builds L from.  dckp's come from DCKP_SITES, and propr reads R.
-`orders_read` expands every stencil into family reads
-(detkit.stencil_reads), so it bounds a verify context's sweeps at each
-site by the reads of its ids there.
+`evaluations` hands every stencil to detkit.orders_read, which bounds a
+verify context's sweeps at each site by the reads of its ids there: 4trr
+stops at its first read of sigma_tilde where the table has no singles,
+as its evaluation raises there.
 At n = 0 the records of 3.2b, 3.3b, 3.4a, 3.4b, e1-e4, eq1, fn-b,
 tau-hat-rel and tri2 read no order >= 1 value outside a product that also
 holds an edge zero (tau_{-1} = xi_{-1} = sigma_{-1} = psi_{-1} = 0): they
@@ -62,7 +63,7 @@ from typing import NamedTuple
 
 from .numerics import (DegeneracyError, ExtentError, _integers, fmt_scalar,
                        relative_residual)
-from .detkit import FAMILY_SPECS, _product, orders_of, stencil, stencil_reads
+from .detkit import FAMILY_SPECS, _product, carries, eval_det, stencil
 from .polyfam import poly
 
 # the cofactor-vector families P, Q and R: a stencil product ending in one of
@@ -107,7 +108,8 @@ DCKP_SITES = ((0, 1, 0), (0, 0, 0), (1, 0, 0), (-1, 1, 0),
 
 def _4trr_reads():
     """4trr's reads: its coefficients, then tau_k and P_k (the monic P_k is
-    Praw_k / tau_k) for each order k = n + o it combines."""
+    the cofactor vector P_k over tau_k) for each order k = n + o it
+    combines."""
     sub, bands = RECURRENCE
     pairs = ["tau[n%+d] P[n%+d]" % (o, o) for o in sorted({0, -1, *bands})]
     return (stencil("+ " + sub) + sum(map(stencil, bands.values()), ())
@@ -173,23 +175,15 @@ VARIANT_IDS = tuple(i for i, spec in IDENTITY_SPECS.items() if spec.printed)
 REPORT_DIGITS = 12
 
 
-def orders_read(ids, nmax, smax, tmax, singles):
-    """The highest order of each family that the records and variant reports
-    of `ids` on the site grid n <= nmax, s <= smax, t <= tmax read at each
-    (s, t), from their stencils, both variants, and the reads of the kinds
-    without one: a DetContext's `orders`.  An id that needs singles is read
-    only at the t in `singles`, those of the table (its `single_by_t`), as
-    run_suite skips it elsewhere."""
-    reads = []
-    for ident in ids:
-        spec = _spec(ident)
-        if nmax < spec.n_min:
-            continue
-        products = spec.stencil + (spec.printed or ()) + spec.reads
-        reads += [read for s in range(smax + 1) for t in range(tmax + 1)
-                  if t in singles or not spec.single
-                  for read in stencil_reads(products, nmax, s, t)]
-    return orders_of(reads)
+def evaluations(ids, nmax, smax, tmax):
+    """What the records and variant reports of `ids` on the site grid
+    n <= nmax, s <= smax, t <= tmax evaluate, for detkit.orders_read: at
+    each (nmax, s, t), each id's confirmed stencil, or the reads of a kind
+    without one, and its printed stencil, their highest reads."""
+    specs = [_spec(ident) for ident in ids]
+    return [[(form, nmax, s, t)] for spec in specs if nmax >= spec.n_min
+            for form in (spec.stencil + spec.reads, spec.printed) if form
+            for s in range(smax + 1) for t in range(tmax + 1)]
 
 
 def _spec(identity_id):
@@ -331,7 +325,8 @@ def _dckp_parts(a, b, c, d, e, f, g, h):
 
 
 def _ev_dckp(ctx, n, s, t):
-    taus = [ctx.tau(n + dn, s + ds, t + dt) for dn, ds, dt in DCKP_SITES]
+    taus = [eval_det(ctx, "tau", n + dn, s + ds, t + dt)
+            for dn, ds, dt in DCKP_SITES]
     den = None
     if ctx.exact:
         # the quartic is homogeneous in tau, so over the integer taus its
@@ -436,7 +431,7 @@ def run_suite(ctx, nmax, smax, tmax, ids=None):
             for s in range(smax + 1):
                 for t in range(tmax + 1):
                     key = (same_as[ident], n, s, t)
-                    if spec.single and not ctx.has_single(t):
+                    if spec.single and not carries(ctx.base, "sigma_tilde", t):
                         outcome = None, None, "mode"
                     elif key in outcomes:
                         outcome = outcomes[key]

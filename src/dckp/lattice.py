@@ -6,10 +6,13 @@ _dckp_parts, the catalog's dckp), read as a quadratic in its corner
 tau_{n+1}^{s,t+1}, powers an initial-value propagation that rebuilds a
 t-slice from the previous slice plus an n <= 1 boundary staircase; of the
 two roots it keeps the one nearer the determinant oracle, and halts on an
-exact tie.  The quartic is homogeneous of degree four in its taus, so an
-exact corner is solved on the integer numerators of the seven known taus
-over one common denominator, with no Fraction arithmetic until the two
-roots.
+exact tie.  One `_staircase` gives the boundary row and the corners, to
+`propagate`, which iterates them, and to the lattice context, whose sweep
+bounds detkit.orders_read derives from what it evaluates: the sites, Lax,
+and the staircase's boundary row and dckp reads.  The quartic is
+homogeneous of degree four in its taus, so an exact corner is solved on
+the integer numerators of the seven known taus over one common
+denominator, with no Fraction arithmetic until the two roots.
 """
 
 import math
@@ -21,7 +24,7 @@ import mpmath as mp
 
 from .numerics import (ConfigError, DegeneracyError, TolerancePolicy,
                        _integers, csv_text, fmt_scalar, relative_residual)
-from .identities import DCKP_SITES, _dckp_parts
+from .identities import DCKP_SITES, IDENTITY_SPECS, _dckp_parts
 from . import moments, detkit, lax
 
 # sigma_row is an internal evaluator for the identity battery, not lattice data
@@ -107,14 +110,6 @@ def _check_t_evolution(ctx):
                         "(rel %s)" % (i, j, mp.nstr(rel, 8)))
 
 
-def _family_available(table, family, t):
-    """Whether the t-evolved tables of `table` carry the border of `family`
-    at t."""
-    border = detkit.FAMILY_SPECS[family].border
-    return border is None or t in (table.phi_by_t if border == "phi"
-                                   else table.single_by_t)
-
-
 def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     """Materialize the determinant families on the grid from a fresh table.
 
@@ -135,11 +130,12 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
                                      policy=policy, seed=cfg.get("seed", 0),
                                      tmax=Tmax)
     families = tuple(f for f in LATTICE_FAMILIES
-                     if _family_available(table, f, table.t0))
+                     if detkit.carries(table, f, table.t0))
     sites = [(f, n, s, t) for f in families for t in range(Tmax + 1)
-             if _family_available(table, f, t)
+             if detkit.carries(table, f, t)
              for n in range(Nmax + 1) for s in range(Smax + 1)]
-    ctx = detkit.DetContext(table, _orders_read(table, sites, Nmax, Smax, Tmax))
+    ctx = detkit.DetContext(table, detkit.orders_read(
+        _evaluations(table, sites, Nmax, Smax, Tmax), table))
     if not table.exact and Tmax >= 1:
         _check_t_evolution(ctx)
     lat = TauLattice(Nmax, Smax, Tmax, ctx, families=families)
@@ -149,17 +145,32 @@ def build_lattice(mode, Nmax, Smax, Tmax, config=None):
     return lat
 
 
-def _orders_read(table, sites, Nmax, Smax, Tmax):
-    """The orders a lattice context on `table` declares: its own `sites`;
-    Lax at K = Nmax at s <= Smax, t < Tmax, with the six equations at
-    n < Nmax at (0, 0) (lax.family_reads); and tau alone on the propagation
-    staircase, to Nmax + Smax + 1 - s at s <= Smax + Nmax, where `propagate`
-    reads the corner oracle tau_{n+1}^{s,t+1} at s <= Smax + Nmax - n and
-    the quartic's tau_1^{s+1,t} up to s + 1 = Smax + Nmax."""
-    reads = sites + lax.family_reads(Nmax, Smax, Tmax - 1, table.single_by_t)
-    reads += [("tau", min(Nmax, Nmax + Smax + 1 - s), s, t)
-              for s in range(Smax + Nmax + 1) for t in range(Tmax + 1)]
-    return detkit.orders_of(reads)
+def _evaluations(table, sites, Nmax, Smax, Tmax):
+    """What a lattice context on `table` evaluates, for detkit.orders_read:
+    its own `sites`; Lax at K = Nmax at s <= Smax, t < Tmax, with the six
+    equations at n < Nmax at (0, 0) (lax.evaluations); and at each t-step
+    of `propagate` up to Tmax its `_staircase`: the n = 1 boundary row, and
+    at each corner the catalog's dckp reads, the quartic's seven known taus
+    and the corner's determinant oracle."""
+    tau, dckp = detkit.stencil("+ tau"), IDENTITY_SPECS["dckp"].reads
+    row, corners = _staircase(Nmax, Smax, table.s0)
+    out = [[(detkit.stencil("+ " + f), n, s, t)] for f, n, s, t in sites]
+    out += lax.evaluations(Nmax, Smax, Tmax - 1)
+    for t in range(table.t0, Tmax):
+        out += [[(tau, 1, s, t + 1)] for s in row]
+        out += [[(dckp, n, s, t)] for n, s in corners]
+    return out
+
+
+def _staircase(Nmax, Smax, s0):
+    """One t-step of `propagate` from t to t+1, as (row, corners): the s of
+    its n = 1 boundary row tau_1^{s,t+1}, read from the determinant oracle,
+    and the (n, s) of each corner tau_{n+1}^{s,t+1} in the order it is
+    solved, from the quartic at (n, s, t): 1 <= n < Nmax and
+    s0 <= s <= Smax + Nmax - n."""
+    top = Smax + Nmax
+    return (range(s0, top),
+            [(n, s) for n in range(1, Nmax) for s in range(s0, top + 1 - n)])
 
 
 # ---- Quartic corner solve ----
@@ -234,10 +245,10 @@ def propagate(lat, from_t, to_t):
     """Rebuild tau slices (from_t, to_t] from the quartic corner equation.
 
     Each slice t+1 is filled in increasing n from the previous slice plus
-    boundary data: the n=0 row (identically 1) and the n=1 determinant row
-    over the staircase range s0 <= s <= Smax + Nmax - n.  The filled corner
-    is tau_{n+1}^{s,t+1}; of its two roots the one nearer the determinant
-    oracle is kept, and an exact tie halts propagation.
+    boundary data: the n=0 row (identically 1) and the n=1 determinant row,
+    over the staircase (`_staircase`) s0 <= s <= Smax + Nmax - n.  The
+    filled corner is tau_{n+1}^{s,t+1}; of its two roots the one nearer the
+    determinant oracle is kept, and an exact tie halts propagation.
     """
     if not (lat.ctx.base.t0 <= from_t < to_t <= lat.Tmax):
         raise ConfigError("propagation range (%d, %d] outside lattice t-range"
@@ -245,43 +256,38 @@ def propagate(lat, from_t, to_t):
     ctx = lat.ctx
     out = TauLattice(lat.Nmax, lat.Smax, lat.Tmax, ctx, dict(lat.values),
                      dict(lat.provenance), lat.families)
-    S1 = lat.Smax + lat.Nmax - 1
+    row, corners = _staircase(lat.Nmax, lat.Smax, ctx.s0)
     work = {}
 
     def val(n, s, t):
-        if n <= 0:
-            return ctx.tau(n, s, t)
         if (n, s, t) in work:
             return work[(n, s, t)]
         key = ("tau", n, s, t)
         if key in out.values:
             return out.values[key]
-        return ctx.tau(n, s, t)
+        return detkit.eval_det(ctx, "tau", n, s, t)
 
     for t in range(from_t, to_t):
-        # boundary staircase at t+1: the n=0 row is 1 by convention (val
-        # handles it); the n=1 row comes from the determinant oracle
-        for s in range(ctx.s0, S1 + 1):
-            work[(1, s, t + 1)] = ctx.tau(1, s, t + 1)
-        for n in range(1, lat.Nmax):
-            for s in range(ctx.s0, S1 - (n - 1) + 1):
-                taus = [None if site == _CORNER
-                        else val(n + site[0], s + site[1], t + site[2])
-                        for site in DCKP_SITES]
-                with ctx.wp():
-                    r1, r2 = solve_dckp_corner(taus)
-                ref = ctx.tau(n + 1, s, t + 1)
-                d1, d2 = abs(r1 - ref), abs(r2 - ref)
-                if r1 != r2 and d1 == d2:
-                    raise DegeneracyError(
-                        "branch ambiguity at tau_%d^{%d,%d}: roots equidistant "
-                        "from the determinant oracle" % (n + 1, s, t + 1))
-                work[(n + 1, s, t + 1)] = r1 if d1 <= d2 else r2
-        for (n, s, tt) in list(work.keys()):
-            if tt != t + 1 or n < 2 or s > lat.Smax or n > lat.Nmax:
-                continue
-            out.values[("tau", n, s, tt)] = work[(n, s, tt)]
-            out.provenance[("tau", n, s, tt)] = "propagated"
+        # boundary staircase at t+1: the n=0 row is 1 by convention, the
+        # n=1 row comes from the determinant oracle
+        for s in row:
+            work[(1, s, t + 1)] = detkit.eval_det(ctx, "tau", 1, s, t + 1)
+        for n, s in corners:
+            taus = [None if site == _CORNER
+                    else val(n + site[0], s + site[1], t + site[2])
+                    for site in DCKP_SITES]
+            with ctx.wp():
+                r1, r2 = solve_dckp_corner(taus)
+            ref = detkit.eval_det(ctx, "tau", n + 1, s, t + 1)
+            d1, d2 = abs(r1 - ref), abs(r2 - ref)
+            if r1 != r2 and d1 == d2:
+                raise DegeneracyError(
+                    "branch ambiguity at tau_%d^{%d,%d}: roots equidistant "
+                    "from the determinant oracle" % (n + 1, s, t + 1))
+            root = work[(n + 1, s, t + 1)] = r1 if d1 <= d2 else r2
+            if s <= lat.Smax:
+                out.values[("tau", n + 1, s, t + 1)] = root
+                out.provenance[("tau", n + 1, s, t + 1)] = "propagated"
     return out
 
 
@@ -295,7 +301,7 @@ def propagation_report(lat, base):
             if prov != "propagated":
                 continue
             f, n, s, t = key
-            oracle = base.ctx.tau(n, s, t)
+            oracle = detkit.eval_det(base.ctx, "tau", n, s, t)
             diff = abs(lat.values[key] - oracle)
             rel = relative_residual(diff, abs(oracle))
             count += 1

@@ -24,7 +24,8 @@ each a stencil over the coefficients, held with the equation's lowest n in
 one table (SIX_EQUATIONS), whose signed products (DetContext.factors) go to
 the catalog's one reducer, identities._residual, which returns each
 equation's (residual_abs, residual_rel) as it does a catalog record's.
-`family_reads` derives the family reads from the same stencils and tables.
+`evaluations` lists what these evaluate, as the same stencils and tables,
+for detkit.orders_read to derive a lax context's sweep bounds from.
 """
 
 from fractions import Fraction
@@ -96,8 +97,9 @@ OPERATORS = {"L": RECURRENCE, "N": ("alpha", {1: "+ 1", 0: "+ beta"}),
 @detkit.derived
 def build(ctx, op, K, s, t):
     """Operator `op` of OPERATORS truncated to K x K at (s, t).  It reads
-    its subdiagonal coefficient over all n first, then its bands in order,
-    the order family_reads assumes where it cuts L's reads at sigma_tilde."""
+    its subdiagonal coefficient over all n first, then its bands in order:
+    the order of its `_READS` stencil, which detkit.orders_read cuts at L's
+    first read of sigma_tilde where the table has no singles."""
     _check_K(K)
     name, bands = OPERATORS[op]
     sub = [ctx.coeff(name, n, s, t) for n in range(K)]
@@ -264,34 +266,24 @@ def verify_six_equations(ctx, nmax, s, t, policy=None):
 # ---- Reads ----
 
 # the reads of each operator, in build's order, and of an eigen column's P_n,
-# its normalizer tau_n and Praw_n, as stencils
-_READS = {op: " ".join(["+ " + sub, *bands.values()])
+# its normalizer tau_n and the cofactor vector P_n, as stencils
+_READS = {op: detkit.stencil(" ".join(["+ " + sub, *bands.values()]))
           for op, (sub, bands) in OPERATORS.items()}
-_READS["P"] = "+ tau P"
+_READS["P"] = detkit.stencil("+ tau P")
 
 
-def family_reads(K, smax, tmax, singles):
-    """The family reads (family, n, s, t) of compat_residuals and
-    eigen_residuals at K at s <= smax, t <= tmax and of verify_six_equations
-    at n < K at (0, 0), derived by detkit.stencil_reads from the forms and
-    from _READS at n = K - 1, their highest reads.  An evaluation (a
-    product, eigen_residuals at a site, a form at an n) stops at its first
-    read of sigma_tilde at a t not in `singles` (the table's single_by_t),
-    where it raises ExtentError, and so do its reads.  At K < 5, or on an
-    empty grid, they read nothing."""
+def evaluations(K, smax, tmax):
+    """What compat_residuals and eigen_residuals at K at s <= smax,
+    t <= tmax and verify_six_equations at n < K at (0, 0) evaluate, for
+    detkit.orders_read: each form at each n, each product of
+    compat_residuals and eigen_residuals at each site, as its _READS at
+    n = K - 1, their highest reads, in the order it reads them.  At K < 5,
+    or on an empty grid, they evaluate nothing."""
     if K < 5 or smax < 0 or tmax < 0:
         return []
-
-    def served(evaluation):
-        reads = [read for text, n, s, t in evaluation for read in
-                 detkit.stencil_reads(detkit.stencil(text), n, s, t)]
-        for i, (family, _, _, t) in enumerate(reads):
-            if family == "sigma_tilde" and t not in singles:
-                return reads[:i]
-        return reads
-
-    evaluations = [[(form, n, 0, 0)] for n_min, forms in SIX_EQUATIONS.values()
-                   for form in forms.values() for n in range(n_min, K)]
+    out = [[(detkit.stencil(form), n, 0, 0)]
+           for n_min, forms in SIX_EQUATIONS.values()
+           for form in forms.values() for n in range(n_min, K)]
     for s in range(smax + 1):
         for t in range(tmax + 1):
             # compat_residuals' products; eigen_residuals builds L, N and M
@@ -300,7 +292,5 @@ def family_reads(K, smax, tmax, singles):
             for ops in list(_products(s, t).values()) + [(
                     ("L", s, t), ("N", s, t), ("M", s, t), ("P", s, t),
                     ("P", s + 1, t), ("P", s, t + 1))]:
-                evaluations.append([(_READS[op], K - 1, u, v)
-                                    for op, u, v in ops])
-    return list(dict.fromkeys(read for evaluation in evaluations  # once each
-                              for read in served(evaluation)))
+                out.append([(_READS[op], K - 1, u, v) for op, u, v in ops])
+    return out

@@ -89,9 +89,6 @@ class MomentTable:
             raise ExtentError("phi index %d outside extent %d" % (i, len(vec)))
         return vec[i]
 
-    def has_single(self):
-        return self.single is not None
-
     # ---- Evolutions ----
 
     def evolve_t(self):

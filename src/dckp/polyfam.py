@@ -19,7 +19,7 @@ def eval_poly(coeffs, x):
 
 # ---- Construction ----
 
-# lowest order of each family, P, Q and R in that order; Praw_{-1} = [] is no
+# lowest order of each family, P, Q and R in that order; P_{-1} = [] is no
 # monic polynomial
 LOWEST_ORDER = {fam: max(spec.start, 0)
                 for fam, spec in detkit.FAMILY_SPECS.items()

@@ -135,8 +135,8 @@ def test_verify_fails_on_data_that_breaks_an_identity(capsys, monkeypatch):
     table.bimoments[2][3] += 1
     table.bimoments[3][2] += 1
     ids = identities.CATALOG_IDS
-    ctx = detkit.DetContext(table, identities.orders_read(
-        ids, 4, 2, 2, table.single_by_t))
+    ctx = detkit.DetContext(table, detkit.orders_read(
+        identities.evaluations(ids, 4, 2, 2), table))
     recs = identities.run_suite(ctx, 4, 2, 2)
     summary = identities.suite_summary(recs)
     assert summary["gating_failures"] == 9 and not summary["all_gating_pass"]

@@ -114,15 +114,19 @@ def test_det_float_reports_exact_zero_pivot():
 
 def test_family_edge_conventions(generic_ctx):
     c = generic_ctx
-    assert c.tau(-1, 0, 0) == 0 and c.tau(0, 0, 0) == 1
-    assert c.xi(-1, 0, 0) == 0 and c.xi(0, 0, 0) == 1
-    assert c.tauhat(0, 0, 0) == 1
-    assert c.sigma(-1, 0, 0) == 0 and c.sigma(0, 0, 0) == c.ph(0, 0, 0)
-    assert c.psi(0, 0, 0) == c.ph(0, 0, 0)
-    assert c.sigtilde(-1, 0, 0) == 1 and c.sigtilde(-2, 0, 0) == 0
-    assert c.tautilde(0, 0, 0) == 0 and c.tautilde(-1, 0, 0) == 0
-    assert c.tau(1, 0, 0) == c.m(0, 0, 0, 0)
-    assert c.tautilde(1, 0, 0) == c.m(1, 0, 0, 0)
+
+    def f(family, n):
+        return detkit.eval_det(c, family, n, 0, 0)
+
+    assert f("tau", -1) == 0 and f("tau", 0) == 1
+    assert f("xi", -1) == 0 and f("xi", 0) == 1
+    assert f("tau_hat", 0) == 1
+    assert f("sigma", -1) == 0 and f("sigma", 0) == c.ph(0, 0, 0)
+    assert f("psi", 0) == c.ph(0, 0, 0)
+    assert f("sigma_tilde", -1) == 1 and f("sigma_tilde", -2) == 0
+    assert f("tau_tilde", 0) == 0 and f("tau_tilde", -1) == 0
+    assert f("tau", 1) == c.m(0, 0, 0, 0)
+    assert f("tau_tilde", 1) == c.m(1, 0, 0, 0)
 
 
 def test_coefficient_edges(structured_ctx):
@@ -186,7 +190,7 @@ def test_flow_coefficients_vanish_with_phi():
     tab = moments.synthetic_generic(1, 9, tmax=1)
     tab.phi_by_t[0][4:] = [Fraction(0)] * (tab.K - 4)
     ctx = detkit.DetContext(tab, 9)
-    assert ctx.sigma(0, 4, 0) == 0
+    assert detkit.eval_det(ctx, "sigma", 0, 4, 0) == 0
     assert ctx.coeff("e", 1, 4, 0) == ctx.coeff("d", 1, 4, 0) == 0
     assert ctx.coeff("e", 1, 3, 0) == Fraction(57, 16)
 
@@ -200,7 +204,7 @@ def test_extent_errors(generic_ctx):
     with pytest.raises(ExtentError):
         c.u(0, 0, 0)      # generic mode has no singles
     with pytest.raises(ExtentError):
-        c.Praw(-2, 0, 0)
+        detkit.eval_det(c, "P", -2, 0, 0)
 
 
 # ---- Closed-form oracles on the true weight ----
@@ -210,9 +214,10 @@ def test_jacobi_family_closed_forms(jacobi_ctx, jacobi_policy):
     with c.wp():
         L = mp.ln(2)
         checks = (
-            (c.tau(1, 0, 0), 2 * L),
-            (c.tau(2, 0, 0), mp.mpf(4) / 3 * L * (1 - L) - mp.mpf(1) / 4),
-            (c.sigma(0, 0, 0), mp.sqrt(2) * L),
+            (detkit.eval_det(c, "tau", 1, 0, 0), 2 * L),
+            (detkit.eval_det(c, "tau", 2, 0, 0),
+             mp.mpf(4) / 3 * L * (1 - L) - mp.mpf(1) / 4),
+            (detkit.eval_det(c, "sigma", 0, 0, 0), mp.sqrt(2) * L),
             (c.coeff("p", 1, 0, 0), -1 / (4 * L)),
             (c.coeff("c", 1, 0, 0),
              (mp.mpf(4) / 3 * L * (1 - L) - mp.mpf(1) / 4) / (4 * L ** 2)),
@@ -227,17 +232,20 @@ def test_jacobi_positivity_small_grid(jacobi_ctx):
         for n in range(4):
             for s in range(2):
                 for t in range(2):
-                    assert c.tau(n, s, t) > 0
-                    assert c.xi(n, s, t) > 0
+                    assert detkit.eval_det(c, "tau", n, s, t) > 0
+                    assert detkit.eval_det(c, "xi", n, s, t) > 0
 
 
 # ---- Coefficient identities ----
 
 def _alpha_difference(c, n, s, t):
     """alpha_n as beta_n - xi_{n+1} xi_n / (tau_{n+1} tau_n^{s+1})."""
-    return c.coeff("beta", n, s, t) - (c.xi(n + 1, s, t) * c.xi(n, s, t)
-                                       / (c.tau(n + 1, s, t)
-                                          * c.tau(n, s + 1, t)))
+    def f(family, n, s):
+        return detkit.eval_det(c, family, n, s, t)
+
+    return c.coeff("beta", n, s, t) - (f("xi", n + 1, s) * f("xi", n, s)
+                                       / (f("tau", n + 1, s)
+                                          * f("tau", n, s + 1)))
 
 
 def test_alpha_forms_agree_exactly(generic_ctx, structured_ctx):
@@ -262,7 +270,16 @@ def test_chat_definition(structured_ctx):
 def test_norm_is_tau_ratio(generic_ctx):
     c = generic_ctx
     for n in range(3):
-        assert c.coeff("h", n, 0, 0) == c.tau(n + 1, 0, 0) / c.tau(n, 0, 0)
+        assert c.coeff("h", n, 0, 0) == (detkit.eval_det(c, "tau", n + 1, 0, 0)
+                                         / detkit.eval_det(c, "tau", n, 0, 0))
+
+
+def _highest(reads):
+    """The highest n of each family read at each (s, t) among `reads`."""
+    out = {}
+    for family, n, s, t in reads:
+        out[(family, s, t)] = max(out.get((family, s, t), n), n)
+    return out
 
 
 @pytest.mark.parametrize("mode", ["structured", "jacobi"])
@@ -306,15 +323,18 @@ def test_stencil_reads_are_the_reads_evaluation_makes(mode, monkeypatch):
                     ctx.derived.clear()
                     logged.clear()
                     reads = detkit.stencil_reads(form, n, s, t)
+                    want = detkit.orders_read([[(form, n, s, t)]], table)
                     try:
                         evaluate(n, s, t)
                     except ExtentError:
+                        # it raised at its first read of a family the table
+                        # does not carry there, where orders_read stops
                         stop = next(i for i, (f, _, _, u) in enumerate(reads)
-                                    if f == "sigma_tilde"
-                                    and not ctx.has_single(u))
-                        reads = reads[:stop + 1]
+                                    if not detkit.carries(table, f, u))
+                        assert want == _highest(reads[:stop]), (form, n, s, t)
+                        want = _highest(reads[:stop + 1])
                         stopped += 1
-                    assert logged == detkit.orders_of(reads), (form, n, s, t)
+                    assert logged == want, (form, n, s, t)
     assert stopped > 0 if mode == "structured" else stopped == 0
 
 
@@ -488,7 +508,8 @@ def test_vanishing_leading_minor_falls_back_per_minor(monkeypatch):
             assert detkit.eval_det(ctx, family, n, 0, 0) == want, (family, n)
             if len(calls) > before:
                 fallback.add((family, n))
-    assert ctx.tau(1, 0, 0) != 0 and ctx.tau(2, 0, 0) == 0
+    assert detkit.eval_det(ctx, "tau", 1, 0, 0) != 0
+    assert detkit.eval_det(ctx, "tau", 2, 0, 0) == 0
     # the sweeps of [m cols 0.. | ...] stop at the zero divisor tau_2, after
     # the step it divides: tau_3 and tau_tilde_3 are their last values,
     # sigma_2, P_2 and R_2 those of their borders.  Every order above, up to
@@ -685,7 +706,7 @@ def test_sweeps_take_only_what_their_site_reads(mode, monkeypatch):
     for s in (0, 1):
         for t in range(T):
             lax.compat_residuals(lat.ctx, 5, s, t)
-            if lat.ctx.has_single(t):
+            if detkit.carries(lat.ctx.base, "sigma_tilde", t):
                 lax.eigen_residuals(lat.ctx, 5, s, t)
     lax.verify_six_equations(lat.ctx, 4, 0, 0)
     assert len(shapes) > 20 and _loose_sweeps(reads, shapes) == []
@@ -760,7 +781,8 @@ def test_failed_float_pivot_raises_past_it(pivot):
             raised += 1
     assert raised == 7 + 6 + 6 + 5 + 6 + 5
     # a failure stops its own frame only: at s = 2 no entry is m_11
-    assert ctx.tau(3, 2, 0) > 0 and ctx.swept[((0, 0, False), 2, 0)] is None
+    assert detkit.eval_det(ctx, "tau", 3, 2, 0) > 0
+    assert ctx.swept[((0, 0, False), 2, 0)] is None
 
 
 def _first_swept(spec):
@@ -788,7 +810,8 @@ def test_reads_above_the_sweep_bound_raise(mode, monkeypatch):
                                      policy=TolerancePolicy(30, 10))
     calls = _count_calls(monkeypatch, "det_exact")
     ctx = detkit.DetContext(table, 3)
-    assert ctx.tau(4, 0, 0) and ctx.sigma(3, 0, 0) and ctx.tautilde(3, 0, 0)
+    assert all(detkit.eval_det(ctx, family, n, 0, 0) for family, n in
+               (("tau", 4), ("sigma", 3), ("tau_tilde", 3)))
     for family, n in (("tau", 5), ("xi", 5), ("tau_hat", 5), ("sigma", 4),
                       ("tau_tilde", 4), ("P", 4), ("R", 4)):
         with pytest.raises(ValueError, match=r"^%s_%d\^\{0,0\} is above the "
@@ -798,7 +821,7 @@ def test_reads_above_the_sweep_bound_raise(mode, monkeypatch):
             detkit.eval_det(ctx, family, n, 0, 0)
     # past the table's extent the minor's own ExtentError comes first
     with pytest.raises(ExtentError):
-        ctx.tau(9, 0, 0)
+        detkit.eval_det(ctx, "tau", 9, 0, 0)
     # per-site bounds, as verify and the lattice set them: at each (s, t)
     # each family is swept to its own order there and one above raises, in
     # frames whose rows reach further for another family; a family left out
@@ -813,7 +836,7 @@ def test_reads_above_the_sweep_bound_raise(mode, monkeypatch):
     ctx = detkit.DetContext(table, orders)
     for s, t in at:
         for family, spec in detkit.FAMILY_SPECS.items():
-            if spec.border == "u" and not ctx.has_single(t):
+            if not detkit.carries(table, family, t):
                 continue        # no minor of it exists: ExtentError
             reach = _reach(orders, family, s, t)
             top = max(reach, _first_swept(spec) - 1)
@@ -869,9 +892,14 @@ def test_bounded_sweeps_read_the_full_sweeps_values(mode, seed, K, orders):
 # ---- Module-level wrappers ----
 
 def test_eval_det_dispatch(generic_ctx):
-    assert detkit.eval_det(generic_ctx, "tau", 2, 0, 1) == generic_ctx.tau(2, 0, 1)
-    assert detkit.eval_det(generic_ctx, "sigma_row", 1, 0, 0) == \
-        generic_ctx.sigma_row(1, 0, 0)
+    # a scalar is the memo's own value, an exact cofactor vector the memo's
+    # pair (numerators, denominator) as its list of Fractions
+    c = generic_ctx
+    assert detkit.eval_det(c, "tau", 2, 0, 1) is c._family("tau", 2, 0, 1)
+    assert detkit.eval_det(c, "sigma_row", 1, 0, 0) \
+        is c._family("sigma_row", 1, 0, 0)
+    nums, den = c._family("P", 2, 0, 0)
+    assert detkit.eval_det(c, "P", 2, 0, 0) == [Fraction(a, den) for a in nums]
     with pytest.raises(ValueError):
         detkit.eval_det(generic_ctx, "nope", 0, 0, 0)
 

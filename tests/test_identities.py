@@ -1,6 +1,7 @@
 """Identity catalog: exact suites per mode, gating, variant adjudication,
 shift-closure link, report serialization."""
 
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -308,10 +309,10 @@ def test_integer_zero_test_matches_fraction_path(build, monkeypatch):
 
 def test_integer_zero_test_sees_a_wrong_value(monkeypatch):
     ctx = detkit.DetContext(moments.synthetic_structured(3, 9, tmax=3), 9)
-    ctx.tau(3, 1, 1)
+    detkit.eval_det(ctx, "tau", 3, 1, 1)
     ctx.memo[("tau", 3, 1, 1)] += Fraction(1, 7)
-    for family, fn in (("P", ctx.Praw), ("R", ctx.Rraw)):
-        fn(3, 1, 1)
+    for family in ("P", "R"):
+        detkit.eval_det(ctx, family, 3, 1, 1)
         # coefficient 1 + 1
         key = (family, 3, 1, 1)
         ctx.memo[key] = _bumps(ctx.memo[key], lambda c: c + 1)[1]
@@ -506,7 +507,8 @@ def test_shift_closure_link(generic_ctx, structured_ctx):
     # relation by exactly 2 psi^2; neither vanishes, while the confirmed
     # form, psi * sigma_row in place of psi^2, does
     for c in (generic_ctx, structured_ctx):
-        X, PS, SR = c.xi, c.psi, c.sigma_row
+        X, PS, SR = (functools.partial(detkit.eval_det, c, f)
+                     for f in ("xi", "psi", "sigma_row"))
         for n in range(3):
             cross = X(n + 1, 0, 1) * X(n, 0, 0) - X(n, 0, 1) * X(n + 1, 0, 0)
             subs = cross + PS(n, 0, 0) ** 2

@@ -148,7 +148,7 @@ def test_json_and_csv_export():
 def _taus(ctx, n, s, t):
     """The quartic's eight taus at (n, s, t), its corner tau_{n+1}^{s,t+1}
     included."""
-    return [ctx.tau(n + dn, s + ds, t + dt)
+    return [detkit.eval_det(ctx, "tau", n + dn, s + ds, t + dt)
             for dn, ds, dt in identities.DCKP_SITES]
 
 
@@ -298,13 +298,15 @@ def test_propagate_trivial_phi_reproduces_base_slice():
     for t in range(3):
         for n in range(4):
             for s in range(3):
-                lat.values[("tau", n, s, t)] = ctx.tau(n, s, t)
+                lat.values[("tau", n, s, t)] = detkit.eval_det(ctx, "tau",
+                                                               n, s, t)
                 lat.provenance[("tau", n, s, t)] = "determinant"
     out = lattice.propagate(lat, 0, 2)
     for t in range(1, 3):
         for n in range(2, 4):
             for s in range(3):
-                assert out.values[("tau", n, s, t)] == ctx.tau(n, s, 0)
+                assert out.values[("tau", n, s, t)] \
+                    == detkit.eval_det(ctx, "tau", n, s, 0)
 
 
 def test_propagate_jacobi_within_tolerance(jacobi_policy):
@@ -330,7 +332,8 @@ def test_propagate_exact_at_base_offsets(mode, seed, K, s0, t0):
     for n in range(nmax + 1):
         for s in range(s0, smax + 1):
             for t in range(t0, tmax + 1):
-                lat.values[("tau", n, s, t)] = ctx.tau(n, s, t)
+                lat.values[("tau", n, s, t)] = detkit.eval_det(ctx, "tau",
+                                                               n, s, t)
                 lat.provenance[("tau", n, s, t)] = "determinant"
     try:
         out = lattice.propagate(lat, t0, tmax)
@@ -343,7 +346,30 @@ def test_propagate_exact_at_base_offsets(mode, seed, K, s0, t0):
     sites = [k for k, p in out.provenance.items() if p == "propagated"]
     assert len(sites) > 0
     for key in sites:
-        assert out.values[key] == ctx.tau(*key[1:]), key
+        assert out.values[key] == detkit.eval_det(ctx, "tau", *key[1:]), key
+
+
+@pytest.mark.parametrize("mode", ["synthetic-structured", "synthetic-generic",
+                                  "jacobi-float"])
+def test_lattice_declares_every_read_of_its_propagation(mode, monkeypatch):
+    # a lattice's context declares what its build, its propagation over
+    # (0, Tmax] and the propagation report read, down to Nmax = 0, where
+    # propagate still reads the n = 1 boundary row tau_1^{s,t+1} for
+    # s < Smax: no read raises the sweep-bound ValueError or falls back to
+    # det_exact, and each t-step propagates the corners n = 2..Nmax at
+    # s <= Smax
+    real, calls = detkit.det_exact, []
+    monkeypatch.setattr(detkit, "det_exact",
+                        lambda rows: calls.append(len(rows)) or real(rows))
+    config = {"precision": 30, "guard": 10, "seed": 1}
+    for N in range(4):
+        for S in range(3):
+            for T in range(3):
+                lat = lattice.build_lattice(mode, N, S, T, config)
+                out = lattice.propagate(lat, 0, T) if T else lat
+                rep = lattice.propagation_report(out, lat)
+                assert rep["sites"] == max(N - 1, 0) * (S + 1) * T
+    assert calls == []
 
 
 def _export(lat, t):

@@ -42,7 +42,7 @@ def test_generic_deterministic_and_symmetric():
     assert a.bimoments == b.bimoments and a.phi_by_t == b.phi_by_t
     assert all(a.bimoments[i][j] == a.bimoments[j][i]
                for i in range(6) for j in range(6))
-    assert a.single is None and not a.has_single()
+    assert a.single is None
     assert moments.synthetic_generic(8, 6, tmax=2).bimoments != a.bimoments
 
 
@@ -269,7 +269,7 @@ def test_jacobi_evolve_t_runs_no_quadrature(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_nodes", no_quadrature)
     ev = tab.evolve_t().evolve_t()
-    assert ev.t0 == 2 and ev.has_single()
+    assert ev.t0 == 2 and ev.single is not None
     assert ev.single == tab.single_by_t[2]
 
 

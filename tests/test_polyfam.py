@@ -120,7 +120,8 @@ def test_q_orthogonality_shifted_slots(generic_ctx):
         for j in range(1, n + 1):
             assert _inner(c, Q, _unit(j), 0, 0) == 0, (n, j)
         assert (_inner(c, Q, _unit(n + 1), 0, 0)
-                == c.xi(n + 1, 0, 0) / c.xi(n, 0, 0))
+                == (detkit.eval_det(c, "xi", n + 1, 0, 0)
+                    / detkit.eval_det(c, "xi", n, 0, 0)))
 
 
 def test_r_orthogonality_and_L_annihilation(generic_ctx):
@@ -146,15 +147,18 @@ def test_p_at_zero_is_signed_xi_ratio(generic_ctx):
     c = generic_ctx
     for n in range(4):
         P = polyfam.poly(c, "P", n, 0, 0)
-        assert (polyfam.eval_poly(P, Fraction(0)) * c.tau(n, 0, 0)
-                == (-1) ** n * c.xi(n, 0, 0))
+        assert (polyfam.eval_poly(P, Fraction(0))
+                * detkit.eval_det(c, "tau", n, 0, 0)
+                == (-1) ** n * detkit.eval_det(c, "xi", n, 0, 0))
 
 
 def test_L_of_p_is_sigma_ratio(generic_ctx):
     c = generic_ctx
     for n in range(4):
         P = polyfam.poly(c, "P", n, 0, 0)
-        assert _L_functional(c, P, 0, 0) == c.sigma(n, 0, 0) / c.tau(n, 0, 0)
+        assert (_L_functional(c, P, 0, 0)
+                == (detkit.eval_det(c, "sigma", n, 0, 0)
+                    / detkit.eval_det(c, "tau", n, 0, 0)))
 
 
 def test_weighted_integral_is_sigtilde_ratio(structured_ctx):
@@ -162,7 +166,8 @@ def test_weighted_integral_is_sigtilde_ratio(structured_ctx):
     for n in range(4):
         P = polyfam.poly(c, "P", n, 0, 0)
         assert (_weighted_integral(c, P, 0, 0)
-                == c.sigtilde(n, 0, 0) / c.tau(n, 0, 0))
+                == (detkit.eval_det(c, "sigma_tilde", n, 0, 0)
+                    / detkit.eval_det(c, "tau", n, 0, 0)))
 
 
 # ---- Float mode oracles ----
