@@ -46,10 +46,11 @@ stencil's products are read by DetContext.factors, which reads every
 stencil, the coefficients' and lax's too.  One reducer, `_residual`, which
 also reduces lax's six equations, turns them into (residual_abs,
 residual_rel): the largest |sum| of a part, and that over the largest
-|product|, both under the evaluator's working precision.  An exact
-residual is first zero-tested on those same products, in integer
-arithmetic over one unreduced common denominator (`_vanishes`); only a
-nonzero one is summed.
+|product|.  A float residual is an exact dyadic sum, rounded once
+(`_dyadic_residual`), so it does not depend on the order of its products
+or parts.  An exact residual is first zero-tested on those same products,
+in integer arithmetic over one unreduced common denominator (`_vanishes`);
+only a nonzero one is summed.
 A P, Q or R read is the memo's pair (numerators, denominator), and the
 quartic reads its taus as integers over their common denominator D: those
 parts carry integer coefficients, with no Fraction per coefficient, and
@@ -60,6 +61,9 @@ quartic).
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
+
+import mpmath as mp
+from mpmath import libmp
 
 from .numerics import (DegeneracyError, ExtentError, _integers, fmt_scalar,
                        relative_residual)
@@ -247,12 +251,13 @@ def _vanishes(products):
 def _residual(ctx, parts, den=None):
     """(residual_abs, residual_rel) of `parts`, lists of signed products
     (sign, factors) that must each sum to zero: the largest |sum| of a part,
-    and that over the largest |product| of any part (relative_residual),
-    both over `den` if given, the common denominator of exact integer
-    products.  An exact residual whose parts all `_vanishes` is (0, 0).
-    Products multiply their factors left to right, and sums add products in
-    order."""
-    if ctx.exact and all(map(_vanishes, parts)):
+    and that over the largest |product| of any part (relative_residual).
+    An exact residual whose parts all `_vanishes` is (0, 0); otherwise its
+    sum and product are over `den` if given, the common denominator of
+    exact integer products.  A float residual is `_dyadic_residual`'s."""
+    if not ctx.exact:
+        return _dyadic_residual(parts)
+    if all(map(_vanishes, parts)):
         return Fraction(0), Fraction(0)
     worst = scale = ctx.zero()
     for part in parts:
@@ -265,6 +270,53 @@ def _residual(ctx, parts, den=None):
             worst = max(worst, abs(sum(signed[1:], signed[0])))
     if den is not None:
         worst, scale = Fraction(worst, den), Fraction(scale, den)
+    return worst, relative_residual(worst, scale)
+
+
+def _dyadic_residual(parts):
+    """_residual of float `parts`, each factor an int or an mpf, an integer
+    times a power of two.  Each product is one such integer and exponent,
+    and each sum of products and each |product| is exact as an integer over
+    the smallest exponent of any product: a long accumulator (Kulisch,
+    Computer Arithmetic and Validity, 2013).  The largest |sum| and the
+    largest |product| are each rounded once, to the working precision, so
+    the residual does not depend on the order of the products or the parts.
+    A factor that is neither an int nor a finite mpf (a NaN, an infinity)
+    makes the residual NaN, which fails its record."""
+    terms = []          # each part's nonzero products, as (integer, exponent)
+    low = None          # the smallest exponent of any of them
+    for part in parts:
+        row = []
+        for sign, factors in part:
+            man, exp = sign, 0
+            for f in factors:
+                try:
+                    neg, m, e, _ = f._mpf_
+                except AttributeError:
+                    if type(f) is not int:
+                        return mp.nan, mp.nan
+                    man *= f
+                    continue
+                if not m and e:     # mpf's special values: mantissa 0, e != 0
+                    return mp.nan, mp.nan
+                man = -man * m if neg else man * m
+                exp += e
+            if man:
+                row.append((man, exp))
+                if low is None or exp < low:
+                    low = exp
+        terms.append(row)
+    worst = scale = 0
+    low = low or 0
+    for row in terms:
+        ints = [m << e - low for m, e in row]
+        if ints:
+            worst = max(worst, abs(sum(ints)))
+            scale = max(scale, max(ints), -min(ints))
+    prec = mp.mp.prec
+    worst, scale = (mp.make_mpf(libmp.from_man_exp(v, low, prec,
+                                                   libmp.round_nearest))
+                    for v in (worst, scale))
     return worst, relative_residual(worst, scale)
 
 
@@ -285,19 +337,23 @@ def _shift_x(ctx, vec):
 
 
 def _comb(ctx, terms):
-    """The residual of sum sign*coef*vec over (sign, coef, vec) terms, each
-    vec a P, Q or R vector in the memo's shape, one part per coefficient.
-    An exact vec is a pair (integers, den): with coef_i / den_i = w_i / D
-    over one common denominator, coefficient k is the integer sum of
-    sign_i w_i integers_i[k] over D."""
+    """The residual of sum sign*coef*vec over (sign, coefs, vec) terms, coef
+    the product of the factors `coefs` and each vec a P, Q or R vector in
+    the memo's shape, one part per coefficient.  A float coefficient k sums
+    the products (*coefs, vec[k]).  An exact vec is a pair (integers, den):
+    with coef_i / den_i = w_i / D over one common denominator, coefficient k
+    is the integer sum of sign_i w_i integers_i[k] over D."""
     den = None
     if ctx.exact:
-        weights, den = _integers([_Ratio(coef.numerator, coef.denominator * d)
-                                  for _, coef, (_, d) in terms])
-        terms = [(sign, w, ints)
+        ratios = []
+        for _, coefs, (_, d) in terms:
+            coef = _product(coefs)
+            ratios.append(_Ratio(coef.numerator, coef.denominator * d))
+        weights, den = _integers(ratios)
+        terms = [(sign, (w,), ints)
                  for (sign, _, (ints, _)), w in zip(terms, weights)]
     width = max((len(vec) for _, _, vec in terms), default=0)
-    return _residual(ctx, [[(sign, (coef, vec[k])) for sign, coef, vec in terms
+    return _residual(ctx, [[(sign, (*coefs, vec[k])) for sign, coefs, vec in terms
                             if k < len(vec)] for k in range(width)], den)
 
 
@@ -307,14 +363,14 @@ def _ev_stencil(ctx, stencil, n, s, t):
     products = ctx.factors(stencil, n, s, t)
     if stencil[0][1][-1][0] not in _VECTORS:
         return _residual(ctx, [products])
-    # each product is a coefficient, the product of its scalar reads in
-    # written order, times its vector
+    # each product is its scalar reads, whose product is the coefficient,
+    # times its vector
     terms = []
     for (sign, values), (_, reads) in zip(products, stencil):
         *scalars, vec = values
         if ("x", 0, 0, 0) in reads:
             vec = _shift_x(ctx, vec)
-        terms.append((sign, _product(scalars), vec))
+        terms.append((sign, scalars, vec))
     return _comb(ctx, terms)
 
 
@@ -358,9 +414,9 @@ def _ev_4trr(ctx, n, s, t):
     sub, bands = RECURRENCE
     a = ctx.coeff(sub, n, s, t)
     coefs = [ctx._sum(stencil(band), n, s, t) for band in bands.values()]
-    return _comb(ctx, [(1, ctx.one(), _shift_x(ctx, pvec(n))),
-                       (1, a, _shift_x(ctx, pvec(n - 1)))]
-                 + [(-1, coef, pvec(n + o)) for o, coef in zip(bands, coefs)])
+    return _comb(ctx, [(1, (ctx.one(),), _shift_x(ctx, pvec(n))),
+                       (1, (a,), _shift_x(ctx, pvec(n - 1)))]
+                 + [(-1, (coef,), pvec(n + o)) for o, coef in zip(bands, coefs)])
 
 
 def evaluate(ctx, identity_id, n, s, t, variant="confirmed"):

@@ -277,9 +277,10 @@ def evaluations(K, smax, tmax):
     t <= tmax and verify_six_equations at n < K at (0, 0) evaluate, for
     detkit.orders_read: each form at each n, each product of
     compat_residuals and eigen_residuals at each site, as its _READS at
-    n = K - 1, their highest reads, in the order it reads them.  At K < 5,
-    or on an empty grid, they evaluate nothing."""
-    if K < 5 or smax < 0 or tmax < 0:
+    n = K - 1, their highest reads, in the order it reads them.  At K < 5
+    they evaluate nothing; on an empty (s, t) grid, the six equations
+    alone."""
+    if K < 5:
         return []
     out = [[(detkit.stencil(form), n, 0, 0)]
            for n_min, forms in SIX_EQUATIONS.values()

@@ -4,15 +4,17 @@ shift-closure link, report serialization."""
 import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 from hypothesis import given, settings, strategies as st
 
 from dckp import identities, lax, moments, detkit
 from dckp.numerics import (DegeneracyError, ExtentError, TolerancePolicy,
-                           fmt_scalar)
+                           fmt_scalar, relative_residual)
 
 
 def make_record(ctx, identity_id, n, s, t):
@@ -345,6 +347,69 @@ def test_residual_is_the_worst_part_over_the_largest_product(structured_ctx,
             == (1, mp.mpf(1) / 3)
 
 
+def _exact(f):
+    """An int or finite mpf factor as a Fraction."""
+    if isinstance(f, int):
+        return Fraction(f)
+    neg, man, exp, _ = f._mpf_
+    return (-1) ** neg * man * Fraction(2) ** exp
+
+
+_FACTORS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(lambda man, exp: mp.make_mpf(libmp.from_man_exp(man, exp)),
+              st.integers(-2 ** 300, 2 ** 300), st.integers(-500, 500)))
+_PRODUCTS = st.tuples(st.sampled_from((1, -1)),
+                      st.lists(_FACTORS, min_size=1, max_size=4).map(tuple))
+
+
+@st.composite
+def _float_parts(draw):
+    """Parts of signed products, some with a product and its negation,
+    which cancel exactly."""
+    parts = []
+    for part in draw(st.lists(st.lists(_PRODUCTS, max_size=5), max_size=4)):
+        if part and draw(st.booleans()):
+            sign, factors = part[0]
+            part.append((-sign, factors))
+        parts.append(part)
+    return parts
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=_float_parts(), dps=st.integers(5, 150), data=st.data())
+def test_float_residual_is_the_exact_sum_rounded_once(jacobi_ctx, parts, dps,
+                                                      data):
+    # the largest |sum| of a part and the largest |product| are the exact
+    # ones, each rounded once at the working precision, then divided; no
+    # order of the products or of the parts changes a bit of either result
+    sums = [sum(sign * math.prod(map(_exact, fs)) for sign, fs in part)
+            for part in parts]
+    prods = [abs(math.prod(map(_exact, fs))) for part in parts for _, fs in part]
+    with mp.workdps(dps):
+        worst, scale = (mp.make_mpf(libmp.from_rational(
+            v.numerator, v.denominator, mp.mp.prec, libmp.round_nearest))
+            for v in (max(map(abs, sums), default=Fraction(0)),
+                      max(prods, default=Fraction(0))))
+        got = identities._residual(jacobi_ctx, parts)
+        assert [v._mpf_ for v in got] \
+            == [v._mpf_ for v in (worst, relative_residual(worst, scale))]
+        shuffled = data.draw(st.permutations(
+            [data.draw(st.permutations(part)) for part in parts]))
+        assert [v._mpf_ for v in identities._residual(jacobi_ctx, shuffled)] \
+            == [v._mpf_ for v in got]
+        # a factor that is not a finite dyadic number makes the residual
+        # NaN, which fails its record, however the other products cancel
+        if parts and parts[0]:
+            bad = data.draw(st.sampled_from((mp.nan, mp.inf, -mp.inf,
+                                             Fraction(1, 3), 0.5)))
+            (sign, factors), *rest = parts[0]
+            res = identities._residual(
+                jacobi_ctx, [[(sign, factors + (bad,)), *rest], *parts[1:]])
+            assert all(mp.isnan(v) for v in res)
+            assert not identities._passes(jacobi_ctx, *res)
+
+
 # ---- Nonzero residuals pinned ----
 
 # memo values bumped one at a time, each a scalar (k None) or coefficient k
@@ -361,7 +426,7 @@ _PIN_DIGESTS = {
     "generic":
         "eeecf9909f67b0c8e3e6dfeadc13b737f2f7a48d9c527ee4512f427bedcdd50e",
     "jacobi":
-        "0ff2a1bce449ef0906446808dd7988bb40cf9776988c1270c10ea33a6e5368a4",
+        "124115651b0ea3e852374eea9996494ddb1e4fbf9afbf2c3abfac7ef5a5e6c4c",
 }
 
 

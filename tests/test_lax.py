@@ -60,7 +60,7 @@ def _hand_operator(ctx, op, K, s, t):
 
 
 def _hand_4trr(ctx, n, s, t):
-    """4trr's (sign, coefficient, vector) terms written out by hand."""
+    """4trr's (sign, (coefficient,), vector) terms written out by hand."""
     def pvec(k):
         coeffs = list(polyfam.poly(ctx, "P", k, s, t)) if k >= 0 else []
         return _integers(coeffs) if ctx.exact else coeffs
@@ -69,10 +69,10 @@ def _hand_4trr(ctx, n, s, t):
         ctx.coeff(name, m, s, t) for name, m in (
             ("a", n), ("b", n), ("b", n - 1), ("c", n), ("c", n - 1)))
     one, x = ctx.one(), lambda vec: identities._shift_x(ctx, vec)
-    return [(1, one, x(pvec(n))), (1, a_n, x(pvec(n - 1))),
-            (-1, one, pvec(n + 1)), (-1, a_n - b_n, pvec(n)),
-            (-1, a_n * b_nm1 - c_n, pvec(n - 1)),
-            (1, a_n * c_nm1, pvec(n - 2))]
+    return [(1, (one,), x(pvec(n))), (1, (a_n,), x(pvec(n - 1))),
+            (-1, (one,), pvec(n + 1)), (-1, (a_n - b_n,), pvec(n)),
+            (-1, (a_n * b_nm1 - c_n,), pvec(n - 1)),
+            (1, (a_n * c_nm1,), pvec(n - 2))]
 
 
 def _reads_known(products):
@@ -108,8 +108,8 @@ def test_recurrence_and_operators_match_the_hand_formulas(
             with ctx.wp():
                 got = identities._ev_4trr(ctx, n, s, 0)
                 hand = _hand_4trr(ctx, n, s, 0)
-                assert [(sign * coef, vec) for sign, coef, vec in seen.pop()] \
-                    == [(sign * coef, vec) for sign, coef, vec in hand]
+                assert [(sign * coef, vec) for sign, (coef,), vec in seen.pop()] \
+                    == [(sign * coef, vec) for sign, (coef,), vec in hand]
                 assert got == comb(ctx, hand)
     texts = [num + (" + " + den if den else "")
              for num, den, _ in detkit.COEFFICIENTS.values()]
