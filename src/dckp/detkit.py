@@ -64,7 +64,9 @@ tau_tilde_{k+1} = prev S_{k+1,k}, a border family prev S_{k,phi}, a cofactor
 row prev S_{k,I}, and R_{k+1} = prev (S_{k,phi} S_{k+1,e} - S_{k+1,phi}
 S_{k,e}), whose cross products are exact integers at exponent e_k + e_{k+1}.
 Each value is rounded to the working precision once, as prev (v 2^e), and
-prev once per step.  No pivoting is needed on these frames: with a positive
+prev once per step; prev stays an integer and an exponent, and each pivot
+is compared with its floor exactly on integers, so a step makes no mpf.
+No pivoting is needed on these frames: with a positive
 weight the Cauchy-kernel bimoment matrix is totally positive (Bertola,
 Gekhtman & Szmigielski, J. Approx. Theory 162, 2010), where elimination
 without pivoting is backward stable (de Boor & Pinkus, Linear Algebra Appl.
@@ -414,9 +416,20 @@ def _fixed(values, bits):
 
 
 def _scaled(prev, v, e):
-    """prev (v 2^e), rounded once to the ambient precision."""
-    return mp.make_mpf(libmp.mpf_mul(prev._mpf_, libmp.from_man_exp(v, e),
-                                     mp.mp.prec, libmp.round_nearest))
+    """prev (v 2^e), prev a pair (integer, exponent), rounded once to the
+    ambient precision, as an mpf tuple."""
+    return libmp.from_man_exp(prev[0] * v, prev[1] + e, mp.mp.prec,
+                              libmp.round_nearest)
+
+
+def _above(v, e, floor):
+    """Whether v 2^e exceeds `floor`, a nonnegative mpf, compared exactly on
+    integers.  No value exceeds a NaN floor."""
+    _, m, fe, _ = floor._mpf_
+    if not m:
+        return v > 0 and not fe
+    d = e - fe
+    return (v << d if d >= 0 else v) > (m if d >= 0 else m << -d)
 
 
 def _schur_steps(M, ex, C):
@@ -430,12 +443,13 @@ def _schur_steps(M, ex, C):
     than SLACK_BITS below W is shifted left to W bits, exactly, and its
     exponent lowered; the columns left of them are never read again and are
     not shifted.  prev is the product of the pivots so far, rounded once per
-    step, and prev * M[i][j] 2^ex[i] the minor _bareiss_steps has in M[i][j].
+    step, as a pair (integer, exponent), and prev * M[i][j] 2^ex[i] the minor
+    _bareiss_steps has in M[i][j].
     Step k runs only when the caller asks for the next value, so a caller
     that stops at a failed pivot M[k][k] never divides by it."""
     W = mp.mp.prec + GUARD_BITS
     half = 1 << (W - 1)
-    prev = mp.mpf(1)
+    prev = (1, 0)
     for k in range(len(M)):
         yield k, prev
         if k >= C or k + 1 >= len(M):
@@ -455,7 +469,8 @@ def _schur_steps(M, ex, C):
                 live = [a << (W - top) for a in live]
                 ex[i] -= W - top
             M[i] = row[:k + 1] + live
-        prev = _scaled(prev, pk, ex[k])
+        sign, man, exp, _ = _scaled(prev, pk, ex[k])
+        prev = (-man if sign else man, exp)
 
 
 # ---- Context over a stack of t-evolved tables ----
@@ -660,7 +675,7 @@ class DetContext:
         else:
             def value(v, prev, k, rows, j):
                 # a product of entries of `rows` times prev
-                return _scaled(prev, v, sum(d[r] for r in rows))
+                return mp.make_mpf(_scaled(prev, v, sum(d[r] for r in rows)))
 
             def vector(vs, prev, k, rows, j):
                 return [value(v, prev, k, rows, j) for v in vs]
@@ -668,9 +683,7 @@ class DetContext:
         memo = self.memo
         for k, prev in steps:
             rk = M[k]
-            pivot = (None if self.exact or k >= C
-                     else mp.make_mpf(libmp.from_man_exp(rk[k], d[k])))
-            trusted = pivot is None or pivot > floors[k]
+            trusted = self.exact or k >= C or _above(rk[k], d[k], floors[k])
             for name, spec, reach in specs:
                 if spec.skip is not None:
                     # tau_{k+1} = a^{(k)}_{k,k}, the pivot (kept only if it
@@ -702,7 +715,8 @@ class DetContext:
                         memo[(name, k + 1, s, t)] = vector(cross, prev, k,
                                                            (k, k + 1), c)
             if not trusted:
-                return k, pivot, floors[k]
+                return (k, mp.make_mpf(libmp.from_man_exp(rk[k], d[k])),
+                        floors[k])
 
     def _frame_value(self, family, n, s, t, stop):
         """A value the sweep of its frame did not reach, `stop` the failed

@@ -66,7 +66,7 @@ import mpmath as mp
 from mpmath import libmp
 
 from .numerics import (DegeneracyError, ExtentError, _integers, fmt_scalar,
-                       relative_residual)
+                       relative_residual, worse)
 from .detkit import FAMILY_SPECS, _product, carries, eval_det, stencil
 from .polyfam import poly
 
@@ -514,8 +514,9 @@ def _adjudicate(ctx, residual, variants, sites, keys):
     """Worst residual(variant, n, s, t) = (residual_abs, residual_rel) of
     each variant over `sites`, and the chosen variant: the first one that
     reached a site and whose worst residual is zero (exact) or below rel_tol
-    (float).  Sites raising ExtentError or DegeneracyError are skipped;
-    entries keep `keys` in order.
+    (float).  A NaN residual at any site is the worst.  Sites raising
+    ExtentError or DegeneracyError are skipped; entries keep `keys` in
+    order.
     """
     def fmt(v):
         return None if v is None else fmt_scalar(v, REPORT_DIGITS)
@@ -531,7 +532,7 @@ def _adjudicate(ctx, residual, variants, sites, keys):
                 skipped += 1
                 continue
             count += 1
-            if worst_rel is None or rel > worst_rel:
+            if worse(rel, worst_rel):
                 worst_abs, worst_rel = res_abs, rel
         ok = count > 0 and _passes(ctx, worst_abs, worst_rel)
         stats = {"max_residual_abs": fmt(worst_abs),

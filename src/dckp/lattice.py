@@ -10,20 +10,22 @@ exact tie.  One `_staircase` gives the boundary row and the corners, to
 `propagate`, which iterates them, and to the lattice context, whose sweep
 bounds detkit.orders_read derives from what it evaluates: the sites, Lax,
 and the staircase's boundary row and dckp reads.  The quartic is
-homogeneous of degree four in its taus, so an exact corner is solved on
-the integer numerators of the seven known taus over one common
-denominator, with no Fraction arithmetic until the two roots.
+homogeneous of degree four in its taus, so a corner is solved on the
+integers of the seven known taus over one common scale, their common
+denominator or, for floats, one power of two, with no Fraction or mpf
+arithmetic until the two roots.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp
 
 from .numerics import (ConfigError, DegeneracyError, TolerancePolicy,
-                       _integers, csv_text, fmt_scalar, relative_residual)
+                       _dyadic, _integers, _rounded, csv_text, fmt_scalar,
+                       relative_residual, worse)
 from .identities import DCKP_SITES, IDENTITY_SPECS, _dckp_parts
 from . import moments, detkit, lax
 
@@ -103,7 +105,7 @@ def _check_t_evolution(ctx):
             for j in range(K):
                 d = moments._round_pair(direct[i][j], prec)
                 rel = relative_residual(tb1.m(i, j) - d, abs(d))
-                if rel >= tol:
+                if not rel < tol:       # a NaN fails too
                     raise ArithmeticError(
                         "t-evolution check failed at entry (%d,%d): the float "
                         "rank-one update is off the direct t = 1 closed form "
@@ -182,22 +184,18 @@ def _integer_sqrt(q):
     if root * root != q:
         raise DegeneracyError("discriminant is not a perfect rational square; "
                               "stencil does not lie on an exact lattice")
-    return root
-
-
-def _float_sqrt(q):
-    if q < 0:
-        raise DegeneracyError("negative discriminant in float corner "
-                              "solve: %s" % mp.nstr(q, 8))
-    return mp.sqrt(q)
+    return root, 0
 
 
 def _corner_roots(a, b, c, d, e, f, h, sqrt, over):
     """Roots of 4 A (P - Q X) = (R - S X)^2 in X = tau_{n+1}^{s,t+1}, from
-    the quartic's seven other taus, with sqrt the discriminant's square root
+    the quartic's seven other taus, integers, with sqrt(q) the
+    discriminant's square root as (root, g), the integer root times 2^g,
     and over(num, den) the division of the mode.  A, P and R are the
     quartic's A_t, A_{t+1} and B at X = 0; X enters A_{t+1} with slope -Q
-    and B with slope -S."""
+    and B with slope -S.  The roots are (-mid +- 2 root) / S^2: the one
+    whose two terms share a sign is that quotient, the other a0 over its
+    numerator, as their product is a0 / S^2, so neither cancels."""
     A, P, R = _dckp_parts(a, b, c, d, e, f, 0, h)
     Q, S = h, d
     a2 = S * S
@@ -209,9 +207,16 @@ def _corner_roots(a, b, c, d, e, f, h, sqrt, over):
                                   "(no linear term)")
         x = over(-a0, a1)
         return (x, x)
-    root = sqrt(A * (A * Q * Q - R * S * Q + P * S * S))
-    mid = 2 * A * Q - R * S
-    return (over(-mid + 2 * root, a2), over(-mid - 2 * root, a2))
+    root, g = sqrt(A * (A * Q * Q - R * S * Q + P * S * S))
+    mid = (2 * A * Q - R * S) << g
+    if not (mid or root):
+        x = over(0, 1)
+        return (x, x)
+    if mid > 0:
+        num = -mid - 2 * root
+        return (over(a0 << g, num), over(num, a2 << g))
+    num = -mid + 2 * root
+    return (over(num, a2 << g), over(a0 << g, num))
 
 
 def solve_dckp_corner(taus):
@@ -223,20 +228,40 @@ def solve_dckp_corner(taus):
     quadratic coefficient degrades to the linear case (returned as a double
     entry); a fully degenerate equation is an error.
 
-    Exact taus are solved in integers.  Every term of the quartic is a
+    Both arithmetics solve in integers.  Every term of the quartic is a
     product of four taus, so with the seven known values written as integers
-    over their least common denominator D the corner is X' / D, X' the root
-    of the same quadratic over the integers: one isqrt tests the
-    discriminant, and each root is one Fraction.  Float taus are solved at
-    the caller's working precision (`propagate` runs under ctx.wp()).
+    over one common scale, their least common denominator D or, for floats,
+    one power of two 2^-e, the corner is X' / D or X' 2^e, X' the root of
+    the same quadratic over the integers.  Exact: one isqrt tests the
+    discriminant, and each root is one Fraction.  Float: the integer square
+    root carries the working precision plus moments.GUARD_BITS, and each
+    root is one integer quotient rounded once to the working precision
+    (`propagate` runs under ctx.wp()).  A NaN or an infinity among the taus gives NaN
+    roots.
     """
     a, b, c, d, e, f, _, h = taus
     known = (a, b, c, d, e, f, h)
-    if isinstance(a, (Fraction, int)):
+    if not isinstance(a, mp.mpf):
         nums, D = _integers(known)
         return _corner_roots(*nums, _integer_sqrt,
                              lambda num, den: Fraction(num, den * D))
-    return _corner_roots(*known, _float_sqrt, operator.truediv)
+    parts = [_dyadic(v) for v in known]
+    if None in parts:
+        return mp.nan, mp.nan
+    low = min(exp for _, exp in parts)
+    bits = mp.mp.prec + moments.GUARD_BITS
+
+    def sqrt(q):
+        # q is the discriminant times 2^(-6 low)
+        if q < 0:
+            raise DegeneracyError(
+                "negative discriminant in float corner solve: %s"
+                % mp.nstr(mp.make_mpf(from_man_exp(q, 6 * low)), 8))
+        g = max(0, bits - q.bit_length() // 2)
+        return math.isqrt(q << 2 * g), g
+
+    return _corner_roots(*[man << exp - low for man, exp in parts], sqrt,
+                         lambda num, den: _rounded(num, den, low, mp.mp.prec))
 
 
 # ---- Propagation ----
@@ -292,7 +317,8 @@ def propagate(lat, from_t, to_t):
 
 
 def propagation_report(lat, base):
-    """Max deviation of propagated tau values from their determinant oracle."""
+    """Max deviation of propagated tau values from their determinant oracle;
+    a NaN at any site makes both maxima NaN."""
     worst_abs = None
     worst_rel = None
     count = 0
@@ -305,8 +331,8 @@ def propagation_report(lat, base):
             diff = abs(lat.values[key] - oracle)
             rel = relative_residual(diff, abs(oracle))
             count += 1
-            if worst_abs is None or diff > worst_abs:
+            if worse(diff, worst_abs):
                 worst_abs = diff
-            if worst_rel is None or rel > worst_rel:
+            if worse(rel, worst_rel):
                 worst_rel = rel
     return {"sites": count, "max_abs": worst_abs, "max_rel": worst_rel}

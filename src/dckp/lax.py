@@ -10,8 +10,14 @@ superdiagonal) and capital letters the diagonal coefficient matrices:
 
 The unit lower-bidiagonal inverses are applied by forward substitution, so a
 truncation defect lives only in the last row; products of two operators are
-then exact on the interior block [1, K-3] used for compatibility residuals,
-and only that block of each product is formed.
+then exact on the interior block [1, K-3] used for compatibility residuals.
+Each entry of that block of P Q - Pb Qb, and each row of an eigen relation
+at each sample x, is one part of signed products, operator entries times
+operator entries or P column values; they go to the catalog's one reducer,
+identities._residual, whose residual_abs over a product's parts is its
+residual: a float one an exact sum, rounded once.  A P column (the monic
+P_n at one x, polyfam.eval_poly: exact on integers, rounded once) is
+evaluated once per context, site and x.
 OPERATORS gives each operator as data: its subdiagonal coefficient and the
 bands of its band matrix, stencils over the recurrence coefficients.  L's
 entry is the four-term recurrence itself, identities.RECURRENCE, which the
@@ -44,21 +50,6 @@ def _zeros(K, zero):
     return [[zero for _ in range(K)] for _ in range(K)]
 
 
-def _matmul(A, B, zero, lo, hi):
-    """Rows and columns lo..hi of A B, each entry summed over k in order."""
-    block = range(lo, hi + 1)
-    out = []
-    for i in block:
-        row = [zero] * len(block)
-        for a, Bk in zip(A[i], B):
-            if a == 0:
-                continue
-            for c, j in enumerate(block):
-                row[c] = row[c] + a * Bk[j]
-        out.append(row)
-    return out
-
-
 def _forward_solve(sub, T, zero):
     """X with (I + diag(sub) Lam^-1) X = T; row i couples only to row i-1."""
     K = len(T)
@@ -70,15 +61,6 @@ def _forward_solve(sub, T, zero):
             X[i][j] = v
             prev = v
     return X
-
-
-def _maxabs(R, zero):
-    top = zero
-    for row in R:
-        for v in row:
-            if abs(v) > top:
-                top = abs(v)
-    return top
 
 
 # ---- Construction ----
@@ -131,14 +113,16 @@ def compat_residuals(ctx, K, s, t):
     compat_LN: L^{s+1,t} N^{s,t}   - N^{s,t} L^{s,t}
     compat_ML: M^{s,t}   L^{s,t+1} - L^{s,t} M^{s,t}
 
-    Each product builds only the operators it needs, each operator once per
-    context; a product whose coefficient data is out of reach for the mode
-    (singles lost after a t-step) is reported as None rather than aborting
-    the others.
+    Each entry of the block is one part of the reducer, the signed products
+    of its row of P and column of Q and of Pb and Qb, and each product's
+    residual is the reducer's residual_abs.  Each product builds only the
+    operators it needs, each operator once per context; a product whose
+    coefficient data is out of reach for the mode (singles lost after a
+    t-step) is reported as None rather than aborting the others.
     """
     _check_K(K)
-    zero = ctx.zero()
     lo, hi = 1, K - 3
+    block = range(lo, hi + 1)
     out = {}
     for name, ops in _products(s, t).items():
         try:
@@ -147,11 +131,12 @@ def compat_residuals(ctx, K, s, t):
             out[name] = None
             out[name + "_skipped"] = type(exc).__name__ + ": " + str(exc)
             continue
+        parts = [[(sign, (a, B[k][j]))
+                  for sign, A, B in ((1, P, Q), (-1, Pb, Qb))
+                  for k, a in enumerate(A[i]) if a != 0]
+                 for i in block for j in block]
         with ctx.wp():
-            R1 = _matmul(P, Q, zero, lo, hi)
-            R2 = _matmul(Pb, Qb, zero, lo, hi)
-            out[name] = _maxabs([[a - b for a, b in zip(r1, r2)]
-                                 for r1, r2 in zip(R1, R2)], zero)
+            out[name] = _residual(ctx, parts)[0]
     out["interior"] = [lo, hi]
     out["K"] = K
     return out
@@ -159,18 +144,13 @@ def compat_residuals(ctx, K, s, t):
 
 # ---- Eigenfunction residuals ----
 
-def _poly_stack(ctx, K, s, t, x):
-    vals = []
-    with ctx.wp():
-        for n in range(K):
-            vals.append(polyfam.eval_poly(polyfam.poly(ctx, "P", n, s, t), x))
-    return vals
-
-
-def _apply(Op, vec, zero):
-    K = len(Op)
-    return [sum((Op[i][k] * vec[k] for k in range(K) if Op[i][k] != 0), zero)
-            for i in range(K)]
+@detkit.derived
+def _column(ctx, K, s, t, x):
+    """The monic P_n(x), n < K, at (s, t), each rounded once
+    (polyfam.eval_poly)."""
+    xv = ctx.one() * x
+    return [polyfam.eval_poly(polyfam.poly(ctx, "P", n, s, t), xv)
+            for n in range(K)]
 
 
 def eigen_residuals(ctx, K, s, t):
@@ -178,26 +158,28 @@ def eigen_residuals(ctx, K, s, t):
 
     L is an eigenvalue relation at the base site, N maps the site to (s+1,t)
     scaled by x, and M pulls the (s,t+1) column back to (s,t).  Rows 0..K-2
-    are truncation-exact; row K-1 is excluded.
+    are truncation-exact; row K-1 is excluded.  Each row at each x is one
+    part of the reducer, the signed products of the operator row with the
+    column and of the factor with the target's entry, and each relation's
+    residual is the reducer's residual_abs over all of them.
     """
-    zero = ctx.zero()
     L, N, M = (build(ctx, op, K, s, t) for op in "LNM")
-    out = {"L_eigen": zero, "N_shift": zero, "M_shift": zero, "K": K}
+    parts = {"L_eigen": [], "N_shift": [], "M_shift": []}
     with ctx.wp():
         for x in EIGEN_SAMPLES:
             xv = ctx.one() * x
-            col00 = _poly_stack(ctx, K, s, t, xv)
-            col10 = _poly_stack(ctx, K, s + 1, t, xv)
-            col01 = _poly_stack(ctx, K, s, t + 1, xv)
+            col00 = _column(ctx, K, s, t, x)
+            col10 = _column(ctx, K, s + 1, t, x)
+            col01 = _column(ctx, K, s, t + 1, x)
             for name, Op, src, dst, fac in (
                     ("L_eigen", L, col00, col00, xv),
                     ("N_shift", N, col00, col10, xv),
                     ("M_shift", M, col01, col00, ctx.one())):
-                img = _apply(Op, src, zero)
-                for i in range(K - 1):
-                    r = abs(img[i] - fac * dst[i])
-                    if r > out[name]:
-                        out[name] = r
+                parts[name] += [[(1, (a, v)) for a, v in zip(Op[i], src)
+                                 if a != 0] + [(-1, (fac, dst[i]))]
+                                for i in range(K - 1)]
+        out = {name: _residual(ctx, p)[0] for name, p in parts.items()}
+    out["K"] = K
     return out
 
 

@@ -29,13 +29,12 @@ import random
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 import mpmath as mp
-from mpmath.libmp import (from_int, from_rational, mpf_add, mpf_ln2, mpf_mul,
-                          mpf_pos, mpf_sqrt, round_nearest)
+from mpmath.libmp.libelefun import ln2_fixed
 
-from .numerics import ExtentError, ConfigError
+from .numerics import ExtentError, ConfigError, _integers, _rounded
 
 MODES = ("jacobi-float", "synthetic-generic", "synthetic-structured")
 
@@ -207,10 +206,15 @@ def synthetic_structured(seed, K, tmax=3, s0=0, t0=0):
 # (`lattice`).  The tanh-sinh sweep of `quadrature` computes the same numbers
 # independently and serves as the oracle of every closed form here.
 
-# Bits carried beyond the working precision and a value's own cancellation:
-# about 10 digits, so the once-rounded value is correctly rounded unless the
-# exact one lies within 2^-32 ulp of a rounding boundary.
-GUARD_BITS = 32
+# The rounding kernel (`_round_pair`): the rationals of a pair or triple
+# over their common denominator den, P + Q ln2 + R ln^2 2 summed as one
+# integer X at 2^-W from floor(ln2 2^W), off by at most 2|Q| + 3|R| + 1 units
+# (times floor(sqrt2 2^W) for phi), then X / den rounded once.  X
+# carries GUARD_BITS beyond the working precision and the bits of that
+# bound; where its sum shows cancellation W widens by the bits lost.  So
+# the once-rounded value is correctly rounded unless the exact one lies
+# within 2^-32 ulp of a rounding boundary.
+GUARD_BITS = 34
 
 
 def _weight_integral(a, b, c):
@@ -273,53 +277,26 @@ def _t1_bimoment_triples(K):
     return [r[:K] for r in rows]
 
 
-def _pair_terms(pair, prec):
-    """The terms c_k ln^k 2 of a pair (p, q) or triple (p, q, r) as mpf
-    tuples at prec bits."""
-    ln2 = mpf_ln2(prec, round_nearest)
-    terms, power = [], None
-    for c in pair:
-        v = from_rational(c.numerator, c.denominator, prec, round_nearest)
-        if terms:
-            power = ln2 if power is None else mpf_mul(power, ln2, prec,
-                                                      round_nearest)
-            v = mpf_mul(v, power, prec, round_nearest)
-        terms.append(v)
-    return terms
-
-
-def _add_terms(terms, prec):
-    v = terms[0]
-    for t in terms[1:]:
-        v = mpf_add(v, t, prec, round_nearest)
-    return v
-
-
-def _cancellation_bits(pair):
-    """log2(max |term| / |value|) of a pair or triple, read from an
-    evaluation whose precision exceeds it by at least 16 bits.  Every value
-    rounded here is a positive integral, so the doubling ends."""
-    prec = 64
-    while True:
-        terms = _pair_terms(pair, prec)
-        v = _add_terms(terms, prec)
-        if v[1]:
-            lost = max(t[2] + t[3] for t in terms if t[1]) - (v[2] + v[3])
-            if lost < prec - 16:
-                return max(lost, 0)
-        prec *= 2
-
-
 def _round_pair(pair, prec, root2=False):
-    """The value of a pair or triple, times sqrt2 when root2, evaluated once
-    at prec plus its cancellation plus GUARD_BITS and rounded to prec
-    bits."""
-    wp = prec + _cancellation_bits(pair) + GUARD_BITS
-    v = _add_terms(_pair_terms(pair, wp), wp)
+    """The value of a pair or triple, times sqrt2 when root2, rounded once
+    to prec bits by the fixed-point kernel above."""
+    nums, den = _integers(pair)
+    P, Q, R = nums + [0] * (3 - len(nums))
+    if not (P or Q or R):
+        return mp.mpf(0)
+    err = 2 * abs(Q) + 3 * abs(R) + 1
+    need = prec + GUARD_BITS + err.bit_length() + 2
+    W = need
+    while True:
+        L = ln2_fixed(W)
+        X = (P << W) + Q * L + (R * (L * L >> W) if R else 0)
+        lost = need - X.bit_length()
+        if lost <= 0:
+            break
+        W += lost
     if root2:
-        v = mpf_mul(v, mpf_sqrt(from_int(2), wp, round_nearest), wp,
-                    round_nearest)
-    return mp.mpf(mpf_pos(v, prec, round_nearest))
+        X, W = X * isqrt(2 << 2 * W), 2 * W
+    return _rounded(X, den, -W, prec)
 
 
 def _jacobi_pairs(K, tmax):

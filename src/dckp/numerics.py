@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 
 import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 # Engine margin added on top of the user-facing precision when setting mp.dps.
 # Covers the worst measured cancellation in the moment ladder (about 5 digits)
@@ -76,7 +77,7 @@ class TolerancePolicy:
         return tol
 
 
-# ---- Exact rationals over one denominator ----
+# ---- Exact rationals over one denominator, floats over one power of two ----
 
 def _integers(values):
     """Exact rationals (anything with .numerator and .denominator) as
@@ -88,7 +89,37 @@ def _integers(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
+def _dyadic(v):
+    """An int or a finite mpf as (integer, exponent), v the integer times 2
+    to the exponent, exactly; None for a NaN or an infinity."""
+    if type(v) is int:
+        return v, 0
+    sign, man, exp, _ = v._mpf_
+    if not man and exp:         # mpf's special values: mantissa 0, exp != 0
+        return None
+    return -man if sign else man, exp
+
+
+def _rounded(num, den, e, prec):
+    """num / den times 2^e, integers, rounded once to prec bits: a quotient
+    of prec plus two bits, with a sticky bit for its remainder."""
+    if den < 0:
+        num, den = -num, -den
+    shift = max(0, prec + 2 + den.bit_length() - abs(num).bit_length())
+    q, r = divmod(abs(num) << shift, den)
+    q = q << 1 | (r > 0)
+    return mp.make_mpf(from_man_exp(-q if num < 0 else q, e - shift - 1, prec,
+                                    round_nearest))
+
+
 # ---- Residuals ----
+
+def worse(v, worst):
+    """Whether v replaces `worst`, None at the start, as the largest of a
+    running maximum: a NaN always does, and no later value replaces it, so
+    a NaN anywhere makes the maximum NaN whatever the order."""
+    return worst is None or v != v or v > worst
+
 
 def relative_residual(diff, scale):
     """|diff| / max(1, scale), scale a magnitude: the one floor rule of every

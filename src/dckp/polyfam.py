@@ -5,16 +5,34 @@ A polynomial is the tuple of its coefficients, low-to-high degree with
 coeffs[n] = 1, each built once per DetContext (detkit.derived).
 """
 
-from .numerics import DegeneracyError, ExtentError
+import mpmath as mp
+from mpmath.libmp import from_man_exp, round_nearest
+
+from .numerics import DegeneracyError, ExtentError, _dyadic
 from . import detkit
 
 
 def eval_poly(coeffs, x):
-    """The polynomial with coefficients `coeffs`, low to high, at x (Horner)."""
-    acc = 0
-    for v in reversed(coeffs):
-        acc = acc * x + v
-    return acc
+    """The polynomial with coefficients `coeffs`, low to high, at x (Horner).
+    At an mpf x it is exact on integers, each coefficient and x an integer
+    times a power of two, and the value is rounded once to the ambient
+    precision; a NaN or an infinity among them gives NaN."""
+    if not isinstance(x, mp.mpf):
+        acc = 0
+        for v in reversed(coeffs):
+            acc = acc * x + v
+        return acc
+    parts = [_dyadic(v) for v in (x, *coeffs)]
+    if None in parts:
+        return mp.nan
+    (xm, xe), acc, e = parts[0], 0, 0
+    for cm, ce in reversed(parts[1:]):
+        acc, e = acc * xm, e + xe
+        if ce >= e:
+            acc += cm << ce - e
+        else:
+            acc, e = (acc << e - ce) + cm, ce
+    return mp.make_mpf(from_man_exp(acc, e, mp.mp.prec, round_nearest))
 
 
 # ---- Construction ----

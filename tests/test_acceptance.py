@@ -11,7 +11,8 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from dckp.numerics import TolerancePolicy, relative_residual, digits_of_agreement
+from dckp.numerics import (TolerancePolicy, digits_of_agreement,
+                           relative_residual, worse)
 from dckp import quadrature, moments, detkit, polyfam, identities, lax, lattice
 
 PREC = 120
@@ -187,18 +188,19 @@ def _lax_block_worst(precision):
     policy = TolerancePolicy(precision_digits=precision, guard_digits=GUARD)
     table = moments.build_jacobi(13, policy, tmax=2)
     ctx = detkit.DetContext(table, table.K)
-    worst_compat = mp.mpf(0)
-    worst_eigen = mp.mpf(0)
+    worst_compat = worst_eigen = None   # a NaN anywhere is the worst
     with mp.workdps(policy.working_dps):
         for s in (0, 1):
             for t in (0, 1):
                 comp = lax.compat_residuals(ctx, 8, s, t)
                 for key in ("compat_MN", "compat_LN", "compat_ML"):
                     assert comp[key] is not None
-                    worst_compat = max(worst_compat, mp.mpf(comp[key]))
+                    if worse(comp[key], worst_compat):
+                        worst_compat = comp[key]
                 eig = lax.eigen_residuals(ctx, 8, s, t)
                 for key in ("L_eigen", "N_shift", "M_shift"):
-                    worst_eigen = max(worst_eigen, mp.mpf(eig[key]))
+                    if worse(eig[key], worst_eigen):
+                        worst_eigen = eig[key]
     return worst_compat, worst_eigen
 
 

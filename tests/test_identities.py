@@ -410,6 +410,17 @@ def test_float_residual_is_the_exact_sum_rounded_once(jacobi_ctx, parts, dps,
             assert not identities._passes(jacobi_ctx, *res)
 
 
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_nan_residual_fails_its_variant_in_any_site_order(jacobi_ctx, order):
+    readings = ((mp.mpf("1e-40"), mp.mpf("1e-40")), (mp.nan, mp.nan))
+    entry = identities._adjudicate(
+        jacobi_ctx, lambda variant, n, s, t: readings[n], ("only",),
+        [(n, 0, 0) for n in order], ("max_residual_rel", "passes"))
+    assert entry == {"variants": {"only": {"max_residual_rel": "nan",
+                                           "passes": False}},
+                     "chosen": None}
+
+
 # ---- Nonzero residuals pinned ----
 
 # memo values bumped one at a time, each a scalar (k None) or coefficient k

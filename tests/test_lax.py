@@ -4,10 +4,12 @@ six scalar equations with variant adjudication."""
 from collections import Counter
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
+from mpmath import libmp
 
-from dckp.numerics import ConfigError, ExtentError, _integers
-from dckp import detkit, identities, lax, polyfam
+from dckp.numerics import ConfigError, ExtentError, TolerancePolicy, _integers
+from dckp import detkit, identities, lax, moments, polyfam
 
 # ---- Operator structure ----
 
@@ -192,6 +194,75 @@ def test_jacobi_eigen_small(jacobi_ctx, jacobi_policy):
     tol = jacobi_policy.rel_tol()
     for name in ("L_eigen", "N_shift", "M_shift"):
         assert out[name] < tol, name
+
+
+def _exact(v):
+    neg, man, exp, _ = v._mpf_
+    return (-1) ** neg * man * Fraction(2) ** exp
+
+
+def _rounded_once(v):
+    return mp.make_mpf(libmp.from_rational(v.numerator, v.denominator,
+                                           mp.mp.prec, libmp.round_nearest))
+
+
+def test_float_lax_residuals_are_exact_sums_rounded_once(jacobi_ctx):
+    # each compat and eigen value is the largest |entry| of its exact
+    # residual, recomputed in Fractions from the same rounded operators and
+    # P columns, rounded once at the working precision
+    ctx, K, lo, hi = jacobi_ctx, 6, 1, 3
+    for s, t in ((0, 0), (1, 0)):
+        comp = lax.compat_residuals(ctx, K, s, t)
+        eig = lax.eigen_residuals(ctx, K, s, t)
+        with ctx.wp():
+            for name, ops in lax._products(s, t).items():
+                P, Q, Pb, Qb = [[[_exact(v) for v in row]
+                                 for row in lax.build(ctx, op, K, *site)]
+                                for op, *site in ops]
+                worst = max(abs(sum(P[i][k] * Q[k][j] - Pb[i][k] * Qb[k][j]
+                                    for k in range(K)))
+                            for i in range(lo, hi + 1)
+                            for j in range(lo, hi + 1))
+                assert comp[name]._mpf_ == _rounded_once(worst)._mpf_, name
+            L, N, M = ([[_exact(v) for v in row]
+                        for row in lax.build(ctx, op, K, s, t)]
+                       for op in "LNM")
+            worst = {"L_eigen": 0, "N_shift": 0, "M_shift": 0}
+            for x in lax.EIGEN_SAMPLES:
+                col00, col10, col01 = (
+                    [_exact(v) for v in lax._column(ctx, K, *site, x)]
+                    for site in ((s, t), (s + 1, t), (s, t + 1)))
+                xv = _exact(ctx.one() * x)
+                for name, Op, src, dst, fac in (
+                        ("L_eigen", L, col00, col00, xv),
+                        ("N_shift", N, col00, col10, xv),
+                        ("M_shift", M, col01, col00, 1)):
+                    for i in range(K - 1):
+                        r = abs(sum(a * v for a, v in zip(Op[i], src))
+                                - fac * dst[i])
+                        worst[name] = max(worst[name], r)
+            for name, v in worst.items():
+                assert eig[name]._mpf_ == _rounded_once(Fraction(v))._mpf_, \
+                    name
+
+
+def test_a_nan_operator_entry_makes_its_residuals_nan():
+    # L[2][2] at (0, 0) enters compat_LN and compat_ML and L_eigen; the
+    # other three do not read L at (0, 0) and keep their clean values
+    policy = TolerancePolicy(30, 10)
+    table = moments.build_jacobi(11, policy, tmax=2)
+    clean = detkit.DetContext(table, table.K)
+    ctx = detkit.DetContext(table, table.K)
+    lax.build(ctx, "L", 6, 0, 0)[2][2] = mp.nan
+    comp = lax.compat_residuals(ctx, 6, 0, 0)
+    eig = lax.eigen_residuals(ctx, 6, 0, 0)
+    want_comp = lax.compat_residuals(clean, 6, 0, 0)
+    want_eig = lax.eigen_residuals(clean, 6, 0, 0)
+    assert mp.isnan(comp["compat_LN"]) and mp.isnan(comp["compat_ML"])
+    assert comp["compat_MN"] == want_comp["compat_MN"]
+    assert mp.isnan(eig["L_eigen"])
+    assert (eig["N_shift"], eig["M_shift"]) \
+        == (want_eig["N_shift"], want_eig["M_shift"])
 
 
 # ---- Six scalar equations ----

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dckp.numerics import (ConfigError, ExtentError, TolerancePolicy,
                            digits_of_agreement, fmt_scalar, parse_scalar,
@@ -178,6 +179,66 @@ def test_jacobi_table_is_correctly_rounded():
                                    for t, v in sg.items()}
         assert tab.phi_by_t == {t: [high(x, True) for x in v]
                                 for t, v in ph.items()}
+
+
+_RATIONALS = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
+                          max_denominator=10 ** 6)
+
+
+def _ln2_convergents(count):
+    """The first `count` continued-fraction convergents p/q of ln2."""
+    with mp.workprec(4000):
+        x, out = mp.ln(2), []
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        for _ in range(count):
+            a = int(mp.floor(x))
+            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+            out.append((p1, q1))
+            x = 1 / (x - a)
+    return out
+
+
+_CONVERGENTS = _ln2_convergents(400)
+
+
+@st.composite
+def _pairs(draw):
+    """A pair (p, q) or triple (p, q, r) of rationals: random ones, ones
+    whose integer form P + Q ln2 + R ln^2 2 over their common denominator
+    is rounded to within 1/2 of zero, or ln2's convergents, where it is
+    about 1/Q and the sum of the terms loses about the bits of Q (up to
+    some 600) beyond the kernel's first width."""
+    kind = draw(st.sampled_from(("random", "rounded", "convergent")))
+    if kind == "random":
+        return tuple(draw(st.lists(_RATIONALS, min_size=2, max_size=3)))
+    den = draw(st.integers(1, 1000))
+    if kind == "convergent":
+        p, q = draw(st.sampled_from(_CONVERGENTS))
+        m = draw(st.integers(1, 50)) * draw(st.sampled_from((1, -1)))
+        return (Fraction(-p * m, den), Fraction(q * m, den),
+                *[Fraction(0)] * draw(st.integers(0, 1)))
+    k = draw(st.integers(1, 300))
+    rest = [draw(st.integers(-2 ** k, 2 ** k))
+            for _ in range(draw(st.integers(1, 2)))]
+    with mp.workprec(k + 64):
+        v = sum(c * mp.ln(2) ** (i + 1) for i, c in enumerate(rest))
+    return tuple(Fraction(c, den) for c in (-int(mp.nint(v)), *rest))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_pairs(), prec=st.integers(8, 600), root2=st.booleans())
+def test_round_pair_is_the_value_rounded_once(pair, prec, root2):
+    # the fixed-point kernel against mpmath at three times the bits plus
+    # the cancellation, rounded once to prec
+    wide = 3 * (prec + 1000)
+    with mp.workprec(wide):
+        v = sum(mp.mpf(c.numerator) / c.denominator * mp.ln(2) ** i
+                for i, c in enumerate(pair))
+        v = v * mp.sqrt(2) if root2 else v
+    with mp.workprec(prec):
+        want = +v
+        got = moments._round_pair(pair, prec, root2)
+    assert got._mpf_ == want._mpf_
 
 
 def test_jacobi_t1_closed_form_matches_quadrature():

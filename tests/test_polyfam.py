@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
 
 from dckp.numerics import DegeneracyError, ExtentError, digits_of_agreement
 from dckp import detkit, moments, polyfam
@@ -95,6 +96,25 @@ def test_eval_poly_horner():
     assert polyfam.eval_poly([Fraction(1), Fraction(-3), Fraction(2)],
                              Fraction(1, 2)) == Fraction(0)
     assert polyfam.eval_poly((Fraction(-1), Fraction(1)), Fraction(5)) == 4
+    # at an mpf x: the exact value of the same dyadic numbers, rounded once,
+    # also where the terms cancel: (X - a)^3 near its root, which a Horner
+    # rounded at every step reads as 3.9e-34, not 1.6e-34
+    def exact(v):
+        neg, man, exp, _ = mp.mpf(v)._mpf_
+        return (-1) ** neg * man * Fraction(2) ** exp
+
+    with mp.workdps(30):
+        a = mp.mpf(1) / 7
+        for coeffs, x in (
+                ([mp.mpf(1) / 3, -mp.mpf(10) ** 20 / 7, mp.mpf(2) ** -90, 5],
+                 a),
+                ([-a ** 3, 3 * a ** 2, -3 * a, 1], a * (1 + mp.mpf(2) ** -40))):
+            value = sum(exact(c) * exact(x) ** k
+                        for k, c in enumerate(coeffs))
+            assert polyfam.eval_poly(coeffs, x) == mp.mpf(
+                libmp.from_rational(value.numerator, value.denominator,
+                                    mp.mp.prec, libmp.round_nearest))
+            assert mp.isnan(polyfam.eval_poly(coeffs + [mp.nan], x))
 
 
 # ---- Orthogonality (exact, generic data) ----
